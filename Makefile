@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race bench bench-json cover serve chaos pool-smoke clean
+.PHONY: all build test check race bench bench-json cover serve chaos pool-smoke loc clean
 
 all: build test
 
@@ -55,6 +55,11 @@ pool-smoke:
 
 cover:
 	$(GO) test -cover ./...
+
+# loc prints the non-test Go line count outside bench/ — the size number
+# ROADMAP item 3 asks every PR to record in CHANGES.md.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

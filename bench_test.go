@@ -34,7 +34,6 @@ import (
 	"ensemblekit/internal/runtime"
 	"ensemblekit/internal/scheduler"
 	"ensemblekit/internal/sim"
-	"ensemblekit/internal/telemetry"
 	"ensemblekit/internal/telemetry/tracing"
 )
 
@@ -614,51 +613,6 @@ func BenchmarkCampaignSweep(b *testing.B) {
 	})
 }
 
-// BenchmarkCampaignSweepParallelMembers measures member parallelism on a
-// sweep of wide ensembles (16 node-disjoint members at paper-scale step
-// counts): the joint path simulates all members on one event loop per
-// job; the split path fans eligible members across cores and merges
-// deterministically, composing with the service's job-level workers.
-func BenchmarkCampaignSweepParallelMembers(b *testing.B) {
-	b.ReportAllocs()
-	const members = 16
-	p := Placement{Name: "wide"}
-	for i := 0; i < members; i++ {
-		p.Members = append(p.Members, Member{
-			Simulation: Component{Nodes: []int{i}, Cores: 16},
-			Analyses:   []Component{{Nodes: []int{i}, Cores: 8}},
-		})
-	}
-	sweep := Sweep{
-		Placements: []Placement{p},
-		Seeds:      []int64{1, 2, 3},
-		Steps:      PaperSteps,
-	}
-	for _, degree := range []int{0, 4, members} {
-		name := "joint"
-		if degree > 0 {
-			name = fmt.Sprintf("split-%d", degree)
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				svc, err := NewService(ServiceConfig{Workers: 2, MemberParallelism: degree})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := RunCampaign(context.Background(), svc, sweep); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				svc.Close()
-				b.StartTimer()
-			}
-		})
-	}
-}
-
 // BenchmarkSteadyStateFastPath is the per-job comparison behind the
 // campaign numbers: one fault-free paper-scale ensemble evaluated by the
 // DES engine versus the closed-form steady-state evaluator. The fast
@@ -693,47 +647,10 @@ func BenchmarkSteadyStateFastPath(b *testing.B) {
 	})
 }
 
-// BenchmarkTelemetryOverhead measures the cost the metrics registry adds
-// to the campaign service's hot path: a warm-cache sweep (pure service
-// overhead — no simulation work) with instrumentation off (nil registry,
-// the no-op path) and on. The two must stay within a few percent of each
-// other; the delta is the per-job price of counters, histograms, and the
-// event broadcaster.
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	sweep := Sweep{
-		Placements: ConfigsTable2(),
-		Seeds:      []int64{1, 2, 3},
-		Steps:      8,
-	}
-	run := func(b *testing.B, cfg ServiceConfig) {
-		b.ReportAllocs()
-		svc, err := NewService(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer svc.Close()
-		if _, err := RunCampaign(context.Background(), svc, sweep); err != nil {
-			b.Fatal(err) // prime the cache outside the timed region
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := RunCampaign(context.Background(), svc, sweep); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("noop", func(b *testing.B) {
-		run(b, ServiceConfig{Workers: 4})
-	})
-	b.Run("instrumented", func(b *testing.B) {
-		run(b, ServiceConfig{Workers: 4, Metrics: telemetry.NewRegistry()})
-	})
-}
-
-// BenchmarkTracingOverhead is BenchmarkTelemetryOverhead for the span
-// layer: the same warm-cache sweep with no tracer (every span call is
-// the nil no-op) and with a live tracer recording job spans into a
-// bounded store. The delta is the per-job price of span allocation,
+// BenchmarkTracingOverhead measures the span layer on a warm-cache sweep
+// (pure service overhead — no simulation work): no tracer (every span
+// call is the nil no-op) against a live tracer recording job spans into
+// a bounded store. The delta is the per-job price of span allocation,
 // attribute stamping, and store insertion on the service's hot path —
 // the number DESIGN.md's "tracing is free when off" claim rests on.
 func BenchmarkTracingOverhead(b *testing.B) {

@@ -38,7 +38,7 @@
 //	GET  /v1/stats                   cache hit rate, queue depth, worker counters
 //	GET  /healthz                    liveness (200 while the process serves)
 //	GET  /readyz                     readiness (503 when draining/saturated/journal unwritable)
-//	GET  /metrics                    Prometheus text exposition (service + obs)
+//	GET  /metrics                    Prometheus text exposition (service, HTTP, pool)
 //	GET  /debug/pprof/*              runtime profiles (only with -pprof)
 //
 // Distributed tracing is on by default (-no-trace disables it): every
@@ -108,7 +108,6 @@ import (
 	"ensemblekit/internal/campaign"
 	"ensemblekit/internal/campaign/accounting"
 	"ensemblekit/internal/campaign/pool"
-	"ensemblekit/internal/obs"
 	"ensemblekit/internal/placement"
 	"ensemblekit/internal/telemetry"
 	"ensemblekit/internal/telemetry/tracing"
@@ -124,7 +123,6 @@ func main() {
 		stateDir    = flag.String("state-dir", "", "durable state directory: journal (DIR/journal.wal) + default disk cache (DIR/cache)")
 		retry       = flag.Int("retry", 3, "max executions per job; transient failures back off and re-enqueue (1 disables retries)")
 		execDelay   = flag.Duration("exec-delay", 0, "artificially stretch each execution (chaos/load testing only)")
-		memberPar   = flag.Int("member-parallelism", 0, "simulate eligible jobs' independent members on up to this many cores each (0 = joint path; results are bit-identical)")
 		fastPath    = flag.Bool("fastpath", false, "answer fault-free steady-state-eligible jobs from the Eq. 1-9 closed forms instead of the DES (bit-identical)")
 		verifyFP    = flag.Bool("verify-fastpath", false, "cross-check every fast-path hit against a DES re-run (implies -fastpath; validation mode)")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -147,7 +145,7 @@ func main() {
 		addr: *addr, workers: *workers, queue: *queue,
 		cacheBytes: *cacheBytes, cacheDir: *cacheDir, logLevel: *logLevel,
 		stateDir: *stateDir, retry: *retry, execDelay: *execDelay,
-		memberPar: *memberPar, fastPath: *fastPath, verifyFP: *verifyFP,
+		fastPath: *fastPath, verifyFP: *verifyFP,
 		nodeID: *nodeID, advertise: *advertise, join: *join, heartbeat: *heartbeat,
 		pprofOn: *pprofOn, noTrace: *noTrace,
 		traceTraces: *traceTraces, traceSpans: *traceSpans,
@@ -170,7 +168,6 @@ type serverConfig struct {
 	stateDir           string
 	retry              int
 	execDelay          time.Duration
-	memberPar          int
 	fastPath, verifyFP bool
 	nodeID             string
 	advertise          string
@@ -217,13 +214,6 @@ func run(cfg serverConfig) error {
 		}
 	}
 
-	// The obs recorder keeps the service's counters as a virtual-time
-	// event log; the sink bridges the same emissions into the Prometheus
-	// registry so one scrape covers both telemetry tiers.
-	start := time.Now()
-	rec := obs.NewRecorder(func() float64 { return time.Since(start).Seconds() })
-	rec.SetSink(telemetry.NewObsSink(reg))
-
 	var tracer *tracing.Tracer
 	if !cfg.noTrace {
 		tracer = tracing.NewTracer(tracing.NewStore(cfg.traceTraces, cfg.traceSpans))
@@ -238,14 +228,12 @@ func run(cfg serverConfig) error {
 		Retry:       campaign.RetryPolicy{MaxAttempts: cfg.retry},
 		ExecDelay:   cfg.execDelay,
 
-		MemberParallelism: cfg.memberPar,
-		FastPath:          cfg.fastPath,
-		VerifyFastPath:    cfg.verifyFP,
+		FastPath:       cfg.fastPath,
+		VerifyFastPath: cfg.verifyFP,
 
-		Recorder: rec,
-		Metrics:  reg,
-		Logger:   log,
-		Tracer:   tracer,
+		Metrics: reg,
+		Logger:  log,
+		Tracer:  tracer,
 	})
 	if err != nil {
 		return err
@@ -597,7 +585,6 @@ func smokeMetrics(base string) error {
 	for _, want := range []string{
 		"campaign_cache_hits_total", "campaign_queue_depth",
 		"campaign_execute_seconds_bucket", "http_requests_total",
-		"obs_counter_total",
 		"campaign_core_seconds_total", "campaign_core_seconds_saved_total",
 	} {
 		if !strings.Contains(string(body), want) {

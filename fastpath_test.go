@@ -3,17 +3,12 @@ package ensemblekit
 import (
 	"context"
 	"encoding/json"
-	"runtime" // stdlib: GOMAXPROCS
 	"testing"
-
-	"ensemblekit/internal/obs"
 )
 
-// This file pins the bit-identity contracts of the two new execution
-// paths: the closed-form steady-state fast path must reproduce the DES
-// trace byte-for-byte with zero events dispatched, and the member-parallel
-// path must produce the same trace as the joint path — and the same obs
-// stream as itself — at every parallelism degree.
+// This file pins the bit-identity contract of the closed-form
+// steady-state fast path: it must reproduce the DES trace byte-for-byte
+// with zero events dispatched.
 
 func traceJSON(t testing.TB, tr *EnsembleTrace) string {
 	t.Helper()
@@ -85,24 +80,6 @@ func TestFastPathBailsOnFaults(t *testing.T) {
 	}
 }
 
-// memberParallelCase runs p at the given member-parallelism degree with a
-// recorder attached, returning the trace JSON, the obs stream hash, and
-// the effective degree.
-func memberParallelCase(t testing.TB, p Placement, base SimOptions, degree int, world *World) (string, string, int) {
-	t.Helper()
-	rec := obs.NewRecorder(nil)
-	opts := base
-	opts.Recorder = rec
-	opts.MemberParallelism = degree
-	opts.World = world
-	es := SpecForPlacement(p, goldenSteps)
-	tr, info, err := RunSimulatedInfo(Cori(3), p, es, opts)
-	if err != nil {
-		t.Fatalf("%s degree %d: %v", p.Name, degree, err)
-	}
-	return traceJSON(t, tr), obsStreamHash(rec.Events()), info.MemberParallelism
-}
-
 // campaignFingerprint runs the Table 2 sweep on a service built from cfg
 // and returns the campaign fingerprint plus the final service stats.
 func campaignFingerprint(t *testing.T, cfg ServiceConfig) (string, ServiceStats) {
@@ -128,17 +105,11 @@ func campaignFingerprint(t *testing.T, cfg ServiceConfig) (string, ServiceStats)
 }
 
 // TestCampaignHintsFingerprintInvariant pins the service-level contract:
-// member parallelism, the fast path, and the verified fast path are pure
-// execution hints — the campaign fingerprint is identical to the default
-// configuration's, while the fast-path counters prove the hints actually
-// took effect.
+// the fast path and the verified fast path are pure execution hints — the
+// campaign fingerprint is identical to the default configuration's, while
+// the fast-path counters prove the hints actually took effect.
 func TestCampaignHintsFingerprintInvariant(t *testing.T) {
 	base, _ := campaignFingerprint(t, ServiceConfig{Workers: 4})
-
-	mp, _ := campaignFingerprint(t, ServiceConfig{Workers: 4, MemberParallelism: 2})
-	if mp != base {
-		t.Errorf("member-parallel fingerprint %s != base %s", mp, base)
-	}
 
 	fp, st := campaignFingerprint(t, ServiceConfig{Workers: 4, FastPath: true})
 	if fp != base {
@@ -148,9 +119,7 @@ func TestCampaignHintsFingerprintInvariant(t *testing.T) {
 		t.Error("fast-path service recorded no hits over the fault-free Table 2 sweep")
 	}
 
-	vp, st := campaignFingerprint(t, ServiceConfig{
-		Workers: 4, MemberParallelism: 2, VerifyFastPath: true,
-	})
+	vp, st := campaignFingerprint(t, ServiceConfig{Workers: 4, VerifyFastPath: true})
 	if vp != base {
 		t.Errorf("verified fast-path fingerprint %s != base %s", vp, base)
 	}
@@ -159,51 +128,5 @@ func TestCampaignHintsFingerprintInvariant(t *testing.T) {
 	}
 	if st.FastPathVerified != st.FastPathHits {
 		t.Errorf("verified %d of %d fast-path hits, want all", st.FastPathVerified, st.FastPathHits)
-	}
-}
-
-// TestMemberParallelDeterminism pins the member-parallel contract on every
-// multi-member Table 2/4 placement, fault-free and with seeded jitter: the
-// EnsembleTrace is identical to the joint path at every degree, and the
-// merged obs stream is byte-identical across degrees 1, 2, and
-// GOMAXPROCS (the canonical member-index merge order cannot depend on
-// completion order). Run under -race in CI.
-func TestMemberParallelDeterminism(t *testing.T) {
-	world := NewWorld()
-	variants := []struct {
-		name string
-		opts SimOptions
-	}{
-		{"fault-free", SimOptions{}},
-		{"jitter", SimOptions{Jitter: 0.05, Seed: 42}},
-	}
-	degrees := []int{1, 2, runtime.GOMAXPROCS(0)}
-	split := 0
-	for _, p := range append(ConfigsTable2(), ConfigsTable4()...) {
-		if len(p.Members) < 2 {
-			continue
-		}
-		for _, v := range variants {
-			jointTrace, _, _ := memberParallelCase(t, p, v.opts, 0, world)
-			refTrace, refObs, deg := memberParallelCase(t, p, v.opts, 1, world)
-			if refTrace != jointTrace {
-				t.Errorf("%s/%s: split trace differs from joint trace", p.Name, v.name)
-			}
-			if deg > 0 {
-				split++
-			}
-			for _, d := range degrees[1:] {
-				gotTrace, gotObs, _ := memberParallelCase(t, p, v.opts, d, world)
-				if gotTrace != refTrace {
-					t.Errorf("%s/%s: trace at degree %d differs from degree 1", p.Name, v.name, d)
-				}
-				if gotObs != refObs {
-					t.Errorf("%s/%s: obs stream at degree %d differs from degree 1", p.Name, v.name, d)
-				}
-			}
-		}
-	}
-	if split == 0 {
-		t.Fatal("no placement took the member-parallel path")
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // How a finished job's result reached this service, recorded on the job
-// by runRouted and consulted by finish for ledger attribution.
+// by runRouted and consulted by transition for ledger attribution.
 const (
 	// servedLocal: executed by this node's own worker (also the
 	// fabric-less default).
@@ -23,22 +23,18 @@ const (
 // accountant owns the service's resource ledgers: one per campaign
 // (attributing every submission of the campaign, wherever it resolved)
 // and one for the node (attributing executions and cache serves that
-// happened here — the scope pool federation sums). It also carries the
-// RunInfo side channel from defaultRun to finish, keyed by result hash,
-// because the runFn signature cannot grow an extra return.
+// happened here — the scope pool federation sums).
 type accountant struct {
 	node *accounting.Ledger
 
 	mu        sync.Mutex
 	campaigns map[string]*accounting.Ledger
-	runInfo   map[string]runtime.RunInfo
 }
 
 func newAccountant() *accountant {
 	return &accountant{
 		node:      accounting.NewLedger(),
 		campaigns: make(map[string]*accounting.Ledger),
-		runInfo:   make(map[string]runtime.RunInfo),
 	}
 }
 
@@ -56,33 +52,6 @@ func (a *accountant) campaign(id string) *accounting.Ledger {
 		a.campaigns[id] = l
 	}
 	return l
-}
-
-// lookup returns the ledger for an existing campaign without creating it.
-func (a *accountant) lookup(id string) (*accounting.Ledger, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	l, ok := a.campaigns[id]
-	return l, ok
-}
-
-// noteRunInfo stashes how an execution was served (fast path, plan
-// reuse) until the job's finish — or the forward handler — claims it.
-func (a *accountant) noteRunInfo(hash string, info runtime.RunInfo) {
-	a.mu.Lock()
-	a.runInfo[hash] = info
-	a.mu.Unlock()
-}
-
-// takeRunInfo claims (and removes) the stashed RunInfo for a hash.
-func (a *accountant) takeRunInfo(hash string) (runtime.RunInfo, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	info, ok := a.runInfo[hash]
-	if ok {
-		delete(a.runInfo, hash)
-	}
-	return info, ok
 }
 
 // acctSpent charges one executed submission: always to the campaign
@@ -117,53 +86,49 @@ func (s *Service) acctSaved(campaignID, hash string, jl accounting.JobLedger, ti
 	s.metrics.coreSaved.With(tier).Add(jl.Total())
 }
 
-// acctWall accumulates worker-execution and queue-wait wall seconds.
-func (s *Service) acctWall(campaignID string, workerSec, waitSec float64) {
-	if l := s.acct.campaign(campaignID); l != nil {
-		l.RecordWall(workerSec, waitSec)
+// acctRunCredits records the overlapping credits of a local execution:
+// the closed form that replaced the DES, the plan the World reused.
+func (s *Service) acctRunCredits(campaignID, hash string, jl accounting.JobLedger, info runtime.RunInfo) {
+	if info.FastPath {
+		s.acctSaved(campaignID, hash, jl, accounting.TierFastPath)
 	}
-	s.acct.node.RecordWall(workerSec, waitSec)
+	if info.PlanReused {
+		s.acctSaved(campaignID, hash, jl, accounting.TierPlanCache)
+	}
 }
 
-// acctRetryWaste accumulates wall seconds burned by a failed attempt
-// that the retry policy re-enqueued.
-func (s *Service) acctRetryWaste(campaignID string, sec float64) {
-	if l := s.acct.campaign(campaignID); l != nil {
-		l.RecordRetryWaste(sec)
+// charge is transition's ledger step. An attempt that ends (any edge out
+// of running) is retry waste when the policy re-enqueues it and worker
+// wall time when it settles the job; a result is either spent (executed
+// here, or by a peer on our behalf) or saved (answered by a cache tier). The ledgers have their own locks and
+// their snapshot summation is order-independent, so concurrent
+// transitions need no extra serialization.
+func (s *Service) charge(j *Job, from jobState, e edge, served string, execSec, waitSec float64) {
+	if from == stateRunning {
+		for _, l := range [...]*accounting.Ledger{s.acct.campaign(j.campaign), s.acct.node} {
+			switch {
+			case l == nil: // an untagged submission has no campaign ledger
+			case e.to == stateBackoff:
+				l.RecordRetryWaste(execSec)
+			default:
+				l.RecordWall(execSec, waitSec)
+			}
+		}
 	}
-	s.acct.node.RecordRetryWaste(sec)
-}
-
-// acctFinish attributes a terminal job. Called by finish after the job
-// mutex is released and before the service lock is taken; the ledgers
-// have their own locks and the snapshot summation is order-independent,
-// so concurrent completions need no extra serialization.
-func (s *Service) acctFinish(j *Job, res *Result, status Status, started bool, served string, execSec, waitSec float64) {
-	if started {
-		s.acctWall(j.campaign, execSec, waitSec)
-	}
-	// Claim the RunInfo stash regardless of outcome so a cancelled-
-	// mid-run completion cannot leak its entry.
-	info, hasInfo := s.acct.takeRunInfo(j.Hash)
-	if status != StatusDone || res == nil {
+	if e.res == nil {
 		return
 	}
-	jl := accounting.FromTrace(res.Trace)
-	switch served {
-	case servedFleet:
+	jl := accounting.FromTrace(e.res.Trace)
+	switch {
+	case from == stateNew:
+		s.acctSaved(j.campaign, j.Hash, jl, e.tier)
+	case served == servedFleet:
 		s.acctSaved(j.campaign, j.Hash, jl, accounting.TierFleet)
-	case servedForward:
+	case served == servedForward:
 		s.acctSpent(j.campaign, j.Hash, jl, false)
 	default:
 		s.acctSpent(j.campaign, j.Hash, jl, true)
-		if hasInfo {
-			if info.FastPath {
-				s.acctSaved(j.campaign, j.Hash, jl, accounting.TierFastPath)
-			}
-			if info.PlanReused {
-				s.acctSaved(j.campaign, j.Hash, jl, accounting.TierPlanCache)
-			}
-		}
+		s.acctRunCredits(j.campaign, j.Hash, jl, e.info)
 	}
 }
 
@@ -173,7 +138,9 @@ func (s *Service) acctFinish(j *Job, res *Result, status Status, started bool, s
 // tier), plus overlapping plan-cache and fast-path credits and the
 // wall-clock cost. ok is false for a campaign the ledger has never seen.
 func (s *Service) CampaignAccounting(id string) (accounting.Snapshot, bool) {
-	l, ok := s.acct.lookup(id)
+	s.acct.mu.Lock()
+	l, ok := s.acct.campaigns[id] // a lookup must not create the ledger
+	s.acct.mu.Unlock()
 	if !ok {
 		return accounting.Snapshot{}, false
 	}

@@ -56,13 +56,13 @@ func TestServiceResumesJournaledJobsAfterShutdown(t *testing.T) {
 		Workers:     1,
 		JournalPath: journalPath,
 		CacheDir:    cacheDir,
-		runFn: func(ctx context.Context, spec JobSpec) (*Result, error) {
+		runFn: plainRun(func(ctx context.Context, spec JobSpec) (*Result, error) {
 			if spec.Sim.Seed != 1 {
 				<-ctx.Done()
 				return nil, ctx.Err()
 			}
 			return Execute(spec)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,13 +132,13 @@ func TestCampaignResumeMatchesUninterruptedRun(t *testing.T) {
 		Workers:     1,
 		JournalPath: journalPath,
 		CacheDir:    cacheDir,
-		runFn: func(ctx context.Context, spec JobSpec) (*Result, error) {
+		runFn: plainRun(func(ctx context.Context, spec JobSpec) (*Result, error) {
 			if ran.Add(1) > 2 {
 				<-ctx.Done()
 				return nil, ctx.Err()
 			}
 			return Execute(spec)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -113,12 +113,12 @@ func TestServiceEventLifecycle(t *testing.T) {
 	boom := errors.New("boom")
 	svc, err := NewService(Config{
 		Workers: 1,
-		runFn: func(_ context.Context, spec JobSpec) (*Result, error) {
+		runFn: plainRun(func(_ context.Context, spec JobSpec) (*Result, error) {
 			if spec.Sim.Seed == 2 {
 				return nil, boom
 			}
 			return Execute(spec)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,10 +205,10 @@ func TestServiceEventCancelled(t *testing.T) {
 	release := make(chan struct{})
 	svc, err := NewService(Config{
 		Workers: 1,
-		runFn: func(_ context.Context, spec JobSpec) (*Result, error) {
+		runFn: plainRun(func(_ context.Context, spec JobSpec) (*Result, error) {
 			<-release
 			return Execute(spec)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

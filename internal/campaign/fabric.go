@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"container/heap"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"ensemblekit/internal/campaign/accounting"
+	"ensemblekit/internal/runtime"
 )
 
 // Fabric is the service's view of the distributed pool (implemented by
@@ -41,9 +41,6 @@ type Fabric interface {
 func (s *Service) SetFabric(f Fabric) {
 	s.mu.Lock()
 	s.fabric = f
-	if f != nil {
-		s.nodeID = f.NodeID()
-	}
 	s.mu.Unlock()
 }
 
@@ -65,7 +62,8 @@ func (s *Service) fabricSnapshot() Fabric {
 // the retry re-routes to the new owner; with retries disabled the job
 // falls back to local execution instead, so a peer loss can never fail
 // a job outright.
-func (s *Service) runRouted(ctx context.Context, j *Job) (*Result, error) {
+func (s *Service) runRouted(ctx context.Context, j *Job) (*Result, runtime.RunInfo, error) {
+	var none runtime.RunInfo // only a local run knows how it was served
 	fab := s.fabricSnapshot()
 	if fab == nil {
 		return s.runShielded(ctx, j)
@@ -82,33 +80,32 @@ func (s *Service) runRouted(ctx context.Context, j *Job) (*Result, error) {
 	if b, found, err := fab.Lookup(ctx, owner, j.Hash); err == nil && found {
 		res, derr := decodeResult(b)
 		if derr == nil {
-			s.notePeerCacheHit()
 			j.setServed(servedFleet)
-			return res, nil
+			return res, none, nil
 		}
 		s.log.Warn("pool: undecodable peer cache entry; forwarding",
 			"peer", owner, "hash", j.Hash, "err", derr.Error())
 	}
 	specJSON, err := j.spec.CanonicalJSON()
 	if err != nil {
-		return nil, Permanent(err)
+		return nil, none, Permanent(err)
 	}
 	b, err := fab.Execute(ctx, owner, j.Hash, specJSON, j.Label)
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return nil, none, ctx.Err()
 		}
 		// The peer executed the job and failed deterministically: that
 		// verdict is as permanent here as it would be locally.
 		var pe interface{ IsPermanentRemote() bool }
 		if errors.As(err, &pe) && pe.IsPermanentRemote() {
-			return nil, Permanent(err)
+			return nil, none, Permanent(err)
 		}
 		if s.cfg.Retry.MaxAttempts > 1 {
 			// Transient (peer died or refused): let the retry policy
 			// re-enqueue; by then the ring has rebalanced and the retry
 			// routes to the hash's new owner.
-			return nil, err
+			return nil, none, err
 		}
 		// No retry budget: a lost peer must not lose the job.
 		s.log.Warn("pool: forward failed; executing locally",
@@ -118,22 +115,10 @@ func (s *Service) runRouted(ctx context.Context, j *Job) (*Result, error) {
 	}
 	res, err := decodeResult(b)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: undecodable result from peer %s: %w", owner, err)
+		return nil, none, fmt.Errorf("campaign: undecodable result from peer %s: %w", owner, err)
 	}
 	j.setServed(servedForward)
-	return res, nil
-}
-
-// notePeerCacheHit accounts a submission-side fleet-cache hit in the
-// service counters (the pool's pool_cache_hits_total counts the wire
-// side).
-func (s *Service) notePeerCacheHit() {
-	s.mu.Lock()
-	s.stats.CacheHits++
-	s.stats.FleetHits++
-	s.mu.Unlock()
-	s.metrics.cacheHits.Inc()
-	s.metrics.fleetHits.Inc()
+	return res, none, nil
 }
 
 // decodeResult parses a result payload received from a peer.
@@ -188,7 +173,8 @@ type remoteFlight struct {
 
 // ExecuteForwardedJSON runs a forwarded spec to completion on this node
 // — the owner side of the pool's Execute. It satisfies the pool's Local
-// interface.
+// interface. The label is requester-side display metadata; the owner
+// keys on the hash.
 //
 // Forwarded work deliberately bypasses the local job queue: it runs in
 // the calling (handler) goroutine, bounded by the pool's forward
@@ -198,7 +184,7 @@ type remoteFlight struct {
 // the cache answers known hashes, a hash the local queue already owns
 // attaches to that job, and concurrent forwards of one hash share a
 // single run via the remote-flight table.
-func (s *Service) ExecuteForwardedJSON(ctx context.Context, specJSON []byte, label string) ([]byte, error) {
+func (s *Service) ExecuteForwardedJSON(ctx context.Context, specJSON []byte, _ string) ([]byte, error) {
 	var spec JobSpec
 	if err := json.Unmarshal(specJSON, &spec); err != nil {
 		return nil, Permanent(fmt.Errorf("campaign: undecodable forwarded spec: %w", err))
@@ -211,85 +197,59 @@ func (s *Service) ExecuteForwardedJSON(ctx context.Context, specJSON []byte, lab
 		return nil, Permanent(err)
 	}
 
-	for {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return nil, ErrClosed
-		}
-		res, fromDisk, cerr := s.cache.get(hash)
-		if cerr != nil {
-			s.mu.Unlock()
-			return nil, cerr
-		}
-		if res != nil {
-			if fromDisk {
-				s.metrics.setCacheLocked(s.cache.stats())
-			}
-			s.mu.Unlock()
-			return json.Marshal(res)
-		}
-		if j, ok := s.inflight[hash]; ok {
-			// The local queue already owns this hash; attach to it.
-			s.stats.Dedups++
-			s.metrics.dedups.Inc()
-			s.mu.Unlock()
-			jres, jerr := j.Wait(ctx)
-			if jerr != nil {
-				return nil, jerr
-			}
-			return json.Marshal(jres)
-		}
-		if fl, ok := s.remoteFlights[hash]; ok {
-			s.mu.Unlock()
-			select {
-			case <-fl.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if fl.err != nil {
-				return nil, fl.err
-			}
-			return fl.res, nil
-		}
-		fl := &remoteFlight{done: make(chan struct{})}
-		s.remoteFlights[hash] = fl
+	s.mu.Lock()
+	if s.closed {
 		s.mu.Unlock()
-
-		runStart := time.Now()
-		res2, rerr := s.cfg.runFn(ctx, spec)
-		var b []byte
-		if rerr == nil {
-			s.mu.Lock()
-			// A cache-store failure degrades to uncached operation.
-			_ = s.cache.put(hash, res2)
-			s.metrics.setCacheLocked(s.cache.stats())
-			s.mu.Unlock()
-			// The cores burned here: charge the node ledger (the
-			// requester charges its campaign; see acctFinish). The fast-
-			// path and plan-cache credits land on this node too — the
-			// requester has no RunInfo for a forwarded run.
-			jl := accounting.FromTrace(res2.Trace)
-			s.acctSpent("", hash, jl, true)
-			s.acctWall("", time.Since(runStart).Seconds(), 0)
-			if info, ok := s.acct.takeRunInfo(hash); ok {
-				if info.FastPath {
-					s.acctSaved("", hash, jl, accounting.TierFastPath)
-				}
-				if info.PlanReused {
-					s.acctSaved("", hash, jl, accounting.TierPlanCache)
-				}
-			}
-			b, rerr = json.Marshal(res2)
-		}
-		fl.res, fl.err = b, rerr
-		s.mu.Lock()
-		delete(s.remoteFlights, hash)
-		s.mu.Unlock()
-		close(fl.done)
-		_ = label // labels are requester-side display metadata; the owner keys on the hash
-		return b, rerr
+		return nil, ErrClosed
 	}
+	res, _, shared, err := s.resolveLocked(hash)
+	fl, flying := s.remoteFlights[hash]
+	if err == nil && res == nil && shared == nil && !flying {
+		fl = &remoteFlight{done: make(chan struct{})}
+		s.remoteFlights[hash] = fl
+	}
+	s.mu.Unlock()
+	switch {
+	case err != nil:
+		return nil, err
+	case res != nil:
+		return json.Marshal(res)
+	case shared != nil:
+		// The local queue already owns this hash; attach to it.
+		res, err := shared.Wait(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(res)
+	case flying:
+		select {
+		case <-fl.done:
+			return fl.res, fl.err
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+
+	runStart := time.Now()
+	res, info, err := s.cfg.runFn(ctx, hash, spec)
+	if err == nil {
+		s.storeResult(hash, res)
+		// The cores burned here: charge the node ledger (the requester
+		// charges its campaign; see charge). The fast-path and plan-cache
+		// credits land on this node too — the requester has no RunInfo
+		// for a forwarded run.
+		jl := accounting.FromTrace(res.Trace)
+		s.acctSpent("", hash, jl, true)
+		s.acct.node.RecordWall(time.Since(runStart).Seconds(), 0)
+		s.acctRunCredits("", hash, jl, info)
+		fl.res, err = json.Marshal(res)
+	}
+	fl.err = err
+	s.mu.Lock()
+	delete(s.remoteFlights, hash)
+	s.mu.Unlock()
+	close(fl.done)
+	return fl.res, fl.err
 }
 
 // SubmitJSON admits a drained spec from a departing peer for
@@ -322,14 +282,7 @@ func (s *Service) DrainQueuedToPeers(ctx context.Context) int {
 		return 0
 	}
 	s.mu.Lock()
-	jobs := append([]*Job(nil), s.queue.items...)
-	s.queue.items = nil
-	for j, t := range s.retryTimers {
-		t.Stop()
-		delete(s.retryTimers, j)
-		jobs = append(jobs, j)
-	}
-	s.metrics.queueDepth.Set(float64(len(s.queue.items)))
+	jobs := s.takeQueuedLocked()
 	s.mu.Unlock()
 	// Admission order keeps the handoff deterministic and fair.
 	sort.Slice(jobs, func(i, k int) bool { return jobs[i].seq < jobs[k].seq })
@@ -342,26 +295,21 @@ func (s *Service) DrainQueuedToPeers(ctx context.Context) int {
 			peer, err = fab.Handoff(ctx, j.Hash, specJSON, j.Label, j.Priority)
 		}
 		if err != nil {
-			// Back to the queue: Close will cancel it with the shutdown
-			// reason, leaving it pending in the journal for local resume.
-			s.mu.Lock()
-			if !s.closed {
-				heap.Push(&s.queue, j)
-				s.metrics.queueDepth.Set(float64(len(s.queue.items)))
-				s.work.Signal()
-			}
-			closed := s.closed
-			s.mu.Unlock()
+			// Keep it for the journal-resume path: back in the queue (a
+			// job that was parked in a backoff gives up the rest of its
+			// delay), or cancelled with the shutdown reason if Close got
+			// there first.
 			s.log.Warn("pool: drain handoff failed; keeping job for resume",
 				"job", j.ID, "hash", j.Hash, "err", err.Error())
-			if closed {
-				s.finish(j, nil, ErrClosed, StatusCancelled)
-			}
+			s.mu.Lock()
+			s.admitting++
+			s.mu.Unlock()
+			s.enqueue(j)
 			continue
 		}
 		handed++
 		j.setNode(peer)
-		s.finish(j, nil, fmt.Errorf("drained to peer %s", peer), StatusCancelled)
+		s.transition(j, edge{to: stateCancelled, err: fmt.Errorf("drained to peer %s", peer)})
 	}
 	if handed > 0 {
 		s.log.Info("pool: drained queued jobs to peers",

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ensemblekit/internal/campaign/pool"
+	"ensemblekit/internal/runtime"
 )
 
 // This file is the in-process fabric suite: several Services wired into
@@ -66,13 +67,13 @@ func startFabric(t *testing.T, n int, mutate func(i int, cfg *Config)) []*fabric
 		}
 		inner := cfg.runFn
 		if inner == nil {
-			inner = func(_ context.Context, spec JobSpec) (*Result, error) {
+			inner = plainRun(func(_ context.Context, spec JobSpec) (*Result, error) {
 				return Execute(spec)
-			}
+			})
 		}
-		cfg.runFn = func(ctx context.Context, spec JobSpec) (*Result, error) {
+		cfg.runFn = func(ctx context.Context, hash string, spec JobSpec) (*Result, runtime.RunInfo, error) {
 			node.runs.Add(1)
-			return inner(ctx, spec)
+			return inner(ctx, hash, spec)
 		}
 		svc, err := NewService(cfg)
 		if err != nil {
@@ -236,10 +237,10 @@ func TestFabricPeerLossMidCampaignStillMatches(t *testing.T) {
 				MaxBackoff:  50 * time.Millisecond,
 			}
 			// Slow the jobs slightly so the kill lands mid-campaign.
-			cfg.runFn = func(_ context.Context, spec JobSpec) (*Result, error) {
+			cfg.runFn = plainRun(func(_ context.Context, spec JobSpec) (*Result, error) {
 				time.Sleep(3 * time.Millisecond)
 				return Execute(spec)
-			}
+			})
 		}
 	})
 
@@ -300,12 +301,12 @@ func TestServiceDrainQueuedToPeers(t *testing.T) {
 			cfg.Workers = 1
 			cfg.JournalPath = filepath.Join(dir, "journal.wal")
 			cfg.CacheDir = filepath.Join(dir, "cache")
-			cfg.runFn = func(_ context.Context, spec JobSpec) (*Result, error) {
+			cfg.runFn = plainRun(func(_ context.Context, spec JobSpec) (*Result, error) {
 				if h, _ := spec.Hash(); h == gateHash.Load() {
 					<-gate // the blocker occupies the only worker
 				}
 				return Execute(spec)
-			}
+			})
 		}
 	})
 	defer once.Do(func() { close(gate) })
@@ -369,9 +370,8 @@ func TestServiceDrainQueuedToPeers(t *testing.T) {
 				t.Logf("n2 job %s label=%q status=%s reason=%q node=%q attempts=%d",
 					j.ID, j.Label, j.Status(), j.Reason(), j.Node(), j.attempts)
 			}
-			st := nodes[1].svc.stats
 			nodes[1].svc.mu.Unlock()
-			t.Logf("n2 stats: %+v", st)
+			t.Logf("n2 stats: %+v", nodes[1].svc.Stats())
 			t.Fatalf("peer completed %d of %d drained jobs",
 				nodes[1].svc.Stats().Completed, len(queued))
 		}

@@ -310,10 +310,10 @@ func TestHTTPQueueFullRejectsCampaign(t *testing.T) {
 		Workers:    1,
 		QueueDepth: 1,
 		Metrics:    telemetry.NewRegistry(),
-		runFn: func(_ context.Context, spec JobSpec) (*Result, error) {
+		runFn: plainRun(func(_ context.Context, spec JobSpec) (*Result, error) {
 			<-release
 			return Execute(spec)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -219,14 +219,14 @@ func TestCampaignCancellation(t *testing.T) {
 	defer close(release)
 	svc, err := NewService(Config{
 		Workers: 1,
-		runFn: func(ctx context.Context, spec JobSpec) (*Result, error) {
+		runFn: plainRun(func(ctx context.Context, spec JobSpec) (*Result, error) {
 			select {
 			case <-release:
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
 			return Execute(spec)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

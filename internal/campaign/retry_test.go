@@ -25,7 +25,7 @@ func retryConfig(attempts int, runFn func(context.Context, JobSpec) (*Result, er
 			MaxBackoff:  4 * time.Millisecond,
 			Jitter:      0.2,
 		},
-		runFn: runFn,
+		runFn: plainRun(runFn),
 	}
 }
 
@@ -240,12 +240,12 @@ func TestWorkerPanicBecomesFailedJob(t *testing.T) {
 	svc, err := NewService(Config{
 		Workers: 1,
 		Metrics: telemetry.NewRegistry(),
-		runFn: func(_ context.Context, spec JobSpec) (*Result, error) {
+		runFn: plainRun(func(_ context.Context, spec JobSpec) (*Result, error) {
 			if calls.Add(1) == 1 {
 				panic("index out of range in stage solver")
 			}
 			return Execute(spec)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -315,9 +315,9 @@ func TestCancelDuringRetryBackoff(t *testing.T) {
 			BaseBackoff: time.Hour, // park the retry so the test can race-free cancel it
 			MaxBackoff:  time.Hour,
 		},
-		runFn: func(_ context.Context, _ JobSpec) (*Result, error) {
+		runFn: plainRun(func(_ context.Context, _ JobSpec) (*Result, error) {
 			return nil, errors.New("transient")
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -352,9 +352,9 @@ func TestCloseDuringRetryBackoff(t *testing.T) {
 			BaseBackoff: time.Hour,
 			MaxBackoff:  time.Hour,
 		},
-		runFn: func(_ context.Context, _ JobSpec) (*Result, error) {
+		runFn: plainRun(func(_ context.Context, _ JobSpec) (*Result, error) {
 			return nil, errors.New("transient")
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

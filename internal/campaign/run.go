@@ -16,17 +16,14 @@ import (
 )
 
 // execHints carries the service's execution tuning into a single run:
-// the campaign-shared World, the member-parallelism degree, and the
-// steady-state fast path with its optional cross-check. Hints never
+// the campaign-shared World and the steady-state fast path. Hints never
 // change results — they are deliberately excluded from JobSpec and its
 // hash (see runtime.SimOptions) — so hinted and unhinted executions of
 // the same spec are interchangeable, cache-compatible, and produce the
 // same campaign fingerprint.
 type execHints struct {
 	world    *runtime.World
-	members  int
 	fastPath bool
-	verify   bool
 }
 
 // Execute runs one job to completion in the calling goroutine — the serial
@@ -34,23 +31,12 @@ type execHints struct {
 // direct runtime.RunSimulated of the same inputs produces (the trace is
 // byte-identical), plus the derived indicator quantities.
 func Execute(spec JobSpec) (*Result, error) {
-	res, _, err := executeHinted(spec, execHints{})
-	return res, err
-}
-
-// executeHinted is Execute with execution hints applied, reporting how
-// the run was served.
-func executeHinted(spec JobSpec, h execHints) (*Result, runtime.RunInfo, error) {
 	hash, err := spec.Hash()
 	if err != nil {
-		return nil, runtime.RunInfo{}, err
+		return nil, err
 	}
-	tr, info, err := runSpec(spec, nil, h)
-	if err != nil {
-		return nil, info, err
-	}
-	res, err := derive(hash, spec.Placement, tr)
-	return res, info, err
+	res, _, err := executeSpec(context.Background(), nil, hash, spec, execHints{})
+	return res, err
 }
 
 // runSpec dispatches the spec to its backend: runtime.RunReal when the
@@ -71,42 +57,31 @@ func runSpec(spec JobSpec, rec *obs.Recorder, h execHints) (*trace.EnsembleTrace
 	opts.Faults = spec.Faults
 	opts.Recorder = rec
 	opts.World = h.world
-	opts.MemberParallelism = h.members
 	opts.FastPath = h.fastPath
 	return runtime.RunSimulatedInfo(spec.Cluster, spec.Placement, spec.Ensemble, opts)
 }
 
-// executeTraced is Execute with the DES run observed: when ctx carries a
-// recording span (the worker's execute span), the run attaches a live
-// obs recorder and replays its event stream as child spans — component,
-// stage, DTL, flow, and fault — under that span. The affine map
-// wall = anchor + scale·virtual with scale = wallDuration/makespan
-// tiles the simulated timeline onto the measured execution window, so
-// the critical path's stage durations sum to the job's real latency.
-// The map's parameters are recorded on the execute span
-// (des.anchorUnixNano, des.scale, des.makespanSec) so exporters can
-// invert it. Untraced calls (nil tracer, no span) fall through to
-// Execute; the recorder never alters the simulation itself — the trace
-// stays byte-identical (see TestSimulatedRecorderBitIdentical).
-func executeTraced(ctx context.Context, tracer *tracing.Tracer, spec JobSpec) (*Result, error) {
-	res, _, err := executeTracedHinted(ctx, tracer, spec, execHints{})
-	return res, err
-}
-
-// executeTracedHinted is executeTraced with execution hints applied. The
-// execute span additionally records members.parallelism (the effective
-// degree, 0 = joint path) and des.fastpath; fast-path runs dispatch no
-// DES events, so there is no obs stream to bridge into child spans.
-func executeTracedHinted(ctx context.Context, tracer *tracing.Tracer, spec JobSpec, h execHints) (*Result, runtime.RunInfo, error) {
-	span := tracing.SpanFromContext(ctx)
-	if tracer == nil || !span.Recording() {
-		return executeHinted(spec, h)
+// executeSpec is the one execution path: it runs a spec whose content
+// address the caller already holds (admission hashed it) with the hints
+// applied, and reports how the run was served. When ctx carries a
+// recording span of tracer (the worker's execute span) the run is
+// observed: a live obs recorder is attached and its event stream replayed
+// as child spans — component, stage, DTL, flow, and fault — under that
+// span. The affine map wall = anchor + scale·virtual with scale =
+// wallDuration/makespan tiles the simulated timeline onto the measured
+// execution window, so the critical path's stage durations sum to the
+// job's real latency; its parameters go on the execute span
+// (des.anchorUnixNano, des.scale, des.makespanSec, plus des.fastpath) so
+// exporters can invert it. Fast-path runs dispatch no DES events, so they
+// have no obs stream to bridge. The recorder never alters the simulation
+// itself — the trace stays byte-identical (see
+// TestSimulatedRecorderBitIdentical).
+func executeSpec(ctx context.Context, tracer *tracing.Tracer, hash string, spec JobSpec, h execHints) (*Result, runtime.RunInfo, error) {
+	var span *tracing.Span // nil (a no-op) on an unobserved run
+	var rec *obs.Recorder
+	if sp := tracing.SpanFromContext(ctx); tracer != nil && sp.Recording() {
+		span, rec = sp, obs.NewRecorder(nil)
 	}
-	hash, err := spec.Hash()
-	if err != nil {
-		return nil, runtime.RunInfo{}, err
-	}
-	rec := obs.NewRecorder(nil)
 	anchor := time.Now()
 	tr, info, err := runSpec(spec, rec, h)
 	wallSec := time.Since(anchor).Seconds()
@@ -114,19 +89,20 @@ func executeTracedHinted(ctx context.Context, tracer *tracing.Tracer, spec JobSp
 		span.SetAttr(tracing.Float("des.makespanSec", 0))
 		return nil, info, err
 	}
-	makespan := tr.Makespan()
-	scale := 1.0
-	if makespan > 0 && wallSec > 0 {
-		scale = wallSec / makespan
-	}
-	span.SetAttr(
-		tracing.Int64("des.anchorUnixNano", anchor.UnixNano()),
-		tracing.Float("des.scale", scale),
-		tracing.Float("des.makespanSec", makespan),
-		tracing.Int("members.parallelism", info.MemberParallelism),
-		tracing.Bool("des.fastpath", info.FastPath))
-	if !info.FastPath {
-		obs.BridgeSpans(tracer, span.Context(), rec.Events(), anchor, scale)
+	if span != nil {
+		makespan := tr.Makespan()
+		scale := 1.0
+		if makespan > 0 && wallSec > 0 {
+			scale = wallSec / makespan
+		}
+		span.SetAttr(
+			tracing.Int64("des.anchorUnixNano", anchor.UnixNano()),
+			tracing.Float("des.scale", scale),
+			tracing.Float("des.makespanSec", makespan),
+			tracing.Bool("des.fastpath", info.FastPath))
+		if !info.FastPath {
+			obs.BridgeSpans(tracer, span.Context(), rec.Events(), anchor, scale)
+		}
 	}
 	res, err := derive(hash, spec.Placement, tr)
 	return res, info, err
@@ -146,8 +122,7 @@ const fpVerifyTol = 1e-9
 // fpVerifyTol. A disagreement is a model bug, never a transient.
 func verifyFastPath(spec JobSpec, fast *Result, h execHints) error {
 	h.fastPath = false
-	h.verify = false
-	ref, _, err := executeHinted(spec, h)
+	ref, _, err := executeSpec(context.Background(), nil, fast.Hash, spec, h)
 	if err != nil {
 		return fmt.Errorf("campaign: fast-path verify: DES re-run: %w", err)
 	}

@@ -25,16 +25,25 @@ func jobFor(t *testing.T, seed int64) JobSpec {
 	return js
 }
 
+// plainRun adapts a (ctx, spec) runner to Config.runFn for tests that
+// neither need the admitted hash nor report how the run was served.
+func plainRun(fn func(context.Context, JobSpec) (*Result, error)) func(context.Context, string, JobSpec) (*Result, runtime.RunInfo, error) {
+	return func(ctx context.Context, _ string, spec JobSpec) (*Result, runtime.RunInfo, error) {
+		res, err := fn(ctx, spec)
+		return res, runtime.RunInfo{}, err
+	}
+}
+
 func TestConcurrentIdenticalSubmissionsRunOnce(t *testing.T) {
 	var executions atomic.Int64
 	release := make(chan struct{})
 	svc, err := NewService(Config{
 		Workers: 4,
-		runFn: func(_ context.Context, spec JobSpec) (*Result, error) {
+		runFn: plainRun(func(_ context.Context, spec JobSpec) (*Result, error) {
 			executions.Add(1)
 			<-release // hold the run so every submission sees it in flight
 			return Execute(spec)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,10 +94,10 @@ func TestDistinctSpecsNeverShare(t *testing.T) {
 	var executions atomic.Int64
 	svc, err := NewService(Config{
 		Workers: 4,
-		runFn: func(_ context.Context, spec JobSpec) (*Result, error) {
+		runFn: plainRun(func(_ context.Context, spec JobSpec) (*Result, error) {
 			executions.Add(1)
 			return Execute(spec)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,11 +169,11 @@ func TestCancelledJobsDoNotPoisonCache(t *testing.T) {
 	var once sync.Once
 	svc, err := NewService(Config{
 		Workers: 1,
-		runFn: func(ctx context.Context, spec JobSpec) (*Result, error) {
+		runFn: plainRun(func(ctx context.Context, spec JobSpec) (*Result, error) {
 			once.Do(func() { close(started) }) // the post-cancel re-run enters here too
 			<-release
 			return Execute(spec)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,10 +209,10 @@ func TestCancelQueuedJob(t *testing.T) {
 	release := make(chan struct{})
 	svc, err := NewService(Config{
 		Workers: 1,
-		runFn: func(_ context.Context, spec JobSpec) (*Result, error) {
+		runFn: plainRun(func(_ context.Context, spec JobSpec) (*Result, error) {
 			<-release
 			return Execute(spec)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,10 +249,10 @@ func TestSubmitBackpressure(t *testing.T) {
 	svc, err := NewService(Config{
 		Workers:    1,
 		QueueDepth: 1,
-		runFn: func(_ context.Context, spec JobSpec) (*Result, error) {
+		runFn: plainRun(func(_ context.Context, spec JobSpec) (*Result, error) {
 			<-release
 			return Execute(spec)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -295,13 +304,13 @@ func TestPriorityOrdersQueue(t *testing.T) {
 	release := make(chan struct{})
 	svc, err := NewService(Config{
 		Workers: 1,
-		runFn: func(_ context.Context, spec JobSpec) (*Result, error) {
+		runFn: plainRun(func(_ context.Context, spec JobSpec) (*Result, error) {
 			mu.Lock()
 			order = append(order, spec.Sim.Seed)
 			mu.Unlock()
 			<-release
 			return Execute(spec)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -330,7 +330,7 @@ func TestHTTPSSEResumeWithLastEventID(t *testing.T) {
 func TestHTTPFailureReasonsSurface(t *testing.T) {
 	boom := errors.New("solver diverged")
 	ts, svc := newTracedServer(t, Config{
-		runFn: func(context.Context, JobSpec) (*Result, error) { return nil, boom },
+		runFn: plainRun(func(context.Context, JobSpec) (*Result, error) { return nil, boom }),
 	})
 
 	st := postCampaign(t, ts, `{"configs":["C1.5"],"steps":4}`)
@@ -404,13 +404,13 @@ func TestJobReasonCancellation(t *testing.T) {
 	release := make(chan struct{})
 	svc, err := NewService(Config{
 		Workers: 1,
-		runFn: func(ctx context.Context, spec JobSpec) (*Result, error) {
+		runFn: plainRun(func(ctx context.Context, spec JobSpec) (*Result, error) {
 			select {
 			case <-release:
 			case <-ctx.Done():
 			}
 			return Execute(spec)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

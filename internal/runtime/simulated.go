@@ -78,16 +78,6 @@ type SimOptions struct {
 	// is an execution hint, never an input: results are bit-identical
 	// with and without it, and the campaign hash ignores it.
 	World *World
-	// MemberParallelism selects the member-parallel execution path: 0
-	// (the default) runs the whole ensemble on one event loop (the
-	// historical joint path), n >= 1 simulates independent members on up
-	// to n cores with a deterministic merge of their traces and obs
-	// streams. Any degree >= 1 produces the same bytes as any other —
-	// the merge is keyed by member index, not completion order — and the
-	// same EnsembleTrace as the joint path; jobs whose members share
-	// nodes or state fall back to the joint path automatically. An
-	// execution hint: excluded from the campaign hash.
-	MemberParallelism int
 	// FastPath answers fault-free steady-state-eligible runs directly
 	// from the closed-form recurrence (zero DES events), falling back to
 	// the event loop whenever any eligibility condition fails. The fast
@@ -141,21 +131,17 @@ type RunInfo struct {
 	// FastPath reports the run was answered by the closed-form
 	// steady-state evaluator with zero DES events.
 	FastPath bool
-	// MemberParallelism is the effective member-parallel degree (0 when
-	// the joint path ran).
-	MemberParallelism int
 	// PlanReused reports the frozen plan came from the World cache
 	// instead of being rebuilt.
 	PlanReused bool
-	// DESEvents counts events dispatched by the engine(s) serving the
-	// run (summed across member environments on the split path; zero on
-	// the fast path).
+	// DESEvents counts events dispatched by the engine serving the run
+	// (zero on the fast path).
 	DESEvents int64
 }
 
 // RunSimulatedInfo is RunSimulated plus execution metadata. The World /
-// MemberParallelism / FastPath hints in opts pick the serving path here;
-// every path produces the same EnsembleTrace.
+// FastPath hints in opts pick the serving path here; every path produces
+// the same EnsembleTrace.
 func RunSimulatedInfo(spec cluster.Spec, p placement.Placement, es EnsembleSpec, opts SimOptions) (*trace.EnsembleTrace, RunInfo, error) {
 	var info RunInfo
 	slots := normSlots(opts.StagingSlots)
@@ -217,23 +203,6 @@ func RunSimulatedInfo(spec cluster.Spec, p placement.Placement, es EnsembleSpec,
 		if tr, ok := fastRun(pl, opts); ok {
 			info.FastPath = true
 			return tr, info, nil
-		}
-	}
-
-	// Member-parallel path: independent members on their own event loops,
-	// merged deterministically. Ineligible jobs (shared nodes, faults,
-	// multiple remote members) fall through to the joint path — at every
-	// degree, so the produced bytes never depend on the degree.
-	if opts.MemberParallelism != 0 {
-		degree := opts.MemberParallelism
-		if degree < 1 {
-			degree = 1
-		}
-		if splitEligible(pl, opts, inj) {
-			tr, events, err := runSplit(pl, opts, degree)
-			info.MemberParallelism = degree
-			info.DESEvents = events
-			return tr, info, err
 		}
 	}
 

@@ -34,14 +34,9 @@ type simPlan struct {
 	assessSim []cluster.Assessment
 	assessAna [][]cluster.Assessment
 
-	// membersDisjoint reports that no two members share a node — the
-	// static precondition of the member-parallel execution path.
-	membersDisjoint bool
 	// remoteAnas[i] counts member i's analyses placed off the member's
-	// simulation node (DIMES remote readers); remoteMembers counts the
-	// members with at least one.
-	remoteAnas    []int
-	remoteMembers int
+	// simulation node (DIMES remote readers).
+	remoteAnas []int
 }
 
 // normSlots applies the StagingSlots default (1, the paper's synchronous
@@ -178,34 +173,12 @@ func buildPlan(spec cluster.Spec, p placement.Placement, es EnsembleSpec, tier s
 		}
 	}
 
-	pl := &simPlan{
+	return &simPlan{
 		spec: spec, p: p, es: es, tier: tier, slots: slots,
 		model: model, machine: machine, sims: sims, anas: anas,
 		assessSim: assessSim, assessAna: assessAna,
 		remoteAnas: remoteAnas,
-	}
-	pl.membersDisjoint = disjointMembers(p)
-	for _, r := range remoteAnas {
-		if r > 0 {
-			pl.remoteMembers++
-		}
-	}
-	return pl, nil
-}
-
-// disjointMembers reports that no node hosts components of two different
-// members.
-func disjointMembers(p placement.Placement) bool {
-	owner := make(map[int]int)
-	for i, m := range p.Members {
-		for _, n := range m.Nodes() {
-			if prev, ok := owner[n]; ok && prev != i {
-				return false
-			}
-			owner[n] = i
-		}
-	}
-	return true
+	}, nil
 }
 
 // World is the shared immutable state of a campaign: a content-addressed

@@ -5,17 +5,15 @@
 //
 // Where internal/obs records the *simulated* world on the virtual clock,
 // telemetry records the *serving* world on the wall clock: queue depths,
-// worker busy-time, cache hit rates, request latencies. The two meet at
-// one scrape: obs.Recorder counters bridge into the registry via an
-// obs.Sink (see NewObsSink), so `GET /metrics` on cmd/ensembled covers
-// both tiers.
+// worker busy-time, cache hit rates, request latencies. A library caller
+// can bridge an obs.Recorder's counters into the registry via an obs.Sink
+// (see NewObsSink); cmd/ensembled does not.
 //
 // Like obs, the package is nil-safe by design: every method on a nil
 // *Registry, nil metric handle, or nil *Logger returns immediately, so
 // instrumented code threads handles unconditionally and an uninstrumented
-// service pays one nil check per site (see BenchmarkTelemetryOverhead at
-// the repository root). All metric operations are lock-free atomics and
-// safe for concurrent use.
+// caller pays one nil check per site. All metric operations are lock-free
+// atomics and safe for concurrent use.
 package telemetry
 
 import (

@@ -30,9 +30,11 @@ bench:
 
 # bench-json runs the full benchmark suite and writes a dated,
 # machine-readable snapshot (BENCH_<date>.json) for committing alongside
-# perf-sensitive changes; cmd/benchjson aggregates repeated -count runs.
+# perf-sensitive changes; cmd/benchjson aggregates the BENCH_COUNT runs of
+# each benchmark (about 80 s per run) into means.
+BENCH_COUNT ?= 5
 bench-json:
-	$(GO) test -run '^$$' -bench=. -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y-%m-%d).json
+	$(GO) test -run '^$$' -bench=. -benchmem -count $(BENCH_COUNT) -timeout 60m . | $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y-%m-%d).json
 
 # serve builds the campaign HTTP server and smoke-tests it end to end:
 # POST the Table 2 campaign to a loopback listener, cold then warm cache.

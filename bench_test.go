@@ -22,6 +22,7 @@ import (
 
 	"context"
 
+	"ensemblekit/internal/campaign/accounting"
 	"ensemblekit/internal/campaign/pool"
 	"ensemblekit/internal/chunk"
 	"ensemblekit/internal/cluster"
@@ -683,6 +684,77 @@ func BenchmarkTracingOverhead(b *testing.B) {
 		run(b, ServiceConfig{Workers: 4,
 			Tracer: tracing.NewTracer(tracing.NewStore(256, 4096))})
 	})
+	// read: a traced miss plus the first read of its trace. The worker only
+	// defers the job's DES spans (obs.DeferSpans); Store.Spans builds them,
+	// so read-ns/op is what a reader of /v1/jobs/{id}/spans pays and no
+	// unread job does.
+	b.Run("read", func(b *testing.B) {
+		b.ReportAllocs()
+		tracer := tracing.NewTracer(tracing.NewStore(256, 4096))
+		svc, err := NewService(ServiceConfig{Workers: 4, Tracer: tracer})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer svc.Close()
+		p := ConfigC15()
+		es := SpecForPlacement(p, 32)
+		var read time.Duration
+		spans := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			spec, err := NewJobSpec(Cori(3), p, es, SimOptions{Jitter: 0.02, Seed: int64(i + 1)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx, root := tracer.StartSpan(context.Background(), "bench", "server")
+			j, err := Submit(ctx, svc, spec, SubmitOptions{})
+			if err == nil {
+				_, err = j.Wait(ctx)
+			}
+			root.End()
+			if err != nil {
+				b.Fatal(err)
+			}
+			t0 := time.Now()
+			spans += len(tracer.Store().Spans(root.Context().TraceID))
+			read += time.Since(t0)
+		}
+		b.ReportMetric(float64(read.Nanoseconds())/float64(b.N), "read-ns/op")
+		b.ReportMetric(float64(spans)/float64(b.N), "spans/op")
+	})
+}
+
+var ledgerSink accounting.JobLedger
+
+// BenchmarkAccountingFromTrace measures the job ledger: one pass over the
+// trace, run for every settled job and every cache hit (the hit is
+// credited the core-seconds it saved). One op is the Table 2 sweep's seven
+// traces, at the depths of the repository benchmark's shallow and deep
+// workloads.
+func BenchmarkAccountingFromTrace(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		steps  int
+		jitter float64
+	}{{"shallow", 8, 0}, {"deep", 128, 0.02}} {
+		b.Run(c.name, func(b *testing.B) {
+			var traces []*EnsembleTrace
+			for _, p := range ConfigsTable2() {
+				tr, err := RunSimulated(Cori(3), p, SpecForPlacement(p, c.steps), SimOptions{Jitter: c.jitter, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				traces = append(traces, tr)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, tr := range traces {
+					ledgerSink = accounting.FromTrace(tr)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkRingRoute measures the fabric's per-job routing decision:

@@ -98,7 +98,7 @@ func writeSampleSpans(t *testing.T) string {
 	}
 	path := filepath.Join(t.TempDir(), "spans.json")
 	var buf bytes.Buffer
-	if err := tracing.WriteOTLP(&buf, "test", spans); err != nil {
+	if err := tracing.WriteOTLP(&buf, "test", spans, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {

@@ -6,8 +6,8 @@
 // hit is credited to the tier that served it, and the totals roll up per
 // campaign, per node, and — via Merge — per fleet.
 //
-// The package is dependency-free (stdlib plus the obs and trace layers it
-// accounts for) and deterministic: a job ledger is a pure function of the
+// The package is dependency-free (stdlib plus the trace layer it accounts
+// for) and deterministic: a job ledger is a pure function of the
 // execution trace, and snapshot rollups sum entries in sorted-hash order
 // so float accumulation order is independent of job completion order.
 // Ledgers derived from simulated time are therefore byte-identical
@@ -18,7 +18,6 @@ import (
 	"sort"
 	"sync"
 
-	"ensemblekit/internal/obs"
 	"ensemblekit/internal/trace"
 )
 
@@ -85,11 +84,6 @@ type JobLedger struct {
 	Network    Split `json:"network"`
 }
 
-// classes iterates the ledger's splits in declaration order.
-func (l *JobLedger) classes() [4]*Split {
-	return [4]*Split{&l.Simulation, &l.Analysis, &l.Staging, &l.Network}
-}
-
 // Classes returns the class names in the ledger's field order.
 func Classes() [4]string {
 	return [4]string{ClassSimulation, ClassAnalysis, ClassStaging, ClassNetwork}
@@ -115,124 +109,63 @@ func (l JobLedger) Total() float64 { return l.Busy() + l.Idle() }
 
 // addScaled accumulates o scaled by k, class by class.
 func (l *JobLedger) addScaled(o JobLedger, k float64) {
-	dst, src := l.classes(), o.classes()
-	for i := range dst {
-		dst[i].add(*src[i], k)
-	}
+	l.Simulation.add(o.Simulation, k)
+	l.Analysis.add(o.Analysis, k)
+	l.Staging.add(o.Staging, k)
+	l.Network.add(o.Network, k)
 }
 
-// Class indexes into Classes()/classes() order.
-const (
-	idxSimulation = iota
-	idxAnalysis
-	idxStaging
-	idxNetwork
-)
-
-// classState maps a trace stage name (obs StageBegin/StageEnd Detail) to
-// the ledger class it charges and whether the time is busy. The mapping
-// follows the paper's six-stage cycle: S and I^S are the simulation's
-// compute and coupling-idle time, W is the producer-side put into the
-// DTL, R is the consumer-side get, A and I^A are the analysis's compute
-// and idle time.
-func classState(stage string) (class int, busy bool, ok bool) {
-	switch stage {
-	case trace.StageS.String():
-		return idxSimulation, true, true
-	case trace.StageIS.String():
-		return idxSimulation, false, true
-	case trace.StageW.String():
-		return idxStaging, true, true
-	case trace.StageR.String():
-		return idxNetwork, true, true
-	case trace.StageA.String():
-		return idxAnalysis, true, true
-	case trace.StageIA.String():
-		return idxAnalysis, false, true
-	}
-	return 0, false, false
-}
-
-// Collector folds an obs event stream into a JobLedger using
-// obs.Utilization accumulators: each (class, state) pair keeps a
-// concurrency timeline in cores, raised on StageBegin and lowered on
-// StageEnd, and the accumulated area is the class's core-seconds. It is
-// built for post-hoc streams reconstructed with obs.FromTrace, whose
-// stable ordering guarantees a component's ResourceAcquire (carrying its
-// core count) immediately precedes its ProcStart at the same timestamp.
-type Collector struct {
-	pendingCores float64
-	cores        map[string]float64 // component name -> cores
-	acc          [4][2]obs.Utilization
-}
-
-// NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{cores: make(map[string]float64)}
-}
-
-// accFor returns the accumulator for a stage name, or nil for stages the
-// ledger does not account (none exist today).
-func (c *Collector) accFor(stage string) *obs.Utilization {
-	class, busy, ok := classState(stage)
-	if !ok {
-		return nil
-	}
-	state := 1 // idle
-	if busy {
-		state = 0
-	}
-	return &c.acc[class][state]
-}
-
-// Observe folds one event into the collector.
-func (c *Collector) Observe(e obs.Event) {
-	switch e.Kind {
-	case obs.ResourceAcquire:
-		c.pendingCores = e.Value
-	case obs.ProcStart:
-		c.cores[e.Subject] = c.pendingCores
-		c.pendingCores = 0
-	case obs.StageBegin:
-		if u := c.accFor(e.Detail); u != nil {
-			u.Add(e.T, c.cores[e.Subject])
-		}
-	case obs.StageEnd:
-		if u := c.accFor(e.Detail); u != nil {
-			u.Add(e.T, -c.cores[e.Subject])
-		}
-	}
-}
-
-// Ledger returns the accumulated core-seconds. Every StageEnd advances
-// its accumulator, so the areas are complete without a closing step.
-func (c *Collector) Ledger() JobLedger {
+// FromTrace builds a job ledger from an execution trace in one pass: each
+// stage charges its component's cores for its duration to its class. That
+// sum is the area under the class's core-occupancy timeline (the
+// obs.Utilization integral over the trace's event stream) taken one
+// rectangle at a time, so it needs no event stream. The result is a pure
+// function of the trace: byte-identical traces (the engine's determinism
+// guarantee) yield bit-identical ledgers.
+func FromTrace(tr *trace.EnsembleTrace) JobLedger {
 	var l JobLedger
-	dst := l.classes()
-	for i := range c.acc {
-		dst[i].Busy = c.acc[i][0].Area()
-		dst[i].Idle = c.acc[i][1].Area()
+	if tr == nil {
+		return l
+	}
+	for _, m := range tr.Members {
+		if m.Simulation != nil {
+			l.charge(m.Simulation)
+		}
+		for _, a := range m.Analyses {
+			l.charge(a)
+		}
 	}
 	return l
 }
 
-// FromEvents builds a job ledger from an obs event stream.
-func FromEvents(events []obs.Event) JobLedger {
-	c := NewCollector()
-	for _, e := range events {
-		c.Observe(e)
+// charge adds one component's stages to the ledger, following the paper's
+// six-stage cycle: S and I^S are the simulation's compute and
+// coupling-idle time, W is the producer-side put into the DTL, R is the
+// consumer-side get, A and I^A are the analysis's compute and idle time.
+// A component placed on no node holds no cores and charges nothing.
+func (l *JobLedger) charge(c *trace.ComponentTrace) {
+	if len(c.Nodes) == 0 {
+		return
 	}
-	return c.Ledger()
-}
-
-// FromTrace builds a job ledger from an execution trace. The result is a
-// pure function of the trace: byte-identical traces (the engine's
-// determinism guarantee) yield bit-identical ledgers.
-func FromTrace(tr *trace.EnsembleTrace) JobLedger {
-	if tr == nil {
-		return JobLedger{}
+	for _, step := range c.Steps {
+		for _, st := range step.Stages {
+			coreSec := float64(c.Cores) * st.Duration
+			switch st.Stage {
+			case trace.StageS:
+				l.Simulation.Busy += coreSec
+			case trace.StageIS:
+				l.Simulation.Idle += coreSec
+			case trace.StageW:
+				l.Staging.Busy += coreSec
+			case trace.StageR:
+				l.Network.Busy += coreSec
+			case trace.StageA:
+				l.Analysis.Busy += coreSec
+			case trace.StageIA:
+				l.Analysis.Idle += coreSec
+			}
+		}
 	}
-	return FromEvents(obs.FromTrace(tr))
 }
 
 // WallClock accumulates the real-time cost of running a scope's jobs.

@@ -2,9 +2,15 @@ package accounting
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 
+	"ensemblekit/internal/cluster"
+	"ensemblekit/internal/faults"
+	"ensemblekit/internal/obs"
+	"ensemblekit/internal/placement"
+	"ensemblekit/internal/runtime"
 	"ensemblekit/internal/trace"
 )
 
@@ -67,6 +73,119 @@ func TestFromTraceNilAndEmpty(t *testing.T) {
 	if l := FromTrace(&trace.EnsembleTrace{}); l != (JobLedger{}) {
 		t.Fatalf("empty trace ledger = %+v, want zero", l)
 	}
+}
+
+// ledgerByReplay is the oracle FromTrace is held to: the definition of a
+// class's core-seconds as the area under its core-occupancy timeline. It
+// replays the trace as an obs event stream and integrates one
+// obs.Utilization per stage (each stage is one class and state), raised
+// by a component's cores on StageBegin and lowered on StageEnd. obs.FromTrace's stable ordering puts
+// a component's ResourceAcquire (carrying its core count) immediately
+// before its ProcStart, and emits no acquire for a component on no node.
+func ledgerByReplay(tr *trace.EnsembleTrace) JobLedger {
+	var acc [6]obs.Utilization // indexed by trace.Stage
+	cores := map[string]float64{}
+	pending := 0.0
+	for _, e := range obs.FromTrace(tr) {
+		switch e.Kind {
+		case obs.ResourceAcquire:
+			pending = e.Value
+		case obs.ProcStart:
+			cores[e.Subject], pending = pending, 0
+		case obs.StageBegin, obs.StageEnd:
+			delta := cores[e.Subject]
+			if e.Kind == obs.StageEnd {
+				delta = -delta
+			}
+			for st := range acc {
+				if trace.Stage(st).String() == e.Detail {
+					acc[st].Add(e.T, delta)
+				}
+			}
+		}
+	}
+	return JobLedger{
+		Simulation: Split{Busy: acc[trace.StageS].Area(), Idle: acc[trace.StageIS].Area()},
+		Analysis:   Split{Busy: acc[trace.StageA].Area(), Idle: acc[trace.StageIA].Area()},
+		Staging:    Split{Busy: acc[trace.StageW].Area()},
+		Network:    Split{Busy: acc[trace.StageR].Area()},
+	}
+}
+
+// requireLedgersAgree compares class by class at 1e-12 relative.
+func requireLedgersAgree(t *testing.T, name string, got, want JobLedger) {
+	t.Helper()
+	classes := Classes()
+	g, w := got.Splits(), want.Splits()
+	for i := range g {
+		for _, v := range [2][2]float64{{g[i].Busy, w[i].Busy}, {g[i].Idle, w[i].Idle}} {
+			if math.Abs(v[0]-v[1]) > 1e-12*math.Max(math.Abs(v[0]), math.Abs(v[1])) {
+				t.Errorf("%s: %s = %+v, replay oracle %+v", name, classes[i], g[i], w[i])
+			}
+		}
+	}
+}
+
+func simulated(t testing.TB, p placement.Placement, steps int, opts runtime.SimOptions) *trace.EnsembleTrace {
+	t.Helper()
+	tr, err := runtime.RunSimulated(cluster.Cori(3), p, runtime.SpecForPlacement(p, steps), opts)
+	if err != nil {
+		t.Fatalf("%s: %v", p.Name, err)
+	}
+	return tr
+}
+
+// TestFromTraceMatchesReplayOracle holds the one-pass sum to the
+// event-replay integral over the shapes the service accounts: every
+// Table 2 placement, shallow and deep, with and without jitter.
+func TestFromTraceMatchesReplayOracle(t *testing.T) {
+	for _, p := range placement.ConfigsTable2() {
+		for _, steps := range []int{8, 128} {
+			for _, jitter := range []float64{0, 0.02} {
+				for seed := int64(1); seed <= 2; seed++ {
+					tr := simulated(t, p, steps, runtime.SimOptions{Jitter: jitter, Seed: seed})
+					got := FromTrace(tr)
+					if got.Total() <= 0 {
+						t.Fatalf("%s: empty ledger", p.Name)
+					}
+					requireLedgersAgree(t, fmt.Sprintf("%s/steps=%d/jitter=%v/seed=%d", p.Name, steps, jitter, seed),
+						got, ledgerByReplay(tr))
+				}
+			}
+		}
+	}
+}
+
+// TestFromTraceEdgeCasesMatchOracle covers the two shapes Table 2 never
+// produces: a component on no node (it holds no cores, so it charges
+// nothing) and a member cut short by the drop-member policy.
+func TestFromTraceEdgeCasesMatchOracle(t *testing.T) {
+	noNode := syntheticTrace()
+	noNode.Members[0].Analyses[0].Nodes = nil
+	got := FromTrace(noNode)
+	if got.Analysis != (Split{}) || got.Network != (Split{}) || got.Simulation.Busy == 0 {
+		t.Fatalf("no-node analysis charged: %+v", got)
+	}
+	requireLedgersAgree(t, "no-node", got, ledgerByReplay(noNode))
+
+	c22, _ := placement.ByName("C2.2")
+	dropped := simulated(t, c22, 37, runtime.SimOptions{
+		Faults:     &faults.Plan{Name: "drop", Seed: 3, Crashes: []faults.NodeCrash{{Node: 1, At: 12}}},
+		Resilience: runtime.Resilience{Mode: runtime.DropMember},
+	})
+	if len(dropped.DroppedMembers()) == 0 {
+		t.Fatal("fault plan dropped no member")
+	}
+	requireLedgersAgree(t, "dropped-member", FromTrace(dropped), ledgerByReplay(dropped))
+}
+
+func TestFromTraceAllocatesNothing(t *testing.T) {
+	tr := simulated(t, placement.ConfigsTable2()[0], 128, runtime.SimOptions{Jitter: 0.02, Seed: 1})
+	var sink JobLedger
+	if n := testing.AllocsPerRun(20, func() { sink = FromTrace(tr) }); n != 0 {
+		t.Fatalf("FromTrace allocates %v times per run, want 0", n)
+	}
+	_ = sink
 }
 
 // TestSnapshotOrderIndependence records the same outcomes in two

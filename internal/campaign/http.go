@@ -884,14 +884,20 @@ func (s *Server) jobTraceSpans(w http.ResponseWriter, r *http.Request) (*Job, []
 
 // getJobSpans serves GET /v1/jobs/{id}/spans: every completed span of
 // the job's trace as OTLP-shaped JSON (resourceSpans → scopeSpans →
-// spans), importable by any OTLP-aware trace viewer.
+// spans), importable by any OTLP-aware trace viewer, plus droppedSpans
+// when the store's per-trace cap truncated the trace.
 func (s *Server) getJobSpans(w http.ResponseWriter, r *http.Request) {
-	_, spans, ok := s.jobTraceSpans(w, r)
+	j, spans, ok := s.jobTraceSpans(w, r)
 	if !ok {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = tracing.WriteOTLP(w, "ensemblekit", spans)
+	_ = tracing.WriteOTLP(w, "ensemblekit", spans, s.droppedSpans(j))
+}
+
+// droppedSpans returns how many spans the store dropped from j's trace.
+func (s *Server) droppedSpans(j *Job) int {
+	return s.svc.Tracer().Store().TraceDropped(j.span.Context().TraceID)
 }
 
 // getJobCriticalPath serves GET /v1/jobs/{id}/critical-path: the
@@ -919,7 +925,7 @@ func (s *Server) getJobCriticalPath(w http.ResponseWriter, r *http.Request) {
 	// Pair the wall-clock decomposition with the job's simulated
 	// core-second ledger so one response answers both "where did the
 	// latency go" and "what did it cost".
-	resp := criticalPathResponse{CriticalPath: cp}
+	resp := criticalPathResponse{CriticalPath: cp, DroppedSpans: s.droppedSpans(j)}
 	if res, rerr := j.Result(); rerr == nil && res != nil && res.Trace != nil {
 		jl := accounting.FromTrace(res.Trace)
 		resp.Accounting = &jl
@@ -928,10 +934,13 @@ func (s *Server) getJobCriticalPath(w http.ResponseWriter, r *http.Request) {
 }
 
 // criticalPathResponse decorates the critical path with the job's
-// resource ledger (absent for failed jobs without a trace).
+// resource ledger (absent for failed jobs without a trace) and, when the
+// store's per-trace cap truncated the trace, the number of spans the path
+// was computed without.
 type criticalPathResponse struct {
 	*tracing.CriticalPath
-	Accounting *accounting.JobLedger `json:"accounting,omitempty"`
+	Accounting   *accounting.JobLedger `json:"accounting,omitempty"`
+	DroppedSpans int                   `json:"droppedSpans,omitempty"`
 }
 
 // statsResponse decorates Stats with the derived hit rate.

@@ -327,6 +327,8 @@ func (s *Service) transition(j *Job, e edge) bool {
 			m.quarantined.Inc()
 		}
 		m.finished.With(ev.Status).Inc()
+		// The job's spans are all ended or deferred by now.
+		m.spansDropped.SetTotal(float64(s.cfg.Tracer.Store().Dropped()))
 	}
 
 	s.charge(j, from, e, served, execSec, waitSec)

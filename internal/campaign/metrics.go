@@ -38,6 +38,7 @@ type serviceMetrics struct {
 	fastpathVerify *telemetry.Counter
 	coreSeconds    *telemetry.CounterVec // by component class and busy/idle state
 	coreSaved      *telemetry.CounterVec // by serving tier
+	spansDropped   *telemetry.Counter
 }
 
 func newServiceMetrics(r *telemetry.Registry) serviceMetrics {
@@ -109,6 +110,8 @@ func newServiceMetrics(r *telemetry.Registry) serviceMetrics {
 		coreSaved: r.CounterVec("campaign_core_seconds_saved_total",
 			"Simulated core-seconds avoided on this node, by serving tier (cache tiers substitute for execution; plancache and fastpath are overlapping credits).",
 			"tier"),
+		spansDropped: r.Counter("tracing_spans_dropped_total",
+			"Spans the trace store's per-trace cap dropped; a trace that lost spans reports droppedSpans on its spans and critical-path responses."),
 	}
 }
 

@@ -65,9 +65,11 @@ func runSpec(spec JobSpec, rec *obs.Recorder, h execHints) (*trace.EnsembleTrace
 // address the caller already holds (admission hashed it) with the hints
 // applied, and reports how the run was served. When ctx carries a
 // recording span of tracer (the worker's execute span) the run is
-// observed: a live obs recorder is attached and its event stream replayed
-// as child spans — component, stage, DTL, flow, and fault — under that
-// span. The affine map wall = anchor + scale·virtual with scale =
+// observed: a live obs recorder is attached and its event stream becomes
+// child spans — component, stage, DTL, flow, and fault — under that span,
+// built when the trace is first read (obs.DeferSpans), so a job nobody
+// inspects never pays for them. The affine map wall = anchor +
+// scale·virtual with scale =
 // wallDuration/makespan tiles the simulated timeline onto the measured
 // execution window, so the critical path's stage durations sum to the
 // job's real latency; its parameters go on the execute span
@@ -101,7 +103,7 @@ func executeSpec(ctx context.Context, tracer *tracing.Tracer, hash string, spec 
 			tracing.Float("des.makespanSec", makespan),
 			tracing.Bool("des.fastpath", info.FastPath))
 		if !info.FastPath {
-			obs.BridgeSpans(tracer, span.Context(), rec.Events(), anchor, scale)
+			obs.DeferSpans(tracer, span.Context(), rec.Events(), anchor, scale)
 		}
 	}
 	res, err := derive(hash, spec.Placement, tr)

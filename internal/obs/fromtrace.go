@@ -1,8 +1,9 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ensemblekit/internal/trace"
 )
@@ -15,8 +16,16 @@ import (
 // stages become B/E pairs, and core allocations become per-node occupancy
 // timelines.
 func FromTrace(tr *trace.EnsembleTrace) []Event {
-	var events []Event
-	for _, c := range tr.Components() {
+	comps := tr.Components()
+	n := 0
+	for _, c := range comps {
+		n += 4 // acquire, proc start, proc end, release
+		for _, step := range c.Steps {
+			n += 2 * len(step.Stages)
+		}
+	}
+	events := make([]Event, 0, n)
+	for _, c := range comps {
 		node := NoNode
 		if len(c.Nodes) > 0 {
 			node = c.Nodes[0]
@@ -56,6 +65,6 @@ func FromTrace(tr *trace.EnsembleTrace) []Event {
 	// Interleave the per-component streams into one global timeline; the
 	// stable sort keeps each component's own B-before-E emission order at
 	// equal timestamps.
-	sort.SliceStable(events, func(i, j int) bool { return events[i].T < events[j].T })
+	slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.T, b.T) })
 	return events
 }

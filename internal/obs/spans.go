@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"time"
@@ -24,6 +23,56 @@ type interval struct {
 	subject    string // owning component for stages
 	start, end float64
 	attrs      []tracing.Attr
+}
+
+// stageKey pairs a StageBegin with its StageEnd; pairKey pairs DTL
+// operations (op, tier, producer and consumer node) and fabric flows (op
+// "flow", link).
+type stageKey struct{ subject, stage string }
+type pairKey struct {
+	op, name    string
+	node, node2 int
+}
+
+func pairKeyOf(ev Event) pairKey {
+	switch ev.Kind {
+	case PutBegin, PutEnd:
+		return pairKey{"put", ev.Detail, ev.Node, ev.Node2}
+	case GetBegin, GetEnd:
+		return pairKey{"get", ev.Detail, ev.Node, ev.Node2}
+	}
+	return pairKey{op: "flow", name: ev.Subject}
+}
+
+// spanCounts returns how many component, stage, and other spans
+// BridgeSpans emits for events: one per opening event, closed or not.
+func spanCounts(events []Event) (comps, stages, rest int) {
+	for _, ev := range events {
+		switch ev.Kind {
+		case ProcStart:
+			comps++
+		case StageBegin:
+			stages++
+		case PutBegin, GetBegin, FlowStart, FaultInject, RetryAttempt, ComponentRestart, MemberDrop:
+			rest++
+		}
+	}
+	return comps, stages, rest
+}
+
+// DeferSpans is BridgeSpans postponed until the trace is first read
+// (tracing.Store.Defer): recording a run costs one counting pass, and the
+// first reader bridges the retained events — which must not be mutated
+// afterwards — through a scratch tracer. Returns the spans deferred.
+func DeferSpans(tr *tracing.Tracer, parent tracing.SpanContext, events []Event, anchor time.Time, scale float64) int {
+	comps, stages, rest := spanCounts(events)
+	n := comps + stages + rest
+	tr.Store().Defer(parent.TraceID, n, func() []tracing.SpanData {
+		scratch := tracing.NewTracer(tracing.NewStore(1, n))
+		BridgeSpans(scratch, parent, events, anchor, scale)
+		return scratch.Store().Spans(parent.TraceID)
+	})
+	return n
 }
 
 // BridgeSpans converts events into spans under parent using tr,
@@ -50,33 +99,33 @@ func BridgeSpans(tr *tracing.Tracer, parent tracing.SpanContext, events []Event,
 		}
 	}
 
-	var comps, stages, rest []interval
-	compOpen := map[string]int{}    // subject -> index into comps (open)
-	stageOpen := map[string][]int{} // subject+"\xff"+stage -> stack of open stage indices
-	pairOpen := map[string][]int{}  // dtl/flow pairing key -> FIFO of open rest indices
+	nc, ns, nr := spanCounts(events)
+	comps := make([]interval, 0, nc)
+	stages := make([]interval, 0, ns)
+	rest := make([]interval, 0, nr)
+	compOpen := map[string]int{}      // subject -> index into comps (open)
+	stageOpen := map[stageKey][]int{} // stack of open stage indices
+	pairOpen := map[pairKey][]int{}   // FIFO of open rest indices
 
-	openComp := func(subject string, t float64, node int) {
-		compOpen[subject] = len(comps)
-		comps = append(comps, interval{name: subject, kind: "component", subject: subject,
-			start: t, end: -1, attrs: []tracing.Attr{tracing.Int("node", node)}})
-	}
 	for _, ev := range events {
 		switch ev.Kind {
 		case ProcStart:
-			openComp(ev.Subject, ev.T, ev.Node)
+			compOpen[ev.Subject] = len(comps)
+			comps = append(comps, interval{name: ev.Subject, kind: "component", subject: ev.Subject,
+				start: ev.T, end: -1, attrs: []tracing.Attr{tracing.Int("node", ev.Node)}})
 		case ProcEnd:
 			if i, ok := compOpen[ev.Subject]; ok {
 				comps[i].end = ev.T
 				delete(compOpen, ev.Subject)
 			}
 		case StageBegin:
-			key := ev.Subject + "\xff" + ev.Detail
+			key := stageKey{ev.Subject, ev.Detail}
 			stageOpen[key] = append(stageOpen[key], len(stages))
 			stages = append(stages, interval{name: ev.Detail, kind: "stage:" + ev.Detail,
 				subject: ev.Subject, start: ev.T, end: -1,
 				attrs: []tracing.Attr{tracing.String("component", ev.Subject), tracing.Int("node", ev.Node)}})
 		case StageEnd:
-			key := ev.Subject + "\xff" + ev.Detail
+			key := stageKey{ev.Subject, ev.Detail}
 			if st := stageOpen[key]; len(st) > 0 {
 				i := st[len(st)-1]
 				stageOpen[key] = st[:len(st)-1]
@@ -86,34 +135,19 @@ func BridgeSpans(tr *tracing.Tracer, parent tracing.SpanContext, events []Event,
 				}
 			}
 		case PutBegin, GetBegin:
-			op := "put"
-			if ev.Kind == GetBegin {
-				op = "get"
-			}
-			key := fmt.Sprintf("dtl\xff%s\xff%s\xff%d\xff%d", op, ev.Detail, ev.Node, ev.Node2)
+			key := pairKeyOf(ev)
 			pairOpen[key] = append(pairOpen[key], len(rest))
-			rest = append(rest, interval{name: op + ":" + ev.Detail, kind: "dtl:" + op,
+			rest = append(rest, interval{name: key.op + ":" + ev.Detail, kind: "dtl:" + key.op,
 				start: ev.T, end: -1,
 				attrs: []tracing.Attr{tracing.String("tier", ev.Detail), tracing.Float("bytes", ev.Value)}})
-		case PutEnd, GetEnd:
-			op := "put"
-			if ev.Kind == GetEnd {
-				op = "get"
-			}
-			key := fmt.Sprintf("dtl\xff%s\xff%s\xff%d\xff%d", op, ev.Detail, ev.Node, ev.Node2)
-			if q := pairOpen[key]; len(q) > 0 {
-				i := q[0]
-				pairOpen[key] = q[1:]
-				rest[i].end = ev.T
-			}
 		case FlowStart:
-			key := "flow\xff" + ev.Subject
+			key := pairKeyOf(ev)
 			pairOpen[key] = append(pairOpen[key], len(rest))
 			rest = append(rest, interval{name: ev.Subject, kind: "net:flow",
 				start: ev.T, end: -1,
 				attrs: []tracing.Attr{tracing.String("link", ev.Subject), tracing.Float("bytes", ev.Value)}})
-		case FlowEnd:
-			key := "flow\xff" + ev.Subject
+		case PutEnd, GetEnd, FlowEnd:
+			key := pairKeyOf(ev)
 			if q := pairOpen[key]; len(q) > 0 {
 				i := q[0]
 				pairOpen[key] = q[1:]
@@ -130,28 +164,23 @@ func BridgeSpans(tr *tracing.Tracer, parent tracing.SpanContext, events []Event,
 		}
 	}
 
-	close := func(ivs []interval) {
+	for _, ivs := range [][]interval{comps, stages, rest} {
 		for i := range ivs {
 			if ivs[i].end < 0 {
 				ivs[i].end = horizon
 			}
 		}
 	}
-	close(comps)
-	close(stages)
-	close(rest)
 
 	// Emit components first so their contexts exist to parent the
 	// stages; a stage whose component never emitted proc events hangs
 	// directly off the parent.
-	n := 0
-	compCtx := map[string]tracing.SpanContext{}
+	compCtx := make(map[string]tracing.SpanContext, len(comps))
 	for _, c := range comps {
 		sc := tr.SpanAt(parent, c.name, c.kind, wall(c.start), wall(c.end), c.attrs...)
 		if _, dup := compCtx[c.subject]; !dup {
 			compCtx[c.subject] = sc
 		}
-		n++
 	}
 	for _, s := range stages {
 		p, ok := compCtx[s.subject]
@@ -159,13 +188,11 @@ func BridgeSpans(tr *tracing.Tracer, parent tracing.SpanContext, events []Event,
 			p = parent
 		}
 		tr.SpanAt(p, s.name, s.kind, wall(s.start), wall(s.end), s.attrs...)
-		n++
 	}
 	for _, r := range rest {
 		tr.SpanAt(parent, r.name, r.kind, wall(r.start), wall(r.end), r.attrs...)
-		n++
 	}
-	return n
+	return len(comps) + len(stages) + len(rest)
 }
 
 // serviceSpanKinds are the span kinds merged into the Perfetto export;

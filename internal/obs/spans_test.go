@@ -108,6 +108,28 @@ func TestBridgeSpansClosesUnfinishedAtHorizon(t *testing.T) {
 	}
 }
 
+// TestDeferSpansCountsWhatBridgeEmits: the counting pass that sizes a
+// deferred batch agrees with the bridge, closed stream or not, and a read
+// of the trace finds exactly that many spans.
+func TestDeferSpansCountsWhatBridgeEmits(t *testing.T) {
+	unclosed := NewRecorder(func() float64 { return 1 })
+	unclosed.ProcStart("ana[0]", 1)
+	unclosed.StageBegin("ana[0]", "A", 1)
+	unclosed.GetBegin("dimes", 0, 1, 64)
+	for _, events := range [][]Event{recordedStream(), unclosed.Events(), nil} {
+		tr := tracing.NewTracer(tracing.NewStore(0, 0))
+		_, exec := tr.StartSpan(context.Background(), "execute", "execute")
+		deferred := DeferSpans(tr, exec.Context(), events, time.Unix(1000, 0), 0.2)
+		if eager := BridgeSpans(tracing.NewTracer(tracing.NewStore(0, 0)), exec.Context(), events, time.Unix(1000, 0), 0.2); deferred != eager {
+			t.Fatalf("DeferSpans counted %d spans, BridgeSpans emits %d", deferred, eager)
+		}
+		exec.End()
+		if n := len(tr.Store().Spans(exec.Context().TraceID)); n != deferred+1 {
+			t.Fatalf("trace read back %d spans, want %d deferred + execute", n, deferred)
+		}
+	}
+}
+
 func TestBridgeSpansNilTracer(t *testing.T) {
 	if n := BridgeSpans(nil, tracing.SpanContext{}, recordedStream(), time.Time{}, 1); n != 0 {
 		t.Fatalf("nil tracer bridged %d spans", n)

@@ -22,6 +22,9 @@ const kindAttrKey = "ek.kind"
 
 type otlpDoc struct {
 	ResourceSpans []otlpResourceSpans `json:"resourceSpans"`
+	// DroppedSpans is not an OTLP field (consumers ignore it): how many
+	// spans of the trace the store dropped before this export.
+	DroppedSpans int `json:"droppedSpans,omitempty"`
 }
 
 type otlpResourceSpans struct {
@@ -112,7 +115,8 @@ func fromOTLPValue(v otlpValue) any {
 // WriteOTLP writes the spans as one OTLP/JSON document under a single
 // resource named service. Spans are emitted in start-time order (span
 // ID as tiebreak) so the document is deterministic for a fixed input.
-func WriteOTLP(w io.Writer, service string, spans []SpanData) error {
+// A non-zero dropped (Store.TraceDropped) marks the document truncated.
+func WriteOTLP(w io.Writer, service string, spans []SpanData, dropped int) error {
 	sorted := append([]SpanData(nil), spans...)
 	sort.Slice(sorted, func(i, k int) bool {
 		if !sorted[i].Start.Equal(sorted[k].Start) {
@@ -148,7 +152,7 @@ func WriteOTLP(w io.Writer, service string, spans []SpanData) error {
 		out = append(out, os)
 	}
 	svc := service
-	doc := otlpDoc{ResourceSpans: []otlpResourceSpans{{
+	doc := otlpDoc{DroppedSpans: dropped, ResourceSpans: []otlpResourceSpans{{
 		Resource: otlpResource{Attributes: []otlpKV{{Key: "service.name", Value: otlpValue{StringValue: &svc}}}},
 		ScopeSpans: []otlpScopeSpans{{
 			Scope: otlpScope{Name: "ensemblekit/internal/telemetry/tracing"},

@@ -5,6 +5,7 @@ import (
 	"context"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -69,7 +70,8 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil tracer SpanAt returned a valid context")
 	}
 	var st *Store
-	if st.Spans(TraceID{1}) != nil || st.Len() != 0 || st.Dropped() != 0 {
+	st.Defer(TraceID{1}, 1, func() []SpanData { t.Error("nil store ran a deferred batch"); return nil })
+	if st.Spans(TraceID{1}) != nil || st.Len() != 0 || st.Dropped() != 0 || st.TraceDropped(TraceID{1}) != 0 {
 		t.Fatal("nil store not inert")
 	}
 }
@@ -215,6 +217,142 @@ func TestStoreConcurrent(t *testing.T) {
 	}
 }
 
+// emit returns a Defer build function producing n pre-timed spans under
+// parent through a scratch tracer, counting how often it ran.
+func emit(parent SpanContext, n int, runs *atomic.Int32) func() []SpanData {
+	return func() []SpanData {
+		runs.Add(1)
+		scratch := newTestTracer()
+		for i := 0; i < n; i++ {
+			scratch.SpanAt(parent, "d", "stage:S", time.Unix(0, 0), time.Unix(1, 0), Int("i", i))
+		}
+		return scratch.Store().Spans(parent.TraceID)
+	}
+}
+
+// TestDeferredBatchBuiltOnceForConcurrentReaders: every reader racing for
+// the first read of a trace sees the whole batch, and it is built once.
+func TestDeferredBatchBuiltOnceForConcurrentReaders(t *testing.T) {
+	tr := newTestTracer()
+	_, root := tr.StartSpan(context.Background(), "root", "execute")
+	const n, readers = 500, 16
+	var runs atomic.Int32
+	tr.Store().Defer(root.Context().TraceID, n, emit(root.Context(), n, &runs))
+	root.End()
+	if runs.Load() != 0 {
+		t.Fatal("batch built before anybody read the trace")
+	}
+
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			spans := tr.Store().Spans(root.Context().TraceID)
+			if len(spans) != n+1 {
+				t.Errorf("reader saw %d spans, want %d", len(spans), n+1)
+			}
+			ids := make(map[SpanID]bool, len(spans))
+			for _, d := range spans {
+				if d.TraceID != root.Context().TraceID || (d.Kind != "execute" && d.Parent != root.Context().SpanID) {
+					t.Errorf("span %+v is not under the root", d)
+				}
+				ids[d.SpanID] = true
+			}
+			if len(ids) != len(spans) {
+				t.Errorf("%d distinct span IDs among %d spans", len(ids), len(spans))
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("batch built %d times, want 1", got)
+	}
+	if n := len(tr.Store().Spans(root.Context().TraceID)); n != 501 {
+		t.Fatalf("second read saw %d spans, want 501", n)
+	}
+}
+
+// TestDeferredBatchCapIsBatchGranular: a batch reserves its spans when it
+// is deferred, one that does not fit is refused whole and counted, and
+// live spans keep to what the admitted batches left.
+func TestDeferredBatchCapIsBatchGranular(t *testing.T) {
+	st := NewStore(0, 10)
+	tr := NewTracer(st)
+	_, root := tr.StartSpan(context.Background(), "root", "execute")
+	parent, id := root.Context(), root.Context().TraceID
+	live := func() { tr.SpanAt(parent, "live", "job", time.Unix(0, 0), time.Unix(1, 0)) }
+	var fits, tooBig atomic.Int32
+
+	live()
+	live()
+	live()
+	st.Defer(id, 6, emit(parent, 6, &fits))   // 3 + 6 <= 10
+	st.Defer(id, 2, emit(parent, 2, &tooBig)) // 9 + 2 > 10: refused whole
+	if st.Dropped() != 2 || st.TraceDropped(id) != 2 {
+		t.Fatalf("dropped = %d (trace %d), want 2", st.Dropped(), st.TraceDropped(id))
+	}
+	live() // the tenth slot
+	live() // over the cap
+	if st.Dropped() != 3 {
+		t.Fatalf("dropped = %d after a live span over the cap, want 3", st.Dropped())
+	}
+
+	spans := st.Spans(id)
+	kinds := map[string]int{}
+	for _, d := range spans {
+		kinds[d.Kind]++
+	}
+	if len(spans) != 10 || kinds["job"] != 4 || kinds["stage:S"] != 6 {
+		t.Fatalf("retained %d spans %v, want 4 live + the 6-span batch", len(spans), kinds)
+	}
+	if fits.Load() != 1 || tooBig.Load() != 0 {
+		t.Fatalf("admitted batch built %d times, refused batch %d times; want 1 and 0", fits.Load(), tooBig.Load())
+	}
+	if other := NewStore(0, 10); other.TraceDropped(id) != 0 {
+		t.Fatal("unknown trace reports drops")
+	}
+}
+
+// TestDeferredBatchEvictedWithItsTrace: a deferred batch lives in its
+// trace's entry, so FIFO eviction releases it unbuilt; deferring into a
+// trace the store has not seen takes a place in the eviction order like
+// any first span does.
+func TestDeferredBatchEvictedWithItsTrace(t *testing.T) {
+	st := NewStore(2, 100)
+	tr := NewTracer(st)
+	var runs atomic.Int32
+	var ids []TraceID
+	for i := 0; i < 3; i++ {
+		parent := SpanContext{TraceID: tr.newTraceID(), SpanID: tr.newSpanID()}
+		ids = append(ids, parent.TraceID)
+		st.Defer(parent.TraceID, 5, emit(parent, 5, &runs)) // the trace's first contact with the store
+		if want := min(i+1, 2); st.Len() != want {
+			t.Fatalf("after %d traces Len() = %d, want %d", i+1, st.Len(), want)
+		}
+	}
+	if _, ok := st.traces[ids[0]]; ok {
+		t.Fatal("oldest trace (and its pending batch) still held")
+	}
+	if st.Spans(ids[0]) != nil || runs.Load() != 0 {
+		t.Fatalf("evicted trace still readable, or its batch was built (%d builds)", runs.Load())
+	}
+	for _, id := range ids[1:] {
+		if n := len(st.Spans(id)); n != 5 {
+			t.Fatalf("retained trace has %d spans, want 5", n)
+		}
+	}
+	if st.Len() != 2 || st.Dropped() != 0 {
+		t.Fatalf("Len() = %d, Dropped() = %d; want 2 and 0", st.Len(), st.Dropped())
+	}
+	if e := st.traces[ids[1]]; len(e.pending) != 0 {
+		t.Fatalf("built batch still pending: %d batches", len(e.pending))
+	}
+}
+
 func TestIDUniqueness(t *testing.T) {
 	tr := newTestTracer()
 	seen := make(map[SpanID]bool)
@@ -240,7 +378,7 @@ func TestOTLPRoundTrip(t *testing.T) {
 
 	spans := tr.Store().Spans(root.Context().TraceID)
 	var buf bytes.Buffer
-	if err := WriteOTLP(&buf, "ensembled", spans); err != nil {
+	if err := WriteOTLP(&buf, "ensembled", spans, 0); err != nil {
 		t.Fatalf("WriteOTLP: %v", err)
 	}
 	if !strings.Contains(buf.String(), `"resourceSpans"`) || !strings.Contains(buf.String(), `"ensembled"`) {
@@ -299,10 +437,10 @@ func TestWriteOTLPDeterministic(t *testing.T) {
 	root.End()
 	spans := tr.Store().Spans(root.Context().TraceID)
 	var a, b bytes.Buffer
-	if err := WriteOTLP(&a, "svc", spans); err != nil {
+	if err := WriteOTLP(&a, "svc", spans, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteOTLP(&b, "svc", spans); err != nil {
+	if err := WriteOTLP(&b, "svc", spans, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

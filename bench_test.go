@@ -22,6 +22,7 @@ import (
 
 	"context"
 
+	"ensemblekit/internal/campaign"
 	"ensemblekit/internal/campaign/accounting"
 	"ensemblekit/internal/campaign/pool"
 	"ensemblekit/internal/chunk"
@@ -722,6 +723,72 @@ func BenchmarkTracingOverhead(b *testing.B) {
 		b.ReportMetric(float64(read.Nanoseconds())/float64(b.N), "read-ns/op")
 		b.ReportMetric(float64(spans)/float64(b.N), "spans/op")
 	})
+	// record-reused: an observed deep miss in steady state, as most jobs of
+	// a deep campaign are — one trace for the run, so its span cap refuses
+	// all but the first DES batches, and one worker, so every job records
+	// into the event log the last one used. B/op is the job without its
+	// event log: the log is recycled, and only an admitted batch copies it.
+	b.Run("record-reused", func(b *testing.B) {
+		b.ReportAllocs()
+		tracer := tracing.NewTracer(tracing.NewStore(256, 4096))
+		svc, err := NewService(ServiceConfig{Workers: 1, Tracer: tracer})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer svc.Close()
+		p := ConfigC15()
+		es := SpecForPlacement(p, 128)
+		ctx, root := tracer.StartSpan(context.Background(), "bench", "server")
+		defer root.End()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			spec, err := NewJobSpec(Cori(3), p, es, SimOptions{Jitter: 0.02, Seed: int64(i + 1)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			j, err := Submit(ctx, svc, spec, SubmitOptions{})
+			if err == nil {
+				_, err = j.Wait(ctx)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkEventsSubscribe measures what opening a campaign's event stream
+// costs on a full default-size ring (4096 events) holding 63 events of
+// each campaign: full-ring copies the history and leaves the filtering to
+// the reader, as every SSE stream did; scoped is the subscription the SSE
+// handler makes, filtered inside the broadcaster.
+func BenchmarkEventsSubscribe(b *testing.B) {
+	const hist, mine = 4096, 63
+	bc := campaign.NewBroadcaster(hist, 256)
+	for i := 0; i < hist; i++ {
+		bc.Publish(campaign.JobEvent{Campaign: fmt.Sprintf("c-%d", i/mine), Job: "j-1", Label: "C1.5", Status: "done"})
+	}
+	for _, leg := range []struct {
+		name      string
+		subscribe func() ([]campaign.JobEvent, <-chan campaign.JobEvent, func())
+		want      int
+	}{
+		{"full-ring", bc.Subscribe, hist},
+		{"scoped", func() ([]campaign.JobEvent, <-chan campaign.JobEvent, func()) {
+			return bc.SubscribeCampaign("c-7", 0)
+		}, mine},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				replay, _, cancel := leg.subscribe()
+				cancel()
+				if len(replay) != leg.want {
+					b.Fatalf("replay has %d events, want %d", len(replay), leg.want)
+				}
+			}
+		})
+	}
 }
 
 var ledgerSink accounting.JobLedger

@@ -10,10 +10,14 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"ensemblekit/internal/cluster"
 	"ensemblekit/internal/obs"
+	"ensemblekit/internal/placement"
+	"ensemblekit/internal/runtime"
 	"ensemblekit/internal/telemetry"
 	"ensemblekit/internal/telemetry/tracing"
 )
@@ -27,8 +31,8 @@ type desShape struct {
 	Attrs                  []tracing.Attr
 }
 
-// desShapes returns the shapes of the spans below the execute span, in
-// store order.
+// desShapes returns the shapes of the DES-level spans (component, stage,
+// DTL, flow, fault), in store order.
 func desShapes(spans []tracing.SpanData) []desShape {
 	kindOf := make(map[tracing.SpanID]string, len(spans))
 	for _, d := range spans {
@@ -36,33 +40,18 @@ func desShapes(spans []tracing.SpanData) []desShape {
 	}
 	var out []desShape
 	for _, d := range spans {
-		if d.Kind == "execute" {
-			continue
+		switch kind, _, _ := strings.Cut(d.Kind, ":"); kind {
+		case "component", "stage", "dtl", "net", "fault":
+			out = append(out, desShape{d.Name, d.Kind, kindOf[d.Parent], d.Start.UnixNano(), d.End.UnixNano(), d.Attrs})
 		}
-		out = append(out, desShape{d.Name, d.Kind, kindOf[d.Parent], d.Start.UnixNano(), d.End.UnixNano(), d.Attrs})
 	}
 	return out
 }
 
-// TestDeferredSpansEqualEagerBridge runs one traced job through the
-// execution path, reads its spans (which builds them), and compares them
-// with an eager obs.BridgeSpans of the same event stream under the same
-// affine map.
-func TestDeferredSpansEqualEagerBridge(t *testing.T) {
-	spec := pinnedSimSpec(t)
-	tracer := tracing.NewTracer(tracing.NewStore(0, 0))
-	ctx, exec := tracer.StartSpan(context.Background(), "execute", "execute")
-	if _, _, err := executeSpec(ctx, tracer, pinnedSimHash, spec, execHints{}); err != nil {
-		t.Fatal(err)
-	}
-	exec.End()
-	deferred := tracer.Store().Spans(exec.Context().TraceID)
-
-	// The map's parameters are on the execute span; the event stream is a
-	// pure function of the spec.
-	var anchor time.Time
-	var scale float64
-	for _, d := range deferred {
+// affineMap returns the virtual-to-wall map the trace's finished execute
+// span carries; ok is false while there is none.
+func affineMap(spans []tracing.SpanData) (anchor time.Time, scale float64, ok bool) {
+	for _, d := range spans {
 		if d.Kind != "execute" {
 			continue
 		}
@@ -75,7 +64,17 @@ func TestDeferredSpansEqualEagerBridge(t *testing.T) {
 			}
 		}
 	}
-	if anchor.IsZero() || scale <= 0 {
+	return anchor, scale, !anchor.IsZero() && scale > 0
+}
+
+// checkEqualsEagerBridge compares the DES spans of a deferred read with an
+// eager obs.BridgeSpans of the spec's event stream — a pure function of
+// the spec, recorded afresh here — under the map on the execute span, and
+// returns how many there are.
+func checkEqualsEagerBridge(t *testing.T, spec JobSpec, deferred []tracing.SpanData) int {
+	t.Helper()
+	anchor, scale, ok := affineMap(deferred)
+	if !ok {
 		t.Fatalf("execute span carries no affine map: anchor %v scale %v", anchor, scale)
 	}
 	rec := obs.NewRecorder(nil)
@@ -86,9 +85,8 @@ func TestDeferredSpansEqualEagerBridge(t *testing.T) {
 	_, eagerExec := eagerTracer.StartSpan(context.Background(), "execute", "execute")
 	n := obs.BridgeSpans(eagerTracer, eagerExec.Context(), rec.Events(), anchor, scale)
 	eagerExec.End()
-	eager := eagerTracer.Store().Spans(eagerExec.Context().TraceID)
 
-	got, want := desShapes(deferred), desShapes(eager)
+	got, want := desShapes(deferred), desShapes(eagerTracer.Store().Spans(eagerExec.Context().TraceID))
 	if len(got) != n || len(want) != n || n < 20 {
 		t.Fatalf("deferred read has %d DES spans, eager bridge %d (returned %d)", len(got), len(want), n)
 	}
@@ -97,10 +95,49 @@ func TestDeferredSpansEqualEagerBridge(t *testing.T) {
 			t.Fatalf("DES span %d differs:\n deferred %+v\n eager    %+v", i, got[i], want[i])
 		}
 	}
+	return n
+}
+
+// deepSimSpec is pinnedSimSpec at 16 times the steps: a longer event log
+// than the shallow spec's, so a recycled log is first longer, then
+// shorter, than what it held.
+func deepSimSpec(t *testing.T, seed int64) JobSpec {
+	t.Helper()
+	p := placement.C15()
+	spec, err := NewJob(cluster.Cori(2), p, runtime.SpecForPlacement(p, 64), runtime.SimOptions{Seed: seed, Jitter: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// TestDeferredSpansEqualEagerBridge runs a deep then a shallow traced job
+// through the execution path back to back on one goroutine, so the second
+// records into the log the first one used, and only then reads the traces
+// (which builds their spans): each equals an eager obs.BridgeSpans of its
+// own event stream under the same affine map.
+func TestDeferredSpansEqualEagerBridge(t *testing.T) {
+	specs := []JobSpec{deepSimSpec(t, 42), pinnedSimSpec(t)}
+	tracer := tracing.NewTracer(tracing.NewStore(0, 0))
+	execs := make([]*tracing.Span, len(specs))
+	for i, spec := range specs {
+		ctx, exec := tracer.StartSpan(context.Background(), "execute", "execute")
+		if _, _, err := executeSpec(ctx, tracer, pinnedSimHash, spec, execHints{}); err != nil {
+			t.Fatal(err)
+		}
+		exec.End()
+		execs[i] = exec
+	}
+	deferred := tracer.Store().Spans(execs[0].Context().TraceID)
+	deep := checkEqualsEagerBridge(t, specs[0], deferred)
+	shallow := checkEqualsEagerBridge(t, specs[1], tracer.Store().Spans(execs[1].Context().TraceID))
+	if deep <= shallow {
+		t.Fatalf("deep job has %d DES spans, shallow %d", deep, shallow)
+	}
 
 	// The execute span's critical path still partitions its wall time, and
 	// runs through the simulated stages.
-	cp, err := tracing.ComputeCriticalPath(deferred, exec.Context().SpanID)
+	cp, err := tracing.ComputeCriticalPath(deferred, execs[0].Context().SpanID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,6 +151,54 @@ func TestDeferredSpansEqualEagerBridge(t *testing.T) {
 	if cp.TotalSec <= 0 || math.Abs(sum-cp.TotalSec) > 1e-9*cp.TotalSec || stages == 0 {
 		t.Fatalf("critical path: %d stage segments summing to %v of %v", stages, sum, cp.TotalSec)
 	}
+}
+
+// TestDeferredSpansReadWhileWorkersRecord: four workers run alternating
+// deep and shallow traced jobs, recycling one another's event logs, while
+// every finished job's trace is read at once. Each still equals its eager
+// bridge. Run under -race.
+func TestDeferredSpansReadWhileWorkersRecord(t *testing.T) {
+	tracer := tracing.NewTracer(tracing.NewStore(0, 0))
+	svc, err := NewService(Config{Workers: 4, Tracer: tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		spec := jobFor(t, int64(100+i))
+		if i%2 == 0 {
+			spec = deepSimSpec(t, int64(100+i))
+		}
+		ctx, root := tracer.StartSpan(context.Background(), "test", "server")
+		j, err := svc.Submit(ctx, spec, SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer root.End()
+			if _, err := j.Wait(ctx); err != nil {
+				t.Error(err)
+				return
+			}
+			// The execute span, which carries the map, ends as Wait returns.
+			var spans []tracing.SpanData
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+				spans = tracer.Store().Spans(root.Context().TraceID)
+				if _, _, ok := affineMap(spans); ok {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Errorf("job %s: execute span never completed", j.ID)
+					return
+				}
+			}
+			checkEqualsEagerBridge(t, spec, spans)
+		}()
+	}
+	wg.Wait()
 }
 
 // TestTruncatedTraceSaysSo gives the span store room for a job's service

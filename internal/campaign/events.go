@@ -73,10 +73,13 @@ func (e JobEvent) Terminal() bool {
 // Broadcaster fans JobEvents out to subscribers with strictly bounded
 // memory and zero blocking on the publish path: each subscriber owns a
 // fixed-size buffered channel, and a subscriber whose buffer is full when
-// an event arrives is dropped (its channel closed) rather than stalling
-// the worker that published the event. A bounded history ring lets late
-// subscribers replay recent transitions — the SSE handler uses it to
-// close the race between POSTing a campaign and connecting its stream.
+// an event of its scope arrives is dropped (its channel closed) rather
+// than stalling the worker that published the event. A bounded history
+// ring lets late subscribers replay recent transitions — the SSE handler
+// uses it to close the race between POSTing a campaign and connecting its
+// stream. A subscription's scope is applied here, under the lock, to the
+// replay and to live delivery alike: a campaign's stream copies and
+// receives that campaign's events only.
 type Broadcaster struct {
 	// OnDrop, if set, observes each subscriber dropped for falling behind.
 	OnDrop func()
@@ -91,7 +94,7 @@ type Broadcaster struct {
 	ring    []JobEvent // capacity-bounded history, oldest first
 	start   int        // ring read index
 	count   int        // live entries in ring
-	subs    map[chan JobEvent]struct{}
+	subs    map[chan JobEvent]scope
 	dropped int64 // subscribers dropped for falling behind
 	evicted int64 // events evicted from history
 	closed  bool
@@ -104,15 +107,28 @@ func NewBroadcaster(histCap, subBuf int) *Broadcaster {
 	if subBuf < 1 {
 		subBuf = 1
 	}
-	b := &Broadcaster{subs: make(map[chan JobEvent]struct{}), subBuf: subBuf}
+	b := &Broadcaster{subs: make(map[chan JobEvent]scope), subBuf: subBuf}
 	if histCap > 0 {
 		b.ring = make([]JobEvent, histCap)
 	}
 	return b
 }
 
+// scope is a subscription's predicate: every event (all), or one
+// campaign's events with a sequence number above after.
+type scope struct {
+	all      bool
+	campaign string
+	after    int64
+}
+
+func (sc scope) admits(ev *JobEvent) bool {
+	return sc.all || (ev.Seq > sc.after && ev.Campaign == sc.campaign)
+}
+
 // Publish stamps ev with the next sequence number, appends it to the
-// history ring, and offers it to every subscriber without blocking.
+// history ring, and offers it to every subscriber whose scope admits it,
+// without blocking.
 func (b *Broadcaster) Publish(ev JobEvent) {
 	b.mu.Lock()
 	if b.closed {
@@ -131,7 +147,10 @@ func (b *Broadcaster) Publish(ev JobEvent) {
 		b.count++
 	}
 	var dropped int
-	for ch := range b.subs {
+	for ch, sc := range b.subs {
+		if !sc.admits(&ev) {
+			continue
+		}
 		select {
 		case ch <- ev:
 		default:
@@ -154,24 +173,47 @@ func (b *Broadcaster) Publish(ev JobEvent) {
 	}
 }
 
-// Subscribe registers a consumer: replay holds the retained history (in
-// order, already sequence-stamped) and ch delivers every event published
-// after the snapshot — the two never overlap and never gap. The channel
-// is closed when the subscriber is dropped for falling behind or the
-// broadcaster closes; cancel unsubscribes (idempotent, safe after drop).
+// Subscribe registers a consumer of every event: replay holds the
+// retained history (in order, already sequence-stamped) and ch delivers
+// every event published after the snapshot — the two never overlap and
+// never gap. The channel is closed when the subscriber is dropped for
+// falling behind or the broadcaster closes; cancel unsubscribes
+// (idempotent, safe after drop).
 func (b *Broadcaster) Subscribe() (replay []JobEvent, ch <-chan JobEvent, cancel func()) {
+	return b.subscribe(scope{all: true})
+}
+
+// SubscribeCampaign is Subscribe scoped to one campaign's events with a
+// sequence number above after: a reconnecting client's Last-Event-ID, or
+// Seq as it was before the campaign's first event (0 for all of them).
+// Other campaigns' events are neither copied into replay nor offered to
+// ch, so they cannot make this subscriber fall behind.
+func (b *Broadcaster) SubscribeCampaign(campaign string, after int64) (replay []JobEvent, ch <-chan JobEvent, cancel func()) {
+	return b.subscribe(scope{campaign: campaign, after: max(after, 0)})
+}
+
+func (b *Broadcaster) subscribe(sc scope) (replay []JobEvent, ch <-chan JobEvent, cancel func()) {
 	c := make(chan JobEvent, b.subBuf)
 	b.mu.Lock()
-	replay = make([]JobEvent, 0, b.count)
-	for i := 0; i < b.count; i++ {
-		replay = append(replay, b.ring[(b.start+i)%len(b.ring)])
+	// History is in sequence order and ends at b.seq, so a scoped replay
+	// starts at the first entry above sc.after instead of scanning the ring.
+	first := 0
+	if sc.all {
+		replay = make([]JobEvent, 0, b.count)
+	} else if newer := b.seq - sc.after; newer < int64(b.count) {
+		first = b.count - int(max(newer, 0))
+	}
+	for i := first; i < b.count; i++ {
+		if ev := &b.ring[(b.start+i)%len(b.ring)]; sc.admits(ev) {
+			replay = append(replay, *ev)
+		}
 	}
 	if b.closed {
 		close(c)
 		b.mu.Unlock()
 		return replay, c, func() {}
 	}
-	b.subs[c] = struct{}{}
+	b.subs[c] = sc
 	n := len(b.subs)
 	b.mu.Unlock()
 	if b.OnSubscribers != nil {
@@ -211,6 +253,15 @@ func (b *Broadcaster) Close() {
 	if b.OnSubscribers != nil {
 		b.OnSubscribers(0)
 	}
+}
+
+// Seq returns the sequence number of the latest event published: every
+// later event is above it, which lets a subscriber that knows when its
+// campaign began scope the replay to the ring's tail.
+func (b *Broadcaster) Seq() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.seq
 }
 
 // Stats reports the broadcaster's lifetime counters: current subscriber

@@ -1,12 +1,15 @@
 package campaign
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,6 +79,9 @@ type campaignRun struct {
 	id   string
 	name string
 	done chan struct{}
+	// eventsAfter is the event stream's sequence number when the run was
+	// created: all of the campaign's events are above it.
+	eventsAfter int64
 
 	mu     sync.Mutex
 	nDone  int
@@ -343,10 +349,11 @@ func (s *Server) postCampaign(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.seq++
 	run := &campaignRun{
-		id:     fmt.Sprintf("c-%d", s.seq),
-		name:   sw.Name,
-		done:   make(chan struct{}),
-		nTotal: total,
+		id:          fmt.Sprintf("c-%d", s.seq),
+		name:        sw.Name,
+		done:        make(chan struct{}),
+		eventsAfter: s.svc.Events().Seq(),
+		nTotal:      total,
 	}
 	s.campaigns[run.id] = run
 	s.mu.Unlock()
@@ -473,10 +480,11 @@ func (s *Server) Resume() int {
 			s.seq = n
 		}
 		run := &campaignRun{
-			id:     rec.ID,
-			name:   sw.Name,
-			done:   make(chan struct{}),
-			nTotal: total,
+			id:          rec.ID,
+			name:        sw.Name,
+			done:        make(chan struct{}),
+			eventsAfter: s.svc.Events().Seq(),
+			nTotal:      total,
 		}
 		s.campaigns[rec.ID] = run
 		s.mu.Unlock()
@@ -573,12 +581,13 @@ func (c *campaignRun) summary(svc *Service) CampaignSummary {
 // streamCampaign serves GET /v1/campaigns/{id}/events: a server-sent-
 // events stream pushing one `job` event per job state transition (queued,
 // running, done/cached/failed/cancelled) and a terminal `summary` event
-// once the campaign resolves. The stream replays the broadcaster's
-// retained history first, so connecting right after the POST loses
-// nothing; a subscriber that cannot keep up is dropped (`error` event)
+// once the campaign resolves. The subscription is scoped to the campaign
+// inside the broadcaster, which replays the campaign's retained history
+// first, so connecting right after the POST loses nothing; a subscriber
+// that cannot keep up with its own campaign is dropped (`error` event)
 // rather than ever blocking the workers. Every job event carries its
 // broadcaster sequence number as the SSE `id:`, and a reconnecting
-// client's `Last-Event-ID` header filters the replay to events it has
+// client's `Last-Event-ID` header scopes the stream to events it has
 // not yet seen — the standard SSE resume handshake, bounded by the
 // broadcaster's history ring (events evicted before the reconnect are
 // gone; the client detects the gap from the sequence numbers).
@@ -596,14 +605,14 @@ func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, fmt.Errorf("campaign: streaming unsupported"))
 		return
 	}
-	var lastID int64
+	after := run.eventsAfter
 	if v := r.Header.Get("Last-Event-ID"); v != "" {
 		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			lastID = n
+			after = max(after, n)
 		}
 	}
 
-	replay, ch, cancel := s.svc.Events().Subscribe()
+	replay, ch, cancel := s.svc.Events().SubscribeCampaign(id, after)
 	defer cancel()
 
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -623,12 +632,8 @@ func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request) {
 		fl.Flush()
 		return true
 	}
-	// sendJob forwards one job event (skipping other campaigns' events and
-	// events the client already saw); false means the client went away.
+	// sendJob forwards one job event; false means the client went away.
 	sendJob := func(ev JobEvent) bool {
-		if ev.Campaign != id || ev.Seq <= lastID {
-			return true
-		}
 		b, err := json.Marshal(ev)
 		if err != nil {
 			return true
@@ -691,28 +696,20 @@ func (s *Server) listCampaigns(w http.ResponseWriter, _ *http.Request) {
 		runs = append(runs, c)
 	}
 	s.mu.Unlock()
+	slices.SortFunc(runs, func(a, b *campaignRun) int { return idCompare(a.id, b.id) })
 	out := make([]CampaignStatus, 0, len(runs))
 	for _, c := range runs {
 		st := c.status()
 		st.Result = nil // listings stay light; poll the campaign for the result
 		out = append(out, st)
 	}
-	// Deterministic order: by numeric suffix via the id's natural length
-	// then lexicographic ("c-2" < "c-10").
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && idLess(out[k].ID, out[k-1].ID); k-- {
-			out[k], out[k-1] = out[k-1], out[k]
-		}
-	}
 	writeJSON(w, http.StatusOK, out)
 }
 
-// idLess orders "c-2" before "c-10" (shorter numeric suffix first).
-func idLess(a, b string) bool {
-	if len(a) != len(b) {
-		return len(a) < len(b)
-	}
-	return a < b
+// idCompare orders campaign IDs by numeric suffix: shorter first, then
+// lexicographic ("c-2" before "c-10").
+func idCompare(a, b string) int {
+	return cmp.Or(cmp.Compare(len(a), len(b)), strings.Compare(a, b))
 }
 
 func (s *Server) getCampaign(w http.ResponseWriter, r *http.Request) {

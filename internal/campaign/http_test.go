@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -461,5 +462,36 @@ func TestHTTPMetricsConcurrentScrape(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestHTTPListCampaignsOrdersByNumericSuffix: the listing of a few
+// thousand campaigns, inserted shuffled, comes back c-1, c-2, ..., c-10,
+// ... — numeric order, not lexicographic.
+func TestHTTPListCampaignsOrdersByNumericSuffix(t *testing.T) {
+	const n = 2500
+	svc, err := NewService(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	srv := NewServer(svc)
+	for _, i := range rand.New(rand.NewSource(1)).Perm(n) {
+		id := fmt.Sprintf("c-%d", i+1)
+		srv.campaigns[id] = &campaignRun{id: id, done: make(chan struct{})}
+	}
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/v1/campaigns", nil))
+	var list []CampaignStatus
+	if err := json.NewDecoder(w.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != n {
+		t.Fatalf("listed %d campaigns, want %d", len(list), n)
+	}
+	for i, st := range list {
+		if want := fmt.Sprintf("c-%d", i+1); st.ID != want {
+			t.Fatalf("position %d holds %s, want %s", i, st.ID, want)
+		}
 	}
 }

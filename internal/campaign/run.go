@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"ensemblekit/internal/core"
@@ -61,6 +62,10 @@ func runSpec(spec JobSpec, rec *obs.Recorder, h execHints) (*trace.EnsembleTrace
 	return runtime.RunSimulatedInfo(spec.Cluster, spec.Placement, spec.Ensemble, opts)
 }
 
+// recorders recycles the obs event logs of observed runs: a log keeps its
+// capacity across jobs instead of growing from nil by doubling each time.
+var recorders = sync.Pool{New: func() any { return obs.NewRecorder(nil) }}
+
 // executeSpec is the one execution path: it runs a spec whose content
 // address the caller already holds (admission hashed it) with the hints
 // applied, and reports how the run was served. When ctx carries a
@@ -68,7 +73,9 @@ func runSpec(spec JobSpec, rec *obs.Recorder, h execHints) (*trace.EnsembleTrace
 // observed: a live obs recorder is attached and its event stream becomes
 // child spans — component, stage, DTL, flow, and fault — under that span,
 // built when the trace is first read (obs.DeferSpans), so a job nobody
-// inspects never pays for them. The affine map wall = anchor +
+// inspects never pays for them. The recorder is a recycled one: the span
+// store copies its events if it admits the batch, and the log goes back to
+// the pool either way. The affine map wall = anchor +
 // scale·virtual with scale =
 // wallDuration/makespan tiles the simulated timeline onto the measured
 // execution window, so the critical path's stage durations sum to the
@@ -82,12 +89,14 @@ func executeSpec(ctx context.Context, tracer *tracing.Tracer, hash string, spec 
 	var span *tracing.Span // nil (a no-op) on an unobserved run
 	var rec *obs.Recorder
 	if sp := tracing.SpanFromContext(ctx); tracer != nil && sp.Recording() {
-		span, rec = sp, obs.NewRecorder(nil)
+		span, rec = sp, recorders.Get().(*obs.Recorder)
 	}
 	anchor := time.Now()
 	tr, info, err := runSpec(spec, rec, h)
 	wallSec := time.Since(anchor).Seconds()
 	if err != nil {
+		// A failed run may have left processes that still hold rec; it is
+		// not recycled.
 		span.SetAttr(tracing.Float("des.makespanSec", 0))
 		return nil, info, err
 	}
@@ -105,6 +114,8 @@ func executeSpec(ctx context.Context, tracer *tracing.Tracer, hash string, spec 
 		if !info.FastPath {
 			obs.DeferSpans(tracer, span.Context(), rec.Events(), anchor, scale)
 		}
+		rec.Reset()
+		recorders.Put(rec)
 	}
 	res, err := derive(hash, spec.Placement, tr)
 	return res, info, err

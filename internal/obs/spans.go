@@ -2,6 +2,7 @@ package obs
 
 import (
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -62,15 +63,20 @@ func spanCounts(events []Event) (comps, stages, rest int) {
 
 // DeferSpans is BridgeSpans postponed until the trace is first read
 // (tracing.Store.Defer): recording a run costs one counting pass, and the
-// first reader bridges the retained events — which must not be mutated
-// afterwards — through a scratch tracer. Returns the spans deferred.
+// first reader bridges the events through a scratch tracer. events stays
+// the caller's (a recycled recorder's log): the store takes an exact-size
+// copy if and when it admits the batch, and a refused batch copies
+// nothing. Returns the spans deferred.
 func DeferSpans(tr *tracing.Tracer, parent tracing.SpanContext, events []Event, anchor time.Time, scale float64) int {
 	comps, stages, rest := spanCounts(events)
 	n := comps + stages + rest
-	tr.Store().Defer(parent.TraceID, n, func() []tracing.SpanData {
-		scratch := tracing.NewTracer(tracing.NewStore(1, n))
-		BridgeSpans(scratch, parent, events, anchor, scale)
-		return scratch.Store().Spans(parent.TraceID)
+	tr.Store().Defer(parent.TraceID, n, func() func() []tracing.SpanData {
+		own := slices.Clone(events)
+		return func() []tracing.SpanData {
+			scratch := tracing.NewTracer(tracing.NewStore(1, n))
+			BridgeSpans(scratch, parent, own, anchor, scale)
+			return scratch.Store().Spans(parent.TraceID)
+		}
 	})
 	return n
 }

@@ -130,6 +130,45 @@ func TestDeferSpansCountsWhatBridgeEmits(t *testing.T) {
 	}
 }
 
+// TestDeferSpansCopiesEventsOnlyOnAdmission: the events stay the
+// caller's. A batch the store refuses allocates nothing, so it cannot
+// retain them; an admitted one holds its own copy, so the caller may
+// recycle the log before anybody reads the trace.
+func TestDeferSpansCopiesEventsOnlyOnAdmission(t *testing.T) {
+	events := recordedStream()
+	anchor := time.Unix(1000, 0)
+	parent := tracing.SpanContext{TraceID: tracing.TraceID{1}, SpanID: tracing.SpanID{1}}
+
+	refusing := tracing.NewTracer(tracing.NewStore(0, 2)) // the stream bridges to 6 spans
+	DeferSpans(refusing, parent, events, anchor, 0.2)     // the trace's entry is made here
+	if allocs := testing.AllocsPerRun(100, func() { DeferSpans(refusing, parent, events, anchor, 0.2) }); allocs != 0 {
+		t.Fatalf("a refused batch allocates %v times, want 0", allocs)
+	}
+	if refusing.Store().TraceDropped(parent.TraceID) == 0 {
+		t.Fatal("the store admitted a batch over its cap")
+	}
+	if spans := refusing.Store().Spans(parent.TraceID); len(spans) != 0 {
+		t.Fatalf("refused batches left %d spans", len(spans))
+	}
+
+	admitting := tracing.NewTracer(tracing.NewStore(0, 0))
+	n := DeferSpans(admitting, parent, events, anchor, 0.2)
+	want := tracing.NewTracer(tracing.NewStore(0, 0))
+	BridgeSpans(want, parent, events, anchor, 0.2)
+	for i := range events { // the recorder is recycled: another job overwrites the log
+		events[i] = Event{T: 99, Kind: ProcStart, Subject: "other"}
+	}
+	got, eager := admitting.Store().Spans(parent.TraceID), want.Store().Spans(parent.TraceID)
+	if len(got) != n || len(eager) != n {
+		t.Fatalf("read %d spans, eager bridge %d, want %d", len(got), len(eager), n)
+	}
+	for i := range got {
+		if got[i].Name != eager[i].Name || got[i].Kind != eager[i].Kind || !got[i].Start.Equal(eager[i].Start) || !got[i].End.Equal(eager[i].End) {
+			t.Fatalf("span %d built from a log the caller reused: %+v, want %+v", i, got[i], eager[i])
+		}
+	}
+}
+
 func TestBridgeSpansNilTracer(t *testing.T) {
 	if n := BridgeSpans(nil, tracing.SpanContext{}, recordedStream(), time.Time{}, 1); n != 0 {
 		t.Fatalf("nil tracer bridged %d spans", n)

@@ -95,19 +95,23 @@ func (st *Store) add(d SpanData) {
 	}
 }
 
-// Defer holds room in the trace for n spans and calls build for them the
+// Defer holds room in the trace for n spans and calls their builder the
 // first time the trace is read (Spans) — never, if nobody reads it or the
-// trace is evicted first. Until then the batch costs the store only what
-// build's closure holds. The n spans count against the per-trace cap now;
-// a batch that does not fit is dropped whole.
-func (st *Store) Defer(id TraceID, n int, build func() []SpanData) {
+// trace is evicted first. The n spans count against the per-trace cap now;
+// a batch that does not fit is dropped whole, and admit is not called.
+// admit runs under the store's lock, atomically with the reservation, and
+// returns the builder: it is where the caller takes its own copy of
+// whatever the builder reads, so a refused batch costs nothing and no
+// reader can run a builder over data its caller still owns. Until the
+// first read the batch costs the store only what the builder holds.
+func (st *Store) Defer(id TraceID, n int, admit func() (build func() []SpanData)) {
 	if st == nil || !id.IsValid() || n <= 0 {
 		return
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if e := st.admitLocked(id, n); e != nil {
-		e.pending = append(e.pending, batch{n, build})
+		e.pending = append(e.pending, batch{n, admit()})
 	}
 }
 

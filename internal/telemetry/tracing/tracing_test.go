@@ -70,7 +70,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil tracer SpanAt returned a valid context")
 	}
 	var st *Store
-	st.Defer(TraceID{1}, 1, func() []SpanData { t.Error("nil store ran a deferred batch"); return nil })
+	st.Defer(TraceID{1}, 1, func() func() []SpanData { t.Error("nil store admitted a deferred batch"); return nil })
 	if st.Spans(TraceID{1}) != nil || st.Len() != 0 || st.Dropped() != 0 || st.TraceDropped(TraceID{1}) != 0 {
 		t.Fatal("nil store not inert")
 	}
@@ -217,10 +217,10 @@ func TestStoreConcurrent(t *testing.T) {
 	}
 }
 
-// emit returns a Defer build function producing n pre-timed spans under
-// parent through a scratch tracer, counting how often it ran.
-func emit(parent SpanContext, n int, runs *atomic.Int32) func() []SpanData {
-	return func() []SpanData {
+// emit returns a Defer admit function whose builder produces n pre-timed
+// spans under parent through a scratch tracer, counting how often it ran.
+func emit(parent SpanContext, n int, runs *atomic.Int32) func() func() []SpanData {
+	build := func() []SpanData {
 		runs.Add(1)
 		scratch := newTestTracer()
 		for i := 0; i < n; i++ {
@@ -228,6 +228,7 @@ func emit(parent SpanContext, n int, runs *atomic.Int32) func() []SpanData {
 		}
 		return scratch.Store().Spans(parent.TraceID)
 	}
+	return func() func() []SpanData { return build }
 }
 
 // TestDeferredBatchBuiltOnceForConcurrentReaders: every reader racing for
@@ -285,13 +286,16 @@ func TestDeferredBatchCapIsBatchGranular(t *testing.T) {
 	_, root := tr.StartSpan(context.Background(), "root", "execute")
 	parent, id := root.Context(), root.Context().TraceID
 	live := func() { tr.SpanAt(parent, "live", "job", time.Unix(0, 0), time.Unix(1, 0)) }
-	var fits, tooBig atomic.Int32
+	var fits atomic.Int32
 
 	live()
 	live()
 	live()
-	st.Defer(id, 6, emit(parent, 6, &fits))   // 3 + 6 <= 10
-	st.Defer(id, 2, emit(parent, 2, &tooBig)) // 9 + 2 > 10: refused whole
+	st.Defer(id, 6, emit(parent, 6, &fits))    // 3 + 6 <= 10
+	st.Defer(id, 2, func() func() []SpanData { // 9 + 2 > 10: refused whole
+		t.Error("refused batch was asked for its builder")
+		return nil
+	})
 	if st.Dropped() != 2 || st.TraceDropped(id) != 2 {
 		t.Fatalf("dropped = %d (trace %d), want 2", st.Dropped(), st.TraceDropped(id))
 	}
@@ -309,8 +313,8 @@ func TestDeferredBatchCapIsBatchGranular(t *testing.T) {
 	if len(spans) != 10 || kinds["job"] != 4 || kinds["stage:S"] != 6 {
 		t.Fatalf("retained %d spans %v, want 4 live + the 6-span batch", len(spans), kinds)
 	}
-	if fits.Load() != 1 || tooBig.Load() != 0 {
-		t.Fatalf("admitted batch built %d times, refused batch %d times; want 1 and 0", fits.Load(), tooBig.Load())
+	if fits.Load() != 1 {
+		t.Fatalf("admitted batch built %d times, want 1", fits.Load())
 	}
 	if other := NewStore(0, 10); other.TraceDropped(id) != 0 {
 		t.Fatal("unknown trace reports drops")

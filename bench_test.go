@@ -441,11 +441,11 @@ func BenchmarkEigenKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkObsOverhead quantifies the cost of the instrumentation layer on
-// the simulated backend: "disabled" runs with a nil recorder (every emission
-// site pays exactly one branch), "recording" runs with a live event bus.
-// The disabled case must stay within noise (<2%) of a build without any
-// instrumentation, which is the overhead guarantee documented in DESIGN.md.
+// BenchmarkObsOverhead quantifies what asking for the event stream costs
+// on the simulated backend: "disabled" runs with a nil recorder, which the
+// timeline kernel serves; "recording" runs with a live event bus, which
+// selects the engine. (The engine with a nil recorder — one branch per
+// emission site — is BenchmarkKernel's engine legs in internal/runtime.)
 func BenchmarkObsOverhead(b *testing.B) {
 	b.ReportAllocs()
 	spec := Cori(3)
@@ -530,24 +530,26 @@ func BenchmarkCampaignSweep(b *testing.B) {
 		}
 	})
 
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("pooled-%dw-cold", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				svc, err := NewService(ServiceConfig{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := RunCampaign(context.Background(), svc, sweep); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				svc.Close()
-				b.StartTimer()
+	// coldSweep is one timed cold-cache campaign per iteration.
+	coldSweep := func(b *testing.B, sw Sweep, workers int) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			svc, err := NewService(ServiceConfig{Workers: workers})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			b.StartTimer()
+			if _, err := RunCampaign(context.Background(), svc, sw); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			svc.Close()
+			b.StartTimer()
+		}
+	}
+	for _, workers := range []int{2, 4, 8} {
+		b.Run(fmt.Sprintf("pooled-%dw-cold", workers), func(b *testing.B) { coldSweep(b, sweep, workers) })
 	}
 
 	b.Run("pooled-4w-warm", func(b *testing.B) {
@@ -573,80 +575,12 @@ func BenchmarkCampaignSweep(b *testing.B) {
 		b.ReportMetric(float64(last.CacheHits)/float64(last.Jobs)*100, "hit-%")
 	})
 
-	// coldSweep is one timed cold-cache campaign per iteration under the
-	// given service configuration.
-	coldSweep := func(b *testing.B, sw Sweep, cfg ServiceConfig) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			svc, err := NewService(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			if _, err := RunCampaign(context.Background(), svc, sw); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			svc.Close()
-			b.StartTimer()
-		}
-	}
-
-	// The fast path on the stock 8-step sweep: at this scale service
-	// machinery (hashing, queueing, events) dominates, so the gain is
-	// bounded; the -deep pair below isolates the execution-dominated
-	// regime.
-	b.Run("pooled-4w-cold-fastpath", func(b *testing.B) {
-		coldSweep(b, sweep, ServiceConfig{Workers: 4, FastPath: true})
-	})
-
-	// The deep sweep stretches every job to 256 in situ steps so DES
+	// The deep sweep stretches every job to 256 in situ steps so
 	// execution, not service overhead, dominates the cold wall clock —
-	// the regime long campaigns actually run in. The fast path answers
-	// each job in closed form, flattening the per-step cost.
+	// the regime long campaigns actually run in.
 	deep := sweep
 	deep.Steps = 256
-	b.Run("pooled-4w-cold-deep", func(b *testing.B) {
-		coldSweep(b, deep, ServiceConfig{Workers: 4})
-	})
-	b.Run("pooled-4w-cold-deep-fastpath", func(b *testing.B) {
-		coldSweep(b, deep, ServiceConfig{Workers: 4, FastPath: true})
-	})
-}
-
-// BenchmarkSteadyStateFastPath is the per-job comparison behind the
-// campaign numbers: one fault-free paper-scale ensemble evaluated by the
-// DES engine versus the closed-form steady-state evaluator. The fast
-// path dispatches zero DES events; both produce bit-identical traces
-// (TestFastPathBitIdentical).
-func BenchmarkSteadyStateFastPath(b *testing.B) {
-	p := ConfigC15()
-	spec := Cori(3)
-	es := SpecForPlacement(p, PaperSteps)
-
-	b.Run("des", func(b *testing.B) {
-		b.ReportAllocs()
-		world := NewWorld()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := RunSimulatedInfo(spec, p, es, SimOptions{World: world}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("fastpath", func(b *testing.B) {
-		b.ReportAllocs()
-		world := NewWorld()
-		for i := 0; i < b.N; i++ {
-			_, info, err := RunSimulatedInfo(spec, p, es, SimOptions{World: world, FastPath: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !info.FastPath || info.DESEvents != 0 {
-				b.Fatalf("fast path not taken (fastpath=%v, events=%d)", info.FastPath, info.DESEvents)
-			}
-		}
-	})
+	b.Run("pooled-4w-cold-deep", func(b *testing.B) { coldSweep(b, deep, 4) })
 }
 
 // BenchmarkTracingOverhead measures the span layer on a warm-cache sweep

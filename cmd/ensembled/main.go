@@ -123,8 +123,6 @@ func main() {
 		stateDir    = flag.String("state-dir", "", "durable state directory: journal (DIR/journal.wal) + default disk cache (DIR/cache)")
 		retry       = flag.Int("retry", 3, "max executions per job; transient failures back off and re-enqueue (1 disables retries)")
 		execDelay   = flag.Duration("exec-delay", 0, "artificially stretch each execution (chaos/load testing only)")
-		fastPath    = flag.Bool("fastpath", false, "answer fault-free steady-state-eligible jobs from the Eq. 1-9 closed forms instead of the DES (bit-identical)")
-		verifyFP    = flag.Bool("verify-fastpath", false, "cross-check every fast-path hit against a DES re-run (implies -fastpath; validation mode)")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		pprofOn     = flag.Bool("pprof", false, "expose GET /debug/pprof/* runtime profiles")
 		noTrace     = flag.Bool("no-trace", false, "disable distributed tracing")
@@ -145,7 +143,6 @@ func main() {
 		addr: *addr, workers: *workers, queue: *queue,
 		cacheBytes: *cacheBytes, cacheDir: *cacheDir, logLevel: *logLevel,
 		stateDir: *stateDir, retry: *retry, execDelay: *execDelay,
-		fastPath: *fastPath, verifyFP: *verifyFP,
 		nodeID: *nodeID, advertise: *advertise, join: *join, heartbeat: *heartbeat,
 		pprofOn: *pprofOn, noTrace: *noTrace,
 		traceTraces: *traceTraces, traceSpans: *traceSpans,
@@ -168,7 +165,6 @@ type serverConfig struct {
 	stateDir           string
 	retry              int
 	execDelay          time.Duration
-	fastPath, verifyFP bool
 	nodeID             string
 	advertise          string
 	join               string
@@ -227,9 +223,6 @@ func run(cfg serverConfig) error {
 		JournalPath: journalPath,
 		Retry:       campaign.RetryPolicy{MaxAttempts: cfg.retry},
 		ExecDelay:   cfg.execDelay,
-
-		FastPath:       cfg.fastPath,
-		VerifyFastPath: cfg.verifyFP,
 
 		Metrics: reg,
 		Logger:  log,
@@ -1192,8 +1185,7 @@ func smokePool(stateDir string) error {
 	return nil
 }
 
-// relClose reports a ≈ b within 1e-9 relative tolerance — the same
-// tolerance the fast-path verifier uses for simulated quantities.
+// relClose reports a ≈ b within 1e-9 relative tolerance.
 func relClose(a, b float64) bool {
 	if a == b {
 		return true

@@ -179,8 +179,8 @@ func RunSimulated(spec ClusterSpec, p Placement, es EnsembleSpec, opts SimOption
 	return runtime.RunSimulated(spec, p, es, opts)
 }
 
-// RunInfo reports how a simulated run was executed (fast path, plan
-// reuse, DES event count).
+// RunInfo reports how a simulated run was executed (timeline kernel or
+// engine, plan reuse, DES event count).
 type RunInfo = runtime.RunInfo
 
 // World is the shared immutable state of a campaign: frozen plans plus a

@@ -4,11 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"testing"
+
+	"ensemblekit/internal/obs"
+	"ensemblekit/internal/telemetry/tracing"
 )
 
-// This file pins the bit-identity contract of the closed-form
-// steady-state fast path: it must reproduce the DES trace byte-for-byte
-// with zero events dispatched.
+// This file pins the bit-identity contract of the timeline kernel at the
+// public API: with no option asking for it, it serves every fault-free
+// run, and reproduces the engine's trace byte for byte with zero events
+// dispatched. (internal/runtime/kernel_test.go holds the generated
+// differential suite.)
 
 func traceJSON(t testing.TB, tr *EnsembleTrace) string {
 	t.Helper()
@@ -20,63 +25,57 @@ func traceJSON(t testing.TB, tr *EnsembleTrace) string {
 }
 
 // TestFastPathBitIdentical runs every Table 2 and Table 4 placement
-// fault-free at the golden scale through both the DES and the fast path.
-// Every config the fast path serves must match the DES trace bit for bit
-// and report zero DES events.
+// fault-free at the golden scale through the engine (selected by
+// attaching a recorder) and through the default path. The kernel must
+// serve every one, match the engine trace bit for bit and report zero DES
+// events.
 func TestFastPathBitIdentical(t *testing.T) {
 	world := NewWorld()
-	configs := append(ConfigsTable2(), ConfigsTable4()...)
-	hits := 0
-	for _, p := range configs {
+	for _, p := range append(ConfigsTable2(), ConfigsTable4()...) {
 		es := SpecForPlacement(p, goldenSteps)
-		ref, err := RunSimulated(Cori(3), p, es, SimOptions{})
+		ref, info, err := RunSimulatedInfo(Cori(3), p, es, SimOptions{Recorder: obs.NewRecorder(nil)})
 		if err != nil {
-			t.Fatalf("%s: DES: %v", p.Name, err)
+			t.Fatalf("%s: engine: %v", p.Name, err)
 		}
-		got, info, err := RunSimulatedInfo(Cori(3), p, es, SimOptions{FastPath: true, World: world})
+		if info.FastPath || info.DESEvents == 0 {
+			t.Errorf("%s: recorded run served by the kernel (%d DES events)", p.Name, info.DESEvents)
+		}
+		got, info, err := RunSimulatedInfo(Cori(3), p, es, SimOptions{World: world})
 		if err != nil {
-			t.Fatalf("%s: fast path: %v", p.Name, err)
+			t.Fatalf("%s: kernel: %v", p.Name, err)
+		}
+		if !info.FastPath || info.DESEvents != 0 {
+			t.Errorf("%s: kernel=%v with %d DES events, want the kernel and 0", p.Name, info.FastPath, info.DESEvents)
 		}
 		if traceJSON(t, got) != traceJSON(t, ref) {
-			t.Errorf("%s: fast-path trace differs from DES trace", p.Name)
-		}
-		if info.FastPath {
-			hits++
-			if info.DESEvents != 0 {
-				t.Errorf("%s: fast path dispatched %d DES events, want 0", p.Name, info.DESEvents)
-			}
+			t.Errorf("%s: kernel trace differs from engine trace", p.Name)
 		}
 	}
-	if hits == 0 {
-		t.Fatalf("fast path served none of the %d fault-free configs", len(configs))
-	}
-	t.Logf("fast path served %d/%d configs", hits, len(configs))
 }
 
-// TestFastPathBailsOnFaults pins the fallback: a faulted run must never be
-// served by the closed form even when the hint is set.
+// TestFastPathBailsOnFaults pins the fallback: a faulted run is never
+// served by the kernel.
 func TestFastPathBailsOnFaults(t *testing.T) {
 	p := ConfigByNameMust(t, "C1.4")
 	es := SpecForPlacement(p, goldenSteps)
 	opts := SimOptions{
-		FastPath: true,
 		Faults: &FaultPlan{Name: "degraded", Seed: 7, Network: []NetworkWindow{
 			{Start: 2, End: 30, Factor: 0.25},
 		}},
-	}
-	ref, err := RunSimulated(Cori(3), p, es, SimOptions{Faults: opts.Faults})
-	if err != nil {
-		t.Fatal(err)
 	}
 	got, info, err := RunSimulatedInfo(Cori(3), p, es, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.FastPath {
-		t.Fatal("fast path served a faulted run")
+	if info.FastPath || info.DESEvents == 0 {
+		t.Fatal("kernel served a faulted run")
 	}
-	if traceJSON(t, got) != traceJSON(t, ref) {
-		t.Error("faulted run with fast-path hint differs from plain DES run")
+	clean, err := RunSimulated(Cori(3), p, es, SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traceJSON(t, got) == traceJSON(t, clean) {
+		t.Error("the degradation window left no mark on the trace")
 	}
 }
 
@@ -105,28 +104,19 @@ func campaignFingerprint(t *testing.T, cfg ServiceConfig) (string, ServiceStats)
 }
 
 // TestCampaignHintsFingerprintInvariant pins the service-level contract:
-// the fast path and the verified fast path are pure execution hints — the
-// campaign fingerprint is identical to the default configuration's, while
-// the fast-path counters prove the hints actually took effect.
+// how a job is executed and observed — pooled or serial, traced or not —
+// never shows in the campaign fingerprint, and the kernel serves every
+// job of the fault-free sweep either way.
 func TestCampaignHintsFingerprintInvariant(t *testing.T) {
-	base, _ := campaignFingerprint(t, ServiceConfig{Workers: 4})
-
-	fp, st := campaignFingerprint(t, ServiceConfig{Workers: 4, FastPath: true})
-	if fp != base {
-		t.Errorf("fast-path fingerprint %s != base %s", fp, base)
+	base, st := campaignFingerprint(t, ServiceConfig{Workers: 4})
+	if st.FastPathHits != st.CacheMisses || st.FastPathHits == 0 {
+		t.Errorf("kernel served %d of %d executed jobs, want all", st.FastPathHits, st.CacheMisses)
 	}
-	if st.FastPathHits == 0 {
-		t.Error("fast-path service recorded no hits over the fault-free Table 2 sweep")
+	traced, st := campaignFingerprint(t, ServiceConfig{Workers: 1, Tracer: tracing.NewTracer(tracing.NewStore(0, 0))})
+	if traced != base {
+		t.Errorf("traced serial fingerprint %s != base %s", traced, base)
 	}
-
-	vp, st := campaignFingerprint(t, ServiceConfig{Workers: 4, VerifyFastPath: true})
-	if vp != base {
-		t.Errorf("verified fast-path fingerprint %s != base %s", vp, base)
-	}
-	if st.FastPathHits == 0 {
-		t.Error("verify-fastpath service recorded no hits")
-	}
-	if st.FastPathVerified != st.FastPathHits {
-		t.Errorf("verified %d of %d fast-path hits, want all", st.FastPathVerified, st.FastPathHits)
+	if st.FastPathHits != st.CacheMisses || st.FastPathHits == 0 {
+		t.Errorf("traced: kernel served %d of %d executed jobs, want all", st.FastPathHits, st.CacheMisses)
 	}
 }

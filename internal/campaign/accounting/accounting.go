@@ -49,10 +49,10 @@ const (
 	// cache tiers it is an overlapping credit: the job still executed (its
 	// core-seconds are in the spent ledger), but planning was skipped.
 	TierPlanCache = "plancache"
-	// TierFastPath is the steady-state closed form replacing the DES.
-	// Also an overlapping credit: the job's simulated core-seconds are
-	// identical to a full DES run and stay in the spent ledger; what was
-	// avoided is dispatching the event loop.
+	// TierFastPath is the timeline kernel serving a job instead of the
+	// event engine. Also an overlapping credit: the job's simulated
+	// core-seconds are identical to an engine run and stay in the spent
+	// ledger; what was avoided is dispatching the event loop.
 	TierFastPath = "fastpath"
 )
 

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"ensemblekit/internal/campaign/accounting"
+	"ensemblekit/internal/obs"
 	"ensemblekit/internal/placement"
+	"ensemblekit/internal/runtime"
 )
 
 // runTaggedCampaign runs the two-member Table 2 sweep on a fresh service
@@ -60,31 +62,39 @@ func TestCampaignLedgerByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFastPathLedgerParity pins the accounting contract of the steady-
-// state fast path: it changes what the campaign *paid*, never what the
-// ledger *says the jobs cost*. Spent is bit-identical with the fast
-// path on or off; the avoided DES runs surface as fastpath-tier credit
-// on the enabled service only.
+// TestFastPathLedgerParity pins the accounting contract of the timeline
+// kernel: it changes what the campaign *paid*, never what the ledger
+// *says the jobs cost*. Spent is bit-identical whether the kernel or (a
+// recorder being attached) the engine serves the jobs; the avoided engine
+// runs surface as fastpath-tier credit on the kernel-served service only.
 func TestFastPathLedgerParity(t *testing.T) {
-	off := runTaggedCampaign(t, Config{Workers: 2})
-	on := runTaggedCampaign(t, Config{Workers: 2, FastPath: true})
+	on := runTaggedCampaign(t, Config{Workers: 2})
+	off := runTaggedCampaign(t, Config{Workers: 2,
+		runFn: func(_ context.Context, hash string, spec JobSpec) (*Result, runtime.RunInfo, error) {
+			tr, info, err := runSpec(spec, obs.NewRecorder(nil), nil)
+			if err != nil {
+				return nil, info, err
+			}
+			res, err := derive(hash, spec.Placement, tr)
+			return res, info, err
+		}})
 
 	if on.Simulated.SpentTotal != off.Simulated.SpentTotal {
-		t.Fatalf("SpentTotal with fast path %v != without %v",
+		t.Fatalf("SpentTotal from the kernel %v != from the engine %v",
 			on.Simulated.SpentTotal, off.Simulated.SpentTotal)
 	}
 	if on.Simulated.Spent != off.Simulated.Spent {
 		t.Fatalf("spent ledger differs: %+v vs %+v", on.Simulated.Spent, off.Simulated.Spent)
 	}
 	if off.Simulated.Saved.FastPath != 0 {
-		t.Fatalf("fast-path credit without the fast path: %v", off.Simulated.Saved.FastPath)
+		t.Fatalf("fastpath credit on engine-served jobs: %v", off.Simulated.Saved.FastPath)
 	}
 	if on.Simulated.Saved.FastPath <= 0 {
-		t.Fatal("fast path served no job; parity test exercised nothing")
+		t.Fatal("the kernel served no job; parity test exercised nothing")
 	}
 	// Overlapping credit: fastpath does not count as cache-served.
 	if on.Simulated.SavedCacheTotal != off.Simulated.SavedCacheTotal {
-		t.Fatalf("cache-saved changed with the fast path: %v vs %v",
+		t.Fatalf("cache-saved changed with the serving path: %v vs %v",
 			on.Simulated.SavedCacheTotal, off.Simulated.SavedCacheTotal)
 	}
 }
@@ -138,7 +148,7 @@ func TestStatsJSONShape(t *testing.T) {
 		`"cacheHits":0,"diskHits":0,"fleetHits":0,"cacheMisses":0,` +
 		`"dedups":0,"rejected":0,"retries":0,"quarantined":0,` +
 		`"workerPanics":0,"cacheCorrupt":0,"journalReplayed":0,` +
-		`"fastPathHits":0,"fastPathVerified":0,` +
+		`"fastPathHits":0,` +
 		`"queueDepth":0,"queueCapacity":0,"running":0,"workers":0,` +
 		`"cacheEntries":0,"cacheBytes":0,"hitRate":0}`
 	if string(b) != want {

@@ -78,7 +78,7 @@ func checkEqualsEagerBridge(t *testing.T, spec JobSpec, deferred []tracing.SpanD
 		t.Fatalf("execute span carries no affine map: anchor %v scale %v", anchor, scale)
 	}
 	rec := obs.NewRecorder(nil)
-	if _, _, err := runSpec(spec, rec, execHints{}); err != nil {
+	if _, _, err := runSpec(spec, rec, nil); err != nil {
 		t.Fatal(err)
 	}
 	eagerTracer := tracing.NewTracer(tracing.NewStore(0, 0))
@@ -98,13 +98,15 @@ func checkEqualsEagerBridge(t *testing.T, spec JobSpec, deferred []tracing.SpanD
 	return n
 }
 
-// deepSimSpec is pinnedSimSpec at 16 times the steps: a longer event log
-// than the shallow spec's, so a recycled log is first longer, then
-// shorter, than what it held.
-func deepSimSpec(t *testing.T, seed int64) JobSpec {
+// engineSpec is a C1.5 job that needs the engine (two staging slots), so
+// an observed run records the engine's event stream. The deep one (64
+// steps) has a longer event log than the shallow one (4), so a recycled
+// log is first longer, then shorter, than what it held.
+func engineSpec(t *testing.T, steps int, seed int64) JobSpec {
 	t.Helper()
 	p := placement.C15()
-	spec, err := NewJob(cluster.Cori(2), p, runtime.SpecForPlacement(p, 64), runtime.SimOptions{Seed: seed, Jitter: 0.1})
+	spec, err := NewJob(cluster.Cori(2), p, runtime.SpecForPlacement(p, steps),
+		runtime.SimOptions{Seed: seed, Jitter: 0.1, StagingSlots: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +119,12 @@ func deepSimSpec(t *testing.T, seed int64) JobSpec {
 // (which builds their spans): each equals an eager obs.BridgeSpans of its
 // own event stream under the same affine map.
 func TestDeferredSpansEqualEagerBridge(t *testing.T) {
-	specs := []JobSpec{deepSimSpec(t, 42), pinnedSimSpec(t)}
+	specs := []JobSpec{engineSpec(t, 64, 42), engineSpec(t, 4, 42)}
 	tracer := tracing.NewTracer(tracing.NewStore(0, 0))
 	execs := make([]*tracing.Span, len(specs))
 	for i, spec := range specs {
 		ctx, exec := tracer.StartSpan(context.Background(), "execute", "execute")
-		if _, _, err := executeSpec(ctx, tracer, pinnedSimHash, spec, execHints{}); err != nil {
+		if _, _, err := executeSpec(ctx, tracer, pinnedSimHash, spec, nil); err != nil {
 			t.Fatal(err)
 		}
 		exec.End()
@@ -166,9 +168,9 @@ func TestDeferredSpansReadWhileWorkersRecord(t *testing.T) {
 	t.Cleanup(svc.Close)
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
-		spec := jobFor(t, int64(100+i))
+		spec := engineSpec(t, 4, int64(100+i))
 		if i%2 == 0 {
-			spec = deepSimSpec(t, int64(100+i))
+			spec = engineSpec(t, 64, int64(100+i))
 		}
 		ctx, root := tracer.StartSpan(context.Background(), "test", "server")
 		j, err := svc.Submit(ctx, spec, SubmitOptions{})

@@ -403,6 +403,13 @@ func (s *Server) launch(run *campaignRun, sw Sweep, total int, parent context.Co
 	go func() {
 		start := time.Now()
 		res, err := RunCampaign(runCtx, s.svc, sw)
+		if res != nil {
+			// The per-seed results fed the aggregation and never reach the
+			// wire; a campaign's permanent record must not pin their traces.
+			for i := range res.Candidates {
+				res.Candidates[i].Results = nil
+			}
+		}
 		run.mu.Lock()
 		run.result, run.err = res, err
 		run.mu.Unlock()

@@ -209,13 +209,13 @@ type edge struct {
 
 // transition moves j along e and performs everything that follows from
 // the move, in one fixed order: (1) the job and its spans under j.mu,
-// (2) metrics, (3) the ledger, (4) the journal, (5) the singleflight
-// table under s.mu, (6) the event stream, (7) the Config.Recorder mirror,
-// (8) the log, (9) the done channel. An edge the table does not allow is
-// refused before step 1 has any effect, which is what makes terminal
-// states absorbing and every outcome published exactly once. Because a
-// terminal edge closes done last, a waiter that wakes up finds the journal
-// record written and the event published.
+// (2) metrics, (3) the ledger, (4) the journal, (5) the singleflight and
+// job tables under s.mu, (6) the event stream, (7) the Config.Recorder
+// mirror, (8) the log, (9) the done channel. An edge the table does not
+// allow is refused before step 1 has any effect, which is what makes
+// terminal states absorbing and every outcome published exactly once.
+// Because a terminal edge closes done last, a waiter that wakes up finds
+// the journal record written and the event published.
 //
 // Callers must not hold s.mu: steps 4 and 7 may block (an fsync, a slow
 // recorder sink) and must not stall admission.
@@ -362,11 +362,12 @@ func (s *Service) transition(j *Job, e edge) bool {
 		}
 	}
 
-	if e.to.terminal() && from != stateNew {
+	if e.to.terminal() {
 		s.mu.Lock()
 		if s.inflight[j.Hash] == j {
 			delete(s.inflight, j.Hash)
 		}
+		s.retireLocked(j.ID)
 		s.mu.Unlock()
 	}
 

@@ -35,7 +35,6 @@ type serviceMetrics struct {
 	journalReplays *telemetry.Counter
 	journalCompact *telemetry.Counter
 	fastpathHits   *telemetry.Counter
-	fastpathVerify *telemetry.Counter
 	coreSeconds    *telemetry.CounterVec // by component class and busy/idle state
 	coreSaved      *telemetry.CounterVec // by serving tier
 	spansDropped   *telemetry.Counter
@@ -101,9 +100,7 @@ func newServiceMetrics(r *telemetry.Registry) serviceMetrics {
 		journalCompact: r.Counter("campaign_journal_compactions_total",
 			"Snapshot compactions of the write-ahead log."),
 		fastpathHits: r.Counter("campaign_fastpath_hits_total",
-			"Jobs answered by the closed-form steady-state fast path."),
-		fastpathVerify: r.Counter("campaign_fastpath_verified_total",
-			"Fast-path hits that passed the DES cross-check."),
+			"Jobs served by the timeline kernel instead of the event engine."),
 		coreSeconds: r.CounterVec("campaign_core_seconds_total",
 			"Simulated core-seconds of jobs executed on this node, by component class and busy/idle state.",
 			"class", "state"),
@@ -154,11 +151,9 @@ type Stats struct {
 	CacheCorrupt int64 `json:"cacheCorrupt"`
 	// JournalReplayed counts jobs re-enqueued from the journal at startup.
 	JournalReplayed int64 `json:"journalReplayed"`
-	// FastPathHits counts jobs answered by the closed-form steady-state
-	// fast path; FastPathVerified is the subset that additionally passed
-	// the DES cross-check (Config.VerifyFastPath).
-	FastPathHits     int64 `json:"fastPathHits"`
-	FastPathVerified int64 `json:"fastPathVerified"`
+	// FastPathHits counts jobs served by the timeline kernel instead of
+	// the event engine.
+	FastPathHits int64 `json:"fastPathHits"`
 	// QueueDepth and Running describe the pool right now; QueueCapacity
 	// is the configured bound the depth saturates at.
 	QueueDepth    int `json:"queueDepth"`
@@ -185,28 +180,27 @@ func (s Stats) HitRate() float64 {
 func (s *Service) Stats() Stats {
 	m := &s.metrics
 	return Stats{
-		Submitted:        int64(m.submitted.Value()),
-		Completed:        int64(m.finished.With(string(StatusDone)).Value()),
-		Failed:           int64(m.finished.With(string(StatusFailed)).Value()),
-		Cancelled:        int64(m.finished.With(string(StatusCancelled)).Value()),
-		CacheHits:        int64(m.cacheHits.Value()),
-		DiskHits:         int64(m.diskHits.Value()),
-		FleetHits:        int64(m.fleetHits.Value()),
-		CacheMisses:      int64(m.cacheMisses.Value()),
-		Dedups:           int64(m.dedups.Value()),
-		Rejected:         int64(m.rejected.Value()),
-		Retries:          int64(m.retries.Value()),
-		Quarantined:      int64(m.quarantined.Value()),
-		WorkerPanics:     int64(m.workerPanics.Value()),
-		CacheCorrupt:     int64(m.cacheCorrupt.Value()),
-		JournalReplayed:  int64(m.journalReplays.Value()),
-		FastPathHits:     int64(m.fastpathHits.Value()),
-		FastPathVerified: int64(m.fastpathVerify.Value()),
-		QueueDepth:       int(m.queueDepth.Value()),
-		QueueCapacity:    int(m.queueCap.Value()),
-		Running:          int(m.running.Value()),
-		Workers:          int(m.workers.Value()),
-		CacheEntries:     int(m.cacheItems.Value()),
-		CacheBytes:       int64(m.cacheBytes.Value()),
+		Submitted:       int64(m.submitted.Value()),
+		Completed:       int64(m.finished.With(string(StatusDone)).Value()),
+		Failed:          int64(m.finished.With(string(StatusFailed)).Value()),
+		Cancelled:       int64(m.finished.With(string(StatusCancelled)).Value()),
+		CacheHits:       int64(m.cacheHits.Value()),
+		DiskHits:        int64(m.diskHits.Value()),
+		FleetHits:       int64(m.fleetHits.Value()),
+		CacheMisses:     int64(m.cacheMisses.Value()),
+		Dedups:          int64(m.dedups.Value()),
+		Rejected:        int64(m.rejected.Value()),
+		Retries:         int64(m.retries.Value()),
+		Quarantined:     int64(m.quarantined.Value()),
+		WorkerPanics:    int64(m.workerPanics.Value()),
+		CacheCorrupt:    int64(m.cacheCorrupt.Value()),
+		JournalReplayed: int64(m.journalReplays.Value()),
+		FastPathHits:    int64(m.fastpathHits.Value()),
+		QueueDepth:      int(m.queueDepth.Value()),
+		QueueCapacity:   int(m.queueCap.Value()),
+		Running:         int(m.running.Value()),
+		Workers:         int(m.workers.Value()),
+		CacheEntries:    int(m.cacheItems.Value()),
+		CacheBytes:      int64(m.cacheBytes.Value()),
 	}
 }

@@ -1,0 +1,152 @@
+package campaign
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	gort "runtime"
+	"strings"
+	"testing"
+
+	"ensemblekit/internal/runtime"
+)
+
+// TestEvictedJobIs404: finished jobs beyond the newest terminalJobsKept
+// leave the job table (their ID is then unknown: 404), while a job that is
+// still queued or running stays resolvable however old it is.
+func TestEvictedJobIs404(t *testing.T) {
+	release := make(chan struct{})
+	svc, err := NewService(Config{Workers: 2,
+		runFn: func(ctx context.Context, hash string, spec JobSpec) (*Result, runtime.RunInfo, error) {
+			if spec.Sim.Seed == 99 {
+				<-release
+			}
+			return executeSpec(ctx, nil, hash, spec, nil)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	ts := httptest.NewServer(NewServer(svc).Handler())
+	t.Cleanup(ts.Close)
+	status := func(id string) int {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	submit := func(seed int64) *Job {
+		j, err := svc.Submit(context.Background(), jobFor(t, seed), SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+
+	held := submit(99) // stays live until released
+	first := submit(1)
+	if _, err := first.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// terminalJobsKept cache hits finish after it: first is now one too many.
+	var oldestKept *Job
+	for i := 0; i < terminalJobsKept; i++ {
+		if j := submit(1); i == 0 {
+			oldestKept = j
+		}
+	}
+	if got := status(first.ID); got != http.StatusNotFound {
+		t.Errorf("evicted job %s: HTTP %d, want 404", first.ID, got)
+	}
+	if got := status(oldestKept.ID); got != http.StatusOK {
+		t.Errorf("oldest kept job %s: HTTP %d, want 200", oldestKept.ID, got)
+	}
+	if got := status(held.ID); got != http.StatusOK || held.Status() == StatusDone {
+		t.Errorf("live job %s (older than every finished one): HTTP %d, status %s", held.ID, got, held.Status())
+	}
+	close(release)
+	if _, err := held.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// It finished last, so it is the newest finished job and displaced the
+	// oldest.
+	if got := status(held.ID); got != http.StatusOK {
+		t.Errorf("just-finished job %s: HTTP %d, want 200", held.ID, got)
+	}
+	if got := status(oldestKept.ID); got != http.StatusNotFound {
+		t.Errorf("displaced job %s: HTTP %d, want 404", oldestKept.ID, got)
+	}
+}
+
+// TestServerRetainedHeapFlat drives never-repeated deep campaigns (21
+// jobs of 128 steps with jitter, every one a miss) through the HTTP
+// server with a memory cache too small to matter. Once the job table
+// holds terminalJobsKept finished jobs, nothing a further campaign leaves
+// behind may include its traces: the heap retained per campaign stays far
+// below one job's trace, and no goroutine outlives its campaign.
+func TestServerRetainedHeapFlat(t *testing.T) {
+	svc, err := NewService(Config{Workers: 2, CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	h := NewServer(svc).Handler()
+	do := func(method, path, body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return w
+	}
+	const jobsPer = 21
+	campaign := func(k int) {
+		seeds := make([]string, jobsPer)
+		for i := range seeds {
+			seeds[i] = fmt.Sprint(k*jobsPer + i + 1)
+		}
+		w := do("POST", "/v1/campaigns", fmt.Sprintf(
+			`{"configs":["C_f"],"steps":128,"seeds":[%s],"sim":{"jitter":0.02}}`, strings.Join(seeds, ",")))
+		var st CampaignStatus
+		if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil || w.Code != http.StatusAccepted {
+			t.Fatalf("POST: HTTP %d, %v", w.Code, err)
+		}
+		do("GET", "/v1/campaigns/"+st.ID+"/events", "") // returns at the summary event
+		if err := json.Unmarshal(do("GET", "/v1/campaigns/"+st.ID, "").Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Status != "done" || st.Result.Jobs != jobsPer || st.Result.CacheHits != 0 || st.Result.Failed != 0 {
+			t.Fatalf("campaign %d: %+v", k, st)
+		}
+	}
+	settled := func() (heap uint64, goroutines int) {
+		gort.GC()
+		gort.GC()
+		var ms gort.MemStats
+		gort.ReadMemStats(&ms)
+		return ms.HeapAlloc, gort.NumGoroutine()
+	}
+
+	warmup := terminalJobsKept/jobsPer + 5 // fills the job table
+	const measured = 300
+	for k := 0; k < warmup; k++ {
+		campaign(k)
+	}
+	heap0, g0 := settled()
+	for k := warmup; k < warmup+measured; k++ {
+		campaign(k)
+	}
+	heap1, g1 := settled()
+	gort.KeepAlive(h) // the server's campaign records are part of what is measured
+
+	perCampaign := (int64(heap1) - int64(heap0)) / measured
+	t.Logf("retained heap %d → %d B over %d campaigns: %d B/campaign; goroutines %d → %d",
+		heap0, heap1, measured, perCampaign, g0, g1)
+	if perCampaign > 256<<10 {
+		t.Errorf("retained heap grows %d B per campaign, want < 256 KiB", perCampaign)
+	}
+	if g1 > g0 {
+		t.Errorf("goroutines grew %d → %d", g0, g1)
+	}
+}

@@ -89,18 +89,6 @@ type Config struct {
 	// reliably — and is a no-op in production configurations.
 	ExecDelay time.Duration
 
-	// FastPath answers fault-free steady-state-eligible jobs from the
-	// Eq. 1-9 closed forms instead of the DES, bit-identically (see
-	// TestFastPathBitIdentical). Ineligible jobs fall through to the
-	// DES untouched. Counted by campaign_fastpath_hits_total.
-	FastPath bool
-	// VerifyFastPath additionally re-runs every fast-path hit through
-	// the DES and fails the job if the derived quantities disagree
-	// beyond float tolerance (implies FastPath; the cross-check mode
-	// for validating the closed forms, not a production setting).
-	// Counted by campaign_fastpath_verified_total.
-	VerifyFastPath bool
-
 	// runFn overrides job execution (tests count real simulations with
 	// it); it receives the spec and the hash admission computed for it and
 	// reports how the run was served. Nil runs Service.defaultRun.
@@ -124,9 +112,6 @@ func (c Config) normalized() Config {
 		c.EventBuffer = 256
 	}
 	c.Retry = c.Retry.normalized()
-	if c.VerifyFastPath {
-		c.FastPath = true
-	}
 	// runFn's default is installed by NewService (Service.defaultRun): it
 	// needs the service's World and metrics, which don't exist yet here.
 	return c
@@ -161,7 +146,8 @@ type Service struct {
 	// being announced outside the lock; enqueue turns each into a push.
 	admitting   int
 	inflight    map[string]*Job      // hash -> queued, running or backed-off job
-	jobs        map[string]*Job      // id -> every job ever returned
+	jobs        map[string]*Job      // id -> every live job and the newest terminalJobsKept finished ones
+	finished    []string             // IDs of the finished jobs still in jobs, oldest first
 	retryTimers map[*Job]*time.Timer // jobs waiting out a retry backoff
 	cache       *resultCache
 	closed      bool
@@ -542,7 +528,23 @@ func (s *Service) newJobLocked(ctx context.Context, spec JobSpec, hash string, o
 	return j
 }
 
-// Job looks up a job by ID.
+// terminalJobsKept bounds how many finished jobs stay resolvable by ID
+// (and so how many results the job table can pin): the newest this many.
+// Queued, running and backed-off jobs are never evicted.
+const terminalJobsKept = 4096
+
+// retireLocked notes that the job with this ID finished, evicting the
+// oldest finished job once more than terminalJobsKept are held.
+func (s *Service) retireLocked(id string) {
+	s.finished = append(s.finished, id)
+	if len(s.finished) > terminalJobsKept {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
+}
+
+// Job looks up a job by ID: any live job, or one of the newest
+// terminalJobsKept finished ones.
 func (s *Service) Job(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -175,9 +175,9 @@ func (s *Service) runShielded(ctx context.Context, j *Job) (res *Result, info ru
 	return s.cfg.runFn(ctx, j.Hash, j.spec)
 }
 
-// defaultRun is the production runFn: the hinted serial execution — the
-// shared World and the steady-state fast path with its optional DES
-// cross-check — traced when the worker's execute span is recording.
+// defaultRun is the production runFn: the serial execution over the
+// service's shared World, traced when the worker's execute span is
+// recording.
 func (s *Service) defaultRun(ctx context.Context, hash string, spec JobSpec) (*Result, runtime.RunInfo, error) {
 	if d := s.cfg.ExecDelay; d > 0 {
 		t := time.NewTimer(d)
@@ -188,29 +188,16 @@ func (s *Service) defaultRun(ctx context.Context, hash string, spec JobSpec) (*R
 			return nil, runtime.RunInfo{}, ctx.Err()
 		}
 	}
-	h := execHints{world: s.world, fastPath: s.cfg.FastPath}
-	res, info, err := executeSpec(ctx, s.cfg.Tracer, hash, spec, h)
-	if err != nil {
-		if ctx.Err() == nil {
-			// A simulated run is a pure function of its spec: an identical
-			// re-run fails identically, so simulation errors never retry.
-			err = Permanent(err)
-		}
-		return res, info, err
+	res, info, err := executeSpec(ctx, s.cfg.Tracer, hash, spec, s.world)
+	if err != nil && ctx.Err() == nil {
+		// A simulated run is a pure function of its spec: an identical
+		// re-run fails identically, so simulation errors never retry.
+		err = Permanent(err)
 	}
-	if !info.FastPath {
-		return res, info, nil
+	if info.FastPath {
+		s.metrics.fastpathHits.Inc()
 	}
-	s.metrics.fastpathHits.Inc()
-	if s.cfg.VerifyFastPath {
-		if verr := verifyFastPath(spec, res, h); verr != nil {
-			// A cross-check failure is a model bug: deterministic, never
-			// retryable.
-			return nil, info, Permanent(verr)
-		}
-		s.metrics.fastpathVerify.Inc()
-	}
-	return res, info, nil
+	return res, info, err
 }
 
 // retryAfter parks a transiently-failed job for delay. The backoff runs

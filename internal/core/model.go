@@ -13,7 +13,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Coupling holds the steady-state read and analysis stages of one coupling
@@ -179,32 +178,6 @@ func (ss SteadyState) CouplingScenario(i int) (Scenario, error) {
 	default:
 		return Balanced, nil
 	}
-}
-
-// ApproxEqual reports whether two steady states agree within relative
-// tolerance tol on every stage duration (S, W, and each coupling's R and
-// A). Couplings are compared positionally; differing coupling counts are
-// never equal. Used by the fast-path cross-check to assert Eq. 5-9
-// agreement between the closed form and the DES.
-func (ss SteadyState) ApproxEqual(o SteadyState, tol float64) bool {
-	if len(ss.Couplings) != len(o.Couplings) {
-		return false
-	}
-	if !approxEq(ss.S, o.S, tol) || !approxEq(ss.W, o.W, tol) {
-		return false
-	}
-	for i, c := range ss.Couplings {
-		if !approxEq(c.R, o.Couplings[i].R, tol) || !approxEq(c.A, o.Couplings[i].A, tol) {
-			return false
-		}
-	}
-	return true
-}
-
-// approxEq compares two durations at relative tolerance tol, scaled by
-// the larger magnitude (exact match required at zero scale).
-func approxEq(a, b, tol float64) bool {
-	return math.Abs(a-b) <= tol*math.Max(math.Abs(a), math.Abs(b))
 }
 
 // SatisfiesEq4 reports whether every coupling satisfies the paper's

@@ -8,19 +8,13 @@
 // sharing (e.g., two analyses pulling from the same producer node, the C1.4
 // pattern) comes out of the dynamics rather than a static formula.
 //
-// The reallocation path is allocation-free in steady state: flow structs
-// are pooled, each flow carries its precomputed link-constraint list, and
-// assignRates water-fills over scratch buffers owned by the Fabric. None
-// of this changes the arithmetic — rates are computed over the same links
-// in the same stable flow order, so simulated timestamps are identical to
-// the straightforward implementation (pinned by the golden determinism
-// tests at the repository root).
+// The arithmetic — settle, water-fill, completion sweep — lives in
+// FlowSet (flowset.go); Fabric binds it to a simulation environment.
 package network
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"ensemblekit/internal/obs"
 	"ensemblekit/internal/sim"
@@ -77,37 +71,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Flow is an in-flight transfer. Flow structs are pooled on the Fabric;
-// ownership of a record follows the party that removes it from the active
-// set: the completion path (onEvent) releases flows it unparks, and the
-// Transfer error path releases flows whose wait was interrupted.
-type flow struct {
-	src, dst  int
-	remaining float64 // bytes
-	rate      float64 // bytes/s under the current allocation
-	proc      *sim.Proc
-	done      bool
-	// size is the requested transfer size; size-remaining is the bytes
-	// delivered, reported on the flow-end instrumentation event.
-	size float64
-	// link is the precomputed obs label ("n0->n1"), empty when
-	// instrumentation is off.
-	link string
-	// links is the flow's constraint list — egress, ingress, and (for
-	// inter-group flows under a dragonfly topology) group uplink and
-	// downlink indices into the fabric's capacity arrays — precomputed at
-	// admission so reallocation never rebuilds it.
-	links  [4]int32
-	nlinks uint8
-	// idx is the flow's slot in Fabric.flows, giving removal without a
-	// scan (-1 when not in the active set).
-	idx int32
-}
-
-// CancelWait implements sim.Waiter for the blocked transfer: marking the
-// flow done makes the completion path's pending Unpark a no-op.
-func (fl *flow) CancelWait(*sim.Proc) { fl.done = true }
-
 // degradeWindow is a transient capacity-degradation interval: while
 // active, every link capacity and the per-flow cap are multiplied by
 // factor.
@@ -115,37 +78,22 @@ type degradeWindow struct {
 	start, end, factor float64
 }
 
-// Fabric is the interconnect model bound to a simulation environment.
+// Fabric is the interconnect model bound to a simulation environment: a
+// FlowSet driven by the environment's clock, with transfers parked on it
+// as processes and its joins and completions on the instrumentation bus.
 type Fabric struct {
-	env        *sim.Env
-	cfg        Config
-	flows      []*flow
-	lastSettle float64
+	env *sim.Env
+	set FlowSet
 	// next is the pending earliest-completion callback.
 	next sim.Timer
 	// onEventFn is the bound completion callback, created once so
 	// reallocate does not allocate a method value per reschedule.
 	onEventFn func()
-	// TotalBytes counts all bytes ever delivered (for reporting).
-	totalBytes float64
 	// degrade holds transient capacity-degradation windows (fault
 	// injection); boundary crossings re-settle and re-balance all flows,
 	// and prune windows that have ended so capacityFactor only ever scans
 	// live ones.
 	degrade []degradeWindow
-
-	// Link layout (fixed per configuration): [0,N) egress, [N,2N)
-	// ingress, then per-group global uplinks and downlinks when a
-	// topology is configured.
-	nLinks int
-	groups int
-	// rem/count/unfixed are assignRates scratch, reused across
-	// reallocations so the water-filling loop performs zero allocations.
-	rem     []float64
-	count   []int32
-	unfixed []*flow
-	// free is the flow pool.
-	free []*flow
 }
 
 // NewFabric builds a fabric over the environment.
@@ -153,14 +101,8 @@ func NewFabric(env *sim.Env, cfg Config) (*Fabric, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	f := &Fabric{env: env, cfg: cfg}
-	f.nLinks = 2 * cfg.Nodes
-	if cfg.Topology != nil {
-		f.groups = cfg.Topology.groups(cfg.Nodes)
-		f.nLinks += 2 * f.groups
-	}
-	f.rem = make([]float64, f.nLinks)
-	f.count = make([]int32, f.nLinks)
+	f := &Fabric{env: env}
+	f.set.Reset(cfg)
 	f.onEventFn = f.onEvent
 	return f, nil
 }
@@ -182,7 +124,7 @@ func (f *Fabric) Degrade(start, end, factor float64) error {
 	f.degrade = append(f.degrade, degradeWindow{start: start, end: end, factor: factor})
 	rebalance := func() {
 		f.pruneDegrade()
-		f.settle()
+		f.set.Settle(f.env.Now())
 		f.reallocate()
 	}
 	f.env.At(start, func() {
@@ -223,49 +165,10 @@ func (f *Fabric) capacityFactor(t float64) float64 {
 }
 
 // ActiveFlows returns the number of in-flight transfers.
-func (f *Fabric) ActiveFlows() int { return len(f.flows) }
+func (f *Fabric) ActiveFlows() int { return len(f.set.flows) }
 
 // TotalBytes returns the cumulative bytes delivered.
-func (f *Fabric) TotalBytes() float64 { return f.totalBytes }
-
-// newFlow takes a flow from the pool and initializes it, precomputing the
-// constraint list.
-func (f *Fabric) newFlow(p *sim.Proc, src, dst int, bytes float64) *flow {
-	var fl *flow
-	if n := len(f.free); n > 0 {
-		fl = f.free[n-1]
-		f.free[n-1] = nil
-		f.free = f.free[:n-1]
-	} else {
-		fl = &flow{}
-	}
-	fl.src, fl.dst = src, dst
-	fl.remaining, fl.size = bytes, bytes
-	fl.rate = 0
-	fl.proc = p
-	fl.done = false
-	fl.link = ""
-	fl.idx = -1
-	n := f.cfg.Nodes
-	fl.links[0] = int32(src)
-	fl.links[1] = int32(n + dst)
-	fl.nlinks = 2
-	if t := f.cfg.Topology; t != nil {
-		if gs, gd := t.groupOf(src), t.groupOf(dst); gs != gd {
-			fl.links[2] = int32(2*n + gs)
-			fl.links[3] = int32(2*n + f.groups + gd)
-			fl.nlinks = 4
-		}
-	}
-	return fl
-}
-
-// releaseFlow returns a flow to the pool (see the ownership rule on flow).
-func (f *Fabric) releaseFlow(fl *flow) {
-	fl.proc = nil
-	fl.link = ""
-	f.free = append(f.free, fl)
-}
+func (f *Fabric) TotalBytes() float64 { return f.set.totalBytes }
 
 // Transfer moves bytes from node src to node dst, blocking the calling
 // process until the transfer (including protocol latency) completes.
@@ -275,14 +178,14 @@ func (f *Fabric) Transfer(p *sim.Proc, src, dst int, bytes int64) error {
 	if src == dst {
 		return fmt.Errorf("network: transfer from node %d to itself (use a local copy)", src)
 	}
-	if src < 0 || src >= f.cfg.Nodes || dst < 0 || dst >= f.cfg.Nodes {
-		return fmt.Errorf("network: endpoints %d->%d out of range [0,%d)", src, dst, f.cfg.Nodes)
+	if src < 0 || src >= f.set.cfg.Nodes || dst < 0 || dst >= f.set.cfg.Nodes {
+		return fmt.Errorf("network: endpoints %d->%d out of range [0,%d)", src, dst, f.set.cfg.Nodes)
 	}
 	if bytes < 0 {
 		return fmt.Errorf("network: negative transfer size %d", bytes)
 	}
-	latency := f.cfg.Latency
-	if t := f.cfg.Topology; t != nil && t.groupOf(src) != t.groupOf(dst) {
+	latency := f.set.cfg.Latency
+	if t := f.set.cfg.Topology; t != nil && t.groupOf(src) != t.groupOf(dst) {
 		latency += t.GlobalLatency
 	}
 	if latency > 0 {
@@ -293,225 +196,61 @@ func (f *Fabric) Transfer(p *sim.Proc, src, dst int, bytes int64) error {
 	if bytes == 0 {
 		return nil
 	}
-	fl := f.newFlow(p, src, dst, float64(bytes))
+	f.set.Settle(f.env.Now())
+	fl := f.set.Join(src, dst, float64(bytes))
+	fl.proc = p
 	if rec := f.env.Recorder(); rec.Enabled() {
 		fl.link = obs.LinkLabel(src, dst)
 		rec.FlowStart(fl.link, src, dst, fl.size)
 	}
-	f.settle()
-	fl.idx = int32(len(f.flows))
-	f.flows = append(f.flows, fl)
 	f.reallocate()
 	// Block until the completion callback wakes us.
 	if err := p.ParkOn(fl); err != nil {
 		// Interrupted: remove the flow and re-balance survivors.
-		f.settle()
-		f.remove(fl)
+		f.set.Settle(f.env.Now())
+		f.set.Leave(fl)
 		f.flowEnd(fl)
 		f.reallocate()
-		f.releaseFlow(fl)
+		f.set.Release(fl)
 		return err
 	}
 	return nil
 }
 
 // flowEnd emits the instrumentation record for a flow leaving the fabric.
-func (f *Fabric) flowEnd(fl *flow) {
+func (f *Fabric) flowEnd(fl *Flow) {
 	if fl.link == "" {
 		return
 	}
 	f.env.Recorder().FlowEnd(fl.link, fl.src, fl.dst, fl.size-fl.remaining)
 }
 
-// settle charges elapsed time against every active flow at current rates.
-// The dt == 0 cheap-exit matters: re-balance points (completion events,
-// interrupt cleanup, degradation boundaries) frequently coincide at one
-// timestamp, and only the first settle at that instant may walk the flows.
-func (f *Fabric) settle() {
-	dt := f.env.Now() - f.lastSettle
-	f.lastSettle = f.env.Now()
-	if dt <= 0 {
-		return
-	}
-	for _, fl := range f.flows {
-		progress := fl.rate * dt
-		if progress > fl.remaining {
-			progress = fl.remaining
-		}
-		fl.remaining -= progress
-		f.totalBytes += progress
-	}
-}
-
-// remove deletes a flow from the active set via its recorded slot,
-// shifting the tail down (order is semantically significant: assignRates
-// fixes flows in stable order and the completion path wakes processes in
-// flow order, so a swap-remove would perturb determinism).
-func (f *Fabric) remove(fl *flow) {
-	i := int(fl.idx)
-	if i < 0 || i >= len(f.flows) || f.flows[i] != fl {
-		return
-	}
-	copy(f.flows[i:], f.flows[i+1:])
-	last := len(f.flows) - 1
-	f.flows[last] = nil
-	f.flows = f.flows[:last]
-	for ; i < last; i++ {
-		f.flows[i].idx = int32(i)
-	}
-	fl.idx = -1
-}
-
-// reallocate recomputes max-min fair rates and schedules the next
+// reallocate recomputes max-min fair rates (transient degradation scales
+// every capacity; window boundaries re-settle and call back in here, so
+// the factor is constant between reallocations) and schedules the next
 // completion event.
 func (f *Fabric) reallocate() {
 	f.next.Cancel()
 	f.next = sim.Timer{}
-	if len(f.flows) == 0 {
-		return
+	if dt, ok := f.set.Reallocate(f.capacityFactor(f.env.Now())); ok {
+		f.next = f.env.AtTimer(f.env.Now()+dt, f.onEventFn)
 	}
-	f.assignRates()
-	// Earliest completion among active flows.
-	next := math.Inf(1)
-	for _, fl := range f.flows {
-		if fl.rate <= 0 {
-			continue
-		}
-		t := fl.remaining / fl.rate
-		if t < next {
-			next = t
-		}
-	}
-	if math.IsInf(next, 1) {
-		return
-	}
-	f.next = f.env.AtTimer(f.env.Now()+next, f.onEventFn)
 }
 
 // onEvent fires at the earliest projected completion: settle progress,
 // complete exhausted flows, and re-balance the rest.
 func (f *Fabric) onEvent() {
 	f.next = sim.Timer{}
-	f.settle()
-	// A flow completes when its residual is sub-byte, or would drain in
-	// less time than the clock can resolve (guarding against an infinite
-	// reschedule loop when now+dt rounds back to now).
-	const epsBytes = 1e-3
-	const epsTime = 1e-9
-	w := 0
-	for _, fl := range f.flows {
-		if fl.remaining <= epsBytes || (fl.rate > 0 && fl.remaining/fl.rate <= epsTime) {
-			f.totalBytes += fl.remaining
-			fl.remaining = 0
-			f.flowEnd(fl)
-			fl.idx = -1
-			if !fl.done {
-				fl.done = true
-				fl.proc.Unpark()
-				f.releaseFlow(fl)
-			}
-			// An already-done flow was interrupted at this same instant;
-			// its Transfer error path owns (and releases) the record.
-		} else {
-			fl.idx = int32(w)
-			f.flows[w] = fl
-			w++
+	f.set.Settle(f.env.Now())
+	for _, fl := range f.set.Sweep() {
+		f.flowEnd(fl)
+		if !fl.done {
+			fl.done = true
+			fl.proc.Unpark()
+			f.set.Release(fl)
 		}
+		// An already-done flow was interrupted at this same instant; its
+		// Transfer error path owns (and releases) the record.
 	}
-	for i := w; i < len(f.flows); i++ {
-		f.flows[i] = nil
-	}
-	f.flows = f.flows[:w]
 	f.reallocate()
-}
-
-// assignRates computes a max-min fair allocation subject to per-node
-// egress/ingress capacities, per-group global-link capacities (when a
-// dragonfly topology is configured), and the per-flow cap, using
-// progressive water-filling over the precomputed per-flow constraint
-// lists. All state lives in scratch buffers on the Fabric; the loop
-// allocates nothing.
-func (f *Fabric) assignRates() {
-	n := f.cfg.Nodes
-	// Transient degradation scales every capacity (and the per-flow cap
-	// below); window boundaries re-settle and call back in here, so the
-	// factor is constant between reallocations.
-	factor := f.capacityFactor(f.env.Now())
-	rem, count := f.rem, f.count
-	for i := 0; i < n; i++ {
-		rem[i] = f.cfg.bandwidthOf(i) * factor   // egress
-		rem[n+i] = f.cfg.bandwidthOf(i) * factor // ingress
-	}
-	for g := 0; g < f.groups; g++ {
-		rem[2*n+g] = f.cfg.Topology.GlobalBandwidth * factor          // uplink of group g
-		rem[2*n+f.groups+g] = f.cfg.Topology.GlobalBandwidth * factor // downlink of group g
-	}
-	for i := range count {
-		count[i] = 0
-	}
-	perFlowCap := f.cfg.PerFlowCap * factor
-
-	unfixed := append(f.unfixed[:0], f.flows...)
-	for _, fl := range unfixed {
-		for _, l := range fl.links[:fl.nlinks] {
-			count[l]++
-		}
-	}
-	for len(unfixed) > 0 {
-		// Bottleneck fair share across all constrained links.
-		share := math.Inf(1)
-		for l := 0; l < f.nLinks; l++ {
-			if count[l] > 0 {
-				if s := rem[l] / float64(count[l]); s < share {
-					share = s
-				}
-			}
-		}
-		if perFlowCap > 0 && perFlowCap <= share {
-			// The protocol cap binds before any link: every remaining flow
-			// gets the cap.
-			for _, fl := range unfixed {
-				fl.rate = perFlowCap
-			}
-			break
-		}
-		// Fix flows crossing a bottleneck link at the fair share,
-		// iterating in stable flow order for determinism; survivors are
-		// compacted in place.
-		fixedAny := false
-		w := 0
-		for _, fl := range unfixed {
-			bottlenecked := false
-			for _, l := range fl.links[:fl.nlinks] {
-				if rem[l]/float64(count[l]) <= share+1e-9 {
-					bottlenecked = true
-					break
-				}
-			}
-			if bottlenecked {
-				fl.rate = share
-				for _, l := range fl.links[:fl.nlinks] {
-					rem[l] -= share
-					count[l]--
-				}
-				fixedAny = true
-			} else {
-				unfixed[w] = fl
-				w++
-			}
-		}
-		unfixed = unfixed[:w]
-		if !fixedAny {
-			// Defensive: should not happen; avoid an infinite loop.
-			for _, fl := range unfixed {
-				fl.rate = share
-			}
-			break
-		}
-	}
-	// Keep the (possibly grown) scratch backing for the next reallocation.
-	// Stale flow refs in the backing are harmless: flows are pooled for
-	// the fabric's lifetime and the scratch is always rewritten from
-	// f.flows before being read.
-	f.unfixed = unfixed[:0]
 }

@@ -480,20 +480,15 @@ func TestAssignRatesProperties(t *testing.T) {
 				GlobalBandwidth: 1e8 * float64(1+rng.Intn(30)),
 			}
 		}
-		env := sim.NewEnv()
-		fab, err := NewFabric(env, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var fab FlowSet
+		fab.Reset(cfg)
 		nFlows := 1 + rng.Intn(12)
 		for f := 0; f < nFlows; f++ {
 			src := rng.Intn(nodes)
 			dst := (src + 1 + rng.Intn(nodes-1)) % nodes
-			fl := fab.newFlow(nil, src, dst, 1e9)
-			fl.idx = int32(len(fab.flows))
-			fab.flows = append(fab.flows, fl)
+			fab.Join(src, dst, 1e9)
 		}
-		fab.assignRates()
+		fab.assignRates(1)
 		// Per-flow constraints.
 		egUsed := make([]float64, nodes)
 		inUsed := make([]float64, nodes)
@@ -534,6 +529,5 @@ func TestAssignRatesProperties(t *testing.T) {
 				}
 			}
 		}
-		fab.flows = nil
 	}
 }

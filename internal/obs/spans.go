@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ensemblekit/internal/telemetry/tracing"
+	"ensemblekit/internal/trace"
 )
 
 // Span bridge: replays an obs event stream (virtual clock) as completed
@@ -69,12 +70,39 @@ func spanCounts(events []Event) (comps, stages, rest int) {
 // nothing. Returns the spans deferred.
 func DeferSpans(tr *tracing.Tracer, parent tracing.SpanContext, events []Event, anchor time.Time, scale float64) int {
 	comps, stages, rest := spanCounts(events)
-	n := comps + stages + rest
-	tr.Store().Defer(parent.TraceID, n, func() func() []tracing.SpanData {
+	return deferBridge(tr, parent, comps+stages+rest, anchor, scale, func() func() []Event {
 		own := slices.Clone(events)
+		return func() []Event { return own }
+	})
+}
+
+// DeferTraceSpans defers the component and stage spans of a finished
+// trace — what a run with no live event stream shows for itself: the first
+// reader replays it into events (FromTrace) and bridges those. Nothing is
+// copied; the batch holds et, which must not change afterwards. Returns
+// the spans deferred.
+func DeferTraceSpans(tr *tracing.Tracer, parent tracing.SpanContext, et *trace.EnsembleTrace, anchor time.Time, scale float64) int {
+	n := 0
+	for _, c := range et.Components() {
+		n++
+		for _, step := range c.Steps {
+			n += len(step.Stages)
+		}
+	}
+	return deferBridge(tr, parent, n, anchor, scale, func() func() []Event {
+		return func() []Event { return FromTrace(et) }
+	})
+}
+
+// deferBridge hands the span store a batch of n spans that bridges the
+// events admit's result yields; admit runs only if the store takes the
+// batch.
+func deferBridge(tr *tracing.Tracer, parent tracing.SpanContext, n int, anchor time.Time, scale float64, admit func() func() []Event) int {
+	tr.Store().Defer(parent.TraceID, n, func() func() []tracing.SpanData {
+		events := admit()
 		return func() []tracing.SpanData {
 			scratch := tracing.NewTracer(tracing.NewStore(1, n))
-			BridgeSpans(scratch, parent, own, anchor, scale)
+			BridgeSpans(scratch, parent, events(), anchor, scale)
 			return scratch.Store().Spans(parent.TraceID)
 		}
 	})

@@ -1,0 +1,257 @@
+package runtime_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"testing"
+
+	"ensemblekit/internal/cluster"
+	"ensemblekit/internal/faults"
+	"ensemblekit/internal/kernels"
+	"ensemblekit/internal/network"
+	"ensemblekit/internal/obs"
+	"ensemblekit/internal/placement"
+	"ensemblekit/internal/runtime"
+	"ensemblekit/internal/scheduler"
+	"ensemblekit/internal/workload"
+)
+
+// The differential oracle of the timeline kernel: the engine plays "the
+// real run", and the kernel must reproduce its trace byte for byte. The
+// engine is selected the way a caller selects it — by attaching a recorder
+// (a request for the event stream), which never changes the trace
+// (TestSimulatedRecorderBitIdentical).
+
+// diffCase is one generated configuration.
+type diffCase struct {
+	name string
+	spec cluster.Spec
+	p    placement.Placement
+	es   runtime.EnsembleSpec
+	opts runtime.SimOptions
+}
+
+func traceBytes(t testing.TB, c diffCase, opts runtime.SimOptions, wantKernel bool) []byte {
+	t.Helper()
+	tr, info, err := runtime.RunSimulatedInfo(c.spec, c.p, c.es, opts)
+	if err != nil {
+		t.Fatalf("%s: kernel=%v: %v", c.name, wantKernel, err)
+	}
+	if info.FastPath != wantKernel || (wantKernel && info.DESEvents != 0) {
+		t.Fatalf("%s: served by kernel=%v with %d engine events, want kernel=%v",
+			c.name, info.FastPath, info.DESEvents, wantKernel)
+	}
+	b, err := json.Marshal(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// checkKernelEqualsEngine runs c on both and compares the trace bytes.
+func checkKernelEqualsEngine(t testing.TB, world *runtime.World, c diffCase) {
+	t.Helper()
+	engine := c.opts
+	engine.Recorder = obs.NewRecorder(nil)
+	want := traceBytes(t, c, engine, false)
+	kernel := c.opts
+	kernel.World = world
+	if got := traceBytes(t, c, kernel, true); !bytes.Equal(got, want) {
+		t.Fatalf("%s: kernel trace differs from engine trace", c.name)
+	}
+}
+
+var (
+	diffSteps = []int{1, 2, 8, 37, 128}
+	// diffStepsRotation deals the generated families their step counts:
+	// mostly short (the cases are many), one in seven deep; its length is
+	// coprime to the jitter, seed and fabric rotations.
+	diffStepsRotation = []int{1, 2, 8, 37, 2, 8, 128}
+	diffJitters       = []float64{0.02, 0.1, 0.5} // 0.5 exercises the clamp
+	// diffFabrics: the default (per-flow cap binds), then NICs below the
+	// 1.5 GB/s cap so the water-fill shares links, each with no, the
+	// default, and a stage-sized latency.
+	diffNICs      = []float64{8e9, 2e9, 2e8, 3e7}
+	diffLatencies = []float64{0, 2e-6, 0.5}
+)
+
+func fabricVariant(spec cluster.Spec, v int) cluster.Spec {
+	spec.NICBandwidth = diffNICs[v%len(diffNICs)]
+	spec.NICLatency = diffLatencies[(v/len(diffNICs))%len(diffLatencies)]
+	return spec
+}
+
+const fabricVariants = 12
+
+// tableCases: every Table 2 and Table 4 configuration at every step count;
+// unjittered (where symmetric members tie on every event) on all twelve
+// fabrics, and each jitter on eight seeds with the fabrics dealt round
+// robin.
+func tableCases() []diffCase {
+	var out []diffCase
+	configs := append(placement.ConfigsTable2(), placement.ConfigsTable4()...)
+	v := 0
+	for _, p := range configs {
+		for _, steps := range diffSteps {
+			es := runtime.SpecForPlacement(p, steps)
+			for f := 0; f < fabricVariants; f++ {
+				out = append(out, diffCase{
+					name: fmt.Sprintf("%s/steps%d/j0/fabric%d", p.Name, steps, f),
+					spec: fabricVariant(cluster.Cori(3), f), p: p, es: es,
+				})
+			}
+			for _, j := range diffJitters {
+				for seed := int64(1); seed <= 8; seed++ {
+					out = append(out, diffCase{
+						name: fmt.Sprintf("%s/steps%d/j%v/seed%d/fabric%d", p.Name, steps, j, seed, v%fabricVariants),
+						spec: fabricVariant(cluster.Cori(3), v), p: p, es: es,
+						opts: runtime.SimOptions{Jitter: j, Seed: seed},
+					})
+					v++
+				}
+			}
+		}
+	}
+	return out
+}
+
+// enumeratedCases: every placement the scheduler enumerates for two
+// members with K = 1, 2, 3 analyses on three nodes, under four ensembles:
+// two whose members differ in stride, analysis cost and chunk size (one
+// with a member staging empty chunks), on rotating steps, jitters, seeds
+// and fabrics; and two of identical members — the paper's, and one with
+// analyses slow enough that the simulations idle — unjittered, so that
+// every event of one member ties with the other's and up to six equal
+// flows share a link.
+func enumeratedCases(t testing.TB) []diffCase {
+	var out []diffCase
+	v := 0
+	for k := 1; k <= 3; k++ {
+		for variant := 0; variant < 4; variant++ {
+			es := workload.Random(workload.GenOptions{
+				Members: 2, MinAnalyses: k, MaxAnalyses: k,
+				StrideMin: 400, StrideMax: 1600, AnalysisScaleMin: 0.5, AnalysisScaleMax: 3,
+				Seed: int64(10*k + variant),
+			})
+			es.Members[0].Sim.BytesPerStep /= 3
+			switch variant {
+			case 1:
+				es.Members[1].Sim.BytesPerStep = 0
+			case 2, 3:
+				es = runtime.PaperEnsemble(es.Name, 2, k, 0)
+				for i := range es.Members {
+					for j := range es.Members[i].Analyses {
+						es.Members[i].Analyses[j] = kernels.ScaledAnalysisProfile(float64(2*variant - 3))
+					}
+				}
+			}
+			var placements []placement.Placement
+			collect := func(p placement.Placement) (float64, error) {
+				placements = append(placements, p)
+				return 0, nil
+			}
+			if _, err := scheduler.Exhaustive(cluster.Cori(3), es, 3, collect); err != nil {
+				t.Fatal(err)
+			}
+			for pi, p := range placements {
+				p.Name = fmt.Sprintf("K%d.v%d.P%d", k, variant, pi)
+				for r := 0; r < 2; r++ {
+					c := diffCase{spec: fabricVariant(cluster.Cori(3), v), p: p, es: es}
+					c.es.Steps = diffStepsRotation[v%len(diffStepsRotation)]
+					if j := v % 4; variant < 2 && j > 0 {
+						c.opts = runtime.SimOptions{Jitter: diffJitters[j-1], Seed: int64(v%8 + 1)}
+					}
+					c.name = fmt.Sprintf("%s/steps%d/j%v/seed%d/fabric%d", p.Name, c.es.Steps, c.opts.Jitter, c.opts.Seed, v%fabricVariants)
+					out = append(out, c)
+					v++
+				}
+			}
+		}
+	}
+	return out
+}
+
+// randomCases: larger random ensembles (3–5 members, K up to 3) on random
+// placements over six nodes.
+func randomCases(t testing.TB) []diffCase {
+	var out []diffCase
+	for i := 0; i < 400; i++ {
+		es := workload.Random(workload.GenOptions{
+			Members: 3 + i%3, MinAnalyses: 1, MaxAnalyses: 3,
+			StrideMin: 400, StrideMax: 1600, AnalysisScaleMin: 0.5, AnalysisScaleMax: 3,
+			Steps: diffStepsRotation[i%len(diffStepsRotation)], Seed: int64(1000 + i),
+		})
+		spec := fabricVariant(cluster.Cori(6), i)
+		p, err := workload.RandomPlacement(spec, es, int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := diffCase{name: fmt.Sprintf("random%d", i), spec: spec, p: p, es: es}
+		if i%4 > 0 {
+			c.opts = runtime.SimOptions{Jitter: diffJitters[i%4-1], Seed: int64(i%8 + 1)}
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// TestKernelEqualsEngine is the differential suite. Under the race
+// detector it runs every fifth case (the kernel is single-threaded; what
+// the detector can see is the World's arenas, which any subset exercises).
+func TestKernelEqualsEngine(t *testing.T) {
+	cases := append(append(tableCases(), enumeratedCases(t)...), randomCases(t)...)
+	if len(cases) < 5000 {
+		t.Fatalf("only %d generated cases", len(cases))
+	}
+	stride := 1
+	if raceEnabled {
+		stride = 5
+	}
+	world := runtime.NewWorld()
+	for i := 0; i < len(cases); i += stride {
+		checkKernelEqualsEngine(t, world, cases[i])
+	}
+	t.Logf("%d of %d cases run, byte-identical, none declined", (len(cases)+stride-1)/stride, len(cases))
+}
+
+// TestKernelDeclines: one case per static precondition. The engine serves
+// each, and its trace is the one it produces with the event stream on.
+func TestKernelDeclines(t *testing.T) {
+	p := placement.C14()
+	base := diffCase{spec: cluster.Cori(3), p: p, es: runtime.SpecForPlacement(p, 8)}
+	for name, opts := range map[string]runtime.SimOptions{
+		"faults": {Faults: &faults.Plan{Name: "degraded", Seed: 7, Network: []faults.NetworkWindow{
+			{Start: 2, End: 30, Factor: 0.25}}}},
+		"legacy staging fault": {FailStagingAt: 1 << 30},
+		"topology":             {Topology: &network.Dragonfly{GroupSize: 1, GlobalBandwidth: 1e9, GlobalLatency: 5e-3}},
+		"stage timeout":        {Resilience: runtime.Resilience{StageTimeout: 1e6}},
+		"slots > 1":            {StagingSlots: 2},
+		"burst buffer":         {Tier: runtime.TierBurstBuffer},
+		"pfs":                  {Tier: runtime.TierPFS},
+	} {
+		if !opts.NeedsEngine() {
+			t.Errorf("%s: NeedsEngine() = false", name)
+		}
+		c := base
+		c.name, c.opts = name, opts
+		recorded := opts
+		recorded.Recorder = obs.NewRecorder(nil)
+		if !bytes.Equal(traceBytes(t, c, opts, false), traceBytes(t, c, recorded, false)) {
+			t.Errorf("%s: engine trace changes with the recorder", name)
+		}
+	}
+	// A recorder is a request for the engine's event stream, not a property
+	// of the run.
+	recorded := runtime.SimOptions{Recorder: obs.NewRecorder(nil)}
+	if recorded.NeedsEngine() || (runtime.SimOptions{}).NeedsEngine() {
+		t.Error("plain options need the engine")
+	}
+	base.name = "recorder attached"
+	if !bytes.Equal(traceBytes(t, base, recorded, false), traceBytes(t, base, runtime.SimOptions{}, true)) {
+		t.Error("recorder attached: engine trace differs from kernel trace")
+	}
+	if n := len(recorded.Recorder.Events()); n == 0 {
+		t.Error("recorder attached: no events recorded")
+	}
+}

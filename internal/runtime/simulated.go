@@ -3,7 +3,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"ensemblekit/internal/cluster"
 	"ensemblekit/internal/dtl"
@@ -78,13 +77,27 @@ type SimOptions struct {
 	// is an execution hint, never an input: results are bit-identical
 	// with and without it, and the campaign hash ignores it.
 	World *World
-	// FastPath answers fault-free steady-state-eligible runs directly
-	// from the closed-form recurrence (zero DES events), falling back to
-	// the event loop whenever any eligibility condition fails. The fast
-	// path reproduces the DES trace bit-for-bit (it mirrors the engine's
-	// float arithmetic); an execution hint, excluded from the campaign
-	// hash.
+	// FastPath is ignored: the timeline kernel serves every run that does
+	// not need the engine (see NeedsEngine) without being asked. The field
+	// remains only because the frozen benchmark probes set it.
 	FastPath bool
+}
+
+// NeedsEngine reports whether a run with these options must execute on the
+// event engine, whatever the placement: it injects faults, guards stages
+// with a timeout, buffers more than one staged chunk, stages through a
+// tier other than flat DIMES, or (invalid options) has an error to report.
+// The timeline kernel serves every other run — unless a Recorder is
+// attached, which asks for the engine's event stream; a caller that only
+// wants spans for the trace consults NeedsEngine before attaching one.
+func (o SimOptions) NeedsEngine() bool {
+	plan, err := o.EffectivePlan()
+	return err != nil || o.needsEngine(plan)
+}
+
+func (o SimOptions) needsEngine(plan *faults.Plan) bool {
+	return !plan.Empty() || o.tier() != TierDimes || o.Topology != nil ||
+		normSlots(o.StagingSlots) != 1 || o.Resilience.StageTimeout > 0
 }
 
 func (o SimOptions) tier() string {
@@ -124,24 +137,25 @@ func RunSimulated(spec cluster.Spec, p placement.Placement, es EnsembleSpec, opt
 	return tr, err
 }
 
-// RunInfo reports how a simulated run was executed: which path served it
-// and what it cost. Purely observational — the same inputs produce the
-// same trace bytes regardless of what RunInfo says.
+// RunInfo reports how a simulated run was executed: what served it and
+// what it cost. Purely observational — the same inputs produce the same
+// trace bytes regardless of what RunInfo says.
 type RunInfo struct {
-	// FastPath reports the run was answered by the closed-form
-	// steady-state evaluator with zero DES events.
+	// FastPath reports the run was served by the timeline kernel, with
+	// zero DES events.
 	FastPath bool
 	// PlanReused reports the frozen plan came from the World cache
 	// instead of being rebuilt.
 	PlanReused bool
 	// DESEvents counts events dispatched by the engine serving the run
-	// (zero on the fast path).
+	// (zero when the kernel served it).
 	DESEvents int64
 }
 
-// RunSimulatedInfo is RunSimulated plus execution metadata. The World /
-// FastPath hints in opts pick the serving path here; every path produces
-// the same EnsembleTrace.
+// RunSimulatedInfo is RunSimulated plus execution metadata. The timeline
+// kernel serves every run that neither needs the engine nor asked for its
+// event stream; the engine serves the rest. Both produce the same
+// EnsembleTrace.
 func RunSimulatedInfo(spec cluster.Spec, p placement.Placement, es EnsembleSpec, opts SimOptions) (*trace.EnsembleTrace, RunInfo, error) {
 	var info RunInfo
 	slots := normSlots(opts.StagingSlots)
@@ -185,7 +199,6 @@ func RunSimulatedInfo(spec cluster.Spec, p placement.Placement, es EnsembleSpec,
 	if err != nil {
 		return nil, info, err
 	}
-	inj := faults.NewInjector(plan)
 	if pl == nil {
 		pl, err = buildPlan(spec, p, es, tierName, slots, opts.Model)
 		if err != nil {
@@ -196,17 +209,14 @@ func RunSimulatedInfo(spec cluster.Spec, p placement.Placement, es EnsembleSpec,
 		}
 	}
 
-	// Fast path: closed-form evaluation when the run is fault-free and
-	// steady-state-eligible. Bails (ok=false) back to the DES whenever
-	// any static or dynamic assumption does not hold.
-	if opts.FastPath && !inj.Enabled() {
-		if tr, ok := fastRun(pl, opts); ok {
+	if opts.Recorder == nil && !opts.needsEngine(plan) {
+		if tr, ok := runKernel(pl, opts); ok {
 			info.FastPath = true
 			return tr, info, nil
 		}
 	}
 
-	tr, events, err := runJoint(pl, opts, inj)
+	tr, events, err := runJoint(pl, opts, faults.NewInjector(plan))
 	info.DESEvents = events
 	return tr, info, err
 }
@@ -232,6 +242,17 @@ func traceSkeleton(pl *simPlan) *trace.EnsembleTrace {
 	return tr
 }
 
+// dimesFabricConfig is the interconnect DIMES remote reads cross.
+func dimesFabricConfig(pl *simPlan, topology *network.Dragonfly) network.Config {
+	return network.Config{
+		Nodes:        pl.spec.Nodes,
+		NICBandwidth: pl.spec.NICBandwidth,
+		Latency:      pl.spec.NICLatency,
+		PerFlowCap:   pl.model.RemoteStageBW,
+		Topology:     topology,
+	}
+}
+
 // buildTier constructs the DTL tier and its fabric on an environment. The
 // unknown-tier error reports the raw option string, as it always has.
 func buildTier(env *sim.Env, pl *simPlan, opts SimOptions) (dtl.Tier, *network.Fabric, error) {
@@ -240,13 +261,7 @@ func buildTier(env *sim.Env, pl *simPlan, opts SimOptions) (dtl.Tier, *network.F
 	var err error
 	switch opts.tier() {
 	case TierDimes:
-		fab, err = network.NewFabric(env, network.Config{
-			Nodes:        pl.spec.Nodes,
-			NICBandwidth: pl.spec.NICBandwidth,
-			Latency:      pl.spec.NICLatency,
-			PerFlowCap:   pl.model.RemoteStageBW,
-			Topology:     opts.Topology,
-		})
+		fab, err = network.NewFabric(env, dimesFabricConfig(pl, opts.Topology))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -466,31 +481,6 @@ func (r *simRun) fail(err error) {
 	}
 }
 
-// jitterFn returns a per-component noise source. With zero jitter it
-// always returns 1.
-func (r *simRun) jitterFn(componentIndex int64) func() float64 {
-	if r.opts.Jitter <= 0 {
-		return func() float64 { return 1 }
-	}
-	rng := rand.New(rand.NewSource(r.opts.Seed*7919 + componentIndex))
-	j := r.opts.Jitter
-	lo := 1 - 3*j
-	if lo < 0.5 {
-		lo = 0.5
-	}
-	hi := 1 + 3*j
-	return func() float64 {
-		f := 1 + j*rng.NormFloat64()
-		if f < lo {
-			f = lo
-		}
-		if f > hi {
-			f = hi
-		}
-		return f
-	}
-}
-
 // compAlloc pairs a component's machine tenant with its node index.
 type compAlloc struct {
 	tenant *cluster.Tenant
@@ -534,7 +524,7 @@ func (r *simRun) launchMember(i int, simA compAlloc, anaA []compAlloc,
 
 	// Simulation process.
 	simTrace := mt.Simulation
-	simJitter := r.jitterFn(int64(i) * 131)
+	simJitter := r.opts.jitter(int64(i)*131, nil)
 	simCores := coreLabel(simA.node)
 	simProc := r.env.Go(simTrace.Name, func(p *sim.Proc) error {
 		cc := &compCtx{r: r, p: p, ct: simTrace, node: simA.node, member: i}
@@ -565,7 +555,7 @@ func (r *simRun) launchMember(i int, simA compAlloc, anaA []compAlloc,
 			base := len(stageBuf)
 			// S: compute (stragglers dilate the modeled duration).
 			sStart := p.Now()
-			sDur = simAssess.ComputeTime * simJitter() * r.inj.Slowdown(simTrace.Name, sStart)
+			sDur = simAssess.ComputeTime * simJitter.next() * r.inj.Slowdown(simTrace.Name, sStart)
 			r.rec.StageBegin(simTrace.Name, stageNameS, simA.node)
 			sRetries, sRecovered, err := cc.attempt(stageNameS, false, waitS)
 			r.rec.StageEnd(simTrace.Name, stageNameS, simA.node, 0)
@@ -638,7 +628,7 @@ func (r *simRun) launchMember(i int, simA compAlloc, anaA []compAlloc,
 		anaTrace := mt.Analyses[j]
 		alloc := anaA[j]
 		assess := anaAssess[j]
-		anaJitter := r.jitterFn(int64(i)*131 + int64(j) + 1)
+		anaJitter := r.opts.jitter(int64(i)*131+int64(j)+1, nil)
 		anaCores := coreLabel(alloc.node)
 		proc := r.env.Go(anaTrace.Name, func(p *sim.Proc) error {
 			cc := &compCtx{r: r, p: p, ct: anaTrace, node: alloc.node, member: i}
@@ -689,7 +679,7 @@ func (r *simRun) launchMember(i int, simA compAlloc, anaA []compAlloc,
 				writeTokens.Offer(struct{}{})
 				// A: compute (stragglers dilate the modeled duration).
 				aStart := p.Now()
-				aDur = assess.ComputeTime * anaJitter() * r.inj.Slowdown(anaTrace.Name, aStart)
+				aDur = assess.ComputeTime * anaJitter.next() * r.inj.Slowdown(anaTrace.Name, aStart)
 				r.rec.StageBegin(anaTrace.Name, stageNameA, alloc.node)
 				aRetries, aRecovered, err := cc.attempt(stageNameA, false, waitA)
 				r.rec.StageEnd(anaTrace.Name, stageNameA, alloc.node, 0)

@@ -33,10 +33,6 @@ type simPlan struct {
 
 	assessSim []cluster.Assessment
 	assessAna [][]cluster.Assessment
-
-	// remoteAnas[i] counts member i's analyses placed off the member's
-	// simulation node (DIMES remote readers).
-	remoteAnas []int
 }
 
 // normSlots applies the StagingSlots default (1, the paper's synchronous
@@ -128,7 +124,6 @@ func buildPlan(spec cluster.Spec, p placement.Placement, es EnsembleSpec, tier s
 	// buffered: the slot being read plus the one being written, times the
 	// configured slot depth) must fit in the producer's DRAM. Intermediate
 	// tiers (burst buffer, PFS) hold the data off-node: neither applies.
-	remoteAnas := make([]int, len(p.Members))
 	if tier == TierDimes {
 		for i, m := range p.Members {
 			for _, a := range m.Analyses {
@@ -139,13 +134,6 @@ func buildPlan(spec cluster.Spec, p placement.Placement, es EnsembleSpec, tier s
 			reserve := es.Members[i].Sim.BytesPerStep * int64(slots+1)
 			if err := machine.ReserveStaging(sims[i].tenant.ID, reserve); err != nil {
 				return nil, err
-			}
-		}
-	}
-	for i := range p.Members {
-		for j := range anas[i] {
-			if anas[i][j].node != sims[i].node {
-				remoteAnas[i]++
 			}
 		}
 	}
@@ -177,16 +165,15 @@ func buildPlan(spec cluster.Spec, p placement.Placement, es EnsembleSpec, tier s
 		spec: spec, p: p, es: es, tier: tier, slots: slots,
 		model: model, machine: machine, sims: sims, anas: anas,
 		assessSim: assessSim, assessAna: assessAna,
-		remoteAnas: remoteAnas,
 	}, nil
 }
 
 // World is the shared immutable state of a campaign: a content-addressed
-// cache of frozen simPlans plus an arena of recycled simulation
-// environments. One World serves arbitrarily many concurrent jobs — the
-// plan cache is read-mostly under a mutex and the environment pool is a
-// sync.Pool — so a campaign service creates exactly one and threads it
-// through every execution via SimOptions.World.
+// cache of frozen simPlans plus arenas of recycled simulation
+// environments and kernel scratch. One World serves arbitrarily many
+// concurrent jobs — the plan cache is read-mostly under a mutex and the
+// arenas are sync.Pools — so a campaign service creates exactly one and
+// threads it through every execution via SimOptions.World.
 //
 // Correctness: a plan is keyed by everything that shapes it (cluster
 // spec, placement, ensemble spec, tier, staging depth) and carries no
@@ -199,6 +186,9 @@ type World struct {
 	mu    sync.Mutex
 	plans map[[32]byte]*simPlan
 	envs  sync.Pool
+	// kernels recycles timeline-kernel scratch (component states, flow
+	// set, jitter generators); a kernel keeps nothing of a finished run.
+	kernels sync.Pool
 
 	// hits/misses instrument the plan cache (read via Stats).
 	hits, misses int64
@@ -268,4 +258,21 @@ func (w *World) releaseEnv(e *sim.Env) {
 		return
 	}
 	w.envs.Put(e)
+}
+
+// acquireKernel returns kernel scratch from the arena, or fresh.
+func (w *World) acquireKernel() *kernel {
+	if w != nil {
+		if k, ok := w.kernels.Get().(*kernel); ok {
+			return k
+		}
+	}
+	return new(kernel)
+}
+
+// releaseKernel recycles the scratch of a finished kernel run.
+func (w *World) releaseKernel(k *kernel) {
+	if w != nil {
+		w.kernels.Put(k)
+	}
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race bench bench-json cover serve chaos pool-smoke loc clean
+.PHONY: all build test check race bench bench-json cover loc clean
 
 all: build test
 
@@ -35,25 +35,6 @@ bench:
 BENCH_COUNT ?= 5
 bench-json:
 	$(GO) test -run '^$$' -bench=. -benchmem -count $(BENCH_COUNT) -timeout 60m . | $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y-%m-%d).json
-
-# serve builds the campaign HTTP server and smoke-tests it end to end:
-# POST the Table 2 campaign to a loopback listener, cold then warm cache.
-serve:
-	$(GO) build ./cmd/ensembled
-	$(GO) run ./cmd/ensembled -smoke
-
-# chaos is the crash-recovery smoke: start a server, SIGKILL it
-# mid-campaign, restart it on the same state dir, and require the resumed
-# campaign to complete with results identical to an uninterrupted run.
-chaos:
-	$(GO) run ./cmd/ensembled -smoke-chaos
-
-# pool-smoke is the distributed-fabric smoke: three ensembled processes
-# form a localhost pool, a campaign sharded across them must fingerprint
-# identically to a single-node run (even with one peer SIGKILLed
-# mid-campaign), and the pool metrics must show cross-node cache hits.
-pool-smoke:
-	$(GO) run ./cmd/ensembled -smoke-pool
 
 cover:
 	$(GO) test -cover ./...

@@ -18,23 +18,26 @@ import (
 // in the write-ahead log), a second service is opened on the same state
 // directory, and the resumed work must complete with results identical
 // to a run that was never interrupted. The subprocess variant — a real
-// SIGKILL against a live ensembled server — lives behind
-// `ensembled -smoke-chaos` and runs in CI.
+// SIGKILL against a live ensembled server — is TestChaos in
+// cmd/ensembled.
 
 func chaosSweep() Sweep {
 	return Sweep{Name: "chaos", Placements: placement.ConfigsTable2(), Steps: 8}
 }
 
 // chaosFingerprint runs the chaos sweep uninterrupted on a throwaway
-// service and fingerprints the result.
-func chaosFingerprint(t *testing.T) string {
+// service and returns its fingerprint and its uncached cost: the
+// simulated core-seconds its ledger charges.
+func chaosFingerprint(t *testing.T) (string, float64) {
 	t.Helper()
 	svc, err := NewService(Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	res, err := RunCampaign(context.Background(), svc, chaosSweep())
+	sweep := chaosSweep()
+	sweep.Campaign = "ref"
+	res, err := RunCampaign(context.Background(), svc, sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +45,8 @@ func chaosFingerprint(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fp
+	acct, _ := svc.CampaignAccounting("ref")
+	return fp, acct.Simulated.SpentTotal + acct.Simulated.SavedCacheTotal
 }
 
 func TestServiceResumesJournaledJobsAfterShutdown(t *testing.T) {
@@ -120,7 +124,7 @@ func TestServiceResumesJournaledJobsAfterShutdown(t *testing.T) {
 }
 
 func TestCampaignResumeMatchesUninterruptedRun(t *testing.T) {
-	refFP := chaosFingerprint(t)
+	refFP, _ := chaosFingerprint(t)
 	dir := t.TempDir()
 	journalPath := filepath.Join(dir, "journal.wal")
 	cacheDir := filepath.Join(dir, "cache")
@@ -216,7 +220,7 @@ func pollCampaignOnce(t *testing.T, ts *httptest.Server, id string) CampaignStat
 }
 
 func TestJournaledCampaignMatchesUnjournaled(t *testing.T) {
-	refFP := chaosFingerprint(t)
+	refFP, _ := chaosFingerprint(t)
 	dir := t.TempDir()
 	svc, err := NewService(Config{
 		Workers:     2,

@@ -2,7 +2,9 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -21,8 +23,8 @@ import (
 // routing, the fleet cache tier, drain handoff, and the keystone
 // invariant — a sharded campaign fingerprints identically to a
 // single-node run, even when a peer is killed mid-campaign. The
-// subprocess variant (real processes, real SIGKILL) lives behind
-// `ensembled -smoke-pool`.
+// subprocess variant (real processes, real SIGKILL) is TestPool in
+// cmd/ensembled.
 
 type fabricNode struct {
 	id   string
@@ -160,12 +162,20 @@ func specOwnedBy(t *testing.T, n *fabricNode, want string) JobSpec {
 
 // The keystone invariant: a campaign sharded across three nodes must
 // fingerprint byte-identically to a single-node run, and the work must
-// actually shard (peers execute a share of the jobs).
+// actually shard (peers execute a share of the jobs). Its ledger must
+// reconcile too: spent plus cache-avoided core-seconds equal the
+// uncached single-node cost, for the sharded run and for its re-post on
+// a second node, which the caches answer.
 func TestFabricShardedCampaignMatchesSingleNode(t *testing.T) {
-	refFP := chaosFingerprint(t)
+	refFP, refCost := chaosFingerprint(t)
+	if refCost <= 0 {
+		t.Fatalf("reference campaign charged %v core-seconds", refCost)
+	}
 	nodes := startFabric(t, 3, nil)
 
-	res, err := RunCampaign(context.Background(), nodes[0].svc, chaosSweep())
+	sweep := chaosSweep()
+	sweep.Campaign = "sharded"
+	res, err := RunCampaign(context.Background(), nodes[0].svc, sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +192,17 @@ func TestFabricShardedCampaignMatchesSingleNode(t *testing.T) {
 	}
 	t.Logf("executions: n1=%d n2=%d n3=%d",
 		nodes[0].runs.Load(), nodes[1].runs.Load(), nodes[2].runs.Load())
+
+	sweep.Campaign = "repost"
+	if _, err := RunCampaign(context.Background(), nodes[1].svc, sweep); err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range []string{"sharded", "repost"} {
+		acct, _ := nodes[i].svc.CampaignAccounting(id)
+		if got := acct.Simulated.SpentTotal + acct.Simulated.SavedCacheTotal; math.Abs(got-refCost) > 1e-9*refCost {
+			t.Errorf("%s campaign spent+saved %v core-seconds, want the uncached %v", id, got, refCost)
+		}
+	}
 }
 
 // A result cached on its owner must answer a peer's submission through
@@ -215,8 +236,12 @@ func TestFabricPeerCacheHit(t *testing.T) {
 	if nodes[0].runs.Load() != runsBefore {
 		t.Error("requester executed locally despite the peer-cache hit")
 	}
-	if node := j1.Node(); node != "n2" {
-		t.Errorf("job node %q, want n2", node)
+	// The job's wire status names the node that answered it.
+	w := httptest.NewRecorder()
+	NewServer(nodes[0].svc).Handler().ServeHTTP(w, httptest.NewRequest("GET", "/v1/jobs/"+j1.ID, nil))
+	var js jobStatus
+	if err := json.Unmarshal(w.Body.Bytes(), &js); err != nil || js.Node != "n2" {
+		t.Errorf("GET /v1/jobs/%s: node %q (%v), want n2", j1.ID, js.Node, err)
 	}
 	if hits := nodes[0].svc.Stats().CacheHits; hits == 0 {
 		t.Error("fleet cache hit not accounted in service stats")
@@ -228,7 +253,7 @@ func TestFabricPeerCacheHit(t *testing.T) {
 // rebalanced ring) and the fingerprint still matches the single-node
 // reference.
 func TestFabricPeerLossMidCampaignStillMatches(t *testing.T) {
-	refFP := chaosFingerprint(t)
+	refFP, _ := chaosFingerprint(t)
 	nodes := startFabric(t, 3, func(i int, cfg *Config) {
 		if i == 0 {
 			cfg.Retry = RetryPolicy{

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -208,6 +209,56 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPHealthAndReadiness: liveness always answers 200; readiness
+// answers 503 with its reasons while draining (which also refuses new
+// campaigns) or while a registered check blocks.
+func TestHTTPHealthAndReadiness(t *testing.T) {
+	svc, err := NewService(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	srv := NewServer(svc)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	probe := func(path string, wantCode int, wantStatus string, wantReasons ...string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct {
+			Status  string   `json:"status"`
+			Reasons []string `json:"reasons"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != wantCode || body.Status != wantStatus || !slices.Equal(body.Reasons, wantReasons) {
+			t.Errorf("GET %s: %d %+v, want %d %s %v", path, resp.StatusCode, body, wantCode, wantStatus, wantReasons)
+		}
+	}
+	probe("/healthz", http.StatusOK, "ok")
+	probe("/readyz", http.StatusOK, "ready")
+
+	srv.SetDraining(true)
+	probe("/readyz", http.StatusServiceUnavailable, "unavailable", "draining")
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(`{"configs":["C1.5"],"steps":4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("POST while draining: HTTP %d, want 503", resp.StatusCode)
+	}
+
+	srv.SetDraining(false)
+	srv.AddReadyCheck(func() []string { return []string{"pool: join pending"} })
+	probe("/readyz", http.StatusServiceUnavailable, "unavailable", "pool: join pending")
+	probe("/healthz", http.StatusOK, "ok")
+}
+
 // readSSE consumes a text/event-stream body until the summary event (or
 // EOF), returning the job events and the summary.
 func readSSE(t *testing.T, body io.Reader) ([]JobEvent, *CampaignSummary) {
@@ -393,9 +444,16 @@ func TestHTTPMetricsAfterTraffic(t *testing.T) {
 		"campaign_execute_seconds_count 1",
 		`http_requests_total{route="POST /v1/campaigns",code="202"} 1`,
 		"http_request_duration_seconds_bucket",
+		"campaign_cache_hits_total", "campaign_queue_depth", "campaign_execute_seconds_bucket",
+		"campaign_core_seconds_total", "campaign_core_seconds_saved_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if !strings.HasPrefix(line, "#") && !strings.Contains(line, " ") {
+			t.Errorf("malformed sample line %q", line)
 		}
 	}
 }

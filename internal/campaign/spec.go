@@ -154,16 +154,14 @@ func (c *RealConfig) Validate(p placement.Placement) error {
 var ErrNotCacheable = errors.New("campaign: SimOptions.Model overrides are not content-addressable")
 
 // SimConfigOf captures runtime.SimOptions as a serializable SimConfig and
-// the effective fault plan (the legacy FailStagingAt hook folded in, as
-// RunSimulated does). Recorders are dropped — instrumentation never
+// its validated fault plan. Recorders are dropped — instrumentation never
 // changes results — while model overrides are rejected with
 // ErrNotCacheable.
 func SimConfigOf(o runtime.SimOptions) (SimConfig, *faults.Plan, error) {
 	if o.Model != nil {
 		return SimConfig{}, nil, ErrNotCacheable
 	}
-	plan, err := o.EffectivePlan()
-	if err != nil {
+	if err := o.Faults.Validate(); err != nil {
 		return SimConfig{}, nil, err
 	}
 	return SimConfig{
@@ -174,7 +172,7 @@ func SimConfigOf(o runtime.SimOptions) (SimConfig, *faults.Plan, error) {
 		StagingSlots:  o.StagingSlots,
 		Topology:      o.Topology,
 		Resilience:    o.Resilience,
-	}, plan, nil
+	}, o.Faults, nil
 }
 
 // JobSpec is the canonical description of one simulated ensemble run: the
@@ -201,8 +199,7 @@ type JobSpec struct {
 }
 
 // NewJob assembles a JobSpec from the public run parameters, growing the
-// cluster to fit the placement (as the scheduler's evaluators do) and
-// folding the legacy FailStagingAt hook into the fault plan.
+// cluster to fit the placement (as the scheduler's evaluators do).
 func NewJob(spec cluster.Spec, p placement.Placement, es runtime.EnsembleSpec, opts runtime.SimOptions) (JobSpec, error) {
 	cfg, plan, err := SimConfigOf(opts)
 	if err != nil {

@@ -168,29 +168,6 @@ func TestHashIgnoresRecorderButRejectsModel(t *testing.T) {
 	}
 }
 
-func TestNewJobFoldsLegacyFailStagingAt(t *testing.T) {
-	p := placement.C15()
-	es := runtime.SpecForPlacement(p, 4)
-	js, err := NewJob(cluster.Cori(2), p, es, runtime.SimOptions{FailStagingAt: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if js.Faults == nil || len(js.Faults.Staging) != 1 || js.Faults.Staging[0].FailAtOp != 3 {
-		t.Fatalf("FailStagingAt not folded into the fault plan: %+v", js.Faults)
-	}
-
-	// The folded form hashes identically to the explicit plan.
-	explicit, err := NewJob(cluster.Cori(2), p, es, runtime.SimOptions{
-		Faults: &faults.Plan{Staging: []faults.StagingFault{{FailAtOp: 3}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hashOf(t, js) != hashOf(t, explicit) {
-		t.Error("legacy FailStagingAt and explicit plan hash differently")
-	}
-}
-
 func TestNewJobGrowsClusterToPlacement(t *testing.T) {
 	p := placement.C15() // uses nodes 0 and 1
 	es := runtime.SpecForPlacement(p, 4)

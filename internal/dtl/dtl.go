@@ -12,7 +12,6 @@
 package dtl
 
 import (
-	"errors"
 	"fmt"
 
 	"ensemblekit/internal/cluster"
@@ -211,41 +210,4 @@ func (f *PFS) Read(p *sim.Proc, producerNode, consumerNode int, bytes int64) err
 		return fmt.Errorf("dtl: pfs read: %w", err)
 	}
 	return p.Wait(f.model.DeserializeTime(bytes))
-}
-
-// Flaky wraps a tier and injects failures: the n-th operation (1-based,
-// counting writes and reads together) returns an error. It exists for
-// failure-injection tests of the runtime's error handling.
-//
-// Deprecated: use a faults.Plan with a StagingFault{FailAtOp: n} rule
-// (runtime.SimOptions.Faults), which subsumes this wrapper with windows,
-// rates, and seeded determinism. Flaky is kept for back-compat with
-// existing tests and specs; the runtime itself no longer uses it.
-type Flaky struct {
-	Tier
-	// FailAt is the 1-based index of the operation that fails; 0 disables
-	// injection.
-	FailAt int
-	ops    int
-}
-
-// ErrInjected is the failure produced by Flaky.
-var ErrInjected = errors.New("dtl: injected failure")
-
-// Write implements Tier with failure injection.
-func (f *Flaky) Write(p *sim.Proc, producerNode int, bytes int64) error {
-	f.ops++
-	if f.FailAt > 0 && f.ops == f.FailAt {
-		return fmt.Errorf("write op %d: %w", f.ops, ErrInjected)
-	}
-	return f.Tier.Write(p, producerNode, bytes)
-}
-
-// Read implements Tier with failure injection.
-func (f *Flaky) Read(p *sim.Proc, producerNode, consumerNode int, bytes int64) error {
-	f.ops++
-	if f.FailAt > 0 && f.ops == f.FailAt {
-		return fmt.Errorf("read op %d: %w", f.ops, ErrInjected)
-	}
-	return f.Tier.Read(p, producerNode, consumerNode, bytes)
 }

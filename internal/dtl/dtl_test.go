@@ -1,7 +1,6 @@
 package dtl
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -209,29 +208,5 @@ func TestTierNames(t *testing.T) {
 	}
 	if NewPFS(model, fab, 2, 0).Name() != "pfs" {
 		t.Error("pfs name")
-	}
-}
-
-func TestFlakyInjection(t *testing.T) {
-	env, model, fab := simSetup(t, 2)
-	flaky := &Flaky{Tier: NewDimes(model, fab), FailAt: 2}
-	var e1, e2, e3 error
-	env.Go("x", func(p *sim.Proc) error {
-		e1 = flaky.Write(p, 0, 1024)
-		e2 = flaky.Read(p, 0, 1, 1024)
-		e3 = flaky.Write(p, 0, 1024)
-		return nil
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e1 != nil {
-		t.Errorf("op 1 should succeed: %v", e1)
-	}
-	if !errors.Is(e2, ErrInjected) {
-		t.Errorf("op 2 should fail with ErrInjected: %v", e2)
-	}
-	if e3 != nil {
-		t.Errorf("op 3 should succeed: %v", e3)
 	}
 }

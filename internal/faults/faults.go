@@ -9,8 +9,7 @@
 //
 //   - StagingFault: per-tier staging-operation failures, either a random
 //     per-operation rate inside a virtual-time window or a deterministic
-//     "fail the n-th operation" trigger (the back-compat equivalent of the
-//     old dtl.Flaky wrapper);
+//     "fail the n-th operation" trigger;
 //   - NetworkWindow: a transient network-degradation window scaling every
 //     link capacity (and the per-flow protocol cap) by a factor;
 //   - NodeCrash: a node crash at a virtual time, killing every component
@@ -49,7 +48,7 @@ type StagingFault struct {
 	// deterministically from the plan seed.
 	Rate float64 `json:"rate,omitempty"`
 	// FailAtOp fails the n-th matching operation (1-based); 0 disables the
-	// deterministic trigger. This reproduces the legacy dtl.Flaky hook.
+	// deterministic trigger.
 	FailAtOp int `json:"failAtOp,omitempty"`
 	// Start and End bound the window (virtual seconds) in which the rule
 	// is active; End 0 means open-ended.

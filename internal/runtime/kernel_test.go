@@ -223,12 +223,11 @@ func TestKernelDeclines(t *testing.T) {
 	for name, opts := range map[string]runtime.SimOptions{
 		"faults": {Faults: &faults.Plan{Name: "degraded", Seed: 7, Network: []faults.NetworkWindow{
 			{Start: 2, End: 30, Factor: 0.25}}}},
-		"legacy staging fault": {FailStagingAt: 1 << 30},
-		"topology":             {Topology: &network.Dragonfly{GroupSize: 1, GlobalBandwidth: 1e9, GlobalLatency: 5e-3}},
-		"stage timeout":        {Resilience: runtime.Resilience{StageTimeout: 1e6}},
-		"slots > 1":            {StagingSlots: 2},
-		"burst buffer":         {Tier: runtime.TierBurstBuffer},
-		"pfs":                  {Tier: runtime.TierPFS},
+		"topology":      {Topology: &network.Dragonfly{GroupSize: 1, GlobalBandwidth: 1e9, GlobalLatency: 5e-3}},
+		"stage timeout": {Resilience: runtime.Resilience{StageTimeout: 1e6}},
+		"slots > 1":     {StagingSlots: 2},
+		"burst buffer":  {Tier: runtime.TierBurstBuffer},
+		"pfs":           {Tier: runtime.TierPFS},
 	} {
 		if !opts.NeedsEngine() {
 			t.Errorf("%s: NeedsEngine() = false", name)

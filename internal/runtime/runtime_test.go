@@ -7,6 +7,7 @@ import (
 
 	"ensemblekit/internal/cluster"
 	"ensemblekit/internal/core"
+	"ensemblekit/internal/faults"
 	"ensemblekit/internal/kernels"
 	"ensemblekit/internal/network"
 	"ensemblekit/internal/placement"
@@ -199,7 +200,9 @@ func TestSimulatedFailureInjection(t *testing.T) {
 	spec := cluster.Cori(3)
 	cfg := placement.Cf()
 	es := SpecForPlacement(cfg, 6)
-	tr, err := RunSimulated(spec, cfg, es, SimOptions{FailStagingAt: 3})
+	tr, err := RunSimulated(spec, cfg, es, SimOptions{
+		Faults: &faults.Plan{Staging: []faults.StagingFault{{FailAtOp: 3}}},
+	})
 	if err == nil {
 		t.Fatal("injected staging failure should surface")
 	}

@@ -37,18 +37,11 @@ type SimOptions struct {
 	// Model optionally overrides the performance model (nil uses
 	// cluster.NewModel of the spec).
 	Model *cluster.Model
-	// FailStagingAt injects a DTL failure on the n-th staging operation
-	// (1-based, counting all writes and reads); 0 disables injection.
-	//
-	// Deprecated: use Faults with a faults.StagingFault{FailAtOp: n} rule
-	// instead. A non-zero FailStagingAt is converted to exactly that rule
-	// (appended to Faults when both are set), so existing specs keep
-	// working unchanged.
-	FailStagingAt int
 	// Faults optionally injects a declarative fault plan (staging
 	// failures, network-degradation windows, node crashes, stragglers;
 	// see internal/faults). Same plan + same seed => identical faults and
-	// byte-identical traces.
+	// byte-identical traces. A deterministic failure of the n-th staging
+	// operation is faults.StagingFault{FailAtOp: n}.
 	Faults *faults.Plan
 	// Resilience configures the recovery policy applied around the fault
 	// plan (retries, timeouts, crash-restarts, degradation mode). The
@@ -91,12 +84,11 @@ type SimOptions struct {
 // attached, which asks for the engine's event stream; a caller that only
 // wants spans for the trace consults NeedsEngine before attaching one.
 func (o SimOptions) NeedsEngine() bool {
-	plan, err := o.EffectivePlan()
-	return err != nil || o.needsEngine(plan)
+	return o.Faults.Validate() != nil || o.needsEngine()
 }
 
-func (o SimOptions) needsEngine(plan *faults.Plan) bool {
-	return !plan.Empty() || o.tier() != TierDimes || o.Topology != nil ||
+func (o SimOptions) needsEngine() bool {
+	return !o.Faults.Empty() || o.tier() != TierDimes || o.Topology != nil ||
 		normSlots(o.StagingSlots) != 1 || o.Resilience.StageTimeout > 0
 }
 
@@ -105,27 +97,6 @@ func (o SimOptions) tier() string {
 		return TierDimes
 	}
 	return o.Tier
-}
-
-// EffectivePlan returns the validated fault plan the run will execute: the
-// declarative Faults plan with the legacy FailStagingAt hook folded in as
-// a one-rule staging fault. This is the canonical fault input of the run —
-// the campaign service hashes it, and RunSimulated executes it.
-func (o SimOptions) EffectivePlan() (*faults.Plan, error) {
-	plan := o.Faults
-	if o.FailStagingAt > 0 {
-		merged := faults.Plan{}
-		if plan != nil {
-			merged = *plan
-		}
-		merged.Staging = append(append([]faults.StagingFault(nil), merged.Staging...),
-			faults.StagingFault{FailAtOp: o.FailStagingAt})
-		plan = &merged
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	return plan, nil
 }
 
 // RunSimulated executes the ensemble on the simulated platform and returns
@@ -194,12 +165,11 @@ func RunSimulatedInfo(spec cluster.Spec, p placement.Placement, es EnsembleSpec,
 	if err := opts.Resilience.Validate(); err != nil {
 		return nil, info, err
 	}
-	// The legacy FailStagingAt hook is a one-rule fault plan.
-	plan, err := opts.EffectivePlan()
-	if err != nil {
+	if err := opts.Faults.Validate(); err != nil {
 		return nil, info, err
 	}
 	if pl == nil {
+		var err error
 		pl, err = buildPlan(spec, p, es, tierName, slots, opts.Model)
 		if err != nil {
 			return nil, info, err
@@ -209,14 +179,14 @@ func RunSimulatedInfo(spec cluster.Spec, p placement.Placement, es EnsembleSpec,
 		}
 	}
 
-	if opts.Recorder == nil && !opts.needsEngine(plan) {
+	if opts.Recorder == nil && !opts.needsEngine() {
 		if tr, ok := runKernel(pl, opts); ok {
 			info.FastPath = true
 			return tr, info, nil
 		}
 	}
 
-	tr, events, err := runJoint(pl, opts, faults.NewInjector(plan))
+	tr, events, err := runJoint(pl, opts, faults.NewInjector(opts.Faults))
 	info.DESEvents = events
 	return tr, info, err
 }

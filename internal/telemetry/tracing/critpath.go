@@ -198,8 +198,8 @@ func FindRoot(spans []SpanData) (SpanData, bool) {
 }
 
 // Depth returns the maximum ancestor-chain length in the trace (a
-// root-only trace has depth 1). The smoke test asserts the request →
-// campaign → job → stage chain reaches at least 4.
+// root-only trace has depth 1). The campaign service's tests require
+// the request → campaign → job → stage chain to reach at least 4.
 func Depth(spans []SpanData) int {
 	byID := make(map[SpanID]SpanData, len(spans))
 	for _, d := range spans {

@@ -21,7 +21,7 @@ type (
 	JobSpec = campaign.JobSpec
 	// Job is a submitted evaluation (Wait for its JobResult).
 	Job = campaign.Job
-	// JobResult is a completed evaluation: trace, efficiencies, report.
+	// JobResult is a completed evaluation's summary (Job.Trace re-runs its trace).
 	JobResult = campaign.Result
 	// SubmitOptions label and order a submission.
 	SubmitOptions = campaign.SubmitOptions

@@ -37,6 +37,7 @@ import (
 	"ensemblekit/internal/placement"
 	"ensemblekit/internal/report"
 	"ensemblekit/internal/runtime"
+	"ensemblekit/internal/stats"
 	"ensemblekit/internal/trace"
 )
 
@@ -197,19 +198,9 @@ func compare(names string, steps int, tier string, jitter float64, seed int64) e
 		if err != nil {
 			return err
 		}
-		effs := make([]float64, len(tr.Members))
-		sum := 0.0
-		for i, m := range tr.Members {
-			ss, err := core.FromMemberTrace(m, core.ExtractOptions{})
-			if err != nil {
-				return err
-			}
-			e, err := ss.Efficiency()
-			if err != nil {
-				return err
-			}
-			effs[i] = e
-			sum += e
+		effs, err := core.Efficiencies(tr.Members)
+		if err != nil {
+			return err
 		}
 		f, err := indicators.Objective(p, effs, indicators.StageUAP)
 		if err != nil {
@@ -223,7 +214,7 @@ func compare(names string, steps int, tier string, jitter float64, seed int64) e
 			}
 			straggle = strings.Join(parts, " ")
 		}
-		t.AddRow(name, p.M(), tr.Makespan(), sum/float64(len(effs)), f, straggle)
+		t.AddRow(name, p.M(), tr.Makespan(), stats.Mean(effs), f, straggle)
 	}
 	fmt.Println(t.String())
 	return nil
@@ -329,7 +320,6 @@ func run(configName, plFile, backend string, steps int, tier string, jitter floa
 	// "drop") are annotated and excluded from the indicator aggregation.
 	mt := report.NewTable("Efficiency model (Equations 1-3)",
 		"member", "S*+W* (s)", "sigma (s)", "E", "Eq.4", "makespan (s)", "predicted (s)")
-	surviving := placement.Placement{Name: p.Name}
 	var effs []float64
 	for i, m := range tr.Members {
 		if m.Dropped() {
@@ -344,7 +334,6 @@ func run(configName, plFile, backend string, steps int, tier string, jitter floa
 		if err != nil {
 			return err
 		}
-		surviving.Members = append(surviving.Members, p.Members[i])
 		effs = append(effs, e)
 		mt.AddRow(fmt.Sprintf("EM%d", i+1), ss.SimBusy(), ss.Sigma(), e,
 			ss.SatisfiesEq4(), m.Makespan(), ss.Makespan(len(m.Simulation.Steps)))
@@ -359,7 +348,7 @@ func run(configName, plFile, backend string, steps int, tier string, jitter floa
 	if len(effs) == 0 {
 		fmt.Println("No surviving members; indicators skipped.")
 	} else {
-		rep, err := indicators.FullReport(surviving, effs)
+		rep, err := indicators.FullReport(p.Without(tr.DroppedMembers()), effs)
 		if err != nil {
 			return err
 		}
@@ -374,15 +363,7 @@ func run(configName, plFile, backend string, steps int, tier string, jitter floa
 	// Resource accounting: the same core-second ledger ensembled keeps
 	// per campaign (GET /v1/campaigns/{id}/accounting), derived for this
 	// single run.
-	al := accounting.FromTrace(tr)
-	at := report.NewTable("Resource accounting (simulated core-seconds)",
-		"class", "busy", "idle", "total")
-	for i, cls := range accounting.Classes() {
-		sp := al.Splits()[i]
-		at.AddRow(cls, sp.Busy, sp.Idle, sp.Busy+sp.Idle)
-	}
-	at.AddRow("total", al.Busy(), al.Idle(), al.Total())
-	fmt.Println(at.String())
+	fmt.Println(report.Ledger(accounting.FromTrace(tr)).String())
 
 	if traceOut != "" {
 		f, err := os.Create(traceOut)

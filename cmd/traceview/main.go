@@ -106,15 +106,7 @@ func run(path string, steps, width int, csvOut, obsOut, spansIn string, utilizat
 
 	// Core-second ledger of the run, split by component class — the
 	// trace-side view of the campaign accounting endpoint.
-	al := accounting.FromTrace(tr)
-	at := report.NewTable("Resource accounting (simulated core-seconds)",
-		"class", "busy", "idle", "total")
-	for i, cls := range accounting.Classes() {
-		sp := al.Splits()[i]
-		at.AddRow(cls, sp.Busy, sp.Idle, sp.Busy+sp.Idle)
-	}
-	at.AddRow("total", al.Busy(), al.Idle(), al.Total())
-	fmt.Println(at.String())
+	fmt.Println(report.Ledger(accounting.FromTrace(tr)).String())
 
 	// Timeline of the leading steps.
 	g := report.NewGantt(fmt.Sprintf("Timeline (first %d steps; S/W simulation, R/A analysis)", steps), width)

@@ -228,12 +228,20 @@ func TestCampaignSweepByteIdentical(t *testing.T) {
 		}
 		seen := 0
 		for _, cr := range res.Candidates {
-			for _, jr := range cr.Results {
+			for i, jr := range cr.Results {
 				want, ok := serial[jr.Hash]
 				if !ok {
 					t.Fatalf("pass %d: job %s not in serial reference", pass, jr.Hash)
 				}
-				got, err := json.Marshal(jr.Trace)
+				j, ok := svc.Job(cr.JobIDs[i])
+				if !ok {
+					t.Fatalf("pass %d: job %s unknown", pass, cr.JobIDs[i])
+				}
+				tr, err := j.Trace()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := json.Marshal(tr)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -124,24 +124,8 @@ func ReadFaultPlan(r io.Reader) (*FaultPlan, error) { return faults.ReadJSON(r) 
 // run (dropped members excluded) along with the filtered placement to
 // aggregate them over (Eq. 9 over survivors).
 func SurvivingEfficiencies(p Placement, tr *EnsembleTrace) (Placement, []float64, error) {
-	filtered := Placement{Name: p.Name}
-	var effs []float64
-	for i, m := range tr.Members {
-		if m.Dropped() {
-			continue
-		}
-		ss, err := core.FromMemberTrace(m, core.ExtractOptions{})
-		if err != nil {
-			return filtered, nil, err
-		}
-		e, err := ss.Efficiency()
-		if err != nil {
-			return filtered, nil, err
-		}
-		filtered.Members = append(filtered.Members, p.Members[i])
-		effs = append(effs, e)
-	}
-	return filtered, effs, nil
+	effs, err := core.Efficiencies(tr.SurvivingMembers())
+	return p.Without(tr.DroppedMembers()), effs, err
 }
 
 // Indicator stage sets (Equations 5-8).

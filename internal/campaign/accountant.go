@@ -118,7 +118,7 @@ func (s *Service) charge(j *Job, from jobState, e edge, served string, execSec, 
 	if e.res == nil {
 		return
 	}
-	jl := accounting.FromTrace(e.res.Trace)
+	jl := e.res.Ledger
 	switch {
 	case from == stateNew:
 		s.acctSaved(j.campaign, j.Hash, jl, e.tier)

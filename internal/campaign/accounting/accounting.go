@@ -15,6 +15,7 @@
 package accounting
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -211,22 +212,9 @@ func (s *Saved) add(o Saved) {
 	s.FastPath += o.FastPath
 }
 
-// tierField returns the addressed tier bucket, or nil for unknown tiers.
-func (s *Saved) tierField(tier string) *float64 {
-	switch tier {
-	case TierMemory:
-		return &s.Memory
-	case TierDisk:
-		return &s.Disk
-	case TierFleet:
-		return &s.Fleet
-	case TierPlanCache:
-		return &s.PlanCache
-	case TierFastPath:
-		return &s.FastPath
-	}
-	return nil
-}
+// tiers lists every tier in Saved's field order, CacheTiers first; an
+// entry's counts are indexed alike.
+var tiers = [...]string{TierMemory, TierDisk, TierFleet, TierPlanCache, TierFastPath}
 
 // Simulated is the deterministic section of a snapshot: core-seconds in
 // simulated time, spent and saved. Field order is fixed; byte-identity
@@ -284,11 +272,12 @@ func Merge(snaps []Snapshot) Snapshot {
 
 // entry is the per-hash record inside a Ledger. A hash identifies a
 // job's content, so every submission of it shares one JobLedger; the
-// counts record how many submissions executed vs were served per tier.
+// counts record how many submissions executed vs were served per tier
+// (indexed like tiers).
 type entry struct {
 	ledger JobLedger
 	spent  int64
-	saved  map[string]int64
+	saved  [len(tiers)]int64
 }
 
 // Ledger is a thread-safe rollup of job outcomes for one scope. Records
@@ -309,7 +298,7 @@ func NewLedger() *Ledger {
 func (l *Ledger) entryLocked(hash string, jl JobLedger) *entry {
 	e, ok := l.entries[hash]
 	if !ok {
-		e = &entry{ledger: jl, saved: make(map[string]int64)}
+		e = &entry{ledger: jl}
 		l.entries[hash] = e
 	}
 	return e
@@ -325,12 +314,13 @@ func (l *Ledger) RecordSpent(hash string, jl JobLedger) {
 // RecordSaved credits one submission of hash to tier. Unknown tiers are
 // ignored.
 func (l *Ledger) RecordSaved(hash string, jl JobLedger, tier string) {
-	if (&Saved{}).tierField(tier) == nil {
+	i := slices.Index(tiers[:], tier)
+	if i < 0 {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.entryLocked(hash, jl).saved[tier]++
+	l.entryLocked(hash, jl).saved[i]++
 }
 
 // RecordWall accumulates worker execution and queue-wait wall seconds.
@@ -360,6 +350,7 @@ func (l *Ledger) Snapshot() Snapshot {
 	}
 	sort.Strings(hashes)
 	snap := Snapshot{Jobs: len(hashes), WallClock: l.wall}
+	var saved [len(tiers)]float64
 	for _, h := range hashes {
 		e := l.entries[h]
 		if e.spent > 0 {
@@ -367,17 +358,14 @@ func (l *Ledger) Snapshot() Snapshot {
 			snap.Simulated.Spent.addScaled(e.ledger, float64(e.spent))
 		}
 		total := e.ledger.Total()
-		for _, tier := range [5]string{TierMemory, TierDisk, TierFleet, TierPlanCache, TierFastPath} {
-			n := e.saved[tier]
-			if n == 0 {
-				continue
+		for i, n := range e.saved {
+			if n != 0 {
+				saved[i] += total * float64(n)
 			}
-			*snap.Simulated.Saved.tierField(tier) += total * float64(n)
 		}
-		for _, tier := range CacheTiers {
-			snap.CacheServed += e.saved[tier]
-		}
+		snap.CacheServed += e.saved[0] + e.saved[1] + e.saved[2] // CacheTiers
 	}
+	snap.Simulated.Saved = Saved{Memory: saved[0], Disk: saved[1], Fleet: saved[2], PlanCache: saved[3], FastPath: saved[4]}
 	snap.Simulated.SpentTotal = snap.Simulated.Spent.Total()
 	snap.Simulated.SavedCacheTotal = snap.Simulated.Saved.CacheTotal()
 	return snap

@@ -9,32 +9,57 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"unsafe"
 
-	"ensemblekit/internal/indicators"
+	"ensemblekit/internal/campaign/accounting"
 	"ensemblekit/internal/trace"
 )
 
-// Result is the outcome of one evaluated job: the execution trace plus the
-// paper's derived quantities (efficiencies over the surviving members,
-// the full indicator report, the objective F(P^{U,A,P})). Results are
-// shared between cache readers and must be treated as immutable.
+// Result is the science summary of one evaluated job — what the memory
+// cache holds, the disk envelope stores and a pool hop carries. A
+// simulated trace is a pure function of its spec, so it is re-run where
+// it is read (Job.Trace) and the indicator report is derived on read.
+// Results are shared between cache readers and must be treated as
+// immutable.
 type Result struct {
 	// Hash is the content address of the job that produced the result.
 	Hash string `json:"hash"`
-	// Trace is the execution record (byte-identical to a serial
-	// RunSimulated of the same spec).
-	Trace *trace.EnsembleTrace `json:"trace"`
+	// Trace is kept only where it cannot be re-run: a real-backend job's
+	// wall-clock trace, and Execute's (the caller holds the only copy).
+	Trace *trace.EnsembleTrace `json:"trace,omitempty"`
 	// Efficiencies holds E_i (Eq. 3) for the surviving members, in member
 	// order. Without faults this is every member.
 	Efficiencies []float64 `json:"efficiencies"`
-	// Report is the indicator report (Eq. 5-9) over the survivors.
-	Report indicators.Report `json:"report"`
-	// Objective is F(P^{U,A,P}), the paper's headline score.
+	// Objective is F(P^{U,A,P}) over the survivors, the paper's headline score.
 	Objective float64 `json:"objective"`
 	// Makespan is the ensemble makespan in virtual seconds.
 	Makespan float64 `json:"makespan"`
-	// Dropped counts members removed by the drop-member policy.
-	Dropped int `json:"dropped,omitempty"`
+	// Dropped counts members removed by the drop-member policy, and
+	// DroppedMembers lists their placement indices in ascending order.
+	Dropped        int   `json:"dropped,omitempty"`
+	DroppedMembers []int `json:"droppedMembers,omitempty"`
+	// Ledger is the job's simulated core-seconds (accounting.FromTrace),
+	// what every ledger charges for a submission of the hash.
+	Ledger accounting.JobLedger `json:"ledger"`
+}
+
+// decodeResult parses a disk entry's or a peer's result payload. One
+// without a ledger is the older generation, which carried the trace
+// instead: it fails, and every caller treats that as a miss.
+func decodeResult(b []byte) (*Result, error) {
+	res := new(Result)
+	probe := struct {
+		*Result
+		Ledger *accounting.JobLedger `json:"ledger"`
+	}{Result: res}
+	if err := json.Unmarshal(b, &probe); err != nil {
+		return nil, err
+	}
+	if probe.Ledger == nil {
+		return nil, errors.New("result carries no ledger (older generation)")
+	}
+	res.Ledger = *probe.Ledger
+	return res, nil
 }
 
 // resultCache is a content-addressed cache: an in-memory LRU bounded by a
@@ -64,32 +89,45 @@ type diskEnvelope struct {
 	Result json.RawMessage `json:"result"`
 }
 
-// decodeDiskEntry verifies and unwraps one on-disk entry, returning the
-// result and its payload size. Entries from before the envelope format
-// (or with a missing checksum) fail verification and re-execute once.
-func decodeDiskEntry(b []byte) (*Result, int64, error) {
+// encodeDiskEntry wraps a result in its checksummed envelope.
+func encodeDiskEntry(res *Result) ([]byte, error) {
+	b, err := json.Marshal(res)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: encoding result: %w", err)
+	}
+	sum := sha256.Sum256(b)
+	env, err := json.Marshal(diskEnvelope{Sum: hex.EncodeToString(sum[:]), Result: b})
+	if err != nil {
+		return nil, fmt.Errorf("campaign: encoding cache entry: %w", err)
+	}
+	return env, nil
+}
+
+// decodeDiskEntry verifies and unwraps one on-disk entry. Entries from
+// before the envelope format, with a missing checksum, or of the older
+// generation fail verification and re-execute once.
+func decodeDiskEntry(b []byte) (*Result, error) {
 	var env diskEnvelope
 	if err := json.Unmarshal(b, &env); err != nil {
-		return nil, 0, fmt.Errorf("undecodable envelope: %w", err)
+		return nil, fmt.Errorf("undecodable envelope: %w", err)
 	}
 	if env.Sum == "" || len(env.Result) == 0 {
-		return nil, 0, errors.New("missing checksum envelope")
+		return nil, errors.New("missing checksum envelope")
 	}
 	sum := sha256.Sum256(env.Result)
 	if got := hex.EncodeToString(sum[:]); got != env.Sum {
-		return nil, 0, fmt.Errorf("checksum mismatch: entry says %s, payload is %s", env.Sum, got)
+		return nil, fmt.Errorf("checksum mismatch: entry says %s, payload is %s", env.Sum, got)
 	}
-	var res Result
-	if err := json.Unmarshal(env.Result, &res); err != nil {
-		return nil, 0, fmt.Errorf("undecodable payload: %w", err)
+	res, err := decodeResult(env.Result)
+	if err != nil {
+		return nil, fmt.Errorf("undecodable payload: %w", err)
 	}
-	return &res, int64(len(env.Result)), nil
+	return res, nil
 }
 
 type cacheEntry struct {
 	hash string
 	res  *Result
-	size int64
 }
 
 // newResultCache builds the cache, creating the disk directory on demand.
@@ -128,7 +166,7 @@ func (c *resultCache) get(hash string) (*Result, bool, error) {
 		}
 		return nil, false, fmt.Errorf("campaign: cache read: %w", err)
 	}
-	res, size, err := decodeDiskEntry(b)
+	res, err := decodeDiskEntry(b)
 	if err != nil {
 		// Integrity failure: evict and miss rather than serve (or error
 		// on) a corrupt result — a re-execution is always correct.
@@ -138,36 +176,21 @@ func (c *resultCache) get(hash string) (*Result, bool, error) {
 		}
 		return nil, false, nil
 	}
-	c.admit(hash, res, size)
+	c.admit(hash, res)
 	return res, true, nil
 }
 
 // put stores a result under its hash in both tiers. The memory tier is
-// budgeted on a structural size estimate: serializing every result just
-// to measure it dominated the cold path at paper-scale step counts
-// (json.Marshal was 80%+ of a deep sweep's CPU profile). Only the disk
-// tier — which must produce the bytes anyway — still marshals, and it
-// keeps the exact size.
+// budgeted on the entry's heap (estimateResultSize); only the disk tier
+// marshals.
 func (c *resultCache) put(hash string, res *Result) error {
 	if c == nil {
 		return nil
 	}
-	if c.dir == "" {
-		c.admit(hash, res, estimateResultSize(res))
-		return nil
-	}
-	b, err := json.Marshal(res)
-	if err != nil {
-		return fmt.Errorf("campaign: encoding result: %w", err)
-	}
-	{
-		sum := sha256.Sum256(b)
-		env, err := json.Marshal(diskEnvelope{
-			Sum:    hex.EncodeToString(sum[:]),
-			Result: b,
-		})
+	if c.dir != "" {
+		env, err := encodeDiskEntry(res)
 		if err != nil {
-			return fmt.Errorf("campaign: encoding cache entry: %w", err)
+			return err
 		}
 		// Write-then-rename so a crashed writer never leaves a torn entry
 		// that a later get would reject as corrupt.
@@ -179,58 +202,22 @@ func (c *resultCache) put(hash string, res *Result) error {
 			return fmt.Errorf("campaign: cache write: %w", err)
 		}
 	}
-	c.admit(hash, res, int64(len(b)))
+	c.admit(hash, res)
 	return nil
 }
 
-// estimateResultSize approximates a result's JSON-encoded size without
-// serializing it: a structural walk counting stage records at their
-// average encoded width. The LRU budget only needs a consistent
-// approximation (each entry is debited with the same number it was
-// credited with), not exact bytes; the estimate tracks the real encoding
-// within a few tens of percent across step counts.
+// estimateResultSize is the heap one memory-tier entry holds: the
+// Result, its cacheEntry and list element, its index slot, the hash and
+// the slices' backing arrays. The budget therefore bounds real heap (a
+// real-backend result's trace is not counted; such runs never fill it).
 func estimateResultSize(res *Result) int64 {
-	const (
-		resultOverhead = 256 // fixed keys + scalar fields
-		perEfficiency  = 24
-		perReportStage = 48
-		perMember      = 64
-		perComponent   = 176 // keys + scalars outside the step array
-		perStep        = 24
-		perStageRecord = 220 // stage/start/duration/counters object
-		perNode        = 8
-		perOutput      = 24
-	)
-	n := int64(resultOverhead + len(res.Hash))
-	n += int64(perEfficiency * len(res.Efficiencies))
-	n += int64(perReportStage * len(res.Report.PerStage))
-	tr := res.Trace
-	if tr == nil {
-		return n
-	}
-	n += int64(len(tr.Backend) + len(tr.Config))
-	comp := func(c *trace.ComponentTrace) {
-		if c == nil {
-			return
-		}
-		n += int64(perComponent + len(c.Name) + len(c.Err))
-		n += int64(perNode*len(c.Nodes) + perOutput*len(c.Outputs))
-		for _, st := range c.Steps {
-			n += int64(perStep + perStageRecord*len(st.Stages))
-		}
-	}
-	for _, m := range tr.Members {
-		n += perMember
-		comp(m.Simulation)
-		for _, a := range m.Analyses {
-			comp(a)
-		}
-	}
-	return n
+	const mapSlot = 40 // one string → pointer map entry, load factor included
+	fixed := unsafe.Sizeof(Result{}) + unsafe.Sizeof(cacheEntry{}) + unsafe.Sizeof(list.Element{}) + mapSlot
+	return int64(fixed) + int64(len(res.Hash)+8*cap(res.Efficiencies)+8*cap(res.DroppedMembers))
 }
 
 // admit inserts into the memory tier and evicts LRU entries past budget.
-func (c *resultCache) admit(hash string, res *Result, size int64) {
+func (c *resultCache) admit(hash string, res *Result) {
 	if c.budget <= 0 {
 		return
 	}
@@ -238,15 +225,15 @@ func (c *resultCache) admit(hash string, res *Result, size int64) {
 		c.order.MoveToFront(el)
 		return
 	}
-	el := c.order.PushFront(&cacheEntry{hash: hash, res: res, size: size})
+	el := c.order.PushFront(&cacheEntry{hash: hash, res: res})
 	c.entries[hash] = el
-	c.bytes += size
+	c.bytes += estimateResultSize(res)
 	for c.bytes > c.budget && c.order.Len() > 1 {
 		oldest := c.order.Back()
 		e := oldest.Value.(*cacheEntry)
 		c.order.Remove(oldest)
 		delete(c.entries, e.hash)
-		c.bytes -= e.size
+		c.bytes -= estimateResultSize(e.res)
 	}
 }
 

@@ -135,14 +135,14 @@ func TestDiskCacheLegacyEntryTreatedAsMiss(t *testing.T) {
 }
 
 func TestDecodeDiskEntryRejectsTamperedChecksum(t *testing.T) {
-	res, _, err := decodeDiskEntry([]byte(`{"sha256":"0000","result":{"hash":"x"}}`))
+	res, err := decodeDiskEntry([]byte(`{"sha256":"0000","result":{"hash":"x"}}`))
 	if err == nil || res != nil {
 		t.Fatalf("tampered checksum accepted: res=%v err=%v", res, err)
 	}
-	if _, _, err := decodeDiskEntry([]byte(`not json`)); err == nil {
+	if _, err := decodeDiskEntry([]byte(`not json`)); err == nil {
 		t.Fatal("undecodable envelope accepted")
 	}
-	if _, _, err := decodeDiskEntry([]byte(`{"result":{"hash":"x"}}`)); err == nil {
+	if _, err := decodeDiskEntry([]byte(`{"result":{"hash":"x"}}`)); err == nil {
 		t.Fatal("entry without checksum accepted")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"ensemblekit/internal/campaign/accounting"
 	"ensemblekit/internal/runtime"
 )
 
@@ -91,7 +90,15 @@ func (s *Service) runRouted(ctx context.Context, j *Job) (*Result, runtime.RunIn
 		return nil, none, Permanent(err)
 	}
 	b, err := fab.Execute(ctx, owner, j.Hash, specJSON, j.Label)
-	if err != nil {
+	if err == nil {
+		res, derr := decodeResult(b)
+		if derr == nil {
+			j.setServed(servedForward)
+			return res, none, nil
+		}
+		// An older-generation (or corrupt) payload is a miss: run it here.
+		err = fmt.Errorf("undecodable result: %w", derr)
+	} else {
 		if ctx.Err() != nil {
 			return nil, none, ctx.Err()
 		}
@@ -108,26 +115,11 @@ func (s *Service) runRouted(ctx context.Context, j *Job) (*Result, runtime.RunIn
 			return nil, none, err
 		}
 		// No retry budget: a lost peer must not lose the job.
-		s.log.Warn("pool: forward failed; executing locally",
-			"peer", owner, "hash", j.Hash, "err", err.Error())
-		j.setNode(fab.NodeID())
-		return s.runShielded(ctx, j)
 	}
-	res, err := decodeResult(b)
-	if err != nil {
-		return nil, none, fmt.Errorf("campaign: undecodable result from peer %s: %w", owner, err)
-	}
-	j.setServed(servedForward)
-	return res, none, nil
-}
-
-// decodeResult parses a result payload received from a peer.
-func decodeResult(b []byte) (*Result, error) {
-	var res Result
-	if err := json.Unmarshal(b, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	s.log.Warn("pool: forward failed; executing locally",
+		"peer", owner, "hash", j.Hash, "err", err.Error())
+	j.setNode(fab.NodeID())
+	return s.runShielded(ctx, j)
 }
 
 // CachedResultJSON serves this node's tier of the fleet cache: the
@@ -238,10 +230,9 @@ func (s *Service) ExecuteForwardedJSON(ctx context.Context, specJSON []byte, _ s
 		// charges its campaign; see charge). The fast-path and plan-cache
 		// credits land on this node too — the requester has no RunInfo
 		// for a forwarded run.
-		jl := accounting.FromTrace(res.Trace)
-		s.acctSpent("", hash, jl, true)
+		s.acctSpent("", hash, res.Ledger, true)
 		s.acct.node.RecordWall(time.Since(runStart).Seconds(), 0)
-		s.acctRunCredits("", hash, jl, info)
+		s.acctRunCredits("", hash, res.Ledger, info)
 		fl.res, err = json.Marshal(res)
 	}
 	fl.err = err

@@ -16,6 +16,7 @@ import (
 
 	"ensemblekit/internal/campaign/accounting"
 	"ensemblekit/internal/campaign/journal"
+	"ensemblekit/internal/indicators"
 	"ensemblekit/internal/obs"
 	"ensemblekit/internal/placement"
 	"ensemblekit/internal/telemetry"
@@ -771,8 +772,14 @@ type jobStatus struct {
 	TraceID string `json:"traceId,omitempty"`
 	// Node is the pool node that executed (or is executing) the job;
 	// empty on a single-node service.
-	Node   string  `json:"node,omitempty"`
-	Result *Result `json:"result,omitempty"`
+	Node   string     `json:"node,omitempty"`
+	Result *jobResult `json:"result,omitempty"`
+}
+
+// jobResult is the stored summary plus its indicator report, derived on read.
+type jobResult struct {
+	*Result
+	Report indicators.Report `json:"report"`
 }
 
 func (s *Server) getJob(w http.ResponseWriter, r *http.Request) {
@@ -786,7 +793,14 @@ func (s *Server) getJob(w http.ResponseWriter, r *http.Request) {
 	if res, err := j.Result(); err != nil {
 		st.Error = err.Error()
 	} else if res != nil {
-		st.Result = res
+		rep, err := indicators.FullReport(j.spec.Placement.Without(res.DroppedMembers), res.Efficiencies)
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, fmt.Errorf("campaign: job %s: %w", j.ID, err))
+			return
+		}
+		sum := *res
+		sum.Trace = nil // even a real-backend job's: /v1/jobs/{id}/trace serves it
+		st.Result = &jobResult{Result: &sum, Report: rep}
 	}
 	writeJSON(w, http.StatusOK, st)
 }
@@ -797,24 +811,25 @@ func (s *Server) getJobTrace(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("campaign: no job %q", r.PathValue("id")))
 		return
 	}
-	res, err := j.Result()
+	tr, err := j.Trace()
 	if err != nil {
 		httpError(w, http.StatusConflict, fmt.Errorf("campaign: job %s failed: %w", j.ID, err))
 		return
 	}
-	if res == nil || res.Trace == nil {
+	if tr == nil {
 		httpError(w, http.StatusConflict, fmt.Errorf("campaign: job %s has no trace yet", j.ID))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition",
 		fmt.Sprintf("attachment; filename=%q", j.ID+"-trace.json"))
-	// The stored trace replays into obs events post hoc, so traces cost
-	// nothing unless somebody downloads one. When the job was traced, the
-	// service-level spans (request, campaign, job, queue, execute) merge
-	// into the export as their own process, mapped back onto the virtual
-	// clock via the affine parameters the execute span recorded.
-	events := obs.FromTrace(res.Trace)
+	// The trace, re-run from the spec, replays into obs events post hoc,
+	// so it costs nothing unless somebody downloads it. When the job was
+	// traced, the service-level spans (request, campaign, job, queue,
+	// execute) merge into the export as their own process, mapped back
+	// onto the virtual clock via the affine parameters the execute span
+	// recorded.
+	events := obs.FromTrace(tr)
 	if tr := s.svc.Tracer(); tr != nil && j.span != nil {
 		spans := tr.Store().Spans(j.span.Context().TraceID)
 		if toVirtual := desInverseMap(spans, j.span.Context().SpanID); toVirtual != nil {
@@ -930,9 +945,8 @@ func (s *Server) getJobCriticalPath(w http.ResponseWriter, r *http.Request) {
 	// core-second ledger so one response answers both "where did the
 	// latency go" and "what did it cost".
 	resp := criticalPathResponse{CriticalPath: cp, DroppedSpans: s.droppedSpans(j)}
-	if res, rerr := j.Result(); rerr == nil && res != nil && res.Trace != nil {
-		jl := accounting.FromTrace(res.Trace)
-		resp.Accounting = &jl
+	if res, rerr := j.Result(); rerr == nil && res != nil {
+		resp.Accounting = &res.Ledger
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

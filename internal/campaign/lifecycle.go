@@ -13,6 +13,7 @@ import (
 	"ensemblekit/internal/runtime"
 	"ensemblekit/internal/telemetry"
 	"ensemblekit/internal/telemetry/tracing"
+	"ensemblekit/internal/trace"
 )
 
 // Status is a job's lifecycle state as the API reports it.
@@ -129,6 +130,22 @@ func (j *Job) Result() (*Result, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.result, j.err
+}
+
+// Trace returns a finished job's trace: the one a real-backend result
+// kept, or a re-run of the simulated spec through the service's World —
+// byte-identical to the worker's run and charged to no ledger. (nil, nil)
+// while the job is pending; a failed job returns its error.
+func (j *Job) Trace() (*trace.EnsembleTrace, error) {
+	res, err := j.Result()
+	switch {
+	case err != nil || res == nil:
+		return nil, err
+	case res.Trace != nil:
+		return res.Trace, nil
+	}
+	tr, _, _, err := runSpec(j.spec, nil, j.svc.world, false)
+	return tr, err
 }
 
 // Wait blocks until the job finishes or ctx is done. A ctx expiry leaves

@@ -391,15 +391,10 @@ func (cr *CandidateResult) aggregate(stage indicators.StageSet) error {
 	}
 	// Indicator arithmetic needs the surviving placement; without drops
 	// this is the full placement. Derive it from the first result's drop
-	// count to stay consistent with Eq. 9 over survivors.
+	// mask to stay consistent with Eq. 9 over survivors.
 	p := cr.Placement
-	if cr.Results[0] != nil && cr.Results[0].Dropped > 0 {
-		p = placement.Placement{Name: cr.Placement.Name}
-		for i, m := range cr.Results[0].Trace.Members {
-			if !m.Dropped() {
-				p.Members = append(p.Members, cr.Placement.Members[i])
-			}
-		}
+	if cr.Results[0] != nil {
+		p = p.Without(cr.Results[0].DroppedMembers)
 	}
 	rep, err := indicators.FullReport(p, effs)
 	if err != nil {

@@ -120,7 +120,15 @@ func TestCampaignMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := json.Marshal(c.Results[0].Trace)
+		j, ok := svc.Job(c.JobIDs[0])
+		if !ok {
+			t.Fatalf("%s: job %s unknown", c.Label, c.JobIDs[0])
+		}
+		pooled, err := j.Trace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(pooled)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"ensemblekit/internal/campaign/accounting"
 	"ensemblekit/internal/core"
 	"ensemblekit/internal/indicators"
 	"ensemblekit/internal/obs"
@@ -16,15 +17,21 @@ import (
 )
 
 // Execute runs one job to completion in the calling goroutine — the serial
-// path the service parallelizes. The returned result is exactly what a
-// direct runtime.RunSimulated of the same inputs produces (the trace is
-// byte-identical), plus the derived indicator quantities.
+// path the service parallelizes: the summary a worker caches plus the
+// trace, byte-identical to a direct runtime.RunSimulated of the same inputs.
 func Execute(spec JobSpec) (*Result, error) {
 	hash, err := spec.Hash()
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := executeSpec(context.Background(), nil, hash, spec, nil)
+	tr, _, _, err := runSpec(spec, nil, nil, false)
+	if err != nil {
+		return nil, err
+	}
+	res, err := derive(hash, spec.Placement, tr)
+	if res != nil {
+		res.Trace = tr
+	}
 	return res, err
 }
 
@@ -36,23 +43,30 @@ func (spec JobSpec) simOptions() runtime.SimOptions {
 }
 
 // runSpec dispatches the spec to its backend: runtime.RunReal when the
-// spec carries a RealConfig, runtime.RunSimulated otherwise. The fault
-// plan and resilience policy are shared between backends; rec, when
+// spec carries a RealConfig, runtime.RunSimulatedScratch otherwise. The
+// fault plan and resilience policy are shared between backends; rec, when
 // non-nil, attaches the live obs recorder. world (shared plans and arenas:
-// an execution aid, never an input) applies only to the simulated backend.
-func runSpec(spec JobSpec, rec *obs.Recorder, world *runtime.World) (*trace.EnsembleTrace, runtime.RunInfo, error) {
+// an execution aid, never an input) applies only to the simulated
+// backend; with scratch, so does release, which hands a kernel-served
+// trace's storage back to world once the caller has read the trace.
+// Without scratch, release does nothing and the trace is the caller's.
+func runSpec(spec JobSpec, rec *obs.Recorder, world *runtime.World, scratch bool) (*trace.EnsembleTrace, runtime.RunInfo, func(), error) {
 	if spec.Real != nil {
 		ro := spec.Real.Options()
 		ro.Faults = spec.Faults
 		ro.Resilience = spec.Sim.Resilience
 		ro.Recorder = rec
 		tr, err := runtime.RunReal(spec.Placement, ro)
-		return tr, runtime.RunInfo{}, err
+		return tr, runtime.RunInfo{}, func() {}, err
 	}
 	opts := spec.simOptions()
 	opts.Recorder = rec
 	opts.World = world
-	return runtime.RunSimulatedInfo(spec.Cluster, spec.Placement, spec.Ensemble, opts)
+	if !scratch {
+		tr, info, err := runtime.RunSimulatedInfo(spec.Cluster, spec.Placement, spec.Ensemble, opts)
+		return tr, info, func() {}, err
+	}
+	return runtime.RunSimulatedScratch(spec.Cluster, spec.Placement, spec.Ensemble, opts)
 }
 
 // recorders recycles the obs event logs of observed runs: a log keeps its
@@ -71,12 +85,13 @@ var recorders = sync.Pool{New: func() any { return obs.NewRecorder(nil) }}
 // copies the events if it admits the batch, and the log goes back to the
 // pool either way. Every other spec is served by the timeline kernel,
 // which has no event stream: its component and stage spans derive from
-// the result's own trace, and nothing is copied. The affine map wall =
-// anchor + scale·virtual with scale = wallDuration/makespan tiles the
-// simulated timeline onto the measured execution window, so the critical
-// path's stage durations sum to the job's real latency; its parameters go
-// on the execute span (des.anchorUnixNano, des.scale, des.makespanSec,
-// plus des.fastpath, "served by the kernel") so exporters can invert it.
+// the trace, which the first reader re-runs from the spec. The affine map
+// wall = anchor + scale·virtual with scale = wallDuration/makespan tiles
+// the simulated timeline onto the measured execution window, so the
+// critical path's stage durations sum to the job's real latency; its
+// parameters go on the execute span (des.anchorUnixNano, des.scale,
+// des.makespanSec, plus des.fastpath, "served by the kernel") so
+// exporters can invert it.
 func executeSpec(ctx context.Context, tracer *tracing.Tracer, hash string, spec JobSpec, world *runtime.World) (*Result, runtime.RunInfo, error) {
 	var span *tracing.Span // nil (a no-op) on an unobserved run
 	var rec *obs.Recorder
@@ -87,7 +102,8 @@ func executeSpec(ctx context.Context, tracer *tracing.Tracer, hash string, spec 
 		}
 	}
 	anchor := time.Now()
-	tr, info, err := runSpec(spec, rec, world)
+	tr, info, release, err := runSpec(spec, rec, world, true)
+	defer release() // the result keeps no simulated trace
 	wallSec := time.Since(anchor).Seconds()
 	if err != nil {
 		// A failed run may have left processes that still hold rec; it is
@@ -111,50 +127,36 @@ func executeSpec(ctx context.Context, tracer *tracing.Tracer, hash string, spec 
 			rec.Reset()
 			recorders.Put(rec)
 		} else {
-			obs.DeferTraceSpans(tracer, span.Context(), tr, anchor, scale)
+			obs.DeferTraceSpans(tracer, span.Context(), tr, func() *trace.EnsembleTrace {
+				if tr, _, _, err := runSpec(spec, nil, world, false); err == nil {
+					return tr // byte-identical to this run's
+				}
+				return &trace.EnsembleTrace{}
+			}, anchor, scale)
 		}
 	}
 	res, err := derive(hash, spec.Placement, tr)
+	if err == nil && spec.Real != nil {
+		res.Trace = tr // a wall-clock run cannot be re-run for its trace
+	}
 	return res, info, err
 }
 
-// derive computes the paper's quantities from a finished trace: surviving
-// efficiencies (Eq. 3), the full indicator report, and F(P^{U,A,P}).
+// derive summarizes a finished trace: surviving efficiencies (Eq. 3),
+// F(P^{U,A,P}) over the survivors, the drop mask and the job's ledger.
 func derive(hash string, p placement.Placement, tr *trace.EnsembleTrace) (*Result, error) {
-	surviving := placement.Placement{Name: p.Name}
-	var effs []float64
-	dropped := 0
-	for i, m := range tr.Members {
-		if m.Dropped() {
-			dropped++
-			continue
-		}
-		ss, err := core.FromMemberTrace(m, core.ExtractOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("campaign: member %d: %w", i, err)
-		}
-		e, err := ss.Efficiency()
-		if err != nil {
-			return nil, fmt.Errorf("campaign: member %d: %w", i, err)
-		}
-		surviving.Members = append(surviving.Members, p.Members[i])
-		effs = append(effs, e)
-	}
-	res := &Result{
-		Hash:     hash,
-		Trace:    tr,
-		Makespan: tr.Makespan(),
-		Dropped:  dropped,
+	effs, err := core.Efficiencies(tr.SurvivingMembers())
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
 	}
 	if len(effs) == 0 {
 		return nil, fmt.Errorf("campaign: no surviving members in %q", p.Name)
 	}
-	rep, err := indicators.FullReport(surviving, effs)
+	dropped := tr.DroppedMembers()
+	f, err := indicators.Objective(p.Without(dropped), effs, indicators.StageUAP)
 	if err != nil {
 		return nil, err
 	}
-	res.Efficiencies = effs
-	res.Report = rep
-	res.Objective = rep.PerStage[indicators.StageUAP.String()]
-	return res, nil
+	return &Result{Hash: hash, Efficiencies: effs, Objective: f, Makespan: tr.Makespan(),
+		Dropped: len(dropped), DroppedMembers: dropped, Ledger: accounting.FromTrace(tr)}, nil
 }

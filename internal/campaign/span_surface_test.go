@@ -17,9 +17,9 @@ import (
 // jobSpanKinds posts body as a one-job campaign on a traced server and
 // returns the job's ID, its trace's spans (waiting for the campaign span,
 // the last to close), and a count per kind.
-func jobSpanKinds(t *testing.T, body string) (ts *httptest.Server, jobID string, spans []tracing.SpanData, kinds map[string]int) {
+func jobSpanKinds(t *testing.T, body string) (ts *httptest.Server, svc *Service, jobID string, spans []tracing.SpanData, kinds map[string]int) {
 	t.Helper()
-	ts, _ = newTracedServer(t, Config{})
+	ts, svc = newTracedServer(t, Config{})
 	final := pollCampaign(t, ts, postCampaign(t, ts, body).ID)
 	if final.Status != "done" || final.Result.Jobs != 1 {
 		t.Fatalf("campaign: %+v", final)
@@ -30,7 +30,7 @@ func jobSpanKinds(t *testing.T, body string) (ts *httptest.Server, jobID string,
 	for _, d := range spans {
 		kinds[d.Kind]++
 	}
-	return ts, jobID, spans, kinds
+	return ts, svc, jobID, spans, kinds
 }
 
 // servedByKernel reads the execute span's des.fastpath attribute.
@@ -51,12 +51,15 @@ func servedByKernel(t *testing.T, spans []tracing.SpanData) (exec tracing.SpanDa
 }
 
 func TestKernelServedJobSpansDeriveFromItsTrace(t *testing.T) {
-	ts, jobID, spans, kinds := jobSpanKinds(t, `{"configs":["C1.4"],"steps":4}`)
+	ts, svc, jobID, spans, kinds := jobSpanKinds(t, `{"configs":["C1.4"],"steps":4}`)
 
-	var js jobStatus
-	getJSON(t, ts.URL+"/v1/jobs/"+jobID, &js)
+	j, _ := svc.Job(jobID)
+	tr, err := j.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
 	components, stages := 0, 0
-	for _, c := range js.Result.Trace.Components() {
+	for _, c := range tr.Components() {
 		components++
 		for _, step := range c.Steps {
 			stages += len(step.Stages)
@@ -113,7 +116,7 @@ func TestKernelServedJobSpansDeriveFromItsTrace(t *testing.T) {
 }
 
 func TestEngineServedJobSpansCarryEngineKinds(t *testing.T) {
-	_, _, spans, kinds := jobSpanKinds(t, `{"configs":["C1.4"],"steps":4,
+	_, _, _, spans, kinds := jobSpanKinds(t, `{"configs":["C1.4"],"steps":4,
 		"faultPlans":[{"name":"degraded","network":[{"start":2,"end":30,"factor":0.25}]}]}`)
 	for _, want := range []string{"component", "stage:R", "dtl:put", "dtl:get", "net:flow", "fault"} {
 		if kinds[want] == 0 {

@@ -37,6 +37,25 @@ func (o ExtractOptions) warmup(nSteps int) int {
 	return w
 }
 
+// Efficiencies returns E_i (Eq. 3) of each member, in order: pass
+// tr.Members for every member, tr.SurvivingMembers() for the ones the
+// drop-member policy kept.
+func Efficiencies(members []*trace.MemberTrace) ([]float64, error) {
+	effs := make([]float64, 0, len(members))
+	for _, m := range members {
+		ss, err := FromMemberTrace(m, ExtractOptions{})
+		if err != nil {
+			return nil, fmt.Errorf("core: member %d: %w", m.Index, err)
+		}
+		e, err := ss.Efficiency()
+		if err != nil {
+			return nil, fmt.Errorf("core: member %d: %w", m.Index, err)
+		}
+		effs = append(effs, e)
+	}
+	return effs, nil
+}
+
 // FromMemberTrace extracts the steady-state stage durations of a member
 // from its execution trace: per-stage means over the post-warmup steps.
 // This is the bridge between measurement (TAU in the paper, the runtime's

@@ -98,11 +98,15 @@ func (c Config) simulate(spec cluster.Spec, p placement.Placement, es runtime.En
 	if err != nil {
 		return nil, err
 	}
-	res, err := j.Wait(context.Background())
-	if err != nil {
+	return jobTrace(j)
+}
+
+// jobTrace waits for a job and returns its trace, re-run from its spec.
+func jobTrace(j *campaign.Job) (*trace.EnsembleTrace, error) {
+	if _, err := j.Wait(context.Background()); err != nil {
 		return nil, err
 	}
-	return res.Trace, nil
+	return j.Trace()
 }
 
 // submit enqueues one ensemble on the configured service.
@@ -140,11 +144,11 @@ func runConfig(cfg Config, p placement.Placement) ([]*trace.EnsembleTrace, error
 			jobs = append(jobs, j)
 		}
 		for t, j := range jobs {
-			res, err := j.Wait(context.Background())
+			tr, err := jobTrace(j)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s trial %d: %w", p.Name, t, err)
 			}
-			out = append(out, res.Trace)
+			out = append(out, tr)
 		}
 		return out, nil
 	}
@@ -170,15 +174,11 @@ func memberEfficiencies(traces []*trace.EnsembleTrace) ([]float64, error) {
 		if len(tr.Members) != n {
 			return nil, fmt.Errorf("experiments: inconsistent member counts across trials")
 		}
-		for i, m := range tr.Members {
-			ss, err := core.FromMemberTrace(m, core.ExtractOptions{})
-			if err != nil {
-				return nil, err
-			}
-			e, err := ss.Efficiency()
-			if err != nil {
-				return nil, err
-			}
+		effs, err := core.Efficiencies(tr.Members)
+		if err != nil {
+			return nil, err
+		}
+		for i, e := range effs {
 			perMember[i] = append(perMember[i], e)
 		}
 	}

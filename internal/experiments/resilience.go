@@ -106,25 +106,11 @@ func FaultStudy(cfg Config) ([]FaultRow, error) {
 // resource shares to the objective. An ensemble with no survivors scores
 // zero.
 func survivorObjective(p placement.Placement, tr *trace.EnsembleTrace) (float64, error) {
-	survivors := tr.SurvivingMembers()
-	if len(survivors) == 0 {
-		return 0, nil
+	effs, err := core.Efficiencies(tr.SurvivingMembers())
+	if err != nil || len(effs) == 0 {
+		return 0, err
 	}
-	filtered := placement.Placement{Name: p.Name}
-	effs := make([]float64, 0, len(survivors))
-	for _, m := range survivors {
-		filtered.Members = append(filtered.Members, p.Members[m.Index])
-		ss, err := core.FromMemberTrace(m, core.ExtractOptions{})
-		if err != nil {
-			return 0, err
-		}
-		e, err := ss.Efficiency()
-		if err != nil {
-			return 0, err
-		}
-		effs = append(effs, e)
-	}
-	return indicators.Objective(filtered, effs, indicators.StageUAP)
+	return indicators.Objective(p.Without(tr.DroppedMembers()), effs, indicators.StageUAP)
 }
 
 // totalRetries counts the recovered staging attempts recorded in the

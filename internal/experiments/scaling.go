@@ -9,6 +9,7 @@ import (
 	"ensemblekit/internal/report"
 	"ensemblekit/internal/runtime"
 	"ensemblekit/internal/stats"
+	"ensemblekit/internal/trace"
 	"ensemblekit/internal/workload"
 )
 
@@ -140,7 +141,7 @@ func HeterogeneousStudy(cfg Config) ([]HeterogeneousRow, error) {
 			spec = clusterSpecWithNodes(spec, p.M())
 		}
 		var ms []float64
-		perMember := make([][]float64, members)
+		var traces []*trace.EnsembleTrace
 		for t := 0; t < cfg.Trials; t++ {
 			tr, err := cfg.simulate(spec, p, es, runtime.SimOptions{
 				Tier: cfg.Tier, Jitter: cfg.jitter(), Seed: cfg.BaseSeed + int64(t),
@@ -149,21 +150,11 @@ func HeterogeneousStudy(cfg Config) ([]HeterogeneousRow, error) {
 				return nil, err
 			}
 			ms = append(ms, tr.Makespan())
-			for i, m := range tr.Members {
-				ss, err := coreSteady(m)
-				if err != nil {
-					return nil, err
-				}
-				e, err := ss.Efficiency()
-				if err != nil {
-					return nil, err
-				}
-				perMember[i] = append(perMember[i], e)
-			}
+			traces = append(traces, tr)
 		}
-		effs := make([]float64, members)
-		for i := range effs {
-			effs[i] = stats.Mean(perMember[i])
+		effs, err := memberEfficiencies(traces)
+		if err != nil {
+			return nil, err
 		}
 		f, err := indicators.Objective(p, effs, indicators.StageUAP)
 		if err != nil {
@@ -342,7 +333,7 @@ func InTransitStudy(cfg Config) ([]InTransitRow, error) {
 		es := runtime.SpecForPlacement(mode.p, cfg.Steps)
 		spec := cfg.spec()
 		var ms, sStage, aStage []float64
-		perMember := make([][]float64, len(mode.p.Members))
+		var traces []*trace.EnsembleTrace
 		for t := 0; t < cfg.Trials; t++ {
 			tr, err := cfg.simulate(spec, mode.p, es, runtime.SimOptions{
 				Tier: cfg.Tier, Jitter: cfg.jitter(), Seed: cfg.BaseSeed + int64(t),
@@ -351,26 +342,18 @@ func InTransitStudy(cfg Config) ([]InTransitRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			ms = append(ms, tr.Makespan())
-			for i, m := range tr.Members {
-				ss, err := coreSteady(m)
-				if err != nil {
-					return nil, err
-				}
-				e, err := ss.Efficiency()
-				if err != nil {
-					return nil, err
-				}
-				perMember[i] = append(perMember[i], e)
-				if i == 0 {
-					sStage = append(sStage, ss.S)
-					aStage = append(aStage, ss.Couplings[0].A)
-				}
+			ss, err := coreSteady(tr.Members[0])
+			if err != nil {
+				return nil, err
 			}
+			ms = append(ms, tr.Makespan())
+			sStage = append(sStage, ss.S)
+			aStage = append(aStage, ss.Couplings[0].A)
+			traces = append(traces, tr)
 		}
-		effs := make([]float64, len(perMember))
-		for i := range effs {
-			effs[i] = stats.Mean(perMember[i])
+		effs, err := memberEfficiencies(traces)
+		if err != nil {
+			return nil, err
 		}
 		f, err := indicators.Objective(mode.p, effs, indicators.StageUAP)
 		if err != nil {

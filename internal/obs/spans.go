@@ -77,11 +77,10 @@ func DeferSpans(tr *tracing.Tracer, parent tracing.SpanContext, events []Event, 
 }
 
 // DeferTraceSpans defers the component and stage spans of a finished
-// trace — what a run with no live event stream shows for itself: the first
-// reader replays it into events (FromTrace) and bridges those. Nothing is
-// copied; the batch holds et, which must not change afterwards. Returns
-// the spans deferred.
-func DeferTraceSpans(tr *tracing.Tracer, parent tracing.SpanContext, et *trace.EnsembleTrace, anchor time.Time, scale float64) int {
+// trace — what a run with no live event stream shows for itself. et is
+// only counted: the batch pins no trace, and its first reader replays
+// (FromTrace) the equal trace rebuild returns. Returns the spans deferred.
+func DeferTraceSpans(tr *tracing.Tracer, parent tracing.SpanContext, et *trace.EnsembleTrace, rebuild func() *trace.EnsembleTrace, anchor time.Time, scale float64) int {
 	n := 0
 	for _, c := range et.Components() {
 		n++
@@ -90,7 +89,7 @@ func DeferTraceSpans(tr *tracing.Tracer, parent tracing.SpanContext, et *trace.E
 		}
 	}
 	return deferBridge(tr, parent, n, anchor, scale, func() func() []Event {
-		return func() []Event { return FromTrace(et) }
+		return func() []Event { return FromTrace(rebuild()) }
 	})
 }
 

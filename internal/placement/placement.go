@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -111,6 +112,21 @@ type Placement struct {
 
 // N returns the number of ensemble members.
 func (p Placement) N() int { return len(p.Members) }
+
+// Without returns p minus the members at the given indexes — the
+// survivors of a run that dropped them.
+func (p Placement) Without(dropped []int) Placement {
+	if len(dropped) == 0 {
+		return p
+	}
+	out := Placement{Name: p.Name}
+	for i, m := range p.Members {
+		if !slices.Contains(dropped, i) {
+			out.Members = append(out.Members, m)
+		}
+	}
+	return out
+}
 
 // UsedNodes returns the set of node indexes used by the whole ensemble.
 func (p Placement) UsedNodes() []int {

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"ensemblekit/internal/campaign/accounting"
 )
 
 // Table is a simple column-aligned text table.
@@ -142,6 +144,17 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// Ledger tabulates a job ledger's busy and idle core-seconds by
+// component class, with their totals.
+func Ledger(l accounting.JobLedger) *Table {
+	t := NewTable("Resource accounting (simulated core-seconds)", "class", "busy", "idle", "total")
+	for i, sp := range l.Splits() {
+		t.AddRow(accounting.Classes()[i], sp.Busy, sp.Idle, sp.Busy+sp.Idle)
+	}
+	t.AddRow("total", l.Busy(), l.Idle(), l.Total())
+	return t
 }
 
 // String renders the text form.

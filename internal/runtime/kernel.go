@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"math/rand"
+	"slices"
 
 	"ensemblekit/internal/cluster"
 	"ensemblekit/internal/network"
@@ -302,8 +303,15 @@ func runKernel(pl *simPlan, opts SimOptions) (*trace.EnsembleTrace, bool) {
 	}
 	k.comps = k.comps[:total]
 	n := pl.es.Steps
-	stages := make([]trace.StageRecord, 3*n*total)
-	steps := make([]trace.StepRecord, n*total)
+	// A scratch run's records go to recycled storage; every record the
+	// kernel hands out is overwritten, so none needs clearing.
+	st := opts.storage
+	if st == nil {
+		st = new(traceStorage)
+	}
+	stages := slices.Grow(st.stages[:0], 3*n*total)[:3*n*total]
+	steps := slices.Grow(st.steps[:0], n*total)[:n*total]
+	st.stages, st.steps = stages, steps
 	ci := 0
 	bind := func(ct *trace.ComponentTrace, alloc compAlloc, assess cluster.Assessment, jitIndex int64, member int) *kcomp {
 		c := &k.comps[ci]

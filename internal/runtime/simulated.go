@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"ensemblekit/internal/cluster"
 	"ensemblekit/internal/dtl"
@@ -74,6 +75,9 @@ type SimOptions struct {
 	// not need the engine (see NeedsEngine) without being asked. The field
 	// remains only because the frozen benchmark probes set it.
 	FastPath bool
+
+	// storage is where the kernel writes a RunSimulatedScratch trace.
+	storage *traceStorage
 }
 
 // NeedsEngine reports whether a run with these options must execute on the
@@ -121,6 +125,21 @@ type RunInfo struct {
 	// DESEvents counts events dispatched by the engine serving the run
 	// (zero when the kernel served it).
 	DESEvents int64
+}
+
+// RunSimulatedScratch is RunSimulatedInfo for a caller that reads the
+// trace and drops it: a kernel-served trace's stage and step records are
+// written into storage borrowed from opts.World, and release hands it
+// back for the next run. Nothing may read the trace after release; a
+// caller that never calls it leaves the storage to the GC.
+func RunSimulatedScratch(spec cluster.Spec, p placement.Placement, es EnsembleSpec, opts SimOptions) (*trace.EnsembleTrace, RunInfo, func(), error) {
+	release := func() {}
+	if w := opts.World; w != nil {
+		opts.storage = w.traces.Get().(*traceStorage)
+		release = sync.OnceFunc(func() { w.traces.Put(opts.storage) })
+	}
+	tr, info, err := RunSimulatedInfo(spec, p, es, opts)
+	return tr, info, release, err
 }
 
 // RunSimulatedInfo is RunSimulated plus execution metadata. The timeline

@@ -9,6 +9,7 @@ import (
 	"ensemblekit/internal/cluster"
 	"ensemblekit/internal/placement"
 	"ensemblekit/internal/sim"
+	"ensemblekit/internal/trace"
 )
 
 // simPlan is the frozen, execution-independent half of a simulated run:
@@ -189,6 +190,8 @@ type World struct {
 	// kernels recycles timeline-kernel scratch (component states, flow
 	// set, jitter generators); a kernel keeps nothing of a finished run.
 	kernels sync.Pool
+	// traces recycles released kernel trace storage (RunSimulatedScratch).
+	traces sync.Pool
 
 	// hits/misses instrument the plan cache (read via Stats).
 	hits, misses int64
@@ -198,6 +201,7 @@ type World struct {
 func NewWorld() *World {
 	w := &World{plans: make(map[[32]byte]*simPlan)}
 	w.envs.New = func() any { return sim.NewEnv() }
+	w.traces.New = func() any { return new(traceStorage) }
 	return w
 }
 
@@ -275,4 +279,10 @@ func (w *World) releaseKernel(k *kernel) {
 	if w != nil {
 		w.kernels.Put(k)
 	}
+}
+
+// traceStorage holds a kernel trace's stage and step records for reuse.
+type traceStorage struct {
+	stages []trace.StageRecord
+	steps  []trace.StepRecord
 }

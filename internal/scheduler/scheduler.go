@@ -91,19 +91,7 @@ func Efficiencies(tr *trace.EnsembleTrace) ([]float64, error) {
 	if tr == nil || len(tr.Members) == 0 {
 		return nil, errors.New("scheduler: empty trace")
 	}
-	out := make([]float64, len(tr.Members))
-	for i, m := range tr.Members {
-		ss, err := core.FromMemberTrace(m, core.ExtractOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("scheduler: member %d: %w", i, err)
-		}
-		e, err := ss.Efficiency()
-		if err != nil {
-			return nil, fmt.Errorf("scheduler: member %d: %w", i, err)
-		}
-		out[i] = e
-	}
-	return out, nil
+	return core.Efficiencies(tr.Members)
 }
 
 // PredictSteadyStates computes each member's analytic steady state for a

@@ -19,8 +19,8 @@ import (
 // walks crossing old states, a search re-run after a sweep — are answered
 // from the cache instead of re-simulated. Scores are identical to
 // SimulatedObjective for a fixed seed: the job replays the same
-// RunSimulated call and the efficiencies are extracted from the same
-// trace.
+// RunSimulated call, and the service extracts the efficiencies from the
+// same trace.
 //
 // The options must be content-addressable (no Model override); otherwise
 // every evaluation returns campaign.ErrNotCacheable.
@@ -34,16 +34,30 @@ func ServiceObjective(svc *campaign.Service, spec cluster.Spec, es runtime.Ensem
 		if err != nil {
 			return 0, err
 		}
-		res, err := j.Wait(context.Background())
-		if err != nil {
-			return 0, err
-		}
-		effs, err := Efficiencies(res.Trace)
-		if err != nil {
-			return 0, err
-		}
-		return indicators.Objective(p, effs, stage)
+		return serviceScore(context.Background(), p, j, stage)
 	}
+}
+
+// serviceScore waits for a candidate's job and scores it from the
+// efficiencies the service already extracted. When members were dropped
+// those cover only the survivors, so the trace is re-run and every member
+// scored, as SimulatedObjective does.
+func serviceScore(ctx context.Context, p placement.Placement, j *campaign.Job, stage indicators.StageSet) (float64, error) {
+	res, err := j.Wait(ctx)
+	if err != nil {
+		return 0, err
+	}
+	effs := res.Efficiencies
+	if res.Dropped > 0 {
+		tr, err := j.Trace()
+		if err != nil {
+			return 0, err
+		}
+		if effs, err = Efficiencies(tr); err != nil {
+			return 0, err
+		}
+	}
+	return indicators.Objective(p, effs, stage)
 }
 
 // ExhaustiveService is the parallel form of Exhaustive: it enumerates the
@@ -113,15 +127,7 @@ func (c *fannedCandidate) score(ctx context.Context, stage indicators.StageSet) 
 	if c.err != nil {
 		return 0, c.err
 	}
-	res, err := c.job.Wait(ctx)
-	if err != nil {
-		return 0, err
-	}
-	effs, err := Efficiencies(res.Trace)
-	if err != nil {
-		return 0, err
-	}
-	return indicators.Objective(c.p, effs, stage)
+	return serviceScore(ctx, c.p, c.job, stage)
 }
 
 // SearchService runs Search with a service-backed objective: exhaustive

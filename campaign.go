@@ -10,7 +10,7 @@ import (
 // worker pool fed by a priority job queue, fronted by a content-addressed
 // result cache with singleflight deduplication. Build one with NewService,
 // submit JobSpecs (or whole Sweeps via RunCampaign), and share the cache
-// across searches, experiments, and the cmd/ensembled HTTP server.
+// across campaigns, as the cmd/ensembled HTTP server does.
 type (
 	// ServiceConfig sizes the campaign service.
 	ServiceConfig = campaign.Config

@@ -31,11 +31,10 @@
 //	GET  /metrics                    Prometheus text exposition (service, HTTP, pool)
 //	GET  /debug/pprof/*              runtime profiles (only with -pprof)
 //
-// Distributed tracing is on by default (-no-trace disables it): every
-// request gets a server span, campaigns and jobs become child spans, and
-// each job's DES run is bridged in as stage-level spans, queryable via
-// the /spans and /critical-path endpoints or correlated with logs via
-// trace_id.
+// Distributed tracing is always on: every request gets a server span,
+// campaigns and jobs become child spans, and each job's DES run is
+// bridged in as stage-level spans, queryable via the /spans and
+// /critical-path endpoints or correlated with logs via trace_id.
 //
 // Any of -node-id, -advertise, or -join enables the distributed
 // campaign fabric: the process joins (or seeds) a peer pool that routes
@@ -79,7 +78,6 @@ func main() {
 	var cfg serverConfig
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.queue, "queue", 0, "job queue depth (0 = default 256)")
 	flag.Int64Var(&cfg.cacheBytes, "cache-bytes", 0, "in-memory result-cache budget (0 = default 256 MiB)")
 	flag.StringVar(&cfg.cacheDir, "cache-dir", "", "optional on-disk result cache directory")
 	flag.StringVar(&cfg.stateDir, "state-dir", "", "durable state directory: journal (DIR/journal.wal) + default disk cache (DIR/cache)")
@@ -87,9 +85,6 @@ func main() {
 	flag.DurationVar(&cfg.execDelay, "exec-delay", 0, "artificially stretch each execution (chaos/load testing only)")
 	flag.StringVar(&cfg.logLevel, "log-level", "info", "log level: debug, info, warn, error")
 	flag.BoolVar(&cfg.pprofOn, "pprof", false, "expose GET /debug/pprof/* runtime profiles")
-	flag.BoolVar(&cfg.noTrace, "no-trace", false, "disable distributed tracing")
-	flag.IntVar(&cfg.traceTraces, "trace-traces", 0, "max retained traces (0 = default 1024)")
-	flag.IntVar(&cfg.traceSpans, "trace-spans", 0, "max retained spans per trace (0 = default 8192)")
 	flag.StringVar(&cfg.nodeID, "node-id", "", "pool identity of this node (enables the fabric; default: the bound listen address)")
 	flag.StringVar(&cfg.advertise, "advertise", "", "base URL peers reach this node at (enables the fabric; default: http://<bound address>)")
 	flag.StringVar(&cfg.join, "join", "", "comma-separated seed peer base URLs to join (enables the fabric)")
@@ -105,7 +100,7 @@ func main() {
 // serverConfig carries the parsed flags.
 type serverConfig struct {
 	addr               string
-	workers, queue     int
+	workers            int
 	cacheBytes         int64
 	cacheDir, logLevel string
 	stateDir           string
@@ -115,9 +110,7 @@ type serverConfig struct {
 	advertise          string
 	join               string
 	heartbeat          time.Duration
-	pprofOn, noTrace   bool
-	traceTraces        int
-	traceSpans         int
+	pprofOn            bool
 	addrFile           string
 }
 
@@ -147,14 +140,12 @@ func run(cfg serverConfig) error {
 		}
 	}
 
-	var tracer *tracing.Tracer
-	if !cfg.noTrace {
-		tracer = tracing.NewTracer(tracing.NewStore(cfg.traceTraces, cfg.traceSpans))
-	}
+	// Tracing is always on; the store keeps the newest 1024 traces of at
+	// most 8192 spans each.
+	tracer := tracing.NewTracer(tracing.NewStore(0, 0))
 
 	svc, err := campaign.NewService(campaign.Config{
 		Workers:     cfg.workers,
-		QueueDepth:  cfg.queue,
 		CacheBytes:  cfg.cacheBytes,
 		CacheDir:    cfg.cacheDir,
 		JournalPath: journalPath,
@@ -251,7 +242,7 @@ func run(cfg serverConfig) error {
 	log.Info("ensembled listening",
 		"addr", ln.Addr().String(), "workers", svc.Stats().Workers,
 		"queue", svc.Stats().QueueCapacity, "pprof", cfg.pprofOn,
-		"tracing", tracer != nil, "pool", pl != nil)
+		"pool", pl != nil)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	// Serve returns as soon as Shutdown starts; run returns (closing the

@@ -7,13 +7,15 @@
 //	experiments [-exp all|table1|table2|table4|fig3|fig4|fig5|fig6|fig7|fig8|fig9|headline
 //	                  |tiers|validation|buffers|aggregators|scaling|heterogeneous|topology
 //	                  |sockets|intransit|faults]
-//	            [-trials N] [-steps N] [-jitter F] [-seed N] [-quick] [-workers N]
+//	            [-trials N] [-steps N] [-jitter F] [-seed N] [-quick]
 //	            [-csv DIR] [-obs FILE] [-cpuprofile FILE] [-memprofile FILE]
 //
 // The first group regenerates the paper's evaluation; the second group
-// runs the extension studies documented in EXPERIMENTS.md. -obs runs an
-// instrumented reference execution (C1.5 on the paper's machine) and
-// writes its Chrome/Perfetto trace alongside the tables.
+// runs the extension studies documented in EXPERIMENTS.md. Every
+// simulation runs in-process, one after another, so the printed tables
+// are a deterministic function of the flags. -obs runs an instrumented
+// reference execution (C1.5 on the paper's machine) and writes its
+// Chrome/Perfetto trace alongside the tables.
 package main
 
 import (
@@ -24,7 +26,6 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"ensemblekit/internal/campaign"
 	"ensemblekit/internal/cluster"
 	"ensemblekit/internal/experiments"
 	"ensemblekit/internal/obs"
@@ -45,7 +46,6 @@ func main() {
 		obsOut     = flag.String("obs", "", "write a Chrome trace of an instrumented reference run (C1.5) to this file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		workers    = flag.Int("workers", 0, "evaluate through a campaign service with N workers (0 = serial)")
 	)
 	flag.Parse()
 
@@ -57,15 +57,6 @@ func main() {
 	}.Defaults()
 	if *quick {
 		cfg = experiments.Quick()
-	}
-	if *workers > 0 {
-		svc, err := campaign.NewService(campaign.Config{Workers: *workers})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		defer svc.Close()
-		cfg.Service = svc
 	}
 
 	if err := realMain(cfg, strings.ToLower(*exp), *csvDir, *obsOut, *cpuProfile, *memProfile); err != nil {

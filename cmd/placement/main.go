@@ -6,21 +6,19 @@
 //
 //	placement [-members N] [-analyses K] [-nodes M]
 //	          [-mode exhaustive|greedy|anneal] [-objective analytic|simulated]
-//	          [-top N] [-iterations N] [-seed N] [-progress] [-workers N]
+//	          [-top N] [-iterations N] [-seed N] [-progress]
 //
-// -workers routes simulated-objective evaluations through a campaign
-// service: exhaustive candidates fan out over N workers and search
-// revisits are answered from the content-addressed result cache.
+// -objective simulated scores each candidate with one in-process
+// simulation (runtime.RunSimulated), in enumeration order, so the ranking
+// is a deterministic function of the flags.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 
-	"ensemblekit/internal/campaign"
 	"ensemblekit/internal/cluster"
 	"ensemblekit/internal/indicators"
 	"ensemblekit/internal/placement"
@@ -40,39 +38,24 @@ func main() {
 		iterations = flag.Int("iterations", 0, "annealing iterations (0 = default)")
 		seed       = flag.Int64("seed", 1, "annealing RNG seed")
 		progress   = flag.Bool("progress", false, "print periodic search progress to stderr")
-		workers    = flag.Int("workers", 0, "evaluate simulated objectives through a campaign service with N workers (0 = serial)")
 	)
 	flag.Parse()
-	if err := run(*members, *analyses, *nodes, *mode, *objective, *top, *iterations, *seed, *progress, *workers); err != nil {
+	if err := run(*members, *analyses, *nodes, *mode, *objective, *top, *iterations, *seed, *progress); err != nil {
 		fmt.Fprintf(os.Stderr, "placement: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(members, analyses, nodes int, mode, objective string, top, iterations int, seed int64, progress bool, workers int) error {
+func run(members, analyses, nodes int, mode, objective string, top, iterations int, seed int64, progress bool) error {
 	spec := cluster.Cori(nodes)
 	es := runtime.PaperEnsemble("search", members, analyses, 8)
-
-	var svc *campaign.Service
-	if workers > 0 && objective == "simulated" {
-		var err error
-		svc, err = campaign.NewService(campaign.Config{Workers: workers})
-		if err != nil {
-			return err
-		}
-		defer svc.Close()
-	}
 
 	var obj scheduler.Objective
 	switch objective {
 	case "analytic":
 		obj = scheduler.AnalyticObjective(spec, nil, es, indicators.StageUAP)
 	case "simulated":
-		if svc != nil {
-			obj = scheduler.ServiceObjective(svc, spec, es, runtime.SimOptions{}, indicators.StageUAP)
-		} else {
-			obj = scheduler.SimulatedObjective(spec, es, runtime.SimOptions{}, indicators.StageUAP)
-		}
+		obj = scheduler.SimulatedObjective(spec, es, runtime.SimOptions{}, indicators.StageUAP)
 	default:
 		return fmt.Errorf("unknown objective %q", objective)
 	}
@@ -88,20 +71,6 @@ func run(members, analyses, nodes int, mode, objective string, top, iterations i
 		candidates, err := placement.Enumerate(spec, shape, nodes)
 		if err != nil {
 			return err
-		}
-		if svc != nil {
-			// Fan the whole candidate set out over the worker pool first;
-			// the scoring loop below is then answered from the cache (or
-			// attaches to the in-flight runs) in enumeration order.
-			for _, c := range candidates {
-				js, err := campaign.NewJob(spec, c, es, runtime.SimOptions{})
-				if err != nil {
-					continue
-				}
-				if _, err := svc.SubmitWait(context.Background(), js, campaign.SubmitOptions{Label: c.Name}); err != nil {
-					break
-				}
-			}
 		}
 		type scored struct {
 			p placement.Placement

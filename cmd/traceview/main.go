@@ -176,7 +176,11 @@ func run(path string, steps, width int, csvOut, obsOut, spansIn string, utilizat
 		}
 		defer f.Close()
 		events := obs.FromTrace(tr)
-		if toVirtual := desInverse(spans); toVirtual != nil {
+		var toVirtual func(time.Time) float64
+		if job, ok := jobRoot(spans); ok {
+			toVirtual = obs.InverseMap(spans, job.SpanID)
+		}
+		if toVirtual != nil {
 			err = obs.WriteChromeTraceWithSpans(f, events, spans, toVirtual)
 		} else {
 			err = obs.WriteChromeTrace(f, events)
@@ -230,38 +234,4 @@ func jobRoot(spans []tracing.SpanData) (tracing.SpanData, bool) {
 		return job, true
 	}
 	return tracing.FindRoot(spans)
-}
-
-// desInverse rebuilds the wall → virtual mapping from the execute span's
-// des.anchorUnixNano and des.scale attributes (the bridge's affine map,
-// inverted), so the service spans can be placed on the obs export's
-// virtual timeline. Returns nil when spans holds no execute span with
-// the attributes — the export then degrades to the events-only trace.
-func desInverse(spans []tracing.SpanData) func(time.Time) float64 {
-	for _, d := range spans {
-		if d.Kind != "execute" {
-			continue
-		}
-		var anchorNano int64
-		scale := 0.0
-		for _, a := range d.Attrs {
-			switch a.Key {
-			case "des.anchorUnixNano":
-				if v, ok := a.Value.(int64); ok {
-					anchorNano = v
-				}
-			case "des.scale":
-				if v, ok := a.Value.(float64); ok {
-					scale = v
-				}
-			}
-		}
-		if anchorNano != 0 && scale > 0 {
-			anchor := time.Unix(0, anchorNano)
-			return func(wt time.Time) float64 {
-				return wt.Sub(anchor).Seconds() / scale
-			}
-		}
-	}
-	return nil
 }

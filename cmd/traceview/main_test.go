@@ -90,8 +90,8 @@ func writeSampleSpans(t *testing.T) string {
 		{TraceID: tid, SpanID: execID, Parent: jobID, Name: "execute", Kind: "execute",
 			Start: base.Add(100 * time.Millisecond), End: base.Add(1900 * time.Millisecond),
 			Attrs: []tracing.Attr{
-				tracing.Int64("des.anchorUnixNano", base.Add(100*time.Millisecond).UnixNano()),
-				tracing.Float("des.scale", 0.5),
+				tracing.Int64(obs.AttrAnchorUnixNano, base.Add(100*time.Millisecond).UnixNano()),
+				tracing.Float(obs.AttrScale, 0.5),
 			}},
 		{TraceID: tid, SpanID: compID, Parent: execID, Name: "S1", Kind: "component",
 			Start: base.Add(200 * time.Millisecond), End: base.Add(1800 * time.Millisecond)},

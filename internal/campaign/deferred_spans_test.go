@@ -57,9 +57,9 @@ func affineMap(spans []tracing.SpanData) (anchor time.Time, scale float64, ok bo
 		}
 		for _, a := range d.Attrs {
 			switch a.Key {
-			case "des.anchorUnixNano":
+			case obs.AttrAnchorUnixNano:
 				anchor = time.Unix(0, a.Value.(int64))
-			case "des.scale":
+			case obs.AttrScale:
 				scale = a.Value.(float64)
 			}
 		}

@@ -325,15 +325,12 @@ func (s *Server) postCampaign(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Expand eagerly so malformed sweeps fail the POST, not the poll.
+	// Expand once, here: a malformed sweep fails the POST, not the poll,
+	// and the runner aggregates these very candidates.
 	cands, err := sw.Jobs()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
-	}
-	total := 0
-	for _, c := range cands {
-		total += len(c.Specs)
 	}
 
 	// Admission control: a saturated queue means the campaign would only
@@ -341,23 +338,13 @@ func (s *Server) postCampaign(w http.ResponseWriter, r *http.Request) {
 	// and retry, and account the rejection.
 	if s.svc.queueSaturated() {
 		s.svc.rejectQueueFull()
-		s.log.Warn("campaign rejected: queue full", "jobs", total)
+		s.log.Warn("campaign rejected: queue full", "jobs", countJobs(cands))
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusServiceUnavailable, ErrQueueFull)
 		return
 	}
 
-	s.mu.Lock()
-	s.seq++
-	run := &campaignRun{
-		id:          fmt.Sprintf("c-%d", s.seq),
-		name:        sw.Name,
-		done:        make(chan struct{}),
-		eventsAfter: s.svc.Events().Seq(),
-		nTotal:      total,
-	}
-	s.campaigns[run.id] = run
-	s.mu.Unlock()
+	run := s.register("", sw.Name, cands)
 
 	// Journal the campaign (with its original request, so a restart can
 	// re-expand it) before acknowledging the POST.
@@ -375,8 +362,34 @@ func (s *Server) postCampaign(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	s.launch(run, sw, total, r.Context())
+	s.launch(run, sw, cands, r.Context())
 	writeJSON(w, http.StatusAccepted, run.status())
+}
+
+// register files a new run for an expanded sweep under id — or, when id
+// is "", under the next fresh "c-N" — and returns it; nil means a run
+// with that ID already exists. An explicit ID (a resumed campaign)
+// advances the sequence past it, so new campaigns never collide.
+func (s *Server) register(id, name string, cands []Candidate) *campaignRun {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if id == "" {
+		s.seq++
+		id = fmt.Sprintf("c-%d", s.seq)
+	} else if _, exists := s.campaigns[id]; exists {
+		return nil
+	} else if n := campaignIDNum(id); n > s.seq {
+		s.seq = n
+	}
+	run := &campaignRun{
+		id:          id,
+		name:        name,
+		done:        make(chan struct{}),
+		eventsAfter: s.svc.Events().Seq(),
+		nTotal:      countJobs(cands),
+	}
+	s.campaigns[id] = run
+	return run
 }
 
 // launch starts the campaign runner goroutine shared by postCampaign and
@@ -386,7 +399,8 @@ func (s *Server) postCampaign(w http.ResponseWriter, r *http.Request) {
 // job span the sweep submits. When the campaign resolves it is retired
 // from the journal — unless the service is shutting down, in which case
 // it stays open in the log so the next process resumes it.
-func (s *Server) launch(run *campaignRun, sw Sweep, total int, parent context.Context) {
+func (s *Server) launch(run *campaignRun, sw Sweep, cands []Candidate, parent context.Context) {
+	total := run.nTotal
 	sw.Campaign = run.id // tag every job's events for the SSE stream
 	sw.Progress = func(done, total int) {
 		run.mu.Lock()
@@ -403,7 +417,7 @@ func (s *Server) launch(run *campaignRun, sw Sweep, total int, parent context.Co
 	clog.Info("campaign accepted", "campaign", run.id, "name", sw.Name, "jobs", total)
 	go func() {
 		start := time.Now()
-		res, err := RunCampaign(runCtx, s.svc, sw)
+		res, err := runCandidates(runCtx, s.svc, sw, cands)
 		if res != nil {
 			// The per-seed results fed the aggregation and never reach the
 			// wire; a campaign's permanent record must not pin their traces.
@@ -475,28 +489,11 @@ func (s *Server) Resume() int {
 			}
 			continue
 		}
-		total := 0
-		for _, c := range cands {
-			total += len(c.Specs)
-		}
-		s.mu.Lock()
-		if _, exists := s.campaigns[rec.ID]; exists {
-			s.mu.Unlock()
+		run := s.register(rec.ID, sw.Name, cands)
+		if run == nil {
 			continue
 		}
-		if n := campaignIDNum(rec.ID); n > s.seq {
-			s.seq = n
-		}
-		run := &campaignRun{
-			id:          rec.ID,
-			name:        sw.Name,
-			done:        make(chan struct{}),
-			eventsAfter: s.svc.Events().Seq(),
-			nTotal:      total,
-		}
-		s.campaigns[rec.ID] = run
-		s.mu.Unlock()
-		s.launch(run, sw, total, context.Background())
+		s.launch(run, sw, cands, context.Background())
 		resumed++
 	}
 	if resumed > 0 {
@@ -540,17 +537,8 @@ type CampaignSummary struct {
 	Error string `json:"error,omitempty"`
 }
 
-// JobFailure names one failed or cancelled job in a campaign summary.
-type JobFailure struct {
-	Job    string `json:"job"`
-	Label  string `json:"label,omitempty"`
-	Status string `json:"status"`
-	Reason string `json:"reason,omitempty"`
-}
-
-// summary builds the terminal SSE event from a finished run; svc
-// resolves the failed jobs' reasons (nil skips them).
-func (c *campaignRun) summary(svc *Service) CampaignSummary {
+// summary builds the terminal SSE event from a finished run.
+func (c *campaignRun) summary() CampaignSummary {
 	st := c.status()
 	out := CampaignSummary{
 		Campaign: c.id,
@@ -562,25 +550,10 @@ func (c *campaignRun) summary(svc *Service) CampaignSummary {
 		out.Jobs = st.Result.Jobs
 		out.CacheHits = st.Result.CacheHits
 		out.FailedJobs = st.Result.Failed
+		out.Failures = st.Result.Failures
 		if len(st.Result.Ranking) > 0 {
 			out.Best = st.Result.Ranking[0].Name
 			out.Objective = st.Result.Ranking[0].Value
-		}
-		if svc != nil {
-			for _, cand := range st.Result.Candidates {
-				for _, id := range cand.JobIDs {
-					j, ok := svc.Job(id)
-					if !ok {
-						continue
-					}
-					switch status := j.Status(); status {
-					case StatusFailed, StatusCancelled:
-						out.Failures = append(out.Failures, JobFailure{
-							Job: id, Label: j.Label, Status: string(status), Reason: j.Reason(),
-						})
-					}
-				}
-			}
 		}
 	}
 	return out
@@ -689,7 +662,7 @@ func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request) {
 					break drain
 				}
 			}
-			send("summary", run.summary(s.svc))
+			send("summary", run.summary())
 			return
 		case <-r.Context().Done():
 			return
@@ -832,7 +805,7 @@ func (s *Server) getJobTrace(w http.ResponseWriter, r *http.Request) {
 	events := obs.FromTrace(tr)
 	if tr := s.svc.Tracer(); tr != nil && j.span != nil {
 		spans := tr.Store().Spans(j.span.Context().TraceID)
-		if toVirtual := desInverseMap(spans, j.span.Context().SpanID); toVirtual != nil {
+		if toVirtual := obs.InverseMap(spans, j.span.Context().SpanID); toVirtual != nil {
 			_ = obs.WriteChromeTraceWithSpans(w, events, spans, toVirtual)
 			return
 		}
@@ -841,38 +814,6 @@ func (s *Server) getJobTrace(w http.ResponseWriter, r *http.Request) {
 		// Headers are gone; all we can do is drop the connection.
 		return
 	}
-}
-
-// desInverseMap builds the wall→virtual mapping recorded on the job's
-// execute span (the inverse of the obs bridge's wall = anchor + scale·t
-// map), or nil when the job has no completed traced execution — cached
-// jobs and still-running jobs degrade to the plain event export.
-func desInverseMap(spans []tracing.SpanData, jobSpan tracing.SpanID) func(time.Time) float64 {
-	for _, d := range spans {
-		if d.Kind != "execute" || d.Parent != jobSpan {
-			continue
-		}
-		var anchorNano int64
-		scale := 0.0
-		for _, a := range d.Attrs {
-			switch a.Key {
-			case "des.anchorUnixNano":
-				if v, ok := a.Value.(int64); ok {
-					anchorNano = v
-				}
-			case "des.scale":
-				if v, ok := a.Value.(float64); ok {
-					scale = v
-				}
-			}
-		}
-		if anchorNano == 0 || scale <= 0 {
-			continue
-		}
-		anchor := time.Unix(0, anchorNano)
-		return func(wt time.Time) float64 { return wt.Sub(anchor).Seconds() / scale }
-	}
-	return nil
 }
 
 // jobTraceSpans resolves a job and its trace's recorded spans, writing

@@ -218,6 +218,19 @@ type CampaignResult struct {
 	Jobs      int `json:"jobs"`
 	CacheHits int `json:"cacheHits"`
 	Failed    int `json:"failed"`
+	// Failures names the failed or cancelled jobs in expansion order,
+	// recorded as the campaign waited on them, so the list survives the
+	// jobs' eviction from the service. It feeds the SSE summary and is
+	// neither served nor fingerprinted.
+	Failures []JobFailure `json:"-"`
+}
+
+// JobFailure names one failed or cancelled job in a campaign summary.
+type JobFailure struct {
+	Job    string `json:"job"`
+	Label  string `json:"label,omitempty"`
+	Status string `json:"status"`
+	Reason string `json:"reason,omitempty"`
 }
 
 // Fingerprint hashes the campaign's science — per-candidate labels, job
@@ -288,15 +301,25 @@ func RunCampaign(ctx context.Context, svc *Service, sw Sweep) (*CampaignResult, 
 	if err != nil {
 		return nil, err
 	}
-	stage := indicators.StageUAP
-	if sw.Stage != nil {
-		stage = *sw.Stage
-	}
+	return runCandidates(ctx, svc, sw, cands)
+}
 
+// countJobs is the number of jobs the candidates submit.
+func countJobs(cands []Candidate) int {
 	total := 0
 	for _, c := range cands {
 		total += len(c.Specs)
 	}
+	return total
+}
+
+// runCandidates is RunCampaign over a sweep already expanded into cands.
+func runCandidates(ctx context.Context, svc *Service, sw Sweep, cands []Candidate) (*CampaignResult, error) {
+	stage := indicators.StageUAP
+	if sw.Stage != nil {
+		stage = *sw.Stage
+	}
+	total := countJobs(cands)
 	out := &CampaignResult{Name: sw.Name, Stage: stage.String(), Jobs: total}
 
 	// Fan out everything first — the queue applies backpressure — so the
@@ -338,6 +361,9 @@ func RunCampaign(ctx context.Context, svc *Service, sw Sweep) (*CampaignResult, 
 					return nil, ctx.Err()
 				}
 				out.Failed++
+				out.Failures = append(out.Failures, JobFailure{
+					Job: j.ID, Label: j.Label, Status: string(j.Status()), Reason: j.Reason(),
+				})
 				if cr.Err == "" {
 					cr.Err = err.Error()
 				}

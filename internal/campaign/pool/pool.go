@@ -72,21 +72,9 @@ type Config struct {
 	// Join lists seed peer base URLs to register with at startup.
 	// Unreachable seeds are retried every heartbeat until first contact.
 	Join []string
-	// Heartbeat is the beat interval (default 1s).
+	// Heartbeat is the beat interval (default 1s). A peer silent for
+	// 3 beats turns suspect, and after 9 beats dead (out of the ring).
 	Heartbeat time.Duration
-	// SuspectAfter marks a silent peer suspect (default 3×Heartbeat);
-	// DeadAfter removes it from the ring (default 3×SuspectAfter).
-	SuspectAfter time.Duration
-	DeadAfter    time.Duration
-	// VNodes is the per-peer virtual-node count (default
-	// DefaultVirtualNodes).
-	VNodes int
-	// ForwardConcurrency bounds concurrently served forwarded
-	// executions (default GOMAXPROCS). Forwarded work runs in handler
-	// goroutines behind this semaphore, NOT through the local worker
-	// queue: two nodes forwarding to each other through full queues
-	// would deadlock their worker pools.
-	ForwardConcurrency int
 	// Local is the node's campaign service. Required.
 	Local Local
 	// Permanent classifies an execution error as non-retryable so the
@@ -97,28 +85,11 @@ type Config struct {
 	Metrics *telemetry.Registry
 	Logger  *telemetry.Logger
 	Tracer  *tracing.Tracer
-	// Client is the HTTP client for peer calls (default: no global
-	// timeout; per-call contexts bound the control-plane calls).
-	Client *http.Client
-	// Now is the membership clock (tests inject a fake one).
-	Now func() time.Time
 }
 
 func (c Config) normalized() Config {
 	if c.Heartbeat <= 0 {
 		c.Heartbeat = time.Second
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 3 * c.Heartbeat
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 3 * c.SuspectAfter
-	}
-	if c.ForwardConcurrency <= 0 {
-		c.ForwardConcurrency = gort.GOMAXPROCS(0)
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
 	}
 	return c
 }
@@ -134,7 +105,10 @@ type Pool struct {
 	tracer *tracing.Tracer
 	m      poolMetrics
 
-	// sem bounds concurrently served forwarded executions.
+	// sem bounds concurrently served forwarded executions to GOMAXPROCS.
+	// Forwarded work runs in handler goroutines behind it, NOT through
+	// the local worker queue: two nodes forwarding to each other through
+	// full queues would deadlock their worker pools.
 	sem chan struct{}
 
 	ringMu sync.Mutex
@@ -242,15 +216,16 @@ func New(cfg Config) (*Pool, error) {
 	}
 	p := &Pool{
 		cfg:    cfg,
-		client: cfg.Client,
+		client: &http.Client{}, // per-call contexts bound the control-plane calls
 		log:    cfg.Logger,
 		tracer: cfg.Tracer,
 		m:      newPoolMetrics(cfg.Metrics),
-		sem:    make(chan struct{}, cfg.ForwardConcurrency),
+		sem:    make(chan struct{}, gort.GOMAXPROCS(0)),
 		seeds:  append([]string(nil), cfg.Join...),
 		stop:   make(chan struct{}),
 	}
-	p.mem = NewMembership(cfg.SelfID, cfg.Advertise, cfg.SuspectAfter, cfg.DeadAfter, cfg.Now)
+	suspect := 3 * cfg.Heartbeat
+	p.mem = NewMembership(cfg.SelfID, cfg.Advertise, suspect, 3*suspect, nil)
 	p.mem.SetOnChange(p.rebuildRing)
 	p.rebuildRing()
 	return p, nil
@@ -314,7 +289,7 @@ func (p *Pool) Owner(hash string) (peer string, self bool) {
 func (p *Pool) rebuildRing() {
 	ids := p.mem.Routable()
 	p.ringMu.Lock()
-	p.ring = NewRing(ids, p.cfg.VNodes)
+	p.ring = NewRing(ids, DefaultVirtualNodes)
 	p.ringMu.Unlock()
 	p.m.ringMembers.Set(float64(len(ids)))
 	p.m.ringRebuilds.Inc()
@@ -450,7 +425,7 @@ func (p *Pool) setPeerGauges() {
 
 // peerUnreachable handles a hard transport failure on the data plane:
 // the peer is declared dead now (its process is gone or unreachable —
-// waiting out DeadAfter would stall every retry), the ring rebalances,
+// waiting out the dead threshold would stall every retry), the ring rebalances,
 // and a later beat resurrects it if it returns.
 func (p *Pool) peerUnreachable(peer string, err error) {
 	if p.mem.MarkDead(peer) {

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"ensemblekit/internal/placement"
 	"ensemblekit/internal/runtime"
 	"ensemblekit/internal/telemetry/tracing"
 )
@@ -182,4 +184,62 @@ func retainedPerCampaign(t *testing.T, cfg Config) int64 {
 		t.Errorf("goroutines grew %d → %d", g0, g1)
 	}
 	return perCampaign
+}
+
+// TestSummaryKeepsEvictedFailures: a campaign's SSE summary lists its
+// failed job even after more than terminalJobsKept newer finished jobs
+// have pushed that job out of the service's job table.
+func TestSummaryKeepsEvictedFailures(t *testing.T) {
+	svc, err := NewService(Config{Workers: 2,
+		runFn: func(ctx context.Context, hash string, spec JobSpec) (*Result, runtime.RunInfo, error) {
+			if spec.Sim.Seed == 2 {
+				return nil, runtime.RunInfo{}, errors.New("solver diverged")
+			}
+			return &Result{Hash: hash, Efficiencies: []float64{1}, Objective: 1}, runtime.RunInfo{}, nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	ts := httptest.NewServer(NewServer(svc).Handler())
+	t.Cleanup(ts.Close)
+
+	st := pollCampaign(t, ts, postCampaign(t, ts, `{"configs":["C1.5"],"steps":4,"seeds":[1,2]}`).ID)
+	if st.Status != "done" || st.Result.Failed != 1 {
+		t.Fatalf("campaign: %+v", st)
+	}
+	failedID := st.Result.Candidates[0].JobIDs[1]
+
+	// Flood the job table with cache hits of the campaign's successful
+	// job until the failed one is evicted.
+	cands, err := (Sweep{Placements: []placement.Placement{placement.C15()}, Steps: 4, Seeds: []int64{1}}).Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= terminalJobsKept; i++ {
+		j, err := svc.SubmitWait(context.Background(), cands[0].Specs[0], SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := svc.Job(failedID); ok {
+		t.Fatalf("job %s still in the job table; the flood did not evict it", failedID)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/campaigns/" + st.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, summary := readSSE(t, resp.Body)
+	resp.Body.Close()
+	if summary == nil || summary.FailedJobs != 1 || len(summary.Failures) != 1 {
+		t.Fatalf("summary %+v, want the one failure", summary)
+	}
+	want := JobFailure{Job: failedID, Label: "C1.5", Status: string(StatusFailed), Reason: "solver diverged"}
+	if f := summary.Failures[0]; f != want {
+		t.Errorf("failure entry %+v, want %+v", f, want)
+	}
 }

@@ -89,9 +89,8 @@ var recorders = sync.Pool{New: func() any { return obs.NewRecorder(nil) }}
 // wall = anchor + scale·virtual with scale = wallDuration/makespan tiles
 // the simulated timeline onto the measured execution window, so the
 // critical path's stage durations sum to the job's real latency; its
-// parameters go on the execute span (des.anchorUnixNano, des.scale,
-// des.makespanSec, plus des.fastpath, "served by the kernel") so
-// exporters can invert it.
+// parameters go on the execute span (the obs.Attr* keys, plus whether
+// the kernel served the run) so exporters can invert it (obs.InverseMap).
 func executeSpec(ctx context.Context, tracer *tracing.Tracer, hash string, spec JobSpec, world *runtime.World) (*Result, runtime.RunInfo, error) {
 	var span *tracing.Span // nil (a no-op) on an unobserved run
 	var rec *obs.Recorder
@@ -108,7 +107,7 @@ func executeSpec(ctx context.Context, tracer *tracing.Tracer, hash string, spec 
 	if err != nil {
 		// A failed run may have left processes that still hold rec; it is
 		// not recycled.
-		span.SetAttr(tracing.Float("des.makespanSec", 0))
+		span.SetAttr(tracing.Float(obs.AttrMakespanSec, 0))
 		return nil, info, err
 	}
 	if span != nil {
@@ -118,10 +117,10 @@ func executeSpec(ctx context.Context, tracer *tracing.Tracer, hash string, spec 
 			scale = wallSec / makespan
 		}
 		span.SetAttr(
-			tracing.Int64("des.anchorUnixNano", anchor.UnixNano()),
-			tracing.Float("des.scale", scale),
-			tracing.Float("des.makespanSec", makespan),
-			tracing.Bool("des.fastpath", info.FastPath))
+			tracing.Int64(obs.AttrAnchorUnixNano, anchor.UnixNano()),
+			tracing.Float(obs.AttrScale, scale),
+			tracing.Float(obs.AttrMakespanSec, makespan),
+			tracing.Bool(obs.AttrFastPath, info.FastPath))
 		if rec != nil {
 			obs.DeferSpans(tracer, span.Context(), rec.Events(), anchor, scale)
 			rec.Reset()

@@ -62,12 +62,6 @@ type Config struct {
 	// obs events bridged in as stage-level grandchildren. Nil disables
 	// tracing at the cost of one nil check per site.
 	Tracer *tracing.Tracer
-	// EventHistory bounds the job-event replay ring of the service's
-	// broadcaster (default 4096; negative disables replay).
-	EventHistory int
-	// EventBuffer is each event subscriber's channel buffer; a
-	// subscriber that falls this far behind is dropped (default 256).
-	EventBuffer int
 
 	// JournalPath enables the write-ahead log: every job enqueue and
 	// terminal state (and, via the HTTP server, every campaign) is
@@ -77,9 +71,6 @@ type Config struct {
 	// journaling. Pair it with CacheDir so finished work replays as
 	// cache hits instead of re-executing.
 	JournalPath string
-	// JournalCompactEvery bounds appends between automatic snapshot
-	// compactions (0 = default 4096, negative disables).
-	JournalCompactEvery int
 	// Retry is the transient-failure retry policy applied to every job
 	// (zero value = no retries).
 	Retry RetryPolicy
@@ -95,6 +86,14 @@ type Config struct {
 	runFn func(ctx context.Context, hash string, spec JobSpec) (*Result, runtime.RunInfo, error)
 }
 
+// The service's event broadcaster retains the newest eventHistory job
+// events for replay (SSE reconnects, late subscribers) and drops a
+// subscriber that falls eventBuffer events behind.
+const (
+	eventHistory = 4096
+	eventBuffer  = 256
+)
+
 func (c Config) normalized() Config {
 	if c.Workers <= 0 {
 		c.Workers = gort.GOMAXPROCS(0)
@@ -104,12 +103,6 @@ func (c Config) normalized() Config {
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 256 << 20
-	}
-	if c.EventHistory == 0 {
-		c.EventHistory = 4096
-	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 256
 	}
 	c.Retry = c.Retry.normalized()
 	// runFn's default is installed by NewService (Service.defaultRun): it
@@ -186,7 +179,7 @@ func NewService(cfg Config) (*Service, error) {
 	var jnl *journal.Journal
 	var replay journal.State
 	if cfg.JournalPath != "" {
-		jnl, replay, err = journal.Open(cfg.JournalPath, cfg.JournalCompactEvery)
+		jnl, replay, err = journal.Open(cfg.JournalPath, 0) // default compaction interval
 		if err != nil {
 			return nil, err
 		}
@@ -223,11 +216,11 @@ func NewService(cfg Config) (*Service, error) {
 		s.log.Warn("evicted corrupt disk-cache entry",
 			"hash", hash, "err", err.Error())
 	}
-	s.events = NewBroadcaster(cfg.EventHistory, cfg.EventBuffer)
+	s.events = NewBroadcaster(eventHistory, eventBuffer)
 	s.events.OnDrop = func() {
 		s.metrics.subsDropped.Inc()
 		s.log.Warn("event subscriber dropped for falling behind",
-			"buffer", cfg.EventBuffer)
+			"buffer", eventBuffer)
 	}
 	s.events.OnSubscribers = func(n int) { s.metrics.subscribers.Set(float64(n)) }
 	s.wg.Add(cfg.Workers)

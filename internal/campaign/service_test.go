@@ -3,12 +3,15 @@ package campaign
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ensemblekit/internal/cluster"
+	"ensemblekit/internal/core"
+	"ensemblekit/internal/indicators"
 	"ensemblekit/internal/placement"
 	"ensemblekit/internal/runtime"
 )
@@ -412,5 +415,64 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 	}
 	if st := svc2.Stats(); st.DiskHits != 1 {
 		t.Errorf("disk hits = %d, want 1", st.DiskHits)
+	}
+}
+
+// TestServiceEfficienciesMatchTrace: the efficiencies a service result
+// carries are exactly what core.Efficiencies extracts from the job's
+// re-run trace, and its objective is F(P^{U,A,P}) over a direct
+// runtime.RunSimulated of the same inputs — so a caller scoring from the
+// result instead of the trace changes no score. Table 2 × 3 seeds.
+func TestServiceEfficienciesMatchTrace(t *testing.T) {
+	svc, err := NewService(Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	spec := cluster.Cori(1)
+	for _, p := range placement.ConfigsTable2() {
+		es := runtime.SpecForPlacement(p, 8)
+		for seed := int64(1); seed <= 3; seed++ {
+			opts := runtime.SimOptions{Seed: seed, Jitter: 0.02}
+			js, err := NewJob(spec, p, es, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, err := svc.SubmitWait(ctx, js, SubmitOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := j.Wait(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := j.Trace()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.Efficiencies(tr.Members)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(res.Efficiencies, want) {
+				t.Errorf("%s seed %d: result efficiencies %v, trace gives %v", p.Name, seed, res.Efficiencies, want)
+			}
+			direct, err := runtime.RunSimulated(js.Cluster, p, es, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			effs, err := core.Efficiencies(direct.Members)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := indicators.Objective(p, effs, indicators.StageUAP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Objective != ref {
+				t.Errorf("%s seed %d: result objective %v, direct run %v", p.Name, seed, res.Objective, ref)
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ensemblekit/internal/obs"
 	"ensemblekit/internal/telemetry/tracing"
 )
 
@@ -33,7 +34,7 @@ func jobSpanKinds(t *testing.T, body string) (ts *httptest.Server, svc *Service,
 	return ts, svc, jobID, spans, kinds
 }
 
-// servedByKernel reads the execute span's des.fastpath attribute.
+// servedByKernel reads the execute span's obs.AttrFastPath attribute.
 func servedByKernel(t *testing.T, spans []tracing.SpanData) (exec tracing.SpanData, kernel bool) {
 	t.Helper()
 	for _, d := range spans {
@@ -41,12 +42,12 @@ func servedByKernel(t *testing.T, spans []tracing.SpanData) (exec tracing.SpanDa
 			continue
 		}
 		for _, a := range d.Attrs {
-			if a.Key == "des.fastpath" {
+			if a.Key == obs.AttrFastPath {
 				return d, a.Value == true
 			}
 		}
 	}
-	t.Fatal("no execute span with a des.fastpath attribute")
+	t.Fatal("no execute span with a kernel-served attribute")
 	return exec, false
 }
 

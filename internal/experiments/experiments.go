@@ -11,10 +11,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"ensemblekit/internal/campaign"
 	"ensemblekit/internal/cluster"
 	"ensemblekit/internal/core"
 	"ensemblekit/internal/placement"
@@ -39,12 +37,6 @@ type Config struct {
 	Nodes int
 	// Tier selects the DTL (default DIMES, as in the paper).
 	Tier string
-	// Service optionally routes every simulation through a campaign
-	// service: trials run on its worker pool and repeated configurations
-	// are answered from its result cache. Results are identical to the
-	// direct path for a fixed BaseSeed — jobs replay the same
-	// RunSimulated calls.
-	Service *campaign.Service
 }
 
 // Defaults fills zero fields with the paper's settings.
@@ -88,36 +80,6 @@ func (c Config) jitter() float64 {
 	return c.Jitter
 }
 
-// simulate runs one ensemble: directly, or as a campaign job when
-// cfg.Service is set (worker pool + content-addressed cache).
-func (c Config) simulate(spec cluster.Spec, p placement.Placement, es runtime.EnsembleSpec, opts runtime.SimOptions) (*trace.EnsembleTrace, error) {
-	if c.Service == nil {
-		return runtime.RunSimulated(spec, p, es, opts)
-	}
-	j, err := c.submit(spec, p, es, opts)
-	if err != nil {
-		return nil, err
-	}
-	return jobTrace(j)
-}
-
-// jobTrace waits for a job and returns its trace, re-run from its spec.
-func jobTrace(j *campaign.Job) (*trace.EnsembleTrace, error) {
-	if _, err := j.Wait(context.Background()); err != nil {
-		return nil, err
-	}
-	return j.Trace()
-}
-
-// submit enqueues one ensemble on the configured service.
-func (c Config) submit(spec cluster.Spec, p placement.Placement, es runtime.EnsembleSpec, opts runtime.SimOptions) (*campaign.Job, error) {
-	js, err := campaign.NewJob(spec, p, es, opts)
-	if err != nil {
-		return nil, err
-	}
-	return c.Service.SubmitWait(context.Background(), js, campaign.SubmitOptions{Label: p.Name})
-}
-
 // trialOptions builds the simulation options of trial t.
 func (c Config) trialOptions(t int) runtime.SimOptions {
 	return runtime.SimOptions{
@@ -127,31 +89,12 @@ func (c Config) trialOptions(t int) runtime.SimOptions {
 	}
 }
 
-// runConfig executes one placement configuration Trials times. With a
-// service configured, all trials are submitted up front so they run
-// concurrently; traces still come back in trial order.
+// runConfig executes one placement configuration Trials times, in trial
+// order.
 func runConfig(cfg Config, p placement.Placement) ([]*trace.EnsembleTrace, error) {
 	spec := cfg.spec()
 	es := runtime.SpecForPlacement(p, cfg.Steps)
 	out := make([]*trace.EnsembleTrace, 0, cfg.Trials)
-	if cfg.Service != nil {
-		jobs := make([]*campaign.Job, 0, cfg.Trials)
-		for t := 0; t < cfg.Trials; t++ {
-			j, err := cfg.submit(spec, p, es, cfg.trialOptions(t))
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s trial %d: %w", p.Name, t, err)
-			}
-			jobs = append(jobs, j)
-		}
-		for t, j := range jobs {
-			tr, err := jobTrace(j)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s trial %d: %w", p.Name, t, err)
-			}
-			out = append(out, tr)
-		}
-		return out, nil
-	}
 	for t := 0; t < cfg.Trials; t++ {
 		tr, err := runtime.RunSimulated(spec, p, es, cfg.trialOptions(t))
 		if err != nil {

@@ -139,7 +139,7 @@ func BufferStudy(cfg Config) ([]BufferRow, error) {
 			es := runtime.SpecForPlacement(p, cfg.Steps)
 			var ms []float64
 			for t := 0; t < cfg.Trials; t++ {
-				tr, err := cfg.simulate(spec, p, es, runtime.SimOptions{
+				tr, err := runtime.RunSimulated(spec, p, es, runtime.SimOptions{
 					Tier:         cfg.Tier,
 					Jitter:       cfg.jitter(),
 					Seed:         cfg.BaseSeed + int64(t),

@@ -175,7 +175,7 @@ func Fig6(cfg Config) (string, error) {
 			},
 		}},
 	}
-	tr, err := cfg.simulate(spec, p, es, runtime.SimOptions{Tier: cfg.Tier})
+	tr, err := runtime.RunSimulated(spec, p, es, runtime.SimOptions{Tier: cfg.Tier})
 	if err != nil {
 		return "", err
 	}

@@ -72,7 +72,7 @@ func FaultStudy(cfg Config) ([]FaultRow, error) {
 						},
 					}
 				}
-				tr, err := cfg.simulate(spec, p, es, opts)
+				tr, err := runtime.RunSimulated(spec, p, es, opts)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: faults %s rate %g trial %d: %w", p.Name, rate, t, err)
 				}

@@ -51,3 +51,34 @@ func TestFaultStudy(t *testing.T) {
 		t.Error("table rendering lost rows")
 	}
 }
+
+// TestFaultStudyPaperScale runs the study at the paper's scale, where
+// some C_f trials at rate 0.2 drop every member: such a trial scores
+// zero rather than failing the study, and the row shows the loss.
+func TestFaultStudyPaperScale(t *testing.T) {
+	rows, err := FaultStudy(Config{}.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base, worst *FaultRow
+	for i, r := range rows {
+		if r.Config != "C_f" {
+			continue
+		}
+		switch r.Rate {
+		case 0:
+			base = &rows[i]
+		case 0.2:
+			worst = &rows[i]
+		}
+	}
+	if base == nil || worst == nil {
+		t.Fatalf("no C_f rows at rates 0 and 0.2 in %d rows", len(rows))
+	}
+	if worst.Dropped <= 0 {
+		t.Errorf("C_f rate 0.2: dropped %v, want > 0", worst.Dropped)
+	}
+	if worst.Objective >= base.Objective {
+		t.Errorf("C_f: F(P) survivors %v at rate 0.2, not below %v at rate 0", worst.Objective, base.Objective)
+	}
+}

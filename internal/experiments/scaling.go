@@ -143,7 +143,7 @@ func HeterogeneousStudy(cfg Config) ([]HeterogeneousRow, error) {
 		var ms []float64
 		var traces []*trace.EnsembleTrace
 		for t := 0; t < cfg.Trials; t++ {
-			tr, err := cfg.simulate(spec, p, es, runtime.SimOptions{
+			tr, err := runtime.RunSimulated(spec, p, es, runtime.SimOptions{
 				Tier: cfg.Tier, Jitter: cfg.jitter(), Seed: cfg.BaseSeed + int64(t),
 			})
 			if err != nil {
@@ -206,7 +206,7 @@ func TopologyStudy(cfg Config) ([]TopologyRow, error) {
 	for _, sc := range scenarios {
 		var ms, reads []float64
 		for t := 0; t < cfg.Trials; t++ {
-			tr, err := cfg.simulate(spec, p, es, runtime.SimOptions{
+			tr, err := runtime.RunSimulated(spec, p, es, runtime.SimOptions{
 				Tier: cfg.Tier, Jitter: cfg.jitter(), Seed: cfg.BaseSeed + int64(t),
 				Topology: sc.topo,
 			})
@@ -263,7 +263,7 @@ func SocketStudy(cfg Config) ([]SocketRow, error) {
 			spec.SocketsPerNode = sockets
 			var ms []float64
 			for t := 0; t < cfg.Trials; t++ {
-				tr, err := cfg.simulate(spec, p, es, runtime.SimOptions{
+				tr, err := runtime.RunSimulated(spec, p, es, runtime.SimOptions{
 					Tier: cfg.Tier, Jitter: cfg.jitter(), Seed: cfg.BaseSeed + int64(t),
 				})
 				if err != nil {
@@ -335,7 +335,7 @@ func InTransitStudy(cfg Config) ([]InTransitRow, error) {
 		var ms, sStage, aStage []float64
 		var traces []*trace.EnsembleTrace
 		for t := 0; t < cfg.Trials; t++ {
-			tr, err := cfg.simulate(spec, mode.p, es, runtime.SimOptions{
+			tr, err := runtime.RunSimulated(spec, mode.p, es, runtime.SimOptions{
 				Tier: cfg.Tier, Jitter: cfg.jitter(), Seed: cfg.BaseSeed + int64(t),
 				StagingSlots: mode.slots,
 			})

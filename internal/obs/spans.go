@@ -19,6 +19,45 @@ import (
 // exactly, which is what makes the critical-path stage durations sum to
 // the job's measured latency.
 
+// Attribute keys a job's execute span carries so exporters can invert the
+// bridge: the affine map's anchor (Unix ns) and scale, the simulated
+// makespan (s), and whether the timeline kernel served the run.
+const (
+	AttrAnchorUnixNano = "des.anchorUnixNano"
+	AttrScale          = "des.scale"
+	AttrMakespanSec    = "des.makespanSec"
+	AttrFastPath       = "des.fastpath"
+)
+
+// InverseMap returns the wall → virtual inverse of the affine map
+// recorded on the execute span whose parent is jobSpan, so service spans
+// can be placed on the obs export's virtual timeline. It returns nil when
+// no such span carries a nonzero anchor and a positive scale — a cached
+// or still-running job — and the export degrades to the events alone.
+func InverseMap(spans []tracing.SpanData, jobSpan tracing.SpanID) func(time.Time) float64 {
+	for _, d := range spans {
+		if d.Kind != "execute" || d.Parent != jobSpan {
+			continue
+		}
+		var anchorNano int64
+		scale := 0.0
+		for _, a := range d.Attrs {
+			switch a.Key {
+			case AttrAnchorUnixNano:
+				anchorNano, _ = a.Value.(int64)
+			case AttrScale:
+				scale, _ = a.Value.(float64)
+			}
+		}
+		if anchorNano == 0 || scale <= 0 {
+			continue
+		}
+		anchor := time.Unix(0, anchorNano)
+		return func(wt time.Time) float64 { return wt.Sub(anchor).Seconds() / scale }
+	}
+	return nil
+}
+
 // interval is one paired begin/end from the event stream.
 type interval struct {
 	name, kind string

@@ -239,3 +239,54 @@ func TestBridgeScaleMapsMakespanOntoWallWindow(t *testing.T) {
 		t.Fatalf("component wall duration = %v, want %v", got, wallDur)
 	}
 }
+
+// TestInverseMap: the inverse is read from the execute span under the
+// given job span only, and only when its anchor and a positive scale are
+// both recorded.
+func TestInverseMap(t *testing.T) {
+	anchor := time.Unix(1000, 0)
+	job, other := tracing.SpanID{7: 1}, tracing.SpanID{7: 2}
+	execute := func(parent tracing.SpanID, attrs ...tracing.Attr) tracing.SpanData {
+		return tracing.SpanData{SpanID: tracing.SpanID{7: 9}, Parent: parent, Kind: "execute", Attrs: attrs}
+	}
+	anchorAttr := tracing.Int64(AttrAnchorUnixNano, anchor.UnixNano())
+	for _, tc := range []struct {
+		name  string
+		spans []tracing.SpanData
+		found bool
+	}{
+		{"found", []tracing.SpanData{
+			{SpanID: job, Kind: "job"},
+			execute(job, anchorAttr, tracing.Float(AttrScale, 0.5), tracing.Float(AttrMakespanSec, 4)),
+		}, true},
+		{"missing scale", []tracing.SpanData{execute(job, anchorAttr)}, false},
+		{"missing anchor", []tracing.SpanData{execute(job, tracing.Float(AttrScale, 0.5))}, false},
+		{"zero scale", []tracing.SpanData{execute(job, anchorAttr, tracing.Float(AttrScale, 0))}, false},
+		{"negative scale", []tracing.SpanData{execute(job, anchorAttr, tracing.Float(AttrScale, -1))}, false},
+		{"execute under another parent", []tracing.SpanData{
+			execute(other, anchorAttr, tracing.Float(AttrScale, 0.5)),
+		}, false},
+		{"another parent first", []tracing.SpanData{
+			execute(other, tracing.Int64(AttrAnchorUnixNano, 1), tracing.Float(AttrScale, 3)),
+			execute(job, anchorAttr, tracing.Float(AttrScale, 0.5)),
+		}, true},
+		{"no spans", nil, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			toVirtual := InverseMap(tc.spans, job)
+			if (toVirtual != nil) != tc.found {
+				t.Fatalf("found %v, want %v", toVirtual != nil, tc.found)
+			}
+			if !tc.found {
+				return
+			}
+			// Wall = anchor + 0.5·virtual, so 2 s of wall is 4 s virtual.
+			if got := toVirtual(anchor.Add(2 * time.Second)); got != 4 {
+				t.Errorf("toVirtual(anchor+2s) = %v, want 4", got)
+			}
+			if got := toVirtual(anchor); got != 0 {
+				t.Errorf("toVirtual(anchor) = %v, want 0", got)
+			}
+		})
+	}
+}

@@ -10,7 +10,11 @@
 // each member's efficiency from the interference model without running the
 // discrete-event simulation (fast, slightly optimistic about staging
 // contention), and a simulated one that executes the ensemble per
-// candidate (slower, exact within the model).
+// candidate (slower, exact within the model). Both are pure functions of
+// the placement, called in-process one candidate at a time: a simulated
+// score is one runtime.RunSimulated, which the timeline kernel serves in
+// tens of microseconds, so a search has no service or worker pool behind
+// it and its result depends only on its inputs.
 package scheduler
 
 import (

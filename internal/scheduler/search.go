@@ -65,8 +65,8 @@ func materialize(shape [][]int, assignment []int) placement.Placement {
 
 // enumCache memoizes the deduplicated candidate list per
 // (spec, shape, maxNodes). The enumeration is exponential in ensemble
-// size, and every exhaustive search — serial or service-fanned — over
-// the same machine and workload used to redo it from scratch; a sweep
+// size, and every exhaustive search over the same machine and workload
+// used to redo it from scratch; a sweep
 // of N searches now enumerates once and replays N-1 times. Cached
 // slices are immutable: visitors receive value copies (a winner's
 // later rename never reaches the cache), and nothing mutates the
@@ -94,10 +94,9 @@ func enumKey(spec cluster.Spec, shape [][]int, maxNodes int) (string, bool) {
 // enumeratePlacements visits every valid placement of the shape on up to
 // maxNodes nodes, deduplicated up to node relabeling, in a deterministic
 // canonical order. Candidates arrive named "candidate-N" with N counting
-// from 1 in visit order — the naming contract the exhaustive searches and
-// the campaign cache share, so a candidate hashes identically no matter
-// which code path evaluates it. Enumerations are memoized per
-// (spec, shape, maxNodes); a cache replay visits the identical
+// from 1 in visit order, so repeated searches name (and therefore
+// simulate and trace) a candidate identically. Enumerations are memoized
+// per (spec, shape, maxNodes); a cache replay visits the identical
 // placements in the identical order.
 func enumeratePlacements(spec cluster.Spec, shape [][]int, maxNodes int, visit func(placement.Placement)) {
 	key, keyed := enumKey(spec, shape, maxNodes)

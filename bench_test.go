@@ -789,12 +789,13 @@ func BenchmarkRingRoute(b *testing.B) {
 // benchPoolLocal is a canned Local for the forwarding benchmark: the
 // peer protocol cost is what is being measured, not an execution.
 type benchPoolLocal struct {
-	cached []byte
+	cached map[string][]byte
 	result []byte
 }
 
 func (l *benchPoolLocal) CachedResultJSON(hash string) ([]byte, bool) {
-	return l.cached, l.cached != nil
+	res, ok := l.cached[hash]
+	return res, ok
 }
 
 func (l *benchPoolLocal) ExecuteForwardedJSON(ctx context.Context, specJSON []byte, label string) ([]byte, error) {
@@ -809,9 +810,11 @@ func (l *benchPoolLocal) NodeAccountingJSON() []byte { return []byte(`{}`) }
 
 // BenchmarkPoolForward prices the fabric's two wire operations between
 // a real two-node loopback pool: a forwarded execution round-trip
-// (spec JSON out, result JSON back) and a fleet-cache lookup hit. Both
-// ride one HTTP request, so this is the floor a peer-owned job pays
-// over running locally.
+// (spec JSON out, result JSON back) and a fleet-cache lookup, hit and
+// miss (a 404). Each rides one HTTP request on a kept-alive connection,
+// so this is the floor an engine job owned by a peer pays over running
+// locally — and about what a kernel-served run costs (BenchmarkKernel),
+// which is why those never cross.
 func BenchmarkPoolForward(b *testing.B) {
 	newNode := func(id string, seeds []string, local pool.Local) (*pool.Pool, *httptest.Server) {
 		var h atomic.Pointer[http.Handler]
@@ -841,7 +844,7 @@ func BenchmarkPoolForward(b *testing.B) {
 	p1, ts1 := newNode("n1", nil, &benchPoolLocal{result: res})
 	defer p1.Close()
 	defer ts1.Close()
-	p2, ts2 := newNode("n2", []string{ts1.URL}, &benchPoolLocal{cached: res, result: res})
+	p2, ts2 := newNode("n2", []string{ts1.URL}, &benchPoolLocal{cached: map[string][]byte{"h": res}, result: res})
 	defer p2.Close()
 	defer ts2.Close()
 	deadline := time.Now().Add(10 * time.Second)
@@ -874,6 +877,14 @@ func BenchmarkPoolForward(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, ok, err := p1.Lookup(context.Background(), "n2", "h"); err != nil || !ok {
+				b.Fatalf("lookup ok=%v err=%v", ok, err)
+			}
+		}
+	})
+	b.Run("cache-miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok, err := p1.Lookup(context.Background(), "n2", "miss"); err != nil || ok {
 				b.Fatalf("lookup ok=%v err=%v", ok, err)
 			}
 		}

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"ensemblekit/internal/campaign"
+	"ensemblekit/internal/faults"
 	"ensemblekit/internal/placement"
 	"ensemblekit/internal/telemetry/tracing"
 )
@@ -38,8 +39,15 @@ func TestMain(m *testing.M) {
 }
 
 // sweep is the Table 2 campaign every test posts; reference evaluates
-// the same sweep in process.
-const sweep = `{"name":"chaos","configs":["table2"],"steps":8}`
+// the same sweep in process. poolSweep adds the same points under a
+// seeded straggler plan, which the timeline kernel declines: its
+// fault-free half runs where it is posted, its other half routes by
+// ring ownership.
+const (
+	sweep     = `{"name":"chaos","configs":["table2"],"steps":8}`
+	slowPlan  = `{"name":"slow","seed":7,"stragglers":[{"component":"m0.sim","factor":2}]}`
+	poolSweep = `{"name":"chaos","configs":["table2"],"steps":8,"faultPlans":[null,` + slowPlan + `]}`
+)
 
 // server is one ensembled child process.
 type server struct {
@@ -167,8 +175,9 @@ func midFlight(t *testing.T) func(campaign.CampaignStatus) bool {
 	}
 }
 
-// reference fingerprints the sweep run uninterrupted in process.
-func reference(t *testing.T) string {
+// reference fingerprints the sweep run uninterrupted in process, under
+// each of plans when any are given (poolSweep's are nil and slowPlan).
+func reference(t *testing.T, plans ...*faults.Plan) string {
 	t.Helper()
 	svc, err := campaign.NewService(campaign.Config{Workers: 2})
 	if err != nil {
@@ -176,7 +185,7 @@ func reference(t *testing.T) string {
 	}
 	defer svc.Close()
 	res, err := campaign.RunCampaign(context.Background(), svc, campaign.Sweep{
-		Name: "chaos", Placements: placement.ConfigsTable2(), Steps: 8,
+		Name: "chaos", Placements: placement.ConfigsTable2(), Steps: 8, FaultPlans: plans,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -297,11 +306,16 @@ func TestChaos(t *testing.T) {
 	checkFingerprint(t, poll(t, s.base, "c-1", finished), want)
 }
 
-// TestPool: three processes form one pool; a campaign on n1 forwards
-// work to its peers and survives SIGKILL of n3, and its re-post on n2
-// answers through the fleet cache.
+// TestPool: three processes form one pool; a campaign on n1 runs its
+// kernel-served jobs itself, forwards its engine jobs to their owners
+// and survives SIGKILL of n3, and its re-post on n2 answers the engine
+// jobs through the fleet cache.
 func TestPool(t *testing.T) {
-	want := reference(t)
+	var slow faults.Plan
+	if err := json.Unmarshal([]byte(slowPlan), &slow); err != nil {
+		t.Fatal(err)
+	}
+	want := reference(t, nil, &slow)
 	var nodes []*server
 	for i := 1; i <= 3; i++ {
 		args := []string{"-node-id", fmt.Sprintf("n%d", i), "-heartbeat", "100ms", "-workers", "2", "-exec-delay", "30ms"}
@@ -320,16 +334,48 @@ func TestPool(t *testing.T) {
 		}
 	}
 
-	id := post(t, nodes[0].base, sweep).ID
+	id := post(t, nodes[0].base, poolSweep).ID
 	poll(t, nodes[0].base, id, midFlight(t))
 	nodes[2].kill()
-	checkFingerprint(t, poll(t, nodes[0].base, id, finished), want)
+	st := poll(t, nodes[0].base, id, finished)
+	checkFingerprint(t, st, want)
+	checkRouted(t, nodes[0].base, "n1", st)
 
-	checkFingerprint(t, poll(t, nodes[1].base, post(t, nodes[1].base, sweep).ID, finished), want)
+	st = poll(t, nodes[1].base, post(t, nodes[1].base, poolSweep).ID, finished)
+	checkFingerprint(t, st, want)
+	checkRouted(t, nodes[1].base, "n2", st)
 	for _, family := range []string{"pool_forwards_total", "pool_cache_hits_total"} {
 		if metricSum(t, nodes[0].base, family)+metricSum(t, nodes[1].base, family) == 0 {
 			t.Errorf("%s is 0 on the survivors", family)
 		}
+	}
+}
+
+// checkRouted fails the test unless the done campaign st, posted to the
+// node id at base, ran every kernel-served job (the fault-free half of
+// poolSweep) on that node and had at least one engine job answered by a
+// peer.
+func checkRouted(t *testing.T, base, id string, st campaign.CampaignStatus) {
+	t.Helper()
+	peer := 0
+	for _, c := range st.Result.Candidates {
+		for _, job := range c.JobIDs {
+			var js struct {
+				Node string `json:"node"`
+			}
+			if err := json.Unmarshal(get(t, base+"/v1/jobs/"+job), &js); err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case c.Fault == "" && js.Node != id:
+				t.Errorf("kernel-served job %s (%s) ran on %q, want the submitter %s", job, c.Label, js.Node, id)
+			case c.Fault != "" && js.Node != "" && js.Node != id:
+				peer++
+			}
+		}
+	}
+	if peer == 0 {
+		t.Errorf("no engine job posted to %s ran on a peer; the campaign did not shard", id)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ensemblekit/internal/faults"
 	"ensemblekit/internal/placement"
 )
 
@@ -21,23 +22,50 @@ import (
 // SIGKILL against a live ensembled server — is TestChaos in
 // cmd/ensembled.
 
-func chaosSweep() Sweep {
+// chaosSlowPlan is the engine-class half of the chaos sweep: a seeded
+// straggler plan, which the timeline kernel declines. The sweep's other
+// half is fault-free and kernel-served, so it exercises both routes a
+// pool gives a job. chaosRequest is the same sweep as a POST body.
+const (
+	chaosSlowPlan = `{"name":"slow","seed":7,"stragglers":[{"component":"m0.sim","factor":2}]}`
+	chaosRequest  = `{"name":"chaos","configs":["table2"],"steps":8,"faultPlans":[null,` + chaosSlowPlan + `]}`
+)
+
+// kernelSweep is Table 2 at 8 steps: every job kernel-served.
+func kernelSweep() Sweep {
 	return Sweep{Name: "chaos", Placements: placement.ConfigsTable2(), Steps: 8}
 }
 
+// chaosSweep is kernelSweep plus the same points under chaosSlowPlan.
+func chaosSweep() Sweep {
+	var slow faults.Plan
+	if err := json.Unmarshal([]byte(chaosSlowPlan), &slow); err != nil {
+		panic(err)
+	}
+	sw := kernelSweep()
+	sw.FaultPlans = []*faults.Plan{nil, &slow}
+	return sw
+}
+
 // chaosFingerprint runs the chaos sweep uninterrupted on a throwaway
-// service and returns its fingerprint and its uncached cost: the
-// simulated core-seconds its ledger charges.
+// service and returns its fingerprint and its uncached cost.
 func chaosFingerprint(t *testing.T) (string, float64) {
+	t.Helper()
+	return sweepFingerprint(t, chaosSweep())
+}
+
+// sweepFingerprint runs sw uninterrupted on a throwaway service and
+// returns its fingerprint and its uncached cost: the simulated
+// core-seconds its ledger charges.
+func sweepFingerprint(t *testing.T, sw Sweep) (string, float64) {
 	t.Helper()
 	svc, err := NewService(Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	sweep := chaosSweep()
-	sweep.Campaign = "ref"
-	res, err := RunCampaign(context.Background(), svc, sweep)
+	sw.Campaign = "ref"
+	res, err := RunCampaign(context.Background(), svc, sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +176,7 @@ func TestCampaignResumeMatchesUninterruptedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(NewServer(svc1).Handler())
-	st := postCampaign(t, ts1, `{"name":"chaos","configs":["table2"],"steps":8}`)
+	st := postCampaign(t, ts1, chaosRequest)
 	if st.ID != "c-1" {
 		t.Fatalf("campaign id %q, want c-1", st.ID)
 	}

@@ -32,9 +32,10 @@ type Fabric interface {
 	Handoff(ctx context.Context, hash string, specJSON []byte, label string, priority int) (string, error)
 }
 
-// SetFabric attaches the node to a pool: job executions route by ring
-// ownership (local when this node owns the hash, peer cache lookup then
-// forwarded execution otherwise), and job events carry the executing
+// SetFabric attaches the node to a pool: engine job executions route by
+// ring ownership (local when this node owns the hash, peer cache lookup
+// then forwarded execution otherwise), kernel-served jobs run where they
+// were submitted (see runRouted), and job events carry the executing
 // node's ID. Call it before serving traffic; a nil fabric (the default)
 // keeps every execution local.
 func (s *Service) SetFabric(f Fabric) {
@@ -50,7 +51,11 @@ func (s *Service) fabricSnapshot() Fabric {
 	return s.fabric
 }
 
-// runRouted executes one job according to ring ownership. Self-owned
+// runRouted executes one job where it is cheapest. A job the timeline
+// kernel serves (every spec but the needsEngine ones) runs on the node
+// that received it: its run costs about what one hop to a peer costs, so
+// moving it saves nothing, and its result is a pure function of the spec
+// wherever it runs. An engine job routes by ring ownership. Self-owned
 // hashes (and the solo, fabric-less configuration) run locally through
 // the shielded runner. Peer-owned hashes first consult the owner's
 // cache — the fleet tier, making every node's results reachable from
@@ -68,7 +73,7 @@ func (s *Service) runRouted(ctx context.Context, j *Job) (*Result, runtime.RunIn
 		return s.runShielded(ctx, j)
 	}
 	owner, self := fab.Owner(j.Hash)
-	if self {
+	if self || !j.spec.needsEngine() {
 		j.setNode(fab.NodeID())
 		return s.runShielded(ctx, j)
 	}

@@ -142,12 +142,15 @@ func waitFabricConverged(t *testing.T, nodes []*fabricNode) {
 	}
 }
 
-// specOwnedBy scans seeds for a spec whose hash the fabric routes to
-// the wanted node.
+// specOwnedBy scans seeds for an engine-class spec (jobFor under
+// chaosSlowPlan) whose hash the fabric routes to the wanted node; a
+// kernel-served spec would run on the submitter whoever owns it.
 func specOwnedBy(t *testing.T, n *fabricNode, want string) JobSpec {
 	t.Helper()
+	slow := chaosSweep().FaultPlans[1]
 	for seed := int64(1); seed < 1000; seed++ {
 		spec := jobFor(t, seed)
+		spec.Faults = slow
 		hash, err := spec.Hash()
 		if err != nil {
 			t.Fatal(err)
@@ -160,12 +163,41 @@ func specOwnedBy(t *testing.T, n *fabricNode, want string) JobSpec {
 	return JobSpec{}
 }
 
+// checkRouted asserts the cost rule on a campaign submitted to node
+// sub: every kernel-served job ran on sub, and the engine jobs sharded
+// (at least one was answered by a peer, through a forward or the fleet
+// cache).
+func checkRouted(t *testing.T, sub *fabricNode, res *CampaignResult) {
+	t.Helper()
+	peer := 0
+	for _, c := range res.Candidates {
+		for _, id := range c.JobIDs {
+			j, ok := sub.svc.Job(id)
+			if !ok {
+				t.Fatalf("%s: job %s not found", sub.id, id)
+			}
+			engine := j.Spec().needsEngine()
+			if !engine && j.Node() != sub.id {
+				t.Errorf("kernel-served job %s (%s) ran on %q, want the submitter %s", id, c.Label, j.Node(), sub.id)
+			}
+			if engine && j.Node() != "" && j.Node() != sub.id {
+				peer++
+			}
+		}
+	}
+	if peer == 0 {
+		t.Errorf("no engine job submitted to %s ran on a peer; the campaign did not shard", sub.id)
+	}
+}
+
 // The keystone invariant: a campaign sharded across three nodes must
 // fingerprint byte-identically to a single-node run, and the work must
-// actually shard (peers execute a share of the jobs). Its ledger must
-// reconcile too: spent plus cache-avoided core-seconds equal the
-// uncached single-node cost, for the sharded run and for its re-post on
-// a second node, which the caches answer.
+// actually shard (peers execute a share of the engine jobs, while the
+// kernel-served ones run on the submitter). Its ledger must reconcile
+// too: spent plus cache-avoided core-seconds equal the uncached
+// single-node cost, for the sharded run and for its re-post on a second
+// node, which the caches answer for the engine jobs and which re-runs
+// the kernel-served ones.
 func TestFabricShardedCampaignMatchesSingleNode(t *testing.T) {
 	refFP, refCost := chaosFingerprint(t)
 	if refCost <= 0 {
@@ -192,16 +224,81 @@ func TestFabricShardedCampaignMatchesSingleNode(t *testing.T) {
 	}
 	t.Logf("executions: n1=%d n2=%d n3=%d",
 		nodes[0].runs.Load(), nodes[1].runs.Load(), nodes[2].runs.Load())
+	checkRouted(t, nodes[0], res)
 
 	sweep.Campaign = "repost"
-	if _, err := RunCampaign(context.Background(), nodes[1].svc, sweep); err != nil {
+	repost, err := RunCampaign(context.Background(), nodes[1].svc, sweep)
+	if err != nil {
 		t.Fatal(err)
 	}
+	checkRouted(t, nodes[1], repost)
 	for i, id := range []string{"sharded", "repost"} {
 		acct, _ := nodes[i].svc.CampaignAccounting(id)
 		if got := acct.Simulated.SpentTotal + acct.Simulated.SavedCacheTotal; math.Abs(got-refCost) > 1e-9*refCost {
 			t.Errorf("%s campaign spent+saved %v core-seconds, want the uncached %v", id, got, refCost)
 		}
+	}
+}
+
+// countingFabric counts the hops a service asks of its fabric.
+type countingFabric struct {
+	Fabric
+	lookups, executes atomic.Int64
+}
+
+func (f *countingFabric) Lookup(ctx context.Context, peer, hash string) ([]byte, bool, error) {
+	f.lookups.Add(1)
+	return f.Fabric.Lookup(ctx, peer, hash)
+}
+
+func (f *countingFabric) Execute(ctx context.Context, peer, hash string, specJSON []byte, label string) ([]byte, error) {
+	f.executes.Add(1)
+	return f.Fabric.Execute(ctx, peer, hash, specJSON, label)
+}
+
+// The cost rule: a kernel-served job runs on the node that received it,
+// with no fleet-cache lookup and no forward, whoever owns its hash — a
+// hop costs about what the run does. The results cannot tell: the
+// campaign fingerprints like a single-node run, and a re-post on a
+// second node re-runs there too.
+func TestFabricKernelJobsStayLocal(t *testing.T) {
+	refFP, _ := sweepFingerprint(t, kernelSweep())
+	nodes := startFabric(t, 3, nil)
+	fabs := make([]*countingFabric, len(nodes))
+	for i, n := range nodes {
+		fabs[i] = &countingFabric{Fabric: n.pool}
+		n.svc.SetFabric(fabs[i])
+	}
+	hops := func() (n int64) {
+		for _, f := range fabs {
+			n += f.lookups.Load() + f.executes.Load()
+		}
+		return n
+	}
+
+	for i, sub := range nodes[:2] {
+		sweep := kernelSweep()
+		sweep.Campaign = fmt.Sprintf("local-%d", i)
+		res, err := RunCampaign(context.Background(), sub.svc, sweep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, err := res.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp != refFP {
+			t.Errorf("%s: fingerprint %s != single-node %s", sub.id, fp, refFP)
+		}
+		if got := sub.runs.Load(); got != int64(res.Jobs) {
+			t.Errorf("%s ran %d of its %d jobs", sub.id, got, res.Jobs)
+		}
+		if n := hops(); n != 0 {
+			t.Fatalf("after the campaign on %s: %d fleet lookups and forwards, want 0", sub.id, n)
+		}
+	}
+	if got := nodes[2].runs.Load(); got != 0 {
+		t.Errorf("n3 received no campaign but ran %d jobs", got)
 	}
 }
 
@@ -246,12 +343,37 @@ func TestFabricPeerCacheHit(t *testing.T) {
 	if hits := nodes[0].svc.Stats().CacheHits; hits == 0 {
 		t.Error("fleet cache hit not accounted in service stats")
 	}
+
+	// The kernel-served twin skips the fleet tier even when the owner
+	// holds it: it re-runs on the submitter, which costs about one hop.
+	twin := spec
+	twin.Faults = nil
+	jp, err := nodes[1].svc.Submit(context.Background(), twin, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jp.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	runsBefore = nodes[0].runs.Load()
+	jt, err := nodes[0].svc.Submit(context.Background(), twin, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jt.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if nodes[0].runs.Load() != runsBefore+1 || jt.Node() != "n1" {
+		t.Errorf("kernel-served job ran on %q (%d local runs), want one run on n1",
+			jt.Node(), nodes[0].runs.Load()-runsBefore)
+	}
 }
 
 // Killing a peer mid-campaign must not change the campaign's science:
 // its jobs re-route to the survivors (via the retry policy on the
 // rebalanced ring) and the fingerprint still matches the single-node
-// reference.
+// reference. The killed peer owns a share of the engine jobs, so the
+// kill strands forwarded work.
 func TestFabricPeerLossMidCampaignStillMatches(t *testing.T) {
 	refFP, _ := chaosFingerprint(t)
 	nodes := startFabric(t, 3, func(i int, cfg *Config) {
@@ -261,13 +383,30 @@ func TestFabricPeerLossMidCampaignStillMatches(t *testing.T) {
 				BaseBackoff: 5 * time.Millisecond,
 				MaxBackoff:  50 * time.Millisecond,
 			}
-			// Slow the jobs slightly so the kill lands mid-campaign.
-			cfg.runFn = plainRun(func(_ context.Context, spec JobSpec) (*Result, error) {
-				time.Sleep(3 * time.Millisecond)
-				return Execute(spec)
-			})
 		}
+		// Slow the jobs slightly so the kill lands mid-campaign, with
+		// forwarded runs in flight on the victim.
+		cfg.runFn = plainRun(func(_ context.Context, spec JobSpec) (*Result, error) {
+			time.Sleep(3 * time.Millisecond)
+			return Execute(spec)
+		})
 	})
+	cands, err := chaosSweep().Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := 0
+	for _, c := range cands {
+		for _, spec := range c.Specs {
+			h, _ := spec.Hash()
+			if owner, _ := nodes[0].pool.Owner(h); spec.needsEngine() && owner == "n3" {
+				owned++
+			}
+		}
+	}
+	if owned == 0 {
+		t.Fatal("the victim n3 owns no engine job of the sweep")
+	}
 
 	type out struct {
 		res *CampaignResult
@@ -300,6 +439,7 @@ func TestFabricPeerLossMidCampaignStillMatches(t *testing.T) {
 	if fp != refFP {
 		t.Errorf("fingerprint after peer loss %s != single-node %s", fp, refFP)
 	}
+	checkRouted(t, nodes[0], o.res)
 	// The failure detector declares the kill — via a failed forward (data
 	// plane) or missed beats (sweep) — within a few beat intervals.
 	deadline = time.Now().Add(10 * time.Second)

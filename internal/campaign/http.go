@@ -306,6 +306,10 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxCampaignBody bounds a POST /v1/campaigns body (DESIGN.md §10): a
+// Table 2 request is ~50 B and a 64-seed inline sweep a few KB.
+const maxCampaignBody = 1 << 20
+
 func (s *Server) postCampaign(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", "1")
@@ -314,10 +318,15 @@ func (s *Server) postCampaign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CampaignRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCampaignBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		code := http.StatusBadRequest
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+			err = fmt.Errorf("campaign: request body over the %d-byte bound", tooLarge.Limit)
+		}
+		httpError(w, code, err)
 		return
 	}
 	sw, err := req.resolve()
@@ -329,7 +338,11 @@ func (s *Server) postCampaign(w http.ResponseWriter, r *http.Request) {
 	// and the runner aggregates these very candidates.
 	cands, err := sw.Jobs()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		code := http.StatusBadRequest
+		if errors.Is(err, errOverBound) {
+			code = http.StatusUnprocessableEntity
+		}
+		httpError(w, code, err)
 		return
 	}
 

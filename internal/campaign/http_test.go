@@ -102,6 +102,50 @@ func TestHTTPCampaignLifecycle(t *testing.T) {
 	}
 }
 
+// Requests over a work bound are refused at the edge with a reason that
+// names the bound, and the server stays ready. Unbounded, the steps
+// request alone sized ~86 GB of stage records and killed the process.
+func TestHTTPRefusesOverBoundRequests(t *testing.T) {
+	ts, _ := newTestServer(t)
+	seeds := make([]string, maxCampaignJobs/7+1) // × 7 Table 2 placements
+	for i := range seeds {
+		seeds[i] = fmt.Sprint(i + 1)
+	}
+	for _, c := range []struct {
+		name, body string
+		code       int
+		reason     string
+	}{
+		{"steps", `{"configs":["C1.5"],"steps":100000000}`,
+			http.StatusUnprocessableEntity, fmt.Sprintf("above the %d bound", maxJobWork)},
+		{"jobs", `{"configs":["table2"],"seeds":[` + strings.Join(seeds, ",") + `]}`,
+			http.StatusUnprocessableEntity, fmt.Sprintf("more than %d jobs", maxCampaignJobs)},
+		{"body", `{"name":"` + strings.Repeat("x", maxCampaignBody) + `"}`,
+			http.StatusRequestEntityTooLarge, fmt.Sprintf("over the %d-byte bound", maxCampaignBody)},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.code || !strings.Contains(string(b), c.reason) {
+			t.Errorf("%s: HTTP %d %s, want %d naming %q", c.name, resp.StatusCode, b, c.code, c.reason)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/readyz answered %d after the refusals", resp.StatusCode)
+	}
+	if st := pollCampaign(t, ts, postCampaign(t, ts, `{"configs":["C1.5"],"steps":4}`).ID); st.Status != "done" {
+		t.Fatalf("campaign after the refusals: %+v", st)
+	}
+}
+
 func TestHTTPStatsReportWarmRerun(t *testing.T) {
 	ts, _ := newTestServer(t)
 

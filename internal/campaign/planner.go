@@ -127,6 +127,14 @@ func (sw Sweep) Jobs() ([]Candidate, error) {
 	if len(seeds) == 0 {
 		seeds = []int64{sw.Sim.Seed}
 	}
+	// Count before expanding: an over-bound sweep is refused without
+	// building any of its jobs.
+	jobs := 1
+	for _, n := range []int{len(sw.Placements), len(memberCounts), len(plans), len(nodeCounts), len(seeds)} {
+		if jobs *= n; jobs > maxCampaignJobs {
+			return nil, fmt.Errorf("%w: the sweep expands to more than %d jobs", errOverBound, maxCampaignJobs)
+		}
+	}
 
 	var out []Candidate
 	for _, base := range sw.Placements {

@@ -144,7 +144,7 @@ func (p *Pool) scrapePeer(ctx context.Context, addr, path string) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("pool: %s%s: status %d", addr, path, resp.StatusCode)
 	}

@@ -2,6 +2,7 @@ package pool
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -87,8 +88,7 @@ func (p *Pool) Handler() http.Handler {
 
 func (p *Pool) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		p.writeError(w, http.StatusBadRequest, err, false)
+	if !p.decodeBody(w, r, &req) {
 		return
 	}
 	if req.ID == "" || req.Addr == "" {
@@ -110,8 +110,7 @@ func (p *Pool) handleJoin(w http.ResponseWriter, r *http.Request) {
 
 func (p *Pool) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req heartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		p.writeError(w, http.StatusBadRequest, err, false)
+	if !p.decodeBody(w, r, &req) {
 		return
 	}
 	p.m.beatsRecv.Inc()
@@ -149,8 +148,7 @@ func (p *Pool) handleCache(w http.ResponseWriter, r *http.Request) {
 // trace together.
 func (p *Pool) handleExecute(w http.ResponseWriter, r *http.Request) {
 	var req executeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		p.writeError(w, http.StatusBadRequest, err, false)
+	if !p.decodeBody(w, r, &req) {
 		return
 	}
 	ctx := r.Context()
@@ -193,8 +191,7 @@ func (p *Pool) handleExecute(w http.ResponseWriter, r *http.Request) {
 // handleSubmit accepts a drained job for asynchronous execution.
 func (p *Pool) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		p.writeError(w, http.StatusBadRequest, err, false)
+	if !p.decodeBody(w, r, &req) {
 		return
 	}
 	if err := p.cfg.Local.SubmitJSON(req.Spec, req.Label, req.Priority); err != nil {
@@ -204,6 +201,28 @@ func (p *Pool) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	p.m.handoffsRecv.Inc()
 	p.log.Info("pool: accepted drained job", "hash", req.Hash, "label", req.Label)
 	p.writeJSON(w, http.StatusAccepted, map[string]string{"status": "accepted"})
+}
+
+// maxPeerBody bounds the body of every peer POST (join, heartbeat,
+// execute, submit). A spec is ~260 B per component and a member list
+// ~100 B per peer, so this holds any engine job of up to ~30 000
+// components; a larger body is refused 413 once the bound is read.
+const maxPeerBody = 8 << 20
+
+// decodeBody decodes a peer POST body of at most maxPeerBody bytes into
+// v. On failure it answers 413 (over the bound) or 400 and returns false.
+func (p *Pool) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPeerBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+		err = fmt.Errorf("pool: request body over the %d-byte bound", tooLarge.Limit)
+	}
+	p.writeError(w, code, err, false)
+	return false
 }
 
 func (p *Pool) view() viewResponse {

@@ -201,6 +201,19 @@ func newPoolMetrics(r *telemetry.Registry) poolMetrics {
 	}
 }
 
+// peerIdleConns is the pool transport's per-peer idle-connection limit.
+// It covers the concurrency of the hops to one peer — a requester's
+// workers forwarding at once, its beats and lookups — so a finished hop
+// parks its connection for the next one instead of closing it. The
+// default transport's 2 is below that, so a busy node would dial (and
+// leave a TIME_WAIT socket behind) for most hops.
+const peerIdleConns = 64
+
+// maxDrain bounds how much of an unwanted peer response body is read
+// before closing it: small error bodies are drained so their connection
+// is reused, while a runaway body is cut off with its connection.
+const maxDrain = 64 << 10
+
 // New builds a Pool; call Start to join seeds and begin heartbeating,
 // and mount Handler on the node's HTTP server.
 func New(cfg Config) (*Pool, error) {
@@ -214,9 +227,12 @@ func New(cfg Config) (*Pool, error) {
 	if cfg.Local == nil {
 		return nil, errors.New("pool: Config.Local is required")
 	}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 0 // no fleet-wide cap; the per-peer one applies
+	tr.MaxIdleConnsPerHost = peerIdleConns
 	p := &Pool{
 		cfg:    cfg,
-		client: &http.Client{}, // per-call contexts bound the control-plane calls
+		client: &http.Client{Transport: tr}, // per-call contexts bound the control-plane calls
 		log:    cfg.Logger,
 		tracer: cfg.Tracer,
 		m:      newPoolMetrics(cfg.Metrics),
@@ -252,6 +268,7 @@ func (p *Pool) Start() {
 func (p *Pool) Close() {
 	p.stopOnce.Do(func() { close(p.stop) })
 	p.wg.Wait()
+	p.client.CloseIdleConnections()
 }
 
 // Ready reports the conditions blocking pool readiness — non-empty
@@ -471,7 +488,7 @@ func (p *Pool) Lookup(ctx context.Context, peer, hash string) (res []byte, found
 		p.peerUnreachable(peer, err)
 		return nil, false, fmt.Errorf("pool: cache lookup on %s: %w", peer, err)
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	switch resp.StatusCode {
 	case http.StatusOK:
 		b, err := io.ReadAll(resp.Body)
@@ -528,14 +545,14 @@ func (p *Pool) Execute(ctx context.Context, peer, hash string, specJSON []byte, 
 		p.peerUnreachable(peer, err)
 		return nil, fmt.Errorf("pool: forward to %s: %w", peer, err)
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode == http.StatusOK {
 		return io.ReadAll(resp.Body)
 	}
 	p.m.forwardErrs.Inc()
 	var we wireError
 	msg := fmt.Sprintf("status %d", resp.StatusCode)
-	if b, rerr := io.ReadAll(io.LimitReader(resp.Body, 64<<10)); rerr == nil {
+	if b, rerr := io.ReadAll(io.LimitReader(resp.Body, maxDrain)); rerr == nil {
 		if jerr := json.Unmarshal(b, &we); jerr == nil && we.Error != "" {
 			msg = we.Error
 		}
@@ -584,7 +601,7 @@ func (p *Pool) Handoff(ctx context.Context, hash string, specJSON []byte, label 
 			continue
 		}
 		code := resp.StatusCode
-		resp.Body.Close()
+		drainClose(resp.Body)
 		if code == http.StatusAccepted {
 			p.m.handoffs.Inc()
 			return peer, nil
@@ -625,7 +642,7 @@ func (p *Pool) postJSON(ctx context.Context, addr, path string, body, out any) e
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("pool: %s%s: status %d", addr, path, resp.StatusCode)
 	}
@@ -633,4 +650,12 @@ func (p *Pool) postJSON(ctx context.Context, addr, path string, body, out any) e
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// drainClose reads what is left of a peer response body (up to maxDrain)
+// and closes it. A body closed unread — a 404 miss, a refused handoff —
+// makes the transport discard its connection, so the next hop dials.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, maxDrain))
+	_ = body.Close()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -185,6 +186,102 @@ func TestPoolCacheLookup(t *testing.T) {
 	_, found, err = nodes[0].pool.Lookup(context.Background(), "n2", "missing")
 	if err != nil || found {
 		t.Fatalf("miss: found=%v err=%v", found, err)
+	}
+}
+
+// countingListener counts the connections a server accepts.
+type countingListener struct {
+	net.Listener
+	accepts atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepts.Add(1)
+	}
+	return c, err
+}
+
+// Sequential hops to one peer — fleet-cache misses, hits and forwards —
+// ride one kept-alive connection: every peer response body is drained
+// before it is closed, so no hop makes the next one dial.
+func TestPoolReusesPeerConnections(t *testing.T) {
+	peer := newTestLocal()
+	peer.put("hit", []byte(`{"objective":1.5}`))
+	pp, err := New(Config{SelfID: "n2", Advertise: "http://n2.invalid", Local: peer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewUnstartedServer(pp.Handler())
+	ln := &countingListener{Listener: ts.Listener}
+	ts.Listener = ln
+	ts.Start()
+	defer ts.Close()
+
+	// Neither pool is started, so no heartbeat shares the connection.
+	p, err := New(Config{SelfID: "n1", Advertise: "http://n1.invalid", Local: newTestLocal()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.mem.Upsert("n2", ts.URL)
+
+	ctx := context.Background()
+	hops := []struct {
+		name string
+		hop  func() error
+	}{
+		{"lookup miss", func() error {
+			_, found, err := p.Lookup(ctx, "n2", "miss")
+			if err == nil && found {
+				err = errors.New("miss answered as a hit")
+			}
+			return err
+		}},
+		{"lookup hit", func() error {
+			_, found, err := p.Lookup(ctx, "n2", "hit")
+			if err == nil && !found {
+				err = errors.New("hit answered as a miss")
+			}
+			return err
+		}},
+		{"forward", func() error {
+			_, err := p.Execute(ctx, "n2", "h", []byte(`{"a":1}`), "job")
+			return err
+		}},
+	}
+	for _, h := range hops {
+		for i := 0; i < 50; i++ {
+			if err := h.hop(); err != nil {
+				t.Fatalf("%s %d: %v", h.name, i, err)
+			}
+		}
+		if got := ln.accepts.Load(); got != 1 {
+			t.Fatalf("after 50 sequential %s hops the peer accepted %d connections, want 1", h.name, got)
+		}
+	}
+}
+
+// Every peer POST body is bounded: an oversized one is refused 413 with
+// a reason naming the bound, before it reaches the node's service.
+func TestPoolRefusesOversizedBodies(t *testing.T) {
+	local := newTestLocal()
+	p, err := New(Config{SelfID: "n1", Advertise: "http://n1.invalid", Local: local})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	body := `{"spec":"` + strings.Repeat("x", maxPeerBody) + `"}`
+	for _, path := range []string{"/v1/pool/join", "/v1/pool/heartbeat", "/v1/pool/execute", "/v1/pool/submit"} {
+		w := httptest.NewRecorder()
+		p.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if w.Code != http.StatusRequestEntityTooLarge || !strings.Contains(w.Body.String(), fmt.Sprintf("over the %d-byte bound", maxPeerBody)) {
+			t.Errorf("POST %s: %d %s", path, w.Code, w.Body.String())
+		}
+	}
+	if local.submits != 0 {
+		t.Errorf("an oversized handoff reached the service")
 	}
 }
 

@@ -42,6 +42,16 @@ func (spec JobSpec) simOptions() runtime.SimOptions {
 	return opts
 }
 
+// needsEngine reports whether the spec needs more than the timeline
+// kernel: the real backend, or simulated options the kernel declines
+// (runtime.SimOptions.NeedsEngine). It is the one predicate behind both
+// how a job runs (executeSpec attaches the engine's event recorder) and
+// where it runs (runRouted keeps every other job on the node that
+// received it).
+func (spec JobSpec) needsEngine() bool {
+	return spec.Real != nil || spec.simOptions().NeedsEngine()
+}
+
 // runSpec dispatches the spec to its backend: runtime.RunReal when the
 // spec carries a RealConfig, runtime.RunSimulatedScratch otherwise. The
 // fault plan and resilience policy are shared between backends; rec, when
@@ -96,7 +106,7 @@ func executeSpec(ctx context.Context, tracer *tracing.Tracer, hash string, spec 
 	var rec *obs.Recorder
 	if sp := tracing.SpanFromContext(ctx); tracer != nil && sp.Recording() {
 		span = sp
-		if spec.Real != nil || spec.simOptions().NeedsEngine() {
+		if spec.needsEngine() {
 			rec = recorders.Get().(*obs.Recorder)
 		}
 	}

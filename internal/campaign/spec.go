@@ -225,14 +225,45 @@ func NewRealJob(spec cluster.Spec, p placement.Placement, rc RealConfig) JobSpec
 	return JobSpec{Cluster: spec, Placement: p, Real: &rc}
 }
 
+// Work bounds (DESIGN.md §10). A run's memory grows with its steps ×
+// components (~265 B of stage records per component-step), and a
+// campaign's with its job count, so both are capped where a request is
+// admitted: an unchecked integer must not size a buffer.
+const (
+	// maxJobWork caps one job's steps × components: ~70 MB of trace at
+	// most, ~300× the paper's scale (37 steps × ≤ 24 components).
+	maxJobWork = 1 << 18
+	// maxCampaignJobs caps the jobs one sweep expands to: a node keeps
+	// the newest terminalJobsKept finished jobs resolvable, so a larger
+	// campaign would evict its own first jobs before it finished.
+	maxCampaignJobs = terminalJobsKept
+)
+
+// errOverBound marks a request refused because it exceeds a work bound;
+// the HTTP API answers it 422.
+var errOverBound = errors.New("campaign: over a work bound")
+
 // Validate checks the spec the same way RunSimulated will, so malformed
-// jobs fail at submission instead of occupying a worker.
+// jobs fail at submission instead of occupying a worker, and holds it to
+// maxJobWork, so no admitted job can exhaust the node's memory.
 func (s JobSpec) Validate() error {
 	if err := s.Cluster.Validate(); err != nil {
 		return err
 	}
 	if err := s.Placement.Validate(s.Cluster); err != nil {
 		return err
+	}
+	steps := s.Ensemble.Steps
+	if s.Real != nil {
+		steps = s.Real.Steps
+	}
+	components := 0
+	for _, m := range s.Placement.Members {
+		components += 1 + len(m.Analyses)
+	}
+	if components > 0 && steps > maxJobWork/components {
+		return fmt.Errorf("%w: %q runs %d steps × %d components, above the %d bound",
+			errOverBound, s.Placement.Name, steps, components, maxJobWork)
 	}
 	if s.Real != nil {
 		if err := s.Real.Validate(s.Placement); err != nil {

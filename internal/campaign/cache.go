@@ -24,9 +24,9 @@ import (
 type Result struct {
 	// Hash is the content address of the job that produced the result.
 	Hash string `json:"hash"`
-	// Trace is kept only where it cannot be re-run: a real-backend job's
-	// wall-clock trace, and Execute's (the caller holds the only copy).
-	Trace *trace.EnsembleTrace `json:"trace,omitempty"`
+	// Trace is set only by Execute, whose caller holds the only copy. It
+	// is never encoded, so no cache entry or pool hop carries it.
+	Trace *trace.EnsembleTrace `json:"-"`
 	// Efficiencies holds E_i (Eq. 3) for the surviving members, in member
 	// order. Without faults this is every member.
 	Efficiencies []float64 `json:"efficiencies"`
@@ -208,8 +208,7 @@ func (c *resultCache) put(hash string, res *Result) error {
 
 // estimateResultSize is the heap one memory-tier entry holds: the
 // Result, its cacheEntry and list element, its index slot, the hash and
-// the slices' backing arrays. The budget therefore bounds real heap (a
-// real-backend result's trace is not counted; such runs never fill it).
+// the slices' backing arrays. The budget therefore bounds real heap.
 func estimateResultSize(res *Result) int64 {
 	const mapSlot = 40 // one string → pointer map entry, load factor included
 	fixed := unsafe.Sizeof(Result{}) + unsafe.Sizeof(cacheEntry{}) + unsafe.Sizeof(list.Element{}) + mapSlot

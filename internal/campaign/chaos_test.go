@@ -1,17 +1,21 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ensemblekit/internal/faults"
 	"ensemblekit/internal/placement"
+	"ensemblekit/internal/telemetry"
 )
 
 // This file is the in-process chaos suite for the durability layer: a
@@ -269,5 +273,63 @@ func TestJournaledCampaignMatchesUnjournaled(t *testing.T) {
 	}
 	if fp != refFP {
 		t.Errorf("journaled campaign fingerprint %s != unjournaled %s", fp, refFP)
+	}
+}
+
+// realSpecJournal was written by a build whose JobSpec still had the
+// "real" section: two pending jobs, a real-backend spec (realSpecHash)
+// and pinnedSimSpec. A journal is spec bytes another process wrote.
+const (
+	realSpecJournal = "testdata/real_spec_journal.wal"
+	realSpecHash    = "9b3e9097c411996022ec5d7d905ca44106ba62bb8cdaa68cef19f8e620b060d5"
+)
+
+// On replay the real-spec job fails with a "replay:" reason that names
+// the field, and the simulated job runs to done.
+func TestReplayFailsRealSpecJob(t *testing.T) {
+	b, err := os.ReadFile(realSpecJournal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logs bytes.Buffer
+	svc, err := NewService(Config{Workers: 1, JournalPath: path,
+		Logger: telemetry.NewLogger(&logs, telemetry.LevelWarn)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if got := svc.Stats().JournalReplayed; got != 1 {
+		t.Fatalf("replayed %d jobs, want only the simulated one", got)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for svc.Stats().Completed < 1 || svc.Journal().Stats().PendingJobs > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("replay left work pending: %+v", svc.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	j, err := svc.Submit(context.Background(), pinnedSimSpec(t), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !j.CacheHit {
+		t.Error("the replayed simulated job did not finish")
+	}
+	svc.Close()
+
+	var failed bool
+	for _, line := range strings.Split(logs.String(), "\n") {
+		var rec struct{ Msg, Hash, Reason string }
+		if json.Unmarshal([]byte(line), &rec) == nil && rec.Hash == realSpecHash {
+			failed = rec.Msg == "journal: dropping unreplayable job" &&
+				strings.HasPrefix(rec.Reason, "replay: ") && strings.Contains(rec.Reason, `"real"`)
+		}
+	}
+	if !failed {
+		t.Errorf("the real-spec job did not fail with a replay reason naming \"real\":\n%s", logs.String())
 	}
 }

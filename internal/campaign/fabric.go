@@ -82,12 +82,12 @@ func (s *Service) runRouted(ctx context.Context, j *Job) (*Result, runtime.RunIn
 	// errors are not fatal — the forward (or its retry) decides the
 	// job's fate.
 	if b, found, err := fab.Lookup(ctx, owner, j.Hash); err == nil && found {
-		res, derr := decodeResult(b)
+		res, derr := peerResult(b, j.Hash)
 		if derr == nil {
 			j.setServed(servedFleet)
 			return res, none, nil
 		}
-		s.log.Warn("pool: undecodable peer cache entry; forwarding",
+		s.log.Warn("pool: unusable peer cache entry; forwarding",
 			"peer", owner, "hash", j.Hash, "err", derr.Error())
 	}
 	specJSON, err := j.spec.CanonicalJSON()
@@ -96,13 +96,14 @@ func (s *Service) runRouted(ctx context.Context, j *Job) (*Result, runtime.RunIn
 	}
 	b, err := fab.Execute(ctx, owner, j.Hash, specJSON, j.Label)
 	if err == nil {
-		res, derr := decodeResult(b)
+		res, derr := peerResult(b, j.Hash)
 		if derr == nil {
 			j.setServed(servedForward)
 			return res, none, nil
 		}
-		// An older-generation (or corrupt) payload is a miss: run it here.
-		err = fmt.Errorf("undecodable result: %w", derr)
+		// An older-generation, corrupt or wrong-job payload is a miss: run
+		// it here.
+		err = fmt.Errorf("unusable result: %w", derr)
 	} else {
 		if ctx.Err() != nil {
 			return nil, none, ctx.Err()
@@ -125,6 +126,18 @@ func (s *Service) runRouted(ctx context.Context, j *Job) (*Result, runtime.RunIn
 		"peer", owner, "hash", j.Hash, "err", err.Error())
 	j.setNode(fab.NodeID())
 	return s.runShielded(ctx, j)
+}
+
+// peerResult decodes a peer's answer for hash. A result for another hash
+// is as much a miss as an older-generation payload: the peer ran some
+// other job, e.g. because it decoded the spec without a field it does
+// not know.
+func peerResult(b []byte, hash string) (*Result, error) {
+	res, err := decodeResult(b)
+	if err == nil && res.Hash != hash {
+		return nil, fmt.Errorf("result is for hash %s", res.Hash)
+	}
+	return res, err
 }
 
 // CachedResultJSON serves this node's tier of the fleet cache: the
@@ -182,11 +195,8 @@ type remoteFlight struct {
 // attaches to that job, and concurrent forwards of one hash share a
 // single run via the remote-flight table.
 func (s *Service) ExecuteForwardedJSON(ctx context.Context, specJSON []byte, _ string) ([]byte, error) {
-	var spec JobSpec
-	if err := json.Unmarshal(specJSON, &spec); err != nil {
-		return nil, Permanent(fmt.Errorf("campaign: undecodable forwarded spec: %w", err))
-	}
-	if err := spec.Validate(); err != nil {
+	spec, err := decodeSpec(specJSON)
+	if err != nil {
 		return nil, Permanent(err)
 	}
 	hash, err := spec.Hash()
@@ -253,11 +263,11 @@ func (s *Service) ExecuteForwardedJSON(ctx context.Context, specJSON []byte, _ s
 // handoff so the drainer tries the next ring successor). It satisfies
 // the pool's Local interface.
 func (s *Service) SubmitJSON(specJSON []byte, label string, priority int) error {
-	var spec JobSpec
-	if err := json.Unmarshal(specJSON, &spec); err != nil {
-		return fmt.Errorf("campaign: undecodable drained spec: %w", err)
+	spec, err := decodeSpec(specJSON)
+	if err != nil {
+		return err
 	}
-	_, err := s.Submit(context.Background(), spec, SubmitOptions{
+	_, err = s.Submit(context.Background(), spec, SubmitOptions{
 		Label:    label,
 		Priority: priority,
 	})

@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -585,5 +586,67 @@ func TestFabricLocalFallbackWithoutRetries(t *testing.T) {
 	}
 	if node := j.Node(); node != "n1" {
 		t.Errorf("fallback job node %q, want n1", node)
+	}
+}
+
+// wrongJobFabric is a pool in which a peer owns every hash and answers
+// for another job: an owner that decoded the spec differently (say,
+// without a field it does not know) computed another hash. lookup, when
+// set, is its fleet-cache hit; execute is its forwarded answer.
+type wrongJobFabric struct{ lookup, execute []byte }
+
+func (wrongJobFabric) NodeID() string                        { return "n1" }
+func (wrongJobFabric) Owner(string) (peer string, self bool) { return "n2", false }
+func (f wrongJobFabric) Lookup(context.Context, string, string) ([]byte, bool, error) {
+	return f.lookup, f.lookup != nil, nil
+}
+func (f wrongJobFabric) Execute(context.Context, string, string, []byte, string) ([]byte, error) {
+	return f.execute, nil
+}
+func (wrongJobFabric) Handoff(context.Context, string, []byte, string, int) (string, error) {
+	return "", errors.New("no handoff")
+}
+
+// A peer's result for another hash is a miss, like an older-generation
+// payload: the job runs here and finishes with its own hash and ledger.
+func TestFabricAnswerForAnotherHashIsAMiss(t *testing.T) {
+	slow := chaosSweep().FaultPlans[1]
+	spec, other := jobFor(t, 1), jobFor(t, 2)
+	spec.Faults, other.Faults = slow, slow
+	want, err := Execute(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong, err := Execute(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrongJSON, err := json.Marshal(wrong)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fab := range map[string]wrongJobFabric{
+		"fleet lookup": {lookup: wrongJSON, execute: wrongJSON},
+		"forward":      {execute: wrongJSON},
+	} {
+		svc, err := NewService(Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc.SetFabric(fab)
+		j, err := svc.Submit(context.Background(), spec, SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := j.Wait(context.Background())
+		svc.Close()
+		switch {
+		case err != nil:
+			t.Errorf("%s: %v", name, err)
+		case res.Hash != j.Hash || res.Ledger != want.Ledger || res.Objective != want.Objective:
+			t.Errorf("%s: job %s finished with the result of %s", name, j.Hash, res.Hash)
+		case j.Node() != "n1":
+			t.Errorf("%s: job ran on %q, want n1", name, j.Node())
+		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // summarySeeds returns encoded results of the current generation: a
-// shallow and a deep summary, one with a dropped member, and one that
-// keeps its trace beside its ledger, as a real-backend result does.
+// shallow and a deep summary, one with a dropped member, and one Execute
+// returned with its trace, which the encoding leaves out.
 func summarySeeds(f *testing.F) [][]byte {
 	f.Helper()
 	shallow, deep := table2Specs(f, false)[0], table2Specs(f, true)[0]
@@ -119,5 +119,51 @@ func FuzzDecodeDiskEntry(f *testing.F) {
 			t.Fatalf("an entry without a ledger decoded: %s", b)
 		}
 		checkRoundTrip(t, res)
+	})
+}
+
+// FuzzDecodeSpec feeds arbitrary spec bytes to decodeSpec, the gate for
+// specs another process wrote: it never panics, a spec that decodes
+// re-decodes from its canonical JSON to the same hash, and every spec it
+// admits is within maxJobWork.
+func FuzzDecodeSpec(f *testing.F) {
+	table2 := table2Specs(f, false)[0]
+	faulted := table2
+	faulted.Faults = chaosSweep().FaultPlans[1]
+	for _, spec := range []JobSpec{pinnedSimSpec(f), table2, faulted} {
+		b, err := spec.CanonicalJSON()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add(withRealKey(f, pinnedSimSpec(f)))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		spec, err := decodeSpec(b)
+		if err != nil {
+			return
+		}
+		components := 0
+		for _, m := range spec.Placement.Members {
+			components += 1 + len(m.Analyses)
+		}
+		if spec.Ensemble.Steps*components > maxJobWork {
+			t.Fatalf("admitted %d steps × %d components", spec.Ensemble.Steps, components)
+		}
+		hash, err := spec.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		canon, err := spec.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := decodeSpec(canon)
+		if err != nil {
+			t.Fatalf("canonical spec does not decode: %v\n%s", err, canon)
+		}
+		if h, _ := again.Hash(); h != hash {
+			t.Fatalf("canonical spec decodes to hash %s, not %s\n%s", h, hash, canon)
+		}
 	})
 }

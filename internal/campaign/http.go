@@ -784,9 +784,7 @@ func (s *Server) getJob(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusInternalServerError, fmt.Errorf("campaign: job %s: %w", j.ID, err))
 			return
 		}
-		sum := *res
-		sum.Trace = nil // even a real-backend job's: /v1/jobs/{id}/trace serves it
-		st.Result = &jobResult{Result: &sum, Report: rep}
+		st.Result = &jobResult{Result: res, Report: rep}
 	}
 	writeJSON(w, http.StatusOK, st)
 }

@@ -132,17 +132,13 @@ func (j *Job) Result() (*Result, error) {
 	return j.result, j.err
 }
 
-// Trace returns a finished job's trace: the one a real-backend result
-// kept, or a re-run of the simulated spec through the service's World —
-// byte-identical to the worker's run and charged to no ledger. (nil, nil)
-// while the job is pending; a failed job returns its error.
+// Trace returns a finished job's trace: a re-run of its spec through the
+// service's World — byte-identical to the worker's run and charged to no
+// ledger. (nil, nil) while the job is pending; a failed job returns its
+// error.
 func (j *Job) Trace() (*trace.EnsembleTrace, error) {
-	res, err := j.Result()
-	switch {
-	case err != nil || res == nil:
+	if res, err := j.Result(); err != nil || res == nil {
 		return nil, err
-	case res.Trace != nil:
-		return res.Trace, nil
 	}
 	tr, _, _, err := runSpec(j.spec, nil, j.svc.world, false)
 	return tr, err

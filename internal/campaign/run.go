@@ -43,32 +43,20 @@ func (spec JobSpec) simOptions() runtime.SimOptions {
 }
 
 // needsEngine reports whether the spec needs more than the timeline
-// kernel: the real backend, or simulated options the kernel declines
-// (runtime.SimOptions.NeedsEngine). It is the one predicate behind both
-// how a job runs (executeSpec attaches the engine's event recorder) and
-// where it runs (runRouted keeps every other job on the node that
+// kernel (runtime.SimOptions.NeedsEngine). It is the one predicate behind
+// both how a job runs (executeSpec attaches the engine's event recorder)
+// and where it runs (runRouted keeps every other job on the node that
 // received it).
 func (spec JobSpec) needsEngine() bool {
-	return spec.Real != nil || spec.simOptions().NeedsEngine()
+	return spec.simOptions().NeedsEngine()
 }
 
-// runSpec dispatches the spec to its backend: runtime.RunReal when the
-// spec carries a RealConfig, runtime.RunSimulatedScratch otherwise. The
-// fault plan and resilience policy are shared between backends; rec, when
-// non-nil, attaches the live obs recorder. world (shared plans and arenas:
-// an execution aid, never an input) applies only to the simulated
-// backend; with scratch, so does release, which hands a kernel-served
+// runSpec simulates the spec: rec, when non-nil, attaches the live obs
+// recorder, and world (shared plans and arenas: an execution aid, never
+// an input) serves the run. With scratch, release hands a kernel-served
 // trace's storage back to world once the caller has read the trace.
 // Without scratch, release does nothing and the trace is the caller's.
 func runSpec(spec JobSpec, rec *obs.Recorder, world *runtime.World, scratch bool) (*trace.EnsembleTrace, runtime.RunInfo, func(), error) {
-	if spec.Real != nil {
-		ro := spec.Real.Options()
-		ro.Faults = spec.Faults
-		ro.Resilience = spec.Sim.Resilience
-		ro.Recorder = rec
-		tr, err := runtime.RunReal(spec.Placement, ro)
-		return tr, runtime.RunInfo{}, func() {}, err
-	}
 	opts := spec.simOptions()
 	opts.Recorder = rec
 	opts.World = world
@@ -89,13 +77,13 @@ var recorders = sync.Pool{New: func() any { return obs.NewRecorder(nil) }}
 // worker's execute span) the run is observed: its simulated timeline
 // becomes child spans under that span, built when the trace is first read
 // (tracing.Store.Defer), so a job nobody inspects never pays for them. A
-// spec that needs the engine (runtime.SimOptions.NeedsEngine, or the real
-// backend) runs with a recycled obs recorder attached, and the event
-// stream yields component, stage, DTL, flow, and fault spans; the store
-// copies the events if it admits the batch, and the log goes back to the
-// pool either way. Every other spec is served by the timeline kernel,
-// which has no event stream: its component and stage spans derive from
-// the trace, which the first reader re-runs from the spec. The affine map
+// spec that needs the engine (runtime.SimOptions.NeedsEngine) runs with a
+// recycled obs recorder attached, and the event stream yields component,
+// stage, DTL, flow, and fault spans; the store copies the events if it
+// admits the batch, and the log goes back to the pool either way. Every
+// other spec is served by the timeline kernel, which has no event
+// stream: its component and stage spans derive from the trace, which the
+// first reader re-runs from the spec. The affine map
 // wall = anchor + scale·virtual with scale = wallDuration/makespan tiles
 // the simulated timeline onto the measured execution window, so the
 // critical path's stage durations sum to the job's real latency; its
@@ -145,9 +133,6 @@ func executeSpec(ctx context.Context, tracer *tracing.Tracer, hash string, spec 
 		}
 	}
 	res, err := derive(hash, spec.Placement, tr)
-	if err == nil && spec.Real != nil {
-		res.Trace = tr // a wall-clock run cannot be re-run for its trace
-	}
 	return res, info, err
 }
 

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	gort "runtime"
@@ -255,8 +254,7 @@ func NewService(cfg Config) (*Service, error) {
 // forever.
 func (s *Service) replayJournal(pending []journal.Record) {
 	for _, rec := range pending {
-		var spec JobSpec
-		err := json.Unmarshal(rec.Spec, &spec)
+		spec, err := decodeSpec(rec.Spec)
 		if err == nil {
 			_, err = s.submit(context.Background(), spec, SubmitOptions{
 				Priority: rec.Priority,
@@ -265,11 +263,12 @@ func (s *Service) replayJournal(pending []journal.Record) {
 			}, true)
 		}
 		if err != nil {
+			reason := "replay: " + err.Error()
 			s.log.Warn("journal: dropping unreplayable job",
-				"hash", rec.Hash, "err", err.Error())
+				"hash", rec.Hash, "reason", reason)
 			if jerr := s.journal.Append(journal.Record{
 				Type: journal.TypeTerminal, Hash: rec.Hash,
-				Status: string(StatusFailed), Reason: "replay: " + err.Error(),
+				Status: string(StatusFailed), Reason: reason,
 			}); jerr != nil {
 				s.log.Warn("journal: terminal append failed",
 					"hash", rec.Hash, "err", jerr.Error())

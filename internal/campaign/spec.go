@@ -17,16 +17,16 @@
 package campaign
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
+	"io"
 
 	"ensemblekit/internal/cluster"
 	"ensemblekit/internal/faults"
-	"ensemblekit/internal/kernels"
 	"ensemblekit/internal/network"
 	"ensemblekit/internal/placement"
 	"ensemblekit/internal/runtime"
@@ -64,88 +64,6 @@ func (c SimConfig) Options() runtime.SimOptions {
 		Topology:      c.Topology,
 		Resilience:    c.Resilience,
 	}
-}
-
-// RealConfig is the serializable subset of runtime.RealOptions: every
-// field that shapes a real (kernel-executing) run. A JobSpec carrying a
-// RealConfig runs through runtime.RunReal instead of the simulator; the
-// fault plan and resilience policy come from the spec's Faults and
-// Sim.Resilience fields, shared with the simulated backend.
-//
-// Real runs are wall-clock measurements, not pure functions: two
-// executions of one spec produce equal trace shapes but different stage
-// timings. Content-addressing still applies — the cache then has
-// first-result-wins semantics, which is exactly what campaign sweeps
-// want (measure each configuration once, reuse everywhere) — but
-// callers comparing runs should submit distinct specs (e.g. different
-// Sim.Seed values) when they need independent measurements.
-type RealConfig struct {
-	// Steps is the number of in situ steps (0: backend default).
-	Steps int `json:"steps,omitempty"`
-	// Stride is the number of MD steps per in situ step (0: default).
-	Stride int `json:"stride,omitempty"`
-	// FramesPerChunk batches frames within each stride window (0: 1).
-	FramesPerChunk int `json:"framesPerChunk,omitempty"`
-	// LJ configures the molecular-dynamics kernel (nil: defaults).
-	LJ *kernels.LJConfig `json:"lj,omitempty"`
-	// Eigen configures the analysis kernel (nil: defaults).
-	Eigen *kernels.EigenConfig `json:"eigen,omitempty"`
-	// MaxCores caps worker goroutines per component (0: GOMAXPROCS).
-	MaxCores int `json:"maxCores,omitempty"`
-	// TimeoutSec bounds the whole execution (0: unbounded).
-	TimeoutSec float64 `json:"timeoutSec,omitempty"`
-}
-
-// Options expands the config into runtime.RealOptions (fault plan,
-// resilience, and recorder are attached by the executor from the
-// enclosing spec).
-func (c *RealConfig) Options() runtime.RealOptions {
-	o := runtime.RealOptions{
-		Steps:          c.Steps,
-		Stride:         c.Stride,
-		FramesPerChunk: c.FramesPerChunk,
-		MaxCores:       c.MaxCores,
-		Timeout:        time.Duration(c.TimeoutSec * float64(time.Second)),
-	}
-	if c.LJ != nil {
-		o.LJ = *c.LJ
-	}
-	if c.Eigen != nil {
-		o.Eigen = *c.Eigen
-	}
-	return o
-}
-
-// Validate checks the config the way RunReal will, so malformed real
-// jobs fail at submission instead of occupying a worker.
-func (c *RealConfig) Validate(p placement.Placement) error {
-	if len(p.Members) == 0 {
-		return fmt.Errorf("campaign: real job placement %q has no members", p.Name)
-	}
-	for i, m := range p.Members {
-		if len(m.Analyses) == 0 {
-			return fmt.Errorf("campaign: real job member %d has no analyses", i)
-		}
-	}
-	if c.Steps < 0 || c.Stride < 0 || c.FramesPerChunk < 0 || c.MaxCores < 0 {
-		return fmt.Errorf("campaign: real job counts must be non-negative")
-	}
-	if c.TimeoutSec < 0 {
-		return fmt.Errorf("campaign: real job timeout must be non-negative")
-	}
-	// Zero-valued kernel configs mean "use defaults" (as in RealOptions),
-	// so only explicit settings are validated.
-	if c.LJ != nil && *c.LJ != (kernels.LJConfig{}) {
-		if err := c.LJ.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.Eigen != nil && *c.Eigen != (kernels.EigenConfig{}) {
-		if err := c.Eigen.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ErrNotCacheable marks runtime.SimOptions that cannot be captured in a
@@ -186,16 +104,10 @@ type JobSpec struct {
 	Placement placement.Placement `json:"placement"`
 	// Ensemble is the workload (what every component computes).
 	Ensemble runtime.EnsembleSpec `json:"ensemble"`
-	// Sim configures the simulated backend. Its Resilience policy also
-	// governs real runs.
+	// Sim configures the simulator.
 	Sim SimConfig `json:"sim,omitempty"`
 	// Faults optionally injects a declarative fault plan.
 	Faults *faults.Plan `json:"faults,omitempty"`
-	// Real, when set, switches the job to the real-execution backend
-	// (runtime.RunReal): genuine kernels, wall-clock timings. Ensemble is
-	// ignored for real jobs — the workload is the kernels themselves. The
-	// omitempty tag keeps every simulated spec's hash unchanged.
-	Real *RealConfig `json:"real,omitempty"`
 }
 
 // NewJob assembles a JobSpec from the public run parameters, growing the
@@ -211,18 +123,6 @@ func NewJob(spec cluster.Spec, p placement.Placement, es runtime.EnsembleSpec, o
 		}
 	}
 	return JobSpec{Cluster: spec, Placement: p, Ensemble: es, Sim: cfg, Faults: plan}, nil
-}
-
-// NewRealJob assembles a JobSpec for the real-execution backend, growing
-// the cluster to fit the placement as NewJob does. Attach a fault plan
-// or resilience policy via the Faults and Sim.Resilience fields.
-func NewRealJob(spec cluster.Spec, p placement.Placement, rc RealConfig) JobSpec {
-	for _, n := range p.UsedNodes() {
-		if n+1 > spec.Nodes {
-			spec.Nodes = n + 1
-		}
-	}
-	return JobSpec{Cluster: spec, Placement: p, Real: &rc}
 }
 
 // Work bounds (DESIGN.md §10). A run's memory grows with its steps ×
@@ -254,9 +154,6 @@ func (s JobSpec) Validate() error {
 		return err
 	}
 	steps := s.Ensemble.Steps
-	if s.Real != nil {
-		steps = s.Real.Steps
-	}
 	components := 0
 	for _, m := range s.Placement.Members {
 		components += 1 + len(m.Analyses)
@@ -265,17 +162,34 @@ func (s JobSpec) Validate() error {
 		return fmt.Errorf("%w: %q runs %d steps × %d components, above the %d bound",
 			errOverBound, s.Placement.Name, steps, components, maxJobWork)
 	}
-	if s.Real != nil {
-		if err := s.Real.Validate(s.Placement); err != nil {
-			return err
-		}
-	} else if err := s.Ensemble.Validate(s.Placement); err != nil {
+	if err := s.Ensemble.Validate(s.Placement); err != nil {
 		return err
 	}
 	if err := s.Sim.Resilience.Validate(); err != nil {
 		return err
 	}
 	return s.Faults.Validate()
+}
+
+// decodeSpec is the one gate for spec bytes another process wrote: a
+// peer's forward or drain handoff, or a journal record. The JSON must
+// hold exactly one spec and no field this build does not know — one it
+// would drop silently, running a different job than the writer meant —
+// and the spec must validate.
+func decodeSpec(b []byte) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return JobSpec{}, fmt.Errorf("campaign: undecodable spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return JobSpec{}, errors.New("campaign: undecodable spec: data after the spec")
+	}
+	if err := spec.Validate(); err != nil {
+		return JobSpec{}, err
+	}
+	return spec, nil
 }
 
 // canonical returns a semantically equal copy in normal form: component

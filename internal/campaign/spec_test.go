@@ -1,8 +1,10 @@
 package campaign
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"ensemblekit/internal/cluster"
@@ -180,5 +182,67 @@ func TestNewJobGrowsClusterToPlacement(t *testing.T) {
 	}
 	if err := js.Validate(); err != nil {
 		t.Errorf("grown spec should validate: %v", err)
+	}
+}
+
+// withRealKey is spec's canonical JSON plus the "real" section a spec
+// could carry while the service still ran the real backend.
+func withRealKey(t testing.TB, spec JobSpec) []byte {
+	t.Helper()
+	b, err := spec.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b[:len(b)-1:len(b)-1], `,"real":{"steps":2,"stride":4}}`...)
+}
+
+func TestDecodeSpecIsStrict(t *testing.T) {
+	spec := testJob(t)
+	b, err := spec.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeSpec(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hashOf(t, got) != hashOf(t, spec) {
+		t.Error("a canonical spec decodes to another hash")
+	}
+	for name, tc := range map[string]struct {
+		b    []byte
+		want string
+	}{
+		"unknown field": {withRealKey(t, spec), `unknown field "real"`},
+		"trailing data": {append(b, `{}`...), "data after the spec"},
+		"trailing ]":    {append(b, `]`...), "data after the spec"},
+		"not a spec":    {[]byte(`[1]`), "undecodable spec"},
+		"invalid spec":  {[]byte(`{"cluster":{"Nodes":0}}`), "Nodes must be positive"},
+	} {
+		if _, err := decodeSpec(tc.b); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want one naming %q", name, err, tc.want)
+		}
+	}
+}
+
+// A peer's forward or drain handoff carrying a spec with "real" is
+// refused with a reason that names the field, instead of losing the key
+// and running (or failing as) some other job.
+func TestForwardedAndDrainedRealSpecsAreRefused(t *testing.T) {
+	svc, err := NewService(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	b := withRealKey(t, pinnedSimSpec(t))
+	if _, err := svc.ExecuteForwardedJSON(context.Background(), b, "real"); err == nil ||
+		!IsPermanent(err) || !strings.Contains(err.Error(), `"real"`) {
+		t.Errorf("forwarded real spec: err %v, want a permanent refusal naming \"real\"", err)
+	}
+	if err := svc.SubmitJSON(b, "real", 0); err == nil || !strings.Contains(err.Error(), `"real"`) {
+		t.Errorf("drained real spec: err %v, want a refusal naming \"real\"", err)
+	}
+	if n := svc.Stats().Submitted; n != 0 {
+		t.Errorf("%d jobs admitted, want 0", n)
 	}
 }

@@ -1,9 +1,10 @@
 package runtime_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"ensemblekit/internal/cluster"
@@ -14,11 +15,12 @@ import (
 	"ensemblekit/internal/placement"
 	"ensemblekit/internal/runtime"
 	"ensemblekit/internal/scheduler"
+	"ensemblekit/internal/trace"
 	"ensemblekit/internal/workload"
 )
 
 // The differential oracle of the timeline kernel: the engine plays "the
-// real run", and the kernel must reproduce its trace byte for byte. The
+// real run", and the kernel must reproduce its trace bit for bit. The
 // engine is selected the way a caller selects it — by attaching a recorder
 // (a request for the event stream), which never changes the trace
 // (TestSimulatedRecorderBitIdentical).
@@ -32,7 +34,7 @@ type diffCase struct {
 	opts runtime.SimOptions
 }
 
-func traceBytes(t testing.TB, c diffCase, opts runtime.SimOptions, wantKernel bool) []byte {
+func runTrace(t testing.TB, c diffCase, opts runtime.SimOptions, wantKernel bool) *trace.EnsembleTrace {
 	t.Helper()
 	tr, info, err := runtime.RunSimulatedInfo(c.spec, c.p, c.es, opts)
 	if err != nil {
@@ -42,23 +44,151 @@ func traceBytes(t testing.TB, c diffCase, opts runtime.SimOptions, wantKernel bo
 		t.Fatalf("%s: served by kernel=%v with %d engine events, want kernel=%v",
 			c.name, info.FastPath, info.DESEvents, wantKernel)
 	}
-	b, err := json.Marshal(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return tr
 }
 
-// checkKernelEqualsEngine runs c on both and compares the trace bytes.
+// checkKernelEqualsEngine runs c on both and compares the traces.
 func checkKernelEqualsEngine(t testing.TB, world *runtime.World, c diffCase) {
 	t.Helper()
 	engine := c.opts
 	engine.Recorder = obs.NewRecorder(nil)
-	want := traceBytes(t, c, engine, false)
+	want := runTrace(t, c, engine, false)
 	kernel := c.opts
 	kernel.World = world
-	if got := traceBytes(t, c, kernel, true); !bytes.Equal(got, want) {
-		t.Fatalf("%s: kernel trace differs from engine trace", c.name)
+	if d := traceDiff(runTrace(t, c, kernel, true), want); d != "" {
+		t.Fatalf("%s: kernel trace differs from engine trace at %s", c.name, d)
+	}
+}
+
+// traceDiff names the first field where two traces differ, or returns ""
+// when they agree field for field. Floats compare by bit pattern and
+// slices by nil-ness and length, so it is at least as strict as comparing
+// the traces' JSON encodings, at a fraction of the cost.
+// TestTraceDiffCoversEveryField keeps it in step with the trace types.
+func traceDiff(a, b *trace.EnsembleTrace) string {
+	if a.Backend != b.Backend || a.Config != b.Config {
+		return "header"
+	}
+	if !sameLen(a.Members, b.Members) {
+		return "members"
+	}
+	for i, am := range a.Members {
+		if d := memberDiff(am, b.Members[i]); d != "" {
+			return fmt.Sprintf("members[%d].%s", i, d)
+		}
+	}
+	return ""
+}
+
+func memberDiff(a, b *trace.MemberTrace) string {
+	if (a == nil) != (b == nil) {
+		return "nil"
+	}
+	if a == nil {
+		return ""
+	}
+	if a.Index != b.Index {
+		return "index"
+	}
+	if d := componentDiff(a.Simulation, b.Simulation); d != "" {
+		return "simulation." + d
+	}
+	if !sameLen(a.Analyses, b.Analyses) {
+		return "analyses"
+	}
+	for j := range a.Analyses {
+		if d := componentDiff(a.Analyses[j], b.Analyses[j]); d != "" {
+			return fmt.Sprintf("analyses[%d].%s", j, d)
+		}
+	}
+	return ""
+}
+
+func componentDiff(a, b *trace.ComponentTrace) string {
+	if (a == nil) != (b == nil) {
+		return "nil"
+	}
+	if a == nil {
+		return ""
+	}
+	switch {
+	case a.Name != b.Name || a.Kind != b.Kind || a.Member != b.Member || a.Analysis != b.Analysis ||
+		a.Cores != b.Cores || a.Err != b.Err || a.Restarts != b.Restarts || a.Dropped != b.Dropped:
+		return "identity"
+	case !sameLen(a.Nodes, b.Nodes) || !slices.Equal(a.Nodes, b.Nodes):
+		return "nodes"
+	case !sameFloat(a.Start, b.Start) || !sameFloat(a.End, b.End):
+		return "span"
+	case !sameLen(a.Outputs, b.Outputs) || !slices.EqualFunc(a.Outputs, b.Outputs, sameFloat):
+		return "outputs"
+	case !sameLen(a.Steps, b.Steps):
+		return "steps"
+	}
+	for k, as := range a.Steps {
+		bs := b.Steps[k]
+		if as.Index != bs.Index || !sameLen(as.Stages, bs.Stages) {
+			return fmt.Sprintf("steps[%d]", k)
+		}
+		for n, ar := range as.Stages {
+			if !sameStage(ar, bs.Stages[n]) {
+				return fmt.Sprintf("steps[%d].stages[%d]", k, n)
+			}
+		}
+	}
+	return ""
+}
+
+func sameStage(a, b trace.StageRecord) bool {
+	return a.Stage == b.Stage && a.Retries == b.Retries &&
+		sameFloat(a.Start, b.Start) && sameFloat(a.Duration, b.Duration) &&
+		sameFloat(a.Counters.Instructions, b.Counters.Instructions) &&
+		sameFloat(a.Counters.Cycles, b.Counters.Cycles) &&
+		sameFloat(a.Counters.LLCRefs, b.Counters.LLCRefs) &&
+		sameFloat(a.Counters.LLCMisses, b.Counters.LLCMisses) &&
+		a.Counters.Bytes == b.Counters.Bytes
+}
+
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func sameLen[T any](a, b []T) bool { return (a == nil) == (b == nil) && len(a) == len(b) }
+
+// TestTraceDiffCoversEveryField pins the field counts of the trace types
+// traceDiff walks, so a new field cannot slip past the oracle, and checks
+// that a one-ulp change to any float of one stage record is a difference.
+func TestTraceDiffCoversEveryField(t *testing.T) {
+	for typ, n := range map[reflect.Type]int{
+		reflect.TypeOf(trace.EnsembleTrace{}):  3,
+		reflect.TypeOf(trace.MemberTrace{}):    3,
+		reflect.TypeOf(trace.ComponentTrace{}): 13,
+		reflect.TypeOf(trace.StepRecord{}):     2,
+		reflect.TypeOf(trace.StageRecord{}):    5,
+		reflect.TypeOf(trace.Counters{}):       5,
+	} {
+		if typ.NumField() != n {
+			t.Errorf("%v has %d fields, traceDiff compares %d: extend it", typ, typ.NumField(), n)
+		}
+	}
+
+	p := placement.C14()
+	c := diffCase{name: "C1.4", spec: cluster.Cori(3), p: p, es: runtime.SpecForPlacement(p, 4),
+		opts: runtime.SimOptions{Jitter: 0.1, Seed: 3}}
+	want := runTrace(t, c, c.opts, true)
+	got := runTrace(t, c, c.opts, true)
+	if d := traceDiff(got, want); d != "" {
+		t.Fatalf("two runs of one case differ at %s", d)
+	}
+	rec := &got.Members[1].Analyses[0].Steps[2].Stages[1]
+	for name, f := range map[string]*float64{
+		"start": &rec.Start, "duration": &rec.Duration,
+		"instructions": &rec.Counters.Instructions, "cycles": &rec.Counters.Cycles,
+		"llcRefs": &rec.Counters.LLCRefs, "llcMisses": &rec.Counters.LLCMisses,
+	} {
+		orig := *f
+		*f = math.Nextafter(orig, math.Inf(1))
+		if traceDiff(got, want) == "" {
+			t.Errorf("a one-ulp change to the stage record's %s went unseen", name)
+		}
+		*f = orig
 	}
 }
 
@@ -212,7 +342,7 @@ func TestKernelEqualsEngine(t *testing.T) {
 	for i := 0; i < len(cases); i += stride {
 		checkKernelEqualsEngine(t, world, cases[i])
 	}
-	t.Logf("%d of %d cases run, byte-identical, none declined", (len(cases)+stride-1)/stride, len(cases))
+	t.Logf("%d of %d cases run, bit-identical, none declined", (len(cases)+stride-1)/stride, len(cases))
 }
 
 // TestKernelDeclines: one case per static precondition. The engine serves
@@ -236,7 +366,7 @@ func TestKernelDeclines(t *testing.T) {
 		c.name, c.opts = name, opts
 		recorded := opts
 		recorded.Recorder = obs.NewRecorder(nil)
-		if !bytes.Equal(traceBytes(t, c, opts, false), traceBytes(t, c, recorded, false)) {
+		if traceDiff(runTrace(t, c, opts, false), runTrace(t, c, recorded, false)) != "" {
 			t.Errorf("%s: engine trace changes with the recorder", name)
 		}
 	}
@@ -247,7 +377,7 @@ func TestKernelDeclines(t *testing.T) {
 		t.Error("plain options need the engine")
 	}
 	base.name = "recorder attached"
-	if !bytes.Equal(traceBytes(t, base, recorded, false), traceBytes(t, base, runtime.SimOptions{}, true)) {
+	if traceDiff(runTrace(t, base, recorded, false), runTrace(t, base, runtime.SimOptions{}, true)) != "" {
 		t.Error("recorder attached: engine trace differs from kernel trace")
 	}
 	if n := len(recorded.Recorder.Events()); n == 0 {

@@ -130,49 +130,3 @@ func keys(m map[string]bool) []string {
 	}
 	return out
 }
-
-// TestRealBackendRecorder checks the real backend's live instrumentation:
-// component lifecycle and stage events arrive serialized (the test's
-// value doubles under -race) and paired, with wall-clock timestamps.
-func TestRealBackendRecorder(t *testing.T) {
-	rec := obs.NewRecorder(nil)
-	opts := smallRealOptions()
-	opts.Recorder = rec
-	if _, err := RunReal(placement.C15(), opts); err != nil {
-		t.Fatal(err)
-	}
-	events := rec.Events()
-	if len(events) == 0 {
-		t.Fatal("real backend recorded no events")
-	}
-	var procStarts, procEnds int
-	stageBegins := map[string]int{}
-	stageEnds := map[string]int{}
-	for _, ev := range events {
-		if ev.T < 0 {
-			t.Fatalf("negative timestamp: %+v", ev)
-		}
-		switch ev.Kind {
-		case obs.ProcStart:
-			procStarts++
-		case obs.ProcEnd:
-			procEnds++
-		case obs.StageBegin:
-			stageBegins[ev.Detail]++
-		case obs.StageEnd:
-			stageEnds[ev.Detail]++
-		}
-	}
-	// C1+5 has 2 members x (1 sim + 1 analysis) = 4 components.
-	if procStarts != 4 || procEnds != 4 {
-		t.Fatalf("proc starts/ends = %d/%d, want 4/4", procStarts, procEnds)
-	}
-	for _, stage := range []string{"S", "I^S", "W", "R", "A", "I^A"} {
-		if stageBegins[stage] == 0 {
-			t.Errorf("no begin events for stage %s", stage)
-		}
-		if stageBegins[stage] != stageEnds[stage] {
-			t.Errorf("stage %s: %d begins vs %d ends", stage, stageBegins[stage], stageEnds[stage])
-		}
-	}
-}

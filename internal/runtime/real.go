@@ -12,7 +12,6 @@ import (
 	"ensemblekit/internal/dtl"
 	"ensemblekit/internal/faults"
 	"ensemblekit/internal/kernels"
-	"ensemblekit/internal/obs"
 	"ensemblekit/internal/placement"
 	"ensemblekit/internal/trace"
 )
@@ -53,13 +52,6 @@ type RealOptions struct {
 	// real crashed process has no virtual clock to resume on, so a crash
 	// here always escalates to the degradation mode.
 	Resilience Resilience
-	// Recorder optionally attaches the live instrumentation bus, like
-	// SimOptions.Recorder: component lifecycle and per-stage begin/end
-	// events, stamped on the wall clock (seconds since the run's epoch).
-	// The real backend runs components on concurrent goroutines, so the
-	// recorder is serialized internally — callers pass a plain
-	// *obs.Recorder here exactly as they do for the simulated backend.
-	Recorder *obs.Recorder
 }
 
 func (o RealOptions) normalized() RealOptions {
@@ -173,7 +165,6 @@ func RunReal(p placement.Placement, opts RealOptions) (*trace.EnsembleTrace, err
 
 	epoch := time.Now()
 	since := func() float64 { return time.Since(epoch).Seconds() }
-	orec := newSyncRecorder(opts.Recorder, since)
 	cores := func(want int) int {
 		if want > opts.MaxCores {
 			return opts.MaxCores
@@ -209,7 +200,6 @@ func RunReal(p placement.Placement, opts RealOptions) (*trace.EnsembleTrace, err
 			c.Dropped = cause
 		}
 		mu.Unlock()
-		orec.MemberDropped(i, cause)
 		memberCancel[i]() // wind down this member only
 	}
 	// compFail routes a member-scoped failure through the degradation
@@ -259,14 +249,11 @@ func RunReal(p placement.Placement, opts RealOptions) (*trace.EnsembleTrace, err
 		go func() {
 			defer wg.Done()
 			ct := mt.Simulation
-			node := firstNode(p.Members[i].Simulation.NodeSet())
 			ct.Start = since()
-			orec.ProcStart(ct.Name, node)
 			defer func() {
 				mu.Lock()
 				ct.End = since()
 				mu.Unlock()
-				orec.ProcEnd(ct.Name, node)
 			}()
 			cfg := opts.LJ
 			cfg.Seed += int64(i) // distinct trajectories per member
@@ -279,7 +266,6 @@ func RunReal(p placement.Placement, opts RealOptions) (*trace.EnsembleTrace, err
 				rec := trace.StepRecord{Index: step}
 				// S: integrate one stride window, sampling frames evenly.
 				sStart := since()
-				orec.StageBegin(ct.Name, stageNameS, node)
 				frames := make([]chunk.Frame, 0, opts.FramesPerChunk)
 				per := opts.Stride / opts.FramesPerChunk
 				left := opts.Stride
@@ -297,7 +283,6 @@ func RunReal(p placement.Placement, opts RealOptions) (*trace.EnsembleTrace, err
 					left -= n
 					frames = append(frames, frame)
 				}
-				orec.StageEnd(ct.Name, stageNameS, node, 0)
 				if advErr != nil {
 					recordErr(&mu, ct, rec, advErr)
 					compFail(i, fmt.Errorf("%s: %w", ct.Name, advErr))
@@ -308,9 +293,7 @@ func RunReal(p placement.Placement, opts RealOptions) (*trace.EnsembleTrace, err
 				})
 				// I^S: the no-buffering protocol.
 				isStart := since()
-				orec.StageBegin(ct.Name, stageNameIS, node)
 				err := store.AwaitWritable(mctx, i)
-				orec.StageEnd(ct.Name, stageNameIS, node, 0)
 				if err != nil {
 					recordErr(&mu, ct, rec, err)
 					compFail(i, fmt.Errorf("%s: %w", ct.Name, err))
@@ -322,7 +305,6 @@ func RunReal(p placement.Placement, opts RealOptions) (*trace.EnsembleTrace, err
 				// W: serialize and stage (injected faults retried under
 				// the resilience policy).
 				wStart := since()
-				orec.StageBegin(ct.Name, stageNameW, node)
 				ck := &chunk.Chunk{
 					ID:       chunk.ID{Member: i, Step: step},
 					Producer: ct.Name,
@@ -335,7 +317,6 @@ func RunReal(p placement.Placement, opts RealOptions) (*trace.EnsembleTrace, err
 						return store.Put(octx, ck.ID, data)
 					})
 				}
-				orec.StageEnd(ct.Name, stageNameW, node, float64(len(data)))
 				if err != nil {
 					recordErr(&mu, ct, rec, err)
 					compFail(i, fmt.Errorf("%s: %w", ct.Name, err))
@@ -359,7 +340,6 @@ func RunReal(p placement.Placement, opts RealOptions) (*trace.EnsembleTrace, err
 			go func() {
 				defer wg.Done()
 				ct := mt.Analyses[j]
-				node := firstNode(p.Members[i].Analyses[j].NodeSet())
 				analyzer, err := kernels.NewEigenAnalyzer(opts.Eigen)
 				if err != nil {
 					compFail(i, fmt.Errorf("%s: %w", ct.Name, err))
@@ -372,19 +352,16 @@ func RunReal(p placement.Placement, opts RealOptions) (*trace.EnsembleTrace, err
 					return
 				}
 				ct.Start = since()
-				orec.ProcStart(ct.Name, node)
 				defer func() {
 					mu.Lock()
 					ct.End = since()
 					mu.Unlock()
-					orec.ProcEnd(ct.Name, node)
 				}()
 				for step := 0; step < opts.Steps; step++ {
 					rec := trace.StepRecord{Index: step}
 					// R: fetch and deserialize (injected faults retried
 					// under the resilience policy).
 					rStart := since()
-					orec.StageBegin(ct.Name, stageNameR, node)
 					id := chunk.ID{Member: i, Step: step}
 					var data []byte
 					rRetries, err := stagingDo(mctx, inj, res, since, func(octx context.Context) error {
@@ -396,7 +373,6 @@ func RunReal(p placement.Placement, opts RealOptions) (*trace.EnsembleTrace, err
 					if err == nil {
 						ck, err = chunk.Decode(data)
 					}
-					orec.StageEnd(ct.Name, stageNameR, node, float64(len(data)))
 					if err != nil {
 						recordErr(&mu, ct, rec, err)
 						compFail(i, fmt.Errorf("%s: %w", ct.Name, err))
@@ -409,9 +385,7 @@ func RunReal(p placement.Placement, opts RealOptions) (*trace.EnsembleTrace, err
 					})
 					// A: the eigenvalue collective variable.
 					aStart := since()
-					orec.StageBegin(ct.Name, stageNameA, node)
 					cv, err := analyzer.Analyze(mctx, ck.Frames, anaCores)
-					orec.StageEnd(ct.Name, stageNameA, node, 0)
 					if err != nil {
 						recordErr(&mu, ct, rec, err)
 						compFail(i, fmt.Errorf("%s: %w", ct.Name, err))
@@ -425,16 +399,13 @@ func RunReal(p placement.Placement, opts RealOptions) (*trace.EnsembleTrace, err
 					})
 					// I^A: wait for the next chunk.
 					iaStart := since()
-					orec.StageBegin(ct.Name, stageNameIA, node)
 					if step < opts.Steps-1 {
 						if err := store.Await(mctx, chunk.ID{Member: i, Step: step + 1}); err != nil {
-							orec.StageEnd(ct.Name, stageNameIA, node, 0)
 							recordErr(&mu, ct, rec, err)
 							compFail(i, fmt.Errorf("%s: %w", ct.Name, err))
 							return
 						}
 					}
-					orec.StageEnd(ct.Name, stageNameIA, node, 0)
 					rec.Stages = append(rec.Stages, trace.StageRecord{
 						Stage: trace.StageIA, Start: iaStart, Duration: since() - iaStart,
 					})
@@ -517,81 +488,6 @@ func memberOnNode(m placement.Member, node int) bool {
 		}
 	}
 	return false
-}
-
-// syncRecorder serializes obs emissions from the real backend's
-// concurrent component goroutines. obs.Recorder is deliberately not
-// goroutine-safe — the DES engine's cooperative scheduling protects it
-// in RunSimulated — so the real backend funnels every emission through
-// one mutex. A nil *syncRecorder (no recorder attached) is a no-op,
-// matching the nil-safety convention of the instrumentation tier.
-type syncRecorder struct {
-	mu  sync.Mutex
-	rec *obs.Recorder
-}
-
-// newSyncRecorder wraps rec with emission serialization and binds its
-// clock to the run's wall-clock epoch. Returns nil for a nil recorder.
-func newSyncRecorder(rec *obs.Recorder, clock func() float64) *syncRecorder {
-	if rec == nil {
-		return nil
-	}
-	rec.SetClock(clock)
-	return &syncRecorder{rec: rec}
-}
-
-func (s *syncRecorder) ProcStart(name string, node int) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.rec.ProcStart(name, node)
-	s.mu.Unlock()
-}
-
-func (s *syncRecorder) ProcEnd(name string, node int) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.rec.ProcEnd(name, node)
-	s.mu.Unlock()
-}
-
-func (s *syncRecorder) StageBegin(component, stage string, node int) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.rec.StageBegin(component, stage, node)
-	s.mu.Unlock()
-}
-
-func (s *syncRecorder) StageEnd(component, stage string, node int, bytes float64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.rec.StageEnd(component, stage, node, bytes)
-	s.mu.Unlock()
-}
-
-func (s *syncRecorder) MemberDropped(member int, cause string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.rec.MemberDropped(member, cause)
-	s.mu.Unlock()
-}
-
-// firstNode picks the representative node of a component's node set for
-// event attribution (NoNode when the set is empty).
-func firstNode(nodes []int) int {
-	if len(nodes) == 0 {
-		return obs.NoNode
-	}
-	return nodes[0]
 }
 
 // recordErr stores a failed partial step in the component trace.

@@ -56,7 +56,7 @@ func EfficiencySensitivity(p Placement, efficiencies []float64, stage StageSet) 
 // cores) plane — the joint question the paper's Section 3.4 fixes by
 // assumption.
 func ProvisioningGrid(spec ClusterSpec, opts GridOptions) ([]GridPoint, error) {
-	return heuristic.GridSearch(spec, nil, opts)
+	return heuristic.GridSearch(spec, opts)
 }
 
 // BestThroughput picks the grid point maximizing MD steps per wall-clock
@@ -69,6 +69,6 @@ func BestThroughput(points []GridPoint) (GridPoint, error) {
 // a hill-climbing polish — the strategy for instances too large for
 // Exhaustive where Greedy's single-move neighbourhood may stall.
 func SchedulePlacementAnneal(spec ClusterSpec, es EnsembleSpec, maxNodes int, opts AnnealOptions) (ScheduleResult, error) {
-	obj := scheduler.AnalyticObjective(spec, nil, es, indicators.StageUAP)
+	obj := scheduler.NewObjective(spec, es, indicators.StageUAP)
 	return scheduler.Anneal(spec, es, maxNodes, obj, opts)
 }

@@ -268,7 +268,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 	b.ReportAllocs()
 	spec := Cori(3)
 	es := PaperEnsemble("bench", 2, 1, 6)
-	obj := scheduler.AnalyticObjective(spec, nil, es, indicators.StageUAP)
+	obj := scheduler.NewObjective(spec, es, indicators.StageUAP)
 	b.Run("exhaustive", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -389,7 +389,7 @@ func BenchmarkAblationAnnealing(b *testing.B) {
 	b.ReportAllocs()
 	spec := Cori(6)
 	es := PaperEnsemble("anneal-bench", 4, 2, 6)
-	obj := scheduler.AnalyticObjective(spec, nil, es, indicators.StageUAP)
+	obj := scheduler.NewObjective(spec, es, indicators.StageUAP)
 	b.Run("greedy", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

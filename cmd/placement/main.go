@@ -5,12 +5,13 @@
 // Usage:
 //
 //	placement [-members N] [-analyses K] [-nodes M]
-//	          [-mode exhaustive|greedy|anneal] [-objective analytic|simulated]
+//	          [-mode exhaustive|greedy|anneal]
 //	          [-top N] [-iterations N] [-seed N] [-progress]
 //
-// -objective simulated scores each candidate with one in-process
-// simulation (runtime.RunSimulated), in enumeration order, so the ranking
-// is a deterministic function of the flags.
+// Each candidate is scored in-process by scheduler.NewObjective: in closed
+// form where that equals the simulation, by one simulation where a NIC
+// fair-shares remote reads. Candidates are scored in enumeration order, so
+// the ranking is a deterministic function of the flags.
 package main
 
 import (
@@ -33,32 +34,22 @@ func main() {
 		analyses   = flag.Int("analyses", 1, "analyses per simulation")
 		nodes      = flag.Int("nodes", 3, "nodes available")
 		mode       = flag.String("mode", "exhaustive", "exhaustive, greedy, or anneal")
-		objective  = flag.String("objective", "analytic", "analytic or simulated")
 		top        = flag.Int("top", 5, "show the N best placements (exhaustive only)")
 		iterations = flag.Int("iterations", 0, "annealing iterations (0 = default)")
 		seed       = flag.Int64("seed", 1, "annealing RNG seed")
 		progress   = flag.Bool("progress", false, "print periodic search progress to stderr")
 	)
 	flag.Parse()
-	if err := run(*members, *analyses, *nodes, *mode, *objective, *top, *iterations, *seed, *progress); err != nil {
+	if err := run(*members, *analyses, *nodes, *mode, *top, *iterations, *seed, *progress); err != nil {
 		fmt.Fprintf(os.Stderr, "placement: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(members, analyses, nodes int, mode, objective string, top, iterations int, seed int64, progress bool) error {
+func run(members, analyses, nodes int, mode string, top, iterations int, seed int64, progress bool) error {
 	spec := cluster.Cori(nodes)
 	es := runtime.PaperEnsemble("search", members, analyses, 8)
-
-	var obj scheduler.Objective
-	switch objective {
-	case "analytic":
-		obj = scheduler.AnalyticObjective(spec, nil, es, indicators.StageUAP)
-	case "simulated":
-		obj = scheduler.SimulatedObjective(spec, es, runtime.SimOptions{}, indicators.StageUAP)
-	default:
-		return fmt.Errorf("unknown objective %q", objective)
-	}
+	obj := scheduler.NewObjective(spec, es, indicators.StageUAP)
 
 	switch mode {
 	case "exhaustive":

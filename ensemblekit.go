@@ -235,13 +235,13 @@ func RecommendCores(points []SweepPoint) (SweepPoint, error) {
 // SchedulePlacement searches for the placement maximizing F(P^{U,A,P})
 // for the given ensemble, exhaustively up to maxNodes nodes.
 func SchedulePlacement(spec ClusterSpec, es EnsembleSpec, maxNodes int) (ScheduleResult, error) {
-	obj := scheduler.AnalyticObjective(spec, nil, es, indicators.StageUAP)
+	obj := scheduler.NewObjective(spec, es, indicators.StageUAP)
 	return scheduler.Exhaustive(spec, es, maxNodes, obj)
 }
 
 // SchedulePlacementGreedy is the polynomial-time variant for larger
 // ensembles.
 func SchedulePlacementGreedy(spec ClusterSpec, es EnsembleSpec, maxNodes int) (ScheduleResult, error) {
-	obj := scheduler.AnalyticObjective(spec, nil, es, indicators.StageUAP)
+	obj := scheduler.NewObjective(spec, es, indicators.StageUAP)
 	return scheduler.GreedyLocalSearch(spec, es, maxNodes, obj)
 }

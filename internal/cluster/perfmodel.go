@@ -61,7 +61,9 @@ func DefaultInterference() *Interference {
 // counters for the simulated backend.
 type Model struct {
 	Spec Spec
-	// Inter is the co-location interference matrix.
+	// Inter is the co-location interference matrix. Every NewModel shares
+	// one default matrix: replace Inter to change it, never edit it in
+	// place.
 	Inter *Interference
 	// SerializeBW is the chunk (de)serialization throughput in bytes/s
 	// (the DTL plugin's marshaling cost, Figure 2 of the paper).
@@ -75,11 +77,15 @@ type Model struct {
 	IOInstrPerByte float64
 }
 
+// defaultInterference is the matrix NewModel's models share read-only, so
+// pricing a placement does not rebuild its maps.
+var defaultInterference = DefaultInterference()
+
 // NewModel returns a model with default staging parameters for the spec.
 func NewModel(spec Spec) *Model {
 	return &Model{
 		Spec:           spec,
-		Inter:          DefaultInterference(),
+		Inter:          defaultInterference,
 		SerializeBW:    6e9,
 		RemoteStageBW:  1.5e9,
 		IOInstrPerByte: 0.5,

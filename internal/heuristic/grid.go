@@ -60,18 +60,15 @@ func (o GridOptions) normalized() GridOptions {
 }
 
 // GridSearch evaluates the analytic model over the (stride, cores) grid.
-func GridSearch(spec cluster.Spec, model *cluster.Model, opts GridOptions) ([]GridPoint, error) {
+func GridSearch(spec cluster.Spec, opts GridOptions) ([]GridPoint, error) {
 	opts = opts.normalized()
-	if model == nil {
-		model = cluster.NewModel(spec)
-	}
 	var out []GridPoint
 	for _, stride := range opts.Strides {
 		if stride <= 0 {
 			return nil, fmt.Errorf("heuristic: non-positive stride %d", stride)
 		}
 		simProf := kernels.MDProfile(stride)
-		points, err := AnalyticCoreSweep(spec, model, simProf, kernels.AnalysisProfile(), opts.Cores, opts.SimCores)
+		points, err := AnalyticCoreSweep(spec, simProf, kernels.AnalysisProfile(), opts.Cores, opts.SimCores)
 		if err != nil {
 			return nil, err
 		}

@@ -60,7 +60,18 @@ func (o SweepOptions) normalized() SweepOptions {
 // core count, by running the simulated backend and extracting the steady
 // state.
 func CoreSweep(spec cluster.Spec, simProf, anaProf cluster.Profile, coreCounts []int, opts SweepOptions) ([]SweepPoint, error) {
-	opts = opts.normalized()
+	return sweep(spec, simProf, anaProf, coreCounts, opts.normalized(), func(p placement.Placement, es runtime.EnsembleSpec) (core.SteadyState, error) {
+		tr, err := runtime.RunSimulated(spec, p, es, opts.Sim)
+		if err != nil {
+			return core.SteadyState{}, err
+		}
+		return core.FromMemberTrace(tr.Members[0], core.ExtractOptions{})
+	})
+}
+
+// sweep prices the probe member at every core count with measure.
+func sweep(spec cluster.Spec, simProf, anaProf cluster.Profile, coreCounts []int, opts SweepOptions,
+	measure func(placement.Placement, runtime.EnsembleSpec) (core.SteadyState, error)) ([]SweepPoint, error) {
 	if len(coreCounts) == 0 {
 		return nil, errors.New("heuristic: no core counts to sweep")
 	}
@@ -84,11 +95,7 @@ func CoreSweep(spec cluster.Spec, simProf, anaProf cluster.Profile, coreCounts [
 			Steps:   opts.Steps,
 			Members: []runtime.MemberSpec{{Sim: simProf, Analyses: []cluster.Profile{anaProf}}},
 		}
-		tr, err := runtime.RunSimulated(spec, p, es, opts.Sim)
-		if err != nil {
-			return nil, fmt.Errorf("heuristic: probing %d cores: %w", c, err)
-		}
-		ss, err := core.FromMemberTrace(tr.Members[0], core.ExtractOptions{})
+		ss, err := measure(p, es)
 		if err != nil {
 			return nil, fmt.Errorf("heuristic: probing %d cores: %w", c, err)
 		}
@@ -139,48 +146,17 @@ func Recommend(points []SweepPoint) (SweepPoint, error) {
 // PaperCoreCounts is the sweep grid of Figure 7 (1 to 32 cores).
 func PaperCoreCounts() []int { return []int{1, 2, 4, 8, 16, 24, 32} }
 
-// AnalyticCoreSweep computes the sweep without the discrete-event engine:
-// stage durations come directly from the performance model (alone
-// assessments — the probe is co-location-free — plus the staging cost
-// formulas). It is orders of magnitude faster than CoreSweep and agrees
-// with it up to the DES's emergent effects (staging contention, the
-// remote-reader perturbation on the producer); a consistency test bounds
-// the disagreement.
-func AnalyticCoreSweep(spec cluster.Spec, model *cluster.Model, simProf, anaProf cluster.Profile, coreCounts []int, simCores int) ([]SweepPoint, error) {
-	if len(coreCounts) == 0 {
-		return nil, errors.New("heuristic: no core counts to sweep")
-	}
-	if simCores <= 0 {
-		simCores = placement.SimCores
-	}
-	if model == nil {
-		model = cluster.NewModel(spec)
-	}
-	bytes := simProf.BytesPerStep
-	s := simProf.AloneComputeTime(spec.ClockHz, simCores)
-	w := model.SerializeTime(bytes) + model.LocalCopyTime(bytes)
-	r := model.RemoteGetBaseTime(bytes) + model.DeserializeTime(bytes)
-	var out []SweepPoint
-	for _, c := range coreCounts {
-		if c <= 0 || c > spec.CoresPerNode {
-			return nil, fmt.Errorf("heuristic: analysis core count %d outside (0,%d]", c, spec.CoresPerNode)
-		}
-		ss := core.SteadyState{
-			S: s, W: w,
-			Couplings: []core.Coupling{{R: r, A: anaProf.AloneComputeTime(spec.ClockHz, c)}},
-		}
-		e, err := ss.Efficiency()
+// AnalyticCoreSweep computes the sweep without running the simulation:
+// it prices the same probe placement CoreSweep simulates in closed form
+// (runtime.SteadyStates). A probe has one remote read, which the fabric
+// never shares, so the closed form is exact and the two sweeps are equal.
+func AnalyticCoreSweep(spec cluster.Spec, simProf, anaProf cluster.Profile, coreCounts []int, simCores int) ([]SweepPoint, error) {
+	opts := SweepOptions{SimCores: simCores}.normalized()
+	return sweep(spec, simProf, anaProf, coreCounts, opts, func(p placement.Placement, es runtime.EnsembleSpec) (core.SteadyState, error) {
+		states, _, err := runtime.SteadyStates(spec, p, es)
 		if err != nil {
-			return nil, err
+			return core.SteadyState{}, err
 		}
-		out = append(out, SweepPoint{
-			Cores:        c,
-			SimBusy:      ss.SimBusy(),
-			AnaBusy:      ss.Couplings[0].Busy(),
-			Sigma:        ss.Sigma(),
-			Efficiency:   e,
-			SatisfiesEq4: ss.SatisfiesEq4(),
-		})
-	}
-	return out, nil
+		return states[0], nil
+	})
 }

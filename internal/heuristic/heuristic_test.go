@@ -1,6 +1,7 @@
 package heuristic
 
 import (
+	"math"
 	"testing"
 
 	"ensemblekit/internal/cluster"
@@ -108,23 +109,22 @@ func TestAnalyticSweepAgreesWithDES(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analytic, err := AnalyticCoreSweep(spec, nil, sim, ana, PaperCoreCounts(), 16)
+	analytic, err := AnalyticCoreSweep(spec, sim, ana, PaperCoreCounts(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(des) != len(analytic) {
 		t.Fatalf("length mismatch: %d vs %d", len(des), len(analytic))
 	}
+	// The probe reads once per step over an unshared link, so the closed
+	// form is the simulation: every field agrees to rounding.
+	near := func(x, y float64) bool { return math.Abs(x-y) <= 1e-12*math.Max(math.Abs(x), math.Abs(y)) }
 	for i := range des {
 		d, a := des[i], analytic[i]
-		if d.SatisfiesEq4 != a.SatisfiesEq4 {
-			t.Errorf("%d cores: Eq.4 disagreement (DES %v, analytic %v)", d.Cores, d.SatisfiesEq4, a.SatisfiesEq4)
-		}
-		// The DES adds the remote-reader perturbation (~3%) and staging
-		// contention; allow 10% divergence.
-		rel := (d.Sigma - a.Sigma) / a.Sigma
-		if rel < -0.1 || rel > 0.1 {
-			t.Errorf("%d cores: sigma diverges %.1f%% (DES %v vs analytic %v)", d.Cores, 100*rel, d.Sigma, a.Sigma)
+		if d.Cores != a.Cores || d.SatisfiesEq4 != a.SatisfiesEq4 ||
+			!near(d.SimBusy, a.SimBusy) || !near(d.AnaBusy, a.AnaBusy) ||
+			!near(d.Sigma, a.Sigma) || !near(d.Efficiency, a.Efficiency) {
+			t.Errorf("%d cores: simulated %+v, analytic %+v", d.Cores, d, a)
 		}
 	}
 	// Both recommend the same allocation.
@@ -145,17 +145,20 @@ func TestAnalyticSweepValidation(t *testing.T) {
 	spec := cluster.Cori(2)
 	sim := kernels.MDProfile(0)
 	ana := kernels.AnalysisProfile()
-	if _, err := AnalyticCoreSweep(spec, nil, sim, ana, nil, 16); err == nil {
+	if _, err := AnalyticCoreSweep(spec, sim, ana, nil, 16); err == nil {
 		t.Error("empty core list should fail")
 	}
-	if _, err := AnalyticCoreSweep(spec, nil, sim, ana, []int{0}, 16); err == nil {
+	if _, err := AnalyticCoreSweep(spec, sim, ana, []int{0}, 16); err == nil {
 		t.Error("zero cores should fail")
+	}
+	if _, err := AnalyticCoreSweep(cluster.Cori(1), sim, ana, []int{8}, 16); err == nil {
+		t.Error("single-node machine cannot host the co-location-free probe")
 	}
 }
 
 func TestGridSearch(t *testing.T) {
 	spec := cluster.Cori(2)
-	points, err := GridSearch(spec, nil, GridOptions{MakespanBudget: 400})
+	points, err := GridSearch(spec, GridOptions{MakespanBudget: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,14 +208,14 @@ func TestGridSearch(t *testing.T) {
 
 func TestGridSearchValidation(t *testing.T) {
 	spec := cluster.Cori(2)
-	if _, err := GridSearch(spec, nil, GridOptions{Strides: []int{0}}); err == nil {
+	if _, err := GridSearch(spec, GridOptions{Strides: []int{0}}); err == nil {
 		t.Error("non-positive stride should fail")
 	}
 	if _, err := BestThroughput(nil); err == nil {
 		t.Error("empty grid should fail")
 	}
 	// A grid where nothing satisfies Eq. 4 (1-core analyses only).
-	pts, err := GridSearch(spec, nil, GridOptions{Strides: []int{200}, Cores: []int{1}})
+	pts, err := GridSearch(spec, GridOptions{Strides: []int{200}, Cores: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}

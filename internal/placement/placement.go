@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 
 	"ensemblekit/internal/cluster"
@@ -32,16 +31,12 @@ type Component struct {
 
 // NodeSet returns the deduplicated, sorted node set.
 func (c Component) NodeSet() []int {
-	seen := make(map[int]bool, len(c.Nodes))
-	var out []int
-	for _, n := range c.Nodes {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
+	if len(c.Nodes) == 0 {
+		return nil
 	}
-	sort.Ints(out)
-	return out
+	out := slices.Clone(c.Nodes)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Member is the placement of one ensemble member EM_i: one simulation and
@@ -66,21 +61,12 @@ func (m Member) Cores() int {
 
 // Nodes returns d_i's underlying set: s_i union of all a_i^j.
 func (m Member) Nodes() []int {
-	seen := make(map[int]bool)
-	for _, n := range m.Simulation.NodeSet() {
-		seen[n] = true
-	}
+	out := append(make([]int, 0, len(m.Simulation.Nodes)+len(m.Analyses)), m.Simulation.Nodes...)
 	for _, a := range m.Analyses {
-		for _, n := range a.NodeSet() {
-			seen[n] = true
-		}
+		out = append(out, a.Nodes...)
 	}
-	out := make([]int, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // NodeCount returns d_i = |s_i ∪ ⋃_j a_i^j|.
@@ -130,18 +116,15 @@ func (p Placement) Without(dropped []int) Placement {
 
 // UsedNodes returns the set of node indexes used by the whole ensemble.
 func (p Placement) UsedNodes() []int {
-	seen := make(map[int]bool)
+	out := []int{}
 	for _, m := range p.Members {
-		for _, n := range m.Nodes() {
-			seen[n] = true
+		out = append(out, m.Simulation.Nodes...)
+		for _, a := range m.Analyses {
+			out = append(out, a.Nodes...)
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // M returns the paper's M: the number of nodes used by the workflow
@@ -156,17 +139,25 @@ func (p Placement) Validate(spec cluster.Spec) error {
 		return errors.New("placement: no members")
 	}
 	coresPerNode := make(map[int]int)
-	checkComponent := func(label string, c Component) error {
+	// analysis < 0 means "the member's simulation"; the error label is only
+	// built on the failure path.
+	checkComponent := func(member, analysis int, c Component) error {
+		label := func() string {
+			if analysis < 0 {
+				return fmt.Sprintf("member %d simulation", member)
+			}
+			return fmt.Sprintf("member %d analysis %d", member, analysis)
+		}
 		ns := c.NodeSet()
 		if len(ns) == 0 {
-			return fmt.Errorf("placement: %s has no nodes", label)
+			return fmt.Errorf("placement: %s has no nodes", label())
 		}
 		if c.Cores <= 0 {
-			return fmt.Errorf("placement: %s has %d cores, want positive", label, c.Cores)
+			return fmt.Errorf("placement: %s has %d cores, want positive", label(), c.Cores)
 		}
 		for _, n := range ns {
 			if n < 0 || n >= spec.Nodes {
-				return fmt.Errorf("placement: %s uses node %d outside [0,%d)", label, n, spec.Nodes)
+				return fmt.Errorf("placement: %s uses node %d outside [0,%d)", label(), n, spec.Nodes)
 			}
 		}
 		// Cores are spread evenly across the component's nodes.
@@ -182,14 +173,14 @@ func (p Placement) Validate(spec cluster.Spec) error {
 		return nil
 	}
 	for i, m := range p.Members {
-		if err := checkComponent(fmt.Sprintf("member %d simulation", i), m.Simulation); err != nil {
+		if err := checkComponent(i, -1, m.Simulation); err != nil {
 			return err
 		}
 		if len(m.Analyses) == 0 {
 			return fmt.Errorf("placement: member %d has no analyses (a coupling requires at least one)", i)
 		}
 		for j, a := range m.Analyses {
-			if err := checkComponent(fmt.Sprintf("member %d analysis %d", i, j), a); err != nil {
+			if err := checkComponent(i, j, a); err != nil {
 				return err
 			}
 		}

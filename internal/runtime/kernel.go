@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"slices"
 
-	"ensemblekit/internal/cluster"
 	"ensemblekit/internal/network"
 	"ensemblekit/internal/trace"
 )
@@ -51,16 +50,16 @@ type wake struct {
 
 // kcomp is one component of a kernel run.
 type kcomp struct {
-	ct          *trace.ComponentTrace
-	alloc       compAlloc
-	computeTime float64
-	compute     trace.Counters // ComputeCounters, Cycles set per stage
-	jit         jitter
-	sim         int   // index of the member's simulation
-	anas        int   // sim: number of analyses (they follow it)
-	prodNode    int   // ana: the simulation's node
-	bytes       int64 // chunk size
-	stages      []trace.StageRecord
+	ct       *trace.ComponentTrace
+	alloc    compAlloc
+	staging  float64        // the plan's W (sim) or co-located R (ana)
+	compute  trace.Counters // ComputeCounters, Cycles set per stage
+	jit      jitter
+	sim      int   // index of the member's simulation
+	anas     int   // sim: number of analyses (they follow it)
+	prodNode int   // ana: the simulation's node
+	bytes    int64 // chunk size
+	stages   []trace.StageRecord
 
 	phase uint8
 	step  int
@@ -139,7 +138,7 @@ func (c *kcomp) record(st trace.StageRecord) {
 // compute starts a compute stage (S or A) of c.
 func (k *kernel) compute(c *kcomp, ph uint8) {
 	c.start = k.now
-	c.dur = c.computeTime * c.jit.next()
+	c.dur = c.alloc.assess.ComputeTime * c.jit.next()
 	c.phase = ph
 	k.wait(c, c.dur)
 }
@@ -190,7 +189,7 @@ func (k *kernel) resumeSim(c *kcomp) {
 	}
 	c.record(trace.StageRecord{Stage: trace.StageIS, Start: c.start, Duration: k.now - c.start})
 	c.start, c.phase = k.now, phW
-	k.wait(c, model.SerializeTime(c.bytes)+model.LocalCopyTime(c.bytes))
+	k.wait(c, c.staging)
 }
 
 // resumeAna runs analysis c (component index ci) from its wake-up to its
@@ -242,12 +241,11 @@ func (k *kernel) resumeAna(ci int, c *kcomp) {
 // read starts an R stage (dtl.Dimes.Read): a coalesced copy+deserialize
 // when co-located, otherwise protocol latency, then the fabric.
 func (k *kernel) read(ci int, c *kcomp) {
-	model := k.pl.model
 	c.start = k.now
 	switch {
 	case c.alloc.node == c.prodNode:
 		c.phase = phR
-		k.wait(c, model.LocalCopyTime(c.bytes)+model.DeserializeTime(c.bytes))
+		k.wait(c, c.staging)
 	case k.pl.spec.NICLatency > 0:
 		c.phase = phLat
 		k.wait(c, k.pl.spec.NICLatency)
@@ -313,11 +311,11 @@ func runKernel(pl *simPlan, opts SimOptions) (*trace.EnsembleTrace, bool) {
 	steps := slices.Grow(st.steps[:0], n*total)[:n*total]
 	st.stages, st.steps = stages, steps
 	ci := 0
-	bind := func(ct *trace.ComponentTrace, alloc compAlloc, assess cluster.Assessment, jitIndex int64, member int) *kcomp {
+	bind := func(ct *trace.ComponentTrace, alloc compAlloc, staging float64, jitIndex int64, member int) *kcomp {
 		c := &k.comps[ci]
 		*c = kcomp{
-			ct: ct, alloc: alloc, computeTime: assess.ComputeTime,
-			compute:  pl.model.ComputeCounters(alloc.tenant, assess),
+			ct: ct, alloc: alloc, staging: staging,
+			compute:  pl.model.ComputeCounters(alloc.tenant, alloc.assess),
 			jit:      opts.jitter(jitIndex, c.jit.rng),
 			bytes:    pl.es.Members[member].Sim.BytesPerStep,
 			prodNode: pl.sims[member].node,
@@ -330,10 +328,11 @@ func runKernel(pl *simPlan, opts SimOptions) (*trace.EnsembleTrace, bool) {
 	}
 	for i, m := range tr.Members {
 		simIdx := ci
-		s := bind(m.Simulation, pl.sims[i], pl.assessSim[i], int64(i)*131, i)
+		ss := pl.states[i]
+		s := bind(m.Simulation, pl.sims[i], ss.W, int64(i)*131, i)
 		s.sim, s.anas, s.items = simIdx, len(m.Analyses), len(m.Analyses)
 		for j, at := range m.Analyses {
-			bind(at, pl.anas[i][j], pl.assessAna[i][j], int64(i)*131+int64(j)+1, i).sim = simIdx
+			bind(at, pl.anas[i][j], ss.Couplings[j].R, int64(i)*131+int64(j)+1, i).sim = simIdx
 		}
 	}
 	k.seq = int64(total)

@@ -154,6 +154,38 @@ func TestSimulatedModelPrediction(t *testing.T) {
 	}
 }
 
+func TestSteadyStates(t *testing.T) {
+	spec := cluster.Cori(3)
+	states, exact, err := SteadyStates(spec, placement.C15(), SpecForPlacement(placement.C15(), 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !exact {
+		t.Error("C1.5 reads nothing remotely: its closed form is exact")
+	}
+	if len(states) != 2 {
+		t.Fatalf("states = %d", len(states))
+	}
+	for i, ss := range states {
+		if ss.S <= 0 || ss.W <= 0 || len(ss.Couplings) != 1 {
+			t.Errorf("member %d: malformed steady state %+v", i, ss)
+		}
+		// The calibrated C1.5 member satisfies Eq. 4.
+		if !ss.SatisfiesEq4() {
+			t.Errorf("member %d: C1.5 should satisfy Eq. 4", i)
+		}
+	}
+	// Co-located reads are cheaper: R(C1.5) < R(C_f).
+	cf, _, err := SteadyStates(spec, placement.Cf(), SpecForPlacement(placement.Cf(), 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if states[0].Couplings[0].R >= cf[0].Couplings[0].R {
+		t.Errorf("local read %v should beat remote read %v",
+			states[0].Couplings[0].R, cf[0].Couplings[0].R)
+	}
+}
+
 func TestSimulatedTiers(t *testing.T) {
 	// On the co-located configuration in-memory staging (DIMES) beats the
 	// burst buffer, which beats the parallel file system — the in situ

@@ -170,16 +170,8 @@ func RunSimulatedInfo(spec cluster.Spec, p placement.Placement, es EnsembleSpec,
 	}
 	if pl != nil {
 		info.PlanReused = true
-	} else {
-		if err := spec.Validate(); err != nil {
-			return nil, info, err
-		}
-		if err := p.Validate(spec); err != nil {
-			return nil, info, err
-		}
-		if err := es.Validate(p); err != nil {
-			return nil, info, err
-		}
+	} else if err := validateInputs(spec, p, es); err != nil {
+		return nil, info, err
 	}
 	if err := opts.Resilience.Validate(); err != nil {
 		return nil, info, err
@@ -321,7 +313,7 @@ func runJoint(pl *simPlan, opts SimOptions, inj *faults.Injector) (*trace.Ensemb
 	// members starting simultaneously).
 	run.memberProcs = make([][]*sim.Proc, len(pl.p.Members))
 	for i := range pl.p.Members {
-		run.launchMember(i, pl.sims[i], pl.anas[i], pl.assessSim[i], pl.assessAna[i], tr.Members[i])
+		run.launchMember(i, pl.sims[i], pl.anas[i], tr.Members[i])
 	}
 	// Crash schedule: at each crash instant, interrupt every component
 	// still running on the node (they are all blocked in a stage wait —
@@ -470,17 +462,17 @@ func (r *simRun) fail(err error) {
 	}
 }
 
-// compAlloc pairs a component's machine tenant with its node index.
+// compAlloc is a component's machine tenant, its node index, and its
+// static assessment against its co-location context.
 type compAlloc struct {
 	tenant *cluster.Tenant
 	node   int
+	assess cluster.Assessment
 }
 
 // launchMember starts the simulation process and the K analysis processes
 // of member i, wired together with the synchronous no-buffering protocol.
-func (r *simRun) launchMember(i int, simA compAlloc, anaA []compAlloc,
-	simAssess cluster.Assessment, anaAssess []cluster.Assessment, mt *trace.MemberTrace) {
-
+func (r *simRun) launchMember(i int, simA compAlloc, anaA []compAlloc, mt *trace.MemberTrace) {
 	k := len(anaA)
 	n := r.es.Steps
 	// writeTokens carries read-completion permits: the simulation needs K
@@ -544,7 +536,7 @@ func (r *simRun) launchMember(i int, simA compAlloc, anaA []compAlloc,
 			base := len(stageBuf)
 			// S: compute (stragglers dilate the modeled duration).
 			sStart := p.Now()
-			sDur = simAssess.ComputeTime * simJitter.next() * r.inj.Slowdown(simTrace.Name, sStart)
+			sDur = simA.assess.ComputeTime * simJitter.next() * r.inj.Slowdown(simTrace.Name, sStart)
 			r.rec.StageBegin(simTrace.Name, stageNameS, simA.node)
 			sRetries, sRecovered, err := cc.attempt(stageNameS, false, waitS)
 			r.rec.StageEnd(simTrace.Name, stageNameS, simA.node, 0)
@@ -556,7 +548,7 @@ func (r *simRun) launchMember(i int, simA compAlloc, anaA []compAlloc,
 				simTrace.Steps = append(simTrace.Steps, rec)
 				return cc.fail(err)
 			}
-			counters := r.model.ComputeCounters(simA.tenant, simAssess)
+			counters := r.model.ComputeCounters(simA.tenant, simA.assess)
 			counters.Cycles = sDur * clock * float64(simA.tenant.Cores)
 			stageBuf = append(stageBuf, trace.StageRecord{
 				Stage: trace.StageS, Start: sStart, Duration: stageSpan(p, sStart, sDur, sRecovered),
@@ -616,7 +608,7 @@ func (r *simRun) launchMember(i int, simA compAlloc, anaA []compAlloc,
 		j := j
 		anaTrace := mt.Analyses[j]
 		alloc := anaA[j]
-		assess := anaAssess[j]
+		assess := alloc.assess
 		anaJitter := r.opts.jitter(int64(i)*131+int64(j)+1, nil)
 		anaCores := coreLabel(alloc.node)
 		proc := r.env.Go(anaTrace.Name, func(p *sim.Proc) error {

@@ -4,9 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"ensemblekit/internal/cluster"
+	"ensemblekit/internal/core"
 	"ensemblekit/internal/placement"
 	"ensemblekit/internal/sim"
 	"ensemblekit/internal/trace"
@@ -16,7 +18,8 @@ import (
 // everything RunSimulated derives from (spec, placement, ensemble, tier,
 // staging depth) before the first event fires — the machine with its
 // tenants and staging reservations, the performance model, per-component
-// allocations, and the static co-location assessments. A plan carries no
+// allocations, the static co-location assessments, and on DIMES each
+// member's closed-form steady state. A plan carries no
 // seed, jitter, fault, or resilience state, so one plan serves every job
 // of a campaign that shares the configuration: the DES borrows it
 // read-only instead of rebuilding it per run.
@@ -32,8 +35,12 @@ type simPlan struct {
 	sims    []compAlloc
 	anas    [][]compAlloc
 
-	assessSim []cluster.Assessment
-	assessAna [][]cluster.Assessment
+	// states prices every member once (DIMES plans only; see priceDimes):
+	// the timeline kernel reads W and the co-located R from it, and
+	// SteadyStates returns it. exact reports that the closed form equals
+	// the flat-fabric, one-slot timeline.
+	states []core.SteadyState
+	exact  bool
 }
 
 // normSlots applies the StagingSlots default (1, the paper's synchronous
@@ -60,6 +67,18 @@ func planKey(spec cluster.Spec, p placement.Placement, es EnsembleSpec, tier str
 		return [32]byte{}, fmt.Errorf("runtime: plan key: %w", err)
 	}
 	return sha256.Sum256(b), nil
+}
+
+// validateInputs checks what a plan is built from, in the order its
+// errors have always been reported.
+func validateInputs(spec cluster.Spec, p placement.Placement, es EnsembleSpec) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	if err := p.Validate(spec); err != nil {
+		return err
+	}
+	return es.Validate(p)
 }
 
 // buildPlan performs the validation-gated construction RunSimulated
@@ -102,7 +121,7 @@ func buildPlan(spec cluster.Spec, p placement.Placement, es EnsembleSpec, tier s
 		if err != nil {
 			return nil, err
 		}
-		t, err := machine.Allocate(fmt.Sprintf("m%d.sim", i), node, m.Simulation.Cores, es.Members[i].Sim)
+		t, err := machine.Allocate("m"+strconv.Itoa(i)+".sim", node, m.Simulation.Cores, es.Members[i].Sim)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +132,7 @@ func buildPlan(spec cluster.Spec, p placement.Placement, es EnsembleSpec, tier s
 			if err != nil {
 				return nil, err
 			}
-			at, err := machine.Allocate(fmt.Sprintf("m%d.ana%d", i, j), anode, a.Cores, es.Members[i].Analyses[j])
+			at, err := machine.Allocate("m"+strconv.Itoa(i)+".ana"+strconv.Itoa(j), anode, a.Cores, es.Members[i].Analyses[j])
 			if err != nil {
 				return nil, err
 			}
@@ -126,9 +145,9 @@ func buildPlan(spec cluster.Spec, p placement.Placement, es EnsembleSpec, tier s
 	// configured slot depth) must fit in the producer's DRAM. Intermediate
 	// tiers (burst buffer, PFS) hold the data off-node: neither applies.
 	if tier == TierDimes {
-		for i, m := range p.Members {
-			for _, a := range m.Analyses {
-				if a.NodeSet()[0] != sims[i].node {
+		for i := range p.Members {
+			for _, a := range anas[i] {
+				if a.node != sims[i].node {
 					sims[i].tenant.RemoteReaders++
 				}
 			}
@@ -142,31 +161,89 @@ func buildPlan(spec cluster.Spec, p placement.Placement, es EnsembleSpec, tier s
 	// Pre-assess every component against its co-location context (static
 	// contention; the DES adds the emergent synchronization and staging
 	// dynamics on top).
-	assessSim := make([]cluster.Assessment, len(p.Members))
-	assessAna := make([][]cluster.Assessment, len(p.Members))
 	for i := range p.Members {
 		node, _ := machine.Node(sims[i].node)
-		a, err := model.Assess(node, sims[i].tenant)
-		if err != nil {
+		if sims[i].assess, err = model.Assess(node, sims[i].tenant); err != nil {
 			return nil, err
 		}
-		assessSim[i] = a
-		assessAna[i] = make([]cluster.Assessment, len(anas[i]))
 		for j := range anas[i] {
 			anode, _ := machine.Node(anas[i][j].node)
-			aa, err := model.Assess(anode, anas[i][j].tenant)
-			if err != nil {
+			if anas[i][j].assess, err = model.Assess(anode, anas[i][j].tenant); err != nil {
 				return nil, err
 			}
-			assessAna[i][j] = aa
 		}
 	}
 
-	return &simPlan{
+	pl := &simPlan{
 		spec: spec, p: p, es: es, tier: tier, slots: slots,
 		model: model, machine: machine, sims: sims, anas: anas,
-		assessSim: assessSim, assessAna: assessAna,
-	}, nil
+	}
+	if tier == TierDimes {
+		pl.priceDimes()
+	}
+	return pl, nil
+}
+
+// priceDimes prices each member's steady state in closed form (Eq. 1–3
+// inputs): S and A are the assessed compute times, W serializes and
+// copies into the producer's memory, and R copies locally or gets
+// remotely at the per-flow rate, then deserializes.
+//
+// The closed form is exact on the flat fabric with one staging slot when
+// no NIC link carries more remote reads than fit at that rate: every
+// flow then runs at the per-flow cap whatever else is in flight (the
+// fabric's max-min fill gives every flow the cap when cap ≤ link/count),
+// so every stage lasts the same each step. Past that count, reads that
+// overlap fair-share the link and take longer than RemoteGetBaseTime.
+func (pl *simPlan) priceDimes() {
+	model := pl.model
+	n := pl.spec.Nodes
+	// reads[v] counts the remote reads leaving node v's NIC, reads[n+v]
+	// those arriving at it.
+	reads := make([]int, 2*n)
+	pl.states = make([]core.SteadyState, len(pl.p.Members))
+	for i := range pl.p.Members {
+		bytes := pl.es.Members[i].Sim.BytesPerStep
+		prod := pl.sims[i].node
+		ss := core.SteadyState{
+			S:         pl.sims[i].assess.ComputeTime,
+			W:         model.SerializeTime(bytes) + model.LocalCopyTime(bytes),
+			Couplings: make([]core.Coupling, len(pl.anas[i])),
+		}
+		for j, a := range pl.anas[i] {
+			get := model.LocalCopyTime(bytes)
+			if a.node != prod {
+				get = model.RemoteGetBaseTime(bytes)
+				reads[prod]++
+				reads[n+a.node]++
+			}
+			ss.Couplings[j] = core.Coupling{R: get + model.DeserializeTime(bytes), A: a.assess.ComputeTime}
+		}
+		pl.states[i] = ss
+	}
+	pl.exact = pl.slots == 1
+	rate := min(model.RemoteStageBW, pl.spec.NICBandwidth)
+	for _, c := range reads {
+		if c > 0 && rate > pl.spec.NICBandwidth/float64(c) {
+			pl.exact = false
+		}
+	}
+}
+
+// SteadyStates prices every member of the placement in closed form on
+// flat DIMES with one staging slot, jitter- and fault-free, from the
+// plan a simulated run of the same inputs executes. exact reports that
+// the closed form equals that run's timeline; when it is false some NIC
+// fair-shares concurrent remote reads and only a simulation prices them.
+func SteadyStates(spec cluster.Spec, p placement.Placement, es EnsembleSpec) ([]core.SteadyState, bool, error) {
+	if err := validateInputs(spec, p, es); err != nil {
+		return nil, false, err
+	}
+	pl, err := buildPlan(spec, p, es, TierDimes, 1, nil)
+	if err != nil {
+		return nil, false, err
+	}
+	return pl.states, pl.exact, nil
 }
 
 // World is the shared immutable state of a campaign: a content-addressed

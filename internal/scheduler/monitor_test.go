@@ -9,7 +9,7 @@ import (
 
 func TestSearchUnifiesStrategies(t *testing.T) {
 	spec, es := paperSetup()
-	obj := AnalyticObjective(spec, nil, es, indicators.StageUAP)
+	obj := NewObjective(spec, es, indicators.StageUAP)
 	for _, strategy := range []Strategy{StrategyExhaustive, StrategyGreedy, StrategyAnneal} {
 		res, err := Search(strategy, spec, es, 3, obj, nil, AnnealOptions{Seed: 1})
 		if err != nil {
@@ -26,7 +26,7 @@ func TestSearchUnifiesStrategies(t *testing.T) {
 
 func TestMonitorReportsProgress(t *testing.T) {
 	spec, es := paperSetup()
-	obj := AnalyticObjective(spec, nil, es, indicators.StageUAP)
+	obj := NewObjective(spec, es, indicators.StageUAP)
 	var snaps []Progress
 	mon := &Monitor{Every: 10, OnProgress: func(p Progress) { snaps = append(snaps, p) }}
 	res, err := Search(StrategyExhaustive, spec, es, 3, obj, mon, AnnealOptions{})
@@ -62,7 +62,7 @@ func TestMonitorReportsProgress(t *testing.T) {
 
 func TestMonitorDoesNotPerturbSearch(t *testing.T) {
 	spec, es := paperSetup()
-	obj := AnalyticObjective(spec, nil, es, indicators.StageUAP)
+	obj := NewObjective(spec, es, indicators.StageUAP)
 	opts := AnnealOptions{Iterations: 300, Seed: 7}
 	plain, err := Search(StrategyAnneal, spec, es, 3, obj, nil, opts)
 	if err != nil {
@@ -83,7 +83,7 @@ func TestMonitorDoesNotPerturbSearch(t *testing.T) {
 
 func TestAnnealProgressCallback(t *testing.T) {
 	spec, es := paperSetup()
-	obj := AnalyticObjective(spec, nil, es, indicators.StageUAP)
+	obj := NewObjective(spec, es, indicators.StageUAP)
 	var iters []int
 	var lastBest float64 = math.Inf(-1)
 	opts := AnnealOptions{

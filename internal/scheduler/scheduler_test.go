@@ -1,10 +1,12 @@
 package scheduler
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"ensemblekit/internal/cluster"
+	"ensemblekit/internal/core"
 	"ensemblekit/internal/indicators"
 	"ensemblekit/internal/placement"
 	"ensemblekit/internal/runtime"
@@ -16,44 +18,9 @@ func paperSetup() (cluster.Spec, runtime.EnsembleSpec) {
 	return spec, es
 }
 
-func TestPredictSteadyStates(t *testing.T) {
-	spec, es := paperSetup()
-	model := cluster.NewModel(spec)
-	states, err := PredictSteadyStates(spec, model, es, placement.C15())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(states) != 2 {
-		t.Fatalf("states = %d", len(states))
-	}
-	for i, ss := range states {
-		if ss.S <= 0 || ss.W <= 0 || len(ss.Couplings) != 1 {
-			t.Errorf("member %d: malformed steady state %+v", i, ss)
-		}
-		// The calibrated C1.5 member satisfies Eq. 4.
-		if !ss.SatisfiesEq4() {
-			t.Errorf("member %d: C1.5 should satisfy Eq. 4", i)
-		}
-	}
-	// Co-located reads are cheaper: R(C1.5) < R(C_f).
-	cf, err := PredictSteadyStates(spec, model, es2members(placement.Cf(), es), placement.Cf())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if states[0].Couplings[0].R >= cf[0].Couplings[0].R {
-		t.Errorf("local read %v should beat remote read %v",
-			states[0].Couplings[0].R, cf[0].Couplings[0].R)
-	}
-}
-
-// es2members shapes the spec to the placement's member count.
-func es2members(p placement.Placement, es runtime.EnsembleSpec) runtime.EnsembleSpec {
-	return runtime.SpecForPlacement(p, es.Steps)
-}
-
 func TestAnalyticObjectiveRanksC15First(t *testing.T) {
 	spec, es := paperSetup()
-	obj := AnalyticObjective(spec, nil, es, indicators.StageUAP)
+	obj := NewObjective(spec, es, indicators.StageUAP)
 	best, bestScore := "", math.Inf(-1)
 	for _, cfg := range placement.ConfigsTable2TwoMember() {
 		score, err := obj(cfg)
@@ -69,25 +36,92 @@ func TestAnalyticObjectiveRanksC15First(t *testing.T) {
 	}
 }
 
-func TestSimulatedObjectiveAgreesOnWinner(t *testing.T) {
-	spec, es := paperSetup()
-	obj := SimulatedObjective(spec, es, runtime.SimOptions{}, indicators.StageUAP)
-	c15, err := obj(placement.C15())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c14, err := obj(placement.C14())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c15 <= c14 {
-		t.Errorf("simulated objective: C1.5 (%v) should beat C1.4 (%v)", c15, c14)
+// TestObjectiveIsTheSimulation holds the objective to its oracle — F
+// over the efficiencies of a jitter-free simulated run — on every
+// enumerated placement of four shapes, and checks the closed-form branch
+// rule both ways: where the plan calls the closed form exact, its steady
+// states equal the run's; where it does not (2m×3a×4n: six remote reads
+// on one NIC, past the five it carries at the per-flow rate), they part.
+func TestObjectiveIsTheSimulation(t *testing.T) {
+	const tol = 1e-12
+	near := func(a, b float64) bool { return math.Abs(a-b) <= tol*math.Max(math.Abs(a), math.Abs(b)) }
+	for _, sh := range []struct{ members, analyses, nodes, candidates, inexact int }{
+		{2, 1, 3, 11, 0},
+		{3, 1, 4, 100, 0},
+		{2, 2, 4, 132, 0},
+		{2, 3, 4, 1460, 115},
+	} {
+		name := fmt.Sprintf("%dm×%da×%dn", sh.members, sh.analyses, sh.nodes)
+		spec := cluster.Cori(sh.nodes)
+		es := runtime.PaperEnsemble(name, sh.members, sh.analyses, 8)
+		shape := placement.Shape{SimCores: placement.SimCores, Members: sh.members}
+		for range sh.analyses {
+			shape.AnalysisCores = append(shape.AnalysisCores, placement.AnalysisCores)
+		}
+		cands, err := placement.Enumerate(spec, shape, sh.nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cands) != sh.candidates {
+			t.Fatalf("%s: %d candidates, want %d", name, len(cands), sh.candidates)
+		}
+		obj := NewObjective(spec, es, indicators.StageUAP)
+		inexact := 0
+		for _, p := range cands {
+			got, err := obj(p)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, p, err)
+			}
+			tr, err := runtime.RunSimulated(spec, p, es, runtime.SimOptions{})
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, p, err)
+			}
+			effs, err := Efficiencies(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := indicators.Objective(p, effs, indicators.StageUAP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !near(got, want) {
+				t.Errorf("%s %s: objective %v, simulation %v", name, p, got, want)
+			}
+
+			states, exact, err := runtime.SteadyStates(spec, p, es)
+			if err != nil {
+				t.Fatal(err)
+			}
+			equal := true
+			for i, ss := range states {
+				m, err := core.FromMemberTrace(tr.Members[i], core.ExtractOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				equal = equal && near(ss.S, m.S) && near(ss.W, m.W)
+				for j, c := range ss.Couplings {
+					equal = equal && near(c.R, m.Couplings[j].R) && near(c.A, m.Couplings[j].A)
+				}
+			}
+			if exact && !equal {
+				t.Errorf("%s %s: closed form called exact but parts from the simulation", name, p)
+			}
+			if !exact {
+				inexact++
+				if equal {
+					t.Errorf("%s %s: closed form called inexact but equals the simulation", name, p)
+				}
+			}
+		}
+		if inexact != sh.inexact {
+			t.Errorf("%s: %d placements inexact, want %d", name, inexact, sh.inexact)
+		}
 	}
 }
 
 func TestExhaustiveFindsFullCoLocation(t *testing.T) {
 	spec, es := paperSetup()
-	obj := AnalyticObjective(spec, nil, es, indicators.StageUAP)
+	obj := NewObjective(spec, es, indicators.StageUAP)
 	res, err := Exhaustive(spec, es, 3, obj)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +147,7 @@ func TestExhaustiveFindsFullCoLocation(t *testing.T) {
 
 func TestGreedyMatchesExhaustiveOnPaperInstance(t *testing.T) {
 	spec, es := paperSetup()
-	obj := AnalyticObjective(spec, nil, es, indicators.StageUAP)
+	obj := NewObjective(spec, es, indicators.StageUAP)
 	ex, err := Exhaustive(spec, es, 3, obj)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +167,7 @@ func TestGreedyMatchesExhaustiveOnPaperInstance(t *testing.T) {
 func TestGreedyScalesToLargerEnsembles(t *testing.T) {
 	spec := cluster.Cori(6)
 	es := runtime.PaperEnsemble("big", 4, 2, 6)
-	obj := AnalyticObjective(spec, nil, es, indicators.StageUAP)
+	obj := NewObjective(spec, es, indicators.StageUAP)
 	res, err := GreedyLocalSearch(spec, es, 6, obj)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +207,7 @@ func TestSearchValidation(t *testing.T) {
 
 func TestAnnealMatchesExhaustiveOnPaperInstance(t *testing.T) {
 	spec, es := paperSetup()
-	obj := AnalyticObjective(spec, nil, es, indicators.StageUAP)
+	obj := NewObjective(spec, es, indicators.StageUAP)
 	ex, err := Exhaustive(spec, es, 3, obj)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +226,7 @@ func TestAnnealMatchesExhaustiveOnPaperInstance(t *testing.T) {
 
 func TestAnnealDeterministicPerSeed(t *testing.T) {
 	spec, es := paperSetup()
-	obj := AnalyticObjective(spec, nil, es, indicators.StageUAP)
+	obj := NewObjective(spec, es, indicators.StageUAP)
 	a, err := Anneal(spec, es, 3, obj, AnnealOptions{Iterations: 300, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +243,7 @@ func TestAnnealDeterministicPerSeed(t *testing.T) {
 func TestAnnealLargerInstance(t *testing.T) {
 	spec := cluster.Cori(6)
 	es := runtime.PaperEnsemble("anneal-big", 4, 2, 6)
-	obj := AnalyticObjective(spec, nil, es, indicators.StageUAP)
+	obj := NewObjective(spec, es, indicators.StageUAP)
 	gr, err := GreedyLocalSearch(spec, es, 6, obj)
 	if err != nil {
 		t.Fatal(err)

@@ -122,50 +122,48 @@ func (l *JobLedger) addScaled(o JobLedger, k float64) {
 // obs.Utilization integral over the trace's event stream) taken one
 // rectangle at a time, so it needs no event stream. The result is a pure
 // function of the trace: byte-identical traces (the engine's determinism
-// guarantee) yield bit-identical ledgers.
+// guarantee) yield bit-identical ledgers. A component placed on no node
+// holds no cores and charges nothing.
 func FromTrace(tr *trace.EnsembleTrace) JobLedger {
-	var l JobLedger
+	var byStage [trace.NumStages]float64
 	if tr == nil {
-		return l
+		return FromStageCoreSeconds(byStage)
+	}
+	charge := func(c *trace.ComponentTrace) {
+		if c == nil || len(c.Nodes) == 0 {
+			return
+		}
+		for _, step := range c.Steps {
+			for _, st := range step.Stages {
+				if st.Stage.Valid() {
+					coreSec := float64(c.Cores) * st.Duration
+					byStage[st.Stage] += coreSec
+				}
+			}
+		}
 	}
 	for _, m := range tr.Members {
-		if m.Simulation != nil {
-			l.charge(m.Simulation)
-		}
+		charge(m.Simulation)
 		for _, a := range m.Analyses {
-			l.charge(a)
+			charge(a)
 		}
 	}
-	return l
+	return FromStageCoreSeconds(byStage)
 }
 
-// charge adds one component's stages to the ledger, following the paper's
+// FromStageCoreSeconds builds a job ledger from core-seconds already
+// summed per stage (indexed by trace.Stage), following the paper's
 // six-stage cycle: S and I^S are the simulation's compute and
 // coupling-idle time, W is the producer-side put into the DTL, R is the
 // consumer-side get, A and I^A are the analysis's compute and idle time.
-// A component placed on no node holds no cores and charges nothing.
-func (l *JobLedger) charge(c *trace.ComponentTrace) {
-	if len(c.Nodes) == 0 {
-		return
-	}
-	for _, step := range c.Steps {
-		for _, st := range step.Stages {
-			coreSec := float64(c.Cores) * st.Duration
-			switch st.Stage {
-			case trace.StageS:
-				l.Simulation.Busy += coreSec
-			case trace.StageIS:
-				l.Simulation.Idle += coreSec
-			case trace.StageW:
-				l.Staging.Busy += coreSec
-			case trace.StageR:
-				l.Network.Busy += coreSec
-			case trace.StageA:
-				l.Analysis.Busy += coreSec
-			case trace.StageIA:
-				l.Analysis.Idle += coreSec
-			}
-		}
+// Summed in FromTrace's order (components in trace order, each one's
+// stages in order), the sums give FromTrace's ledger bit for bit.
+func FromStageCoreSeconds(byStage [trace.NumStages]float64) JobLedger {
+	return JobLedger{
+		Simulation: Split{Busy: byStage[trace.StageS], Idle: byStage[trace.StageIS]},
+		Analysis:   Split{Busy: byStage[trace.StageA], Idle: byStage[trace.StageIA]},
+		Staging:    Split{Busy: byStage[trace.StageW]},
+		Network:    Split{Busy: byStage[trace.StageR]},
 	}
 }
 

@@ -71,7 +71,7 @@ func TestFastPathLedgerParity(t *testing.T) {
 	on := runTaggedCampaign(t, Config{Workers: 2})
 	off := runTaggedCampaign(t, Config{Workers: 2,
 		runFn: func(_ context.Context, hash string, spec JobSpec) (*Result, runtime.RunInfo, error) {
-			tr, info, _, err := runSpec(spec, obs.NewRecorder(nil), nil, false)
+			tr, info, err := runSpec(spec, obs.NewRecorder(nil), nil)
 			if err != nil {
 				return nil, info, err
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"ensemblekit/internal/campaign/journal"
 	"ensemblekit/internal/faults"
 	"ensemblekit/internal/placement"
 	"ensemblekit/internal/telemetry"
@@ -331,5 +333,69 @@ func TestReplayFailsRealSpecJob(t *testing.T) {
 	}
 	if !failed {
 		t.Errorf("the real-spec job did not fail with a replay reason naming \"real\":\n%s", logs.String())
+	}
+}
+
+// overBoundJournal holds one pending job over maxJobWork: the spec of the
+// request {"configs":["C1.5"],"steps":100000000}, which admission refuses,
+// written as a journal record so replay is the only gate it meets.
+const (
+	overBoundJournal = "testdata/over_bound_journal.wal"
+	overBoundHash    = "ff590d5db8a280f87da79b48cca915e120f1ed775081becd27e0cf1ee3ac927e"
+)
+
+// On replay the over-bound job fails with a "replay:" reason that names
+// the bound, and is never executed: the service then runs a campaign to
+// completion.
+func TestReplayFailsOverBoundJob(t *testing.T) {
+	b, err := os.ReadFile(overBoundJournal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logs bytes.Buffer
+	svc, err := NewService(Config{Workers: 1, JournalPath: path,
+		Logger: telemetry.NewLogger(&logs, telemetry.LevelWarn)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if got := svc.Stats().JournalReplayed; got != 0 {
+		t.Fatalf("replayed %d jobs, want none", got)
+	}
+	if n := svc.Journal().Stats().PendingJobs; n != 0 {
+		t.Fatalf("%d jobs still pending after replay", n)
+	}
+	res, err := RunCampaign(context.Background(), svc, Sweep{
+		Placements: []placement.Placement{placement.C15()}, Steps: 4, Seeds: []int64{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Jobs != 2 || res.Failed != 0 || len(res.Ranking) != 1 {
+		t.Fatalf("campaign after replay: %d jobs, %d failed, %d ranked", res.Jobs, res.Failed, len(res.Ranking))
+	}
+	svc.Close()
+
+	var failed bool
+	for _, line := range strings.Split(logs.String(), "\n") {
+		var rec struct{ Msg, Hash, Reason string }
+		if json.Unmarshal([]byte(line), &rec) == nil && rec.Hash == overBoundHash {
+			failed = rec.Msg == "journal: dropping unreplayable job" &&
+				strings.HasPrefix(rec.Reason, "replay: ") &&
+				strings.Contains(rec.Reason, fmt.Sprintf("above the %d bound", maxJobWork))
+		}
+	}
+	if !failed {
+		t.Errorf("the over-bound job did not fail with a replay reason naming the bound:\n%s", logs.String())
+	}
+	_, st, err := journal.Open(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Jobs) != 0 {
+		t.Errorf("the journal still holds %d pending jobs", len(st.Jobs))
 	}
 }

@@ -78,7 +78,7 @@ func checkEqualsEagerBridge(t *testing.T, spec JobSpec, deferred []tracing.SpanD
 		t.Fatalf("execute span carries no affine map: anchor %v scale %v", anchor, scale)
 	}
 	rec := obs.NewRecorder(nil)
-	if _, _, _, err := runSpec(spec, rec, nil, false); err != nil {
+	if _, _, err := runSpec(spec, rec, nil); err != nil {
 		t.Fatal(err)
 	}
 	eagerTracer := tracing.NewTracer(tracing.NewStore(0, 0))

@@ -140,7 +140,7 @@ func (j *Job) Trace() (*trace.EnsembleTrace, error) {
 	if res, err := j.Result(); err != nil || res == nil {
 		return nil, err
 	}
-	tr, _, _, err := runSpec(j.spec, nil, j.svc.world, false)
+	tr, _, err := runSpec(j.spec, nil, j.svc.world)
 	return tr, err
 }
 

@@ -24,7 +24,7 @@ func Execute(spec JobSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, _, _, err := runSpec(spec, nil, nil, false)
+	tr, _, err := runSpec(spec, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -51,20 +51,14 @@ func (spec JobSpec) needsEngine() bool {
 	return spec.simOptions().NeedsEngine()
 }
 
-// runSpec simulates the spec: rec, when non-nil, attaches the live obs
-// recorder, and world (shared plans and arenas: an execution aid, never
-// an input) serves the run. With scratch, release hands a kernel-served
-// trace's storage back to world once the caller has read the trace.
-// Without scratch, release does nothing and the trace is the caller's.
-func runSpec(spec JobSpec, rec *obs.Recorder, world *runtime.World, scratch bool) (*trace.EnsembleTrace, runtime.RunInfo, func(), error) {
+// runSpec simulates the spec into its trace: rec, when non-nil, attaches
+// the live obs recorder, and world (shared plans and arenas: an execution
+// aid, never an input) serves the run.
+func runSpec(spec JobSpec, rec *obs.Recorder, world *runtime.World) (*trace.EnsembleTrace, runtime.RunInfo, error) {
 	opts := spec.simOptions()
 	opts.Recorder = rec
 	opts.World = world
-	if !scratch {
-		tr, info, err := runtime.RunSimulatedInfo(spec.Cluster, spec.Placement, spec.Ensemble, opts)
-		return tr, info, func() {}, err
-	}
-	return runtime.RunSimulatedScratch(spec.Cluster, spec.Placement, spec.Ensemble, opts)
+	return runtime.RunSimulatedInfo(spec.Cluster, spec.Placement, spec.Ensemble, opts)
 }
 
 // recorders recycles the obs event logs of observed runs: a log keeps its
@@ -73,22 +67,24 @@ var recorders = sync.Pool{New: func() any { return obs.NewRecorder(nil) }}
 
 // executeSpec is the one execution path: it runs a spec whose content
 // address the caller already holds (admission hashed it) and reports how
-// the run was served. When ctx carries a recording span of tracer (the
-// worker's execute span) the run is observed: its simulated timeline
-// becomes child spans under that span, built when the trace is first read
-// (tracing.Store.Defer), so a job nobody inspects never pays for them. A
-// spec that needs the engine (runtime.SimOptions.NeedsEngine) runs with a
-// recycled obs recorder attached, and the event stream yields component,
-// stage, DTL, flow, and fault spans; the store copies the events if it
-// admits the batch, and the log goes back to the pool either way. Every
-// other spec is served by the timeline kernel, which has no event
-// stream: its component and stage spans derive from the trace, which the
-// first reader re-runs from the spec. The affine map
-// wall = anchor + scale·virtual with scale = wallDuration/makespan tiles
-// the simulated timeline onto the measured execution window, so the
-// critical path's stage durations sum to the job's real latency; its
-// parameters go on the execute span (the obs.Attr* keys, plus whether
-// the kernel served the run) so exporters can invert it (obs.InverseMap).
+// the run was served. A kernel-served run writes no trace: the kernel's
+// summary sink yields the result (summarize). An engine-served run's
+// trace is summarized (derive) and dropped. When ctx carries a recording
+// span of tracer (the worker's execute span) the run is observed: its
+// simulated timeline becomes child spans under that span, built when the
+// trace is first read (tracing.Store.Defer), so a job nobody inspects
+// never pays for them. A spec that needs the engine
+// (runtime.SimOptions.NeedsEngine) runs with a recycled obs recorder
+// attached, and the event stream yields component, stage, DTL, flow, and
+// fault spans; the store copies the events if it admits the batch, and
+// the log goes back to the pool either way. Every other spec's component
+// and stage spans derive from its trace, which the first reader re-runs
+// from the spec. The affine map wall = anchor + scale·virtual with
+// scale = wallDuration/makespan tiles the simulated timeline onto the
+// measured execution window, so the critical path's stage durations sum
+// to the job's real latency; its parameters go on the execute span (the
+// obs.Attr* keys, plus whether the kernel served the run) so exporters
+// can invert it (obs.InverseMap).
 func executeSpec(ctx context.Context, tracer *tracing.Tracer, hash string, spec JobSpec, world *runtime.World) (*Result, runtime.RunInfo, error) {
 	var span *tracing.Span // nil (a no-op) on an unobserved run
 	var rec *obs.Recorder
@@ -98,9 +94,11 @@ func executeSpec(ctx context.Context, tracer *tracing.Tracer, hash string, spec 
 			rec = recorders.Get().(*obs.Recorder)
 		}
 	}
+	opts := spec.simOptions()
+	opts.Recorder = rec
+	opts.World = world
 	anchor := time.Now()
-	tr, info, release, err := runSpec(spec, rec, world, true)
-	defer release() // the result keeps no simulated trace
+	sum, tr, info, err := runtime.RunSimulatedSummary(spec.Cluster, spec.Placement, spec.Ensemble, opts)
 	wallSec := time.Since(anchor).Seconds()
 	if err != nil {
 		// A failed run may have left processes that still hold rec; it is
@@ -109,7 +107,12 @@ func executeSpec(ctx context.Context, tracer *tracing.Tracer, hash string, spec 
 		return nil, info, err
 	}
 	if span != nil {
-		makespan := tr.Makespan()
+		var makespan float64
+		if sum != nil {
+			makespan = sum.Makespan
+		} else {
+			makespan = tr.Makespan()
+		}
 		scale := 1.0
 		if makespan > 0 && wallSec > 0 {
 			scale = wallSec / makespan
@@ -124,16 +127,26 @@ func executeSpec(ctx context.Context, tracer *tracing.Tracer, hash string, spec 
 			rec.Reset()
 			recorders.Put(rec)
 		} else {
-			obs.DeferTraceSpans(tracer, span.Context(), tr, func() *trace.EnsembleTrace {
-				if tr, _, _, err := runSpec(spec, nil, world, false); err == nil {
+			obs.DeferTraceSpans(tracer, span.Context(), spec.traceSpans(), func() *trace.EnsembleTrace {
+				if tr, _, err := runSpec(spec, nil, world); err == nil {
 					return tr // byte-identical to this run's
 				}
 				return &trace.EnsembleTrace{}
 			}, anchor, scale)
 		}
 	}
+	if sum != nil {
+		res, err := summarize(hash, spec.Placement, sum)
+		return res, info, err
+	}
 	res, err := derive(hash, spec.Placement, tr)
 	return res, info, err
+}
+
+// traceSpans counts the component and stage spans of the spec's complete
+// trace: per component, one span plus three per step.
+func (spec JobSpec) traceSpans() int {
+	return spec.components() * (1 + 3*spec.Ensemble.Steps)
 }
 
 // derive summarizes a finished trace: surviving efficiencies (Eq. 3),
@@ -143,14 +156,29 @@ func derive(hash string, p placement.Placement, tr *trace.EnsembleTrace) (*Resul
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
+	return result(hash, p, effs, tr.DroppedMembers(), tr.Makespan(), accounting.FromTrace(tr))
+}
+
+// summarize is derive over the kernel's summary of a run, which drops no
+// member: the same Result, bit for bit, as derive of the run's trace.
+func summarize(hash string, p placement.Placement, sum *runtime.Summary) (*Result, error) {
+	effs, err := core.StateEfficiencies(sum.States)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
+	}
+	return result(hash, p, effs, nil, sum.Makespan, accounting.FromStageCoreSeconds(sum.CoreSeconds))
+}
+
+// result assembles a Result: F(P^{U,A,P}) over the surviving members'
+// efficiencies, with the drop mask, makespan and ledger.
+func result(hash string, p placement.Placement, effs []float64, dropped []int, makespan float64, ledger accounting.JobLedger) (*Result, error) {
 	if len(effs) == 0 {
 		return nil, fmt.Errorf("campaign: no surviving members in %q", p.Name)
 	}
-	dropped := tr.DroppedMembers()
 	f, err := indicators.Objective(p.Without(dropped), effs, indicators.StageUAP)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Hash: hash, Efficiencies: effs, Objective: f, Makespan: tr.Makespan(),
-		Dropped: len(dropped), DroppedMembers: dropped, Ledger: accounting.FromTrace(tr)}, nil
+	return &Result{Hash: hash, Efficiencies: effs, Objective: f, Makespan: makespan,
+		Dropped: len(dropped), DroppedMembers: dropped, Ledger: ledger}, nil
 }

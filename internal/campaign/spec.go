@@ -153,11 +153,7 @@ func (s JobSpec) Validate() error {
 	if err := s.Placement.Validate(s.Cluster); err != nil {
 		return err
 	}
-	steps := s.Ensemble.Steps
-	components := 0
-	for _, m := range s.Placement.Members {
-		components += 1 + len(m.Analyses)
-	}
+	steps, components := s.Ensemble.Steps, s.components()
 	if components > 0 && steps > maxJobWork/components {
 		return fmt.Errorf("%w: %q runs %d steps × %d components, above the %d bound",
 			errOverBound, s.Placement.Name, steps, components, maxJobWork)
@@ -169,6 +165,15 @@ func (s JobSpec) Validate() error {
 		return err
 	}
 	return s.Faults.Validate()
+}
+
+// components counts the placement's simulations and analyses.
+func (s JobSpec) components() int {
+	n := 0
+	for _, m := range s.Placement.Members {
+		n += 1 + len(m.Analyses)
+	}
+	return n
 }
 
 // decodeSpec is the one gate for spec bytes another process wrote: a

@@ -56,6 +56,20 @@ func Efficiencies(members []*trace.MemberTrace) ([]float64, error) {
 	return effs, nil
 }
 
+// StateEfficiencies is Efficiencies over steady states already extracted,
+// states[i] being member i's.
+func StateEfficiencies(states []SteadyState) ([]float64, error) {
+	effs := make([]float64, len(states))
+	for i, ss := range states {
+		e, err := ss.Efficiency()
+		if err != nil {
+			return nil, fmt.Errorf("core: member %d: %w", i, err)
+		}
+		effs[i] = e
+	}
+	return effs, nil
+}
+
 // FromMemberTrace extracts the steady-state stage durations of a member
 // from its execution trace: per-stage means over the post-warmup steps.
 // This is the bridge between measurement (TAU in the paper, the runtime's
@@ -96,8 +110,13 @@ func steadyStageMean(c *trace.ComponentTrace, s trace.Stage, opts ExtractOptions
 	if len(durs) == 0 {
 		return 0, fmt.Errorf("no recorded steps for stage %v", s)
 	}
-	w := opts.warmup(len(durs))
-	return stats.Mean(durs[w:]), nil
+	return opts.SteadyMean(durs), nil
+}
+
+// SteadyMean averages the post-warmup entries of one stage's per-step
+// durations (stats.Mean, summed in step order); NaN for no steps.
+func (o ExtractOptions) SteadyMean(durs []float64) float64 {
+	return stats.Mean(durs[o.warmup(len(durs)):])
 }
 
 // MeasuredIdle extracts the mean post-warmup idle stages actually observed

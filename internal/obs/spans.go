@@ -115,18 +115,11 @@ func DeferSpans(tr *tracing.Tracer, parent tracing.SpanContext, events []Event, 
 	})
 }
 
-// DeferTraceSpans defers the component and stage spans of a finished
-// trace — what a run with no live event stream shows for itself. et is
-// only counted: the batch pins no trace, and its first reader replays
-// (FromTrace) the equal trace rebuild returns. Returns the spans deferred.
-func DeferTraceSpans(tr *tracing.Tracer, parent tracing.SpanContext, et *trace.EnsembleTrace, rebuild func() *trace.EnsembleTrace, anchor time.Time, scale float64) int {
-	n := 0
-	for _, c := range et.Components() {
-		n++
-		for _, step := range c.Steps {
-			n += len(step.Stages)
-		}
-	}
+// DeferTraceSpans defers the n component and stage spans of a finished
+// trace — what a run with no live event stream shows for itself. The
+// batch pins no trace: its first reader replays (FromTrace) the trace
+// rebuild returns. Returns n.
+func DeferTraceSpans(tr *tracing.Tracer, parent tracing.SpanContext, n int, rebuild func() *trace.EnsembleTrace, anchor time.Time, scale float64) int {
 	return deferBridge(tr, parent, n, anchor, scale, func() func() []Event {
 		return func() []Event { return FromTrace(rebuild()) }
 	})

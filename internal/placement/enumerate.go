@@ -40,12 +40,13 @@ func (s Shape) Validate() error {
 
 // Enumerate generates every valid single-node-per-component placement of
 // the shape onto at most maxNodes nodes of the spec, deduplicated up to
-// node relabeling. The result is deterministic (lexicographic assignment
-// order).
+// node relabeling. The result is deterministic: placements come in
+// lexicographic order of their node assignments, named P1, P2, ….
 //
-// The search space is (maxNodes)^(components); callers should keep member
-// and node counts small (the paper's experiments use 2 members and at most
-// 3 nodes, well within range).
+// Only canonical assignments are generated (see Assignments), so the cost
+// is the number of set partitions of the components into at most maxNodes
+// blocks rather than maxNodes^components: 2 795 assignments for 8
+// components on 4 nodes, against 65 536.
 func Enumerate(spec cluster.Spec, shape Shape, maxNodes int) ([]Placement, error) {
 	if err := shape.Validate(); err != nil {
 		return nil, err
@@ -53,36 +54,42 @@ func Enumerate(spec cluster.Spec, shape Shape, maxNodes int) ([]Placement, error
 	if maxNodes <= 0 || maxNodes > spec.Nodes {
 		maxNodes = spec.Nodes
 	}
-	componentsPerMember := 1 + len(shape.AnalysisCores)
-	total := shape.Members * componentsPerMember
-	assignment := make([]int, total)
 	var out []Placement
-	seen := make(map[string]bool)
-
-	var rec func(pos int)
-	rec = func(pos int) {
-		if pos == total {
-			p := shapeToPlacement(shape, assignment)
-			if p.Validate(spec) != nil {
-				return
-			}
-			key := p.Key()
-			if seen[key] {
-				return
-			}
-			seen[key] = true
-			c := p.Canonical()
-			c.Name = fmt.Sprintf("P%d", len(out)+1)
-			out = append(out, c)
+	Assignments(shape.Members*(1+len(shape.AnalysisCores)), maxNodes, func(assignment []int) {
+		p := shapeToPlacement(shape, assignment)
+		if p.Validate(spec) != nil {
 			return
 		}
-		for n := 0; n < maxNodes; n++ {
-			assignment[pos] = n
-			rec(pos + 1)
+		p.Name = fmt.Sprintf("P%d", len(out)+1)
+		out = append(out, p)
+	})
+	return out, nil
+}
+
+// Assignments visits, in lexicographic order, every assignment of n
+// components to at most maxNodes nodes that is its own canonical form
+// (Placement.Canonical): each component takes a node an earlier one uses
+// or the lowest node none does (a restricted-growth string). That is one
+// assignment per class of assignments equal up to node relabeling — the
+// lexicographically smallest of the class, which is the one a brute-force
+// pass over all maxNodes^n assignments deduplicated by Key keeps first.
+// Validity on a machine of at least maxNodes nodes is the same for every
+// assignment of a class, so filtering the visited ones loses nothing.
+// visit receives one reused slice.
+func Assignments(n, maxNodes int, visit func(assignment []int)) {
+	assignment := make([]int, n)
+	var rec func(pos, used int)
+	rec = func(pos, used int) {
+		if pos == n {
+			visit(assignment)
+			return
+		}
+		for node := 0; node <= used && node < maxNodes; node++ {
+			assignment[pos] = node
+			rec(pos+1, max(used, node+1))
 		}
 	}
-	rec(0)
-	return out, nil
+	rec(0, 0)
 }
 
 // shapeToPlacement materializes an assignment vector into a placement.

@@ -1,9 +1,9 @@
 package runtime
 
 import (
-	"math/rand"
 	"slices"
 
+	"ensemblekit/internal/core"
 	"ensemblekit/internal/network"
 	"ensemblekit/internal/trace"
 )
@@ -24,6 +24,13 @@ import (
 // and compute stages draw from the same per-component seeded jitter
 // stream. What the kernel does not model it declines, statically
 // (SimOptions.NeedsEngine), and the engine runs.
+//
+// A run writes to one of two sinks. The trace sink records every stage
+// into an EnsembleTrace, for callers that read the trace. The summary sink
+// keeps one duration per stage and reduces them, once the run ends, to
+// what a job result reads (Summary); it checks each stage as
+// trace.Validate checks a trace, so the kernel declines the same runs
+// with either sink.
 
 // Component phases: what a component's next wake-up means.
 const (
@@ -50,16 +57,26 @@ type wake struct {
 
 // kcomp is one component of a kernel run.
 type kcomp struct {
-	ct       *trace.ComponentTrace
 	alloc    compAlloc
-	staging  float64        // the plan's W (sim) or co-located R (ana)
-	compute  trace.Counters // ComputeCounters, Cycles set per stage
+	staging  float64 // the plan's W (sim) or co-located R (ana)
 	jit      jitter
 	sim      int   // index of the member's simulation
 	anas     int   // sim: number of analyses (they follow it)
 	prodNode int   // ana: the simulation's node
 	bytes    int64 // chunk size
-	stages   []trace.StageRecord
+	// begin and end are the component's own timeline (trace Start, End).
+	begin, end float64
+
+	// The trace sink: ct receives the component's steps, stages its
+	// stage records, compute the counters of its compute stages (Cycles
+	// set per stage). ct is nil when the summary sink serves the run.
+	ct      *trace.ComponentTrace
+	stages  []trace.StageRecord
+	compute trace.Counters
+	// The summary sink: durs holds the component's three stages in stage
+	// order, n durations each, indexed by step; check validates them.
+	durs  []float64
+	check stageCheck
 
 	phase uint8
 	step  int
@@ -84,6 +101,8 @@ type kernel struct {
 	// timer is the fabric's pending earliest-completion event.
 	timer wake
 	pl    *simPlan
+	// durs backs the summary sink's per-component durations.
+	durs []float64
 }
 
 // arm schedules w d seconds from now, next in the engine's order.
@@ -126,9 +145,22 @@ func (k *kernel) reallocate() {
 	}
 }
 
-// record appends a stage to c's current step and, on the step's third
-// stage, closes the step.
-func (c *kcomp) record(st trace.StageRecord) {
+// record closes c's stage in progress, begun at c.start, after dur.
+func (k *kernel) record(c *kcomp, stage trace.Stage, dur float64) {
+	if c.ct == nil {
+		// S, I^S, W and R, A, I^A are each a component's stages 0, 1, 2.
+		c.durs[int(stage)%3*k.pl.es.Steps+c.step] = dur
+		c.check.stage(stage, c.start, dur)
+		return
+	}
+	st := trace.StageRecord{Stage: stage, Start: c.start, Duration: dur}
+	switch stage {
+	case trace.StageS, trace.StageA:
+		st.Counters = c.compute
+		st.Counters.Cycles = dur * k.pl.spec.ClockHz * float64(c.alloc.tenant.Cores)
+	case trace.StageW, trace.StageR:
+		st.Counters = k.pl.model.IOCounters(c.alloc.tenant, c.bytes, dur)
+	}
 	c.stages = append(c.stages, st)
 	if n := len(c.stages); n%3 == 0 {
 		c.ct.Steps = append(c.ct.Steps, trace.StepRecord{Index: c.step, Stages: c.stages[n-3 : n : n]})
@@ -143,31 +175,33 @@ func (k *kernel) compute(c *kcomp, ph uint8) {
 	k.wait(c, c.dur)
 }
 
-// computed records the compute stage that just ended.
-func (k *kernel) computed(c *kcomp, stage trace.Stage) {
-	counters := c.compute
-	counters.Cycles = c.dur * k.pl.spec.ClockHz * float64(c.alloc.tenant.Cores)
-	c.record(trace.StageRecord{Stage: stage, Start: c.start, Duration: c.dur, Counters: counters})
+// begin starts c's own timeline.
+func (k *kernel) begin(c *kcomp) {
+	c.begin = k.now
+	c.check.prevEnd = k.now
+}
+
+// finish ends c's timeline after its last step.
+func (k *kernel) finish(c *kcomp) {
+	c.end = k.now
+	c.phase = phDone
 }
 
 // resumeSim runs simulation c from its wake-up to its next block.
 func (k *kernel) resumeSim(c *kcomp) {
-	model := k.pl.model
 	switch c.phase {
 	case phStart:
-		c.ct.Start = k.now
+		k.begin(c)
 		k.compute(c, phS)
 		return
 	case phS:
-		k.computed(c, trace.StageS)
+		k.record(c, trace.StageS, c.dur)
 		// I^S: one token per analysis, each read of the previous chunk.
 		c.start, c.got = k.now, 0
 	case phIS:
 		c.got++
 	case phW:
-		wDur := k.now - c.start
-		c.record(trace.StageRecord{Stage: trace.StageW, Start: c.start, Duration: wDur,
-			Counters: model.IOCounters(c.alloc.tenant, c.bytes, wDur)})
+		k.record(c, trace.StageW, k.now-c.start)
 		self := c.sim
 		for a := self + 1; a <= self+c.anas; a++ {
 			k.offer(&k.comps[a])
@@ -176,8 +210,7 @@ func (k *kernel) resumeSim(c *kcomp) {
 		if c.step < k.pl.es.Steps {
 			k.compute(c, phS)
 		} else {
-			c.ct.End = k.now
-			c.phase = phDone
+			k.finish(c)
 		}
 		return
 	}
@@ -187,7 +220,7 @@ func (k *kernel) resumeSim(c *kcomp) {
 		}
 		c.got++
 	}
-	c.record(trace.StageRecord{Stage: trace.StageIS, Start: c.start, Duration: k.now - c.start})
+	k.record(c, trace.StageIS, k.now-c.start)
 	c.start, c.phase = k.now, phW
 	k.wait(c, c.staging)
 }
@@ -195,7 +228,6 @@ func (k *kernel) resumeSim(c *kcomp) {
 // resumeAna runs analysis c (component index ci) from its wake-up to its
 // next block.
 func (k *kernel) resumeAna(ci int, c *kcomp) {
-	model := k.pl.model
 	switch c.phase {
 	case phStart:
 		// Lead-in: the component's own timeline starts at its first read.
@@ -204,22 +236,20 @@ func (k *kernel) resumeAna(ci int, c *kcomp) {
 		}
 		fallthrough
 	case phLead:
-		c.ct.Start = k.now
+		k.begin(c)
 		k.read(ci, c)
 	case phLat:
 		k.join(ci, c)
 	case phFlow:
 		c.phase = phR
-		k.wait(c, model.DeserializeTime(c.bytes))
+		k.wait(c, k.pl.model.DeserializeTime(c.bytes))
 	case phR:
-		rDur := k.now - c.start
-		c.record(trace.StageRecord{Stage: trace.StageR, Start: c.start, Duration: rDur,
-			Counters: model.IOCounters(c.alloc.tenant, c.bytes, rDur)})
+		k.record(c, trace.StageR, k.now-c.start)
 		// The data is consumed: permit the next write.
 		k.offer(&k.comps[c.sim])
 		k.compute(c, phA)
 	case phA:
-		k.computed(c, trace.StageA)
+		k.record(c, trace.StageA, c.dur)
 		// I^A: wait for the next chunk (zero on the final step).
 		c.start = k.now
 		if c.step < k.pl.es.Steps-1 && !c.take(phIA) {
@@ -227,13 +257,12 @@ func (k *kernel) resumeAna(ci int, c *kcomp) {
 		}
 		fallthrough
 	case phIA:
-		c.record(trace.StageRecord{Stage: trace.StageIA, Start: c.start, Duration: k.now - c.start})
+		k.record(c, trace.StageIA, k.now-c.start)
 		c.step++
 		if c.step < k.pl.es.Steps {
 			k.read(ci, c)
 		} else {
-			c.ct.End = k.now
-			c.phase = phDone
+			k.finish(c)
 		}
 	}
 }
@@ -278,10 +307,27 @@ func (k *kernel) flowsDone() {
 	k.reallocate()
 }
 
-// runKernel evaluates the plan's timeline. The caller has established
-// that the options do not need the engine; ok is false when the kernel
-// still cannot vouch for the result, and the engine must run instead.
+// runKernel evaluates the plan's timeline into its trace. The caller has
+// established that the options do not need the engine; ok is false when
+// the kernel still cannot vouch for the result, and the engine must run
+// instead.
 func runKernel(pl *simPlan, opts SimOptions) (*trace.EnsembleTrace, bool) {
+	tr := traceSkeleton(pl)
+	if _, ok := evalKernel(pl, opts, tr); !ok || tr.Validate() != nil {
+		return nil, false
+	}
+	return tr, true
+}
+
+// summarizeKernel evaluates the plan's timeline into its Summary through
+// the summary sink; ok is false exactly when runKernel's would be.
+func summarizeKernel(pl *simPlan, opts SimOptions) (*Summary, bool) {
+	return evalKernel(pl, opts, nil)
+}
+
+// evalKernel runs the kernel into tr's components (the trace sink) or,
+// with a nil tr, into the summary sink, whose Summary it returns.
+func evalKernel(pl *simPlan, opts SimOptions, tr *trace.EnsembleTrace) (*Summary, bool) {
 	cfg := dimesFabricConfig(pl, nil)
 	if cfg.Validate() != nil {
 		return nil, false
@@ -290,10 +336,9 @@ func runKernel(pl *simPlan, opts SimOptions) (*trace.EnsembleTrace, bool) {
 	k.pl, k.now, k.timer.armed = pl, 0, false
 	k.flows.Reset(cfg)
 
-	tr := traceSkeleton(pl)
 	total := 0
-	for _, m := range tr.Members {
-		total += 1 + len(m.Analyses)
+	for i := range pl.p.Members {
+		total += 1 + len(pl.anas[i])
 	}
 	if cap(k.comps) < total {
 		// Keep the recycled generators of the components there were.
@@ -301,38 +346,47 @@ func runKernel(pl *simPlan, opts SimOptions) (*trace.EnsembleTrace, bool) {
 	}
 	k.comps = k.comps[:total]
 	n := pl.es.Steps
-	// A scratch run's records go to recycled storage; every record the
-	// kernel hands out is overwritten, so none needs clearing.
-	st := opts.storage
-	if st == nil {
-		st = new(traceStorage)
+	// The sink's storage: trace records are the caller's, summary
+	// durations the scratch's. Every slot is written before it is read,
+	// so none needs clearing.
+	var cts []*trace.ComponentTrace // the trace's components, in kernel order
+	var stages []trace.StageRecord
+	var steps []trace.StepRecord
+	if tr != nil {
+		cts = tr.Components()
+		stages = make([]trace.StageRecord, 3*n*total)
+		steps = make([]trace.StepRecord, n*total)
+	} else {
+		k.durs = slices.Grow(k.durs[:0], 3*n*total)[:3*n*total]
 	}
-	stages := slices.Grow(st.stages[:0], 3*n*total)[:3*n*total]
-	steps := slices.Grow(st.steps[:0], n*total)[:n*total]
-	st.stages, st.steps = stages, steps
 	ci := 0
-	bind := func(ct *trace.ComponentTrace, alloc compAlloc, staging float64, jitIndex int64, member int) *kcomp {
+	bind := func(alloc compAlloc, staging float64, jitIndex int64, member int) *kcomp {
 		c := &k.comps[ci]
 		*c = kcomp{
-			ct: ct, alloc: alloc, staging: staging,
-			compute:  pl.model.ComputeCounters(alloc.tenant, alloc.assess),
-			jit:      opts.jitter(jitIndex, c.jit.rng),
+			alloc: alloc, staging: staging,
+			jit:      opts.jitter(jitIndex, c.jit),
 			bytes:    pl.es.Members[member].Sim.BytesPerStep,
 			prodNode: pl.sims[member].node,
-			stages:   stages[3*n*ci : 3*n*ci : 3*n*(ci+1)],
 			wake:     wake{0, int64(ci), true},
 		}
-		ct.Steps = steps[n*ci : n*ci : n*(ci+1)]
+		if cts != nil {
+			c.ct = cts[ci]
+			c.compute = pl.model.ComputeCounters(alloc.tenant, alloc.assess)
+			c.stages = stages[3*n*ci : 3*n*ci : 3*n*(ci+1)]
+			c.ct.Steps = steps[n*ci : n*ci : n*(ci+1)]
+		} else {
+			c.durs = k.durs[3*n*ci : 3*n*(ci+1) : 3*n*(ci+1)]
+		}
 		ci++
 		return c
 	}
-	for i, m := range tr.Members {
+	for i := range pl.p.Members {
 		simIdx := ci
 		ss := pl.states[i]
-		s := bind(m.Simulation, pl.sims[i], ss.W, int64(i)*131, i)
-		s.sim, s.anas, s.items = simIdx, len(m.Analyses), len(m.Analyses)
-		for j, at := range m.Analyses {
-			bind(at, pl.anas[i][j], ss.Couplings[j].R, int64(i)*131+int64(j)+1, i).sim = simIdx
+		s := bind(pl.sims[i], ss.W, int64(i)*131, i)
+		s.sim, s.anas, s.items = simIdx, len(pl.anas[i]), len(pl.anas[i])
+		for j := range pl.anas[i] {
+			bind(pl.anas[i][j], ss.Couplings[j].R, int64(i)*131+int64(j)+1, i).sim = simIdx
 		}
 	}
 	k.seq = int64(total)
@@ -369,42 +423,109 @@ func runKernel(pl *simPlan, opts SimOptions) (*trace.EnsembleTrace, bool) {
 	for i := range k.comps {
 		c := &k.comps[i]
 		ok = ok && c.phase == phDone
-		*c = kcomp{jit: jitter{rng: c.jit.rng}} // the scratch keeps only its generators
+		if c.ct != nil {
+			c.ct.Start, c.ct.End = c.begin, c.end
+		} else {
+			ok = ok && c.check.close(c.end)
+		}
+	}
+	var sum *Summary
+	if ok && tr == nil {
+		sum = k.summarize()
+	}
+	for i := range k.comps {
+		c := &k.comps[i]
+		*c = kcomp{jit: jitter{rng: c.jit.rng, src: c.jit.src}} // the scratch keeps only its generators
 	}
 	k.pl = nil
 	opts.World.releaseKernel(k)
-	if !ok || tr.Validate() != nil {
-		return nil, false
-	}
-	return tr, true
+	return sum, ok
 }
 
-// jitter is a component's seeded multiplicative noise source: one draw per
-// compute stage, 1 + Jitter·N(0,1) clamped to ±3σ (and to ≥ 0.5). The
-// zero value always returns 1.
-type jitter struct {
-	rng       *rand.Rand
-	j, lo, hi float64
+// Summary is a kernel-served run reduced to what a job result reads,
+// equal bit for bit to what the same run's trace yields.
+type Summary struct {
+	// States holds each member's post-warm-up steady state
+	// (core.FromMemberTrace of the member's trace).
+	States []core.SteadyState
+	// Makespan is the trace's (trace.EnsembleTrace.Makespan).
+	Makespan float64
+	// CoreSeconds is, per stage (indexed by trace.Stage), the sum of each
+	// such stage's duration times its component's cores, over components
+	// in trace order and each one's steps in order: the sums
+	// accounting.FromTrace charges.
+	CoreSeconds [trace.NumStages]float64
 }
 
-// jitter returns the noise source of the component with the given stream
-// index, re-seeding rng when one is supplied instead of allocating.
-func (o SimOptions) jitter(componentIndex int64, rng *rand.Rand) jitter {
-	if o.Jitter <= 0 {
-		return jitter{rng: rng}
+// summarize folds the summary sink's durations once the run has ended,
+// in the orders the trace's readers use.
+func (k *kernel) summarize() *Summary {
+	pl, n := k.pl, k.pl.es.Steps
+	sum := &Summary{States: make([]core.SteadyState, len(pl.p.Members))}
+	// series is component c's stage at position pos (0–2).
+	series := func(c *kcomp, pos int) []float64 { return c.durs[pos*n : (pos+1)*n] }
+	var extract core.ExtractOptions
+	ci := 0
+	for i := range pl.p.Members {
+		sim := &k.comps[ci]
+		ss := core.SteadyState{
+			S:         extract.SteadyMean(series(sim, 0)),
+			W:         extract.SteadyMean(series(sim, 2)),
+			Couplings: make([]core.Coupling, sim.anas),
+		}
+		end := k.comps[ci+1].end
+		for j := range ss.Couplings {
+			a := &k.comps[ci+1+j]
+			ss.Couplings[j] = core.Coupling{R: extract.SteadyMean(series(a, 0)), A: extract.SteadyMean(series(a, 1))}
+			if a.end > end {
+				end = a.end
+			}
+		}
+		sum.States[i] = ss
+		if ms := end - sim.begin; ms > sum.Makespan {
+			sum.Makespan = ms
+		}
+		ci += 1 + sim.anas
 	}
-	seed := o.Seed*7919 + componentIndex
-	if rng == nil {
-		rng = rand.New(rand.NewSource(seed))
-	} else {
-		rng.Seed(seed)
+	for ci := range k.comps {
+		c := &k.comps[ci]
+		first := trace.StageR
+		if c.sim == ci {
+			first = trace.StageS
+		}
+		cores := float64(c.alloc.tenant.Cores)
+		for pos := range 3 {
+			cs := &sum.CoreSeconds[first+trace.Stage(pos)]
+			for _, d := range series(c, pos) {
+				coreSec := cores * d
+				*cs += coreSec
+			}
+		}
 	}
-	return jitter{rng: rng, j: o.Jitter, lo: max(1-3*o.Jitter, 0.5), hi: 1 + 3*o.Jitter}
+	return sum
 }
 
-func (j *jitter) next() float64 {
-	if j.j <= 0 {
-		return 1
+// stageCheck applies trace.Validate's checks to one component's stages as
+// the summary sink records them: a valid stage, a non-negative duration,
+// no stage starting before the previous one ended (1e-9 s slack), and an
+// end no earlier than the last stage's.
+type stageCheck struct {
+	prevEnd float64 // the component's start, then its last stage's end
+	bad     bool
+}
+
+func (s *stageCheck) stage(st trace.Stage, start, dur float64) {
+	if !st.Valid() || dur < 0 || start < s.prevEnd-1e-9 {
+		s.bad = true
 	}
-	return min(max(1+j.j*j.rng.NormFloat64(), j.lo), j.hi)
+	s.prevEnd = start + dur
+}
+
+// close reports whether every stage passed and a component ending at end
+// passes too.
+func (s *stageCheck) close(end float64) bool {
+	if end < s.prevEnd-1e-9 {
+		s.bad = true
+	}
+	return !s.bad
 }

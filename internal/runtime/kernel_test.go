@@ -7,7 +7,9 @@ import (
 	"slices"
 	"testing"
 
+	"ensemblekit/internal/campaign/accounting"
 	"ensemblekit/internal/cluster"
+	"ensemblekit/internal/core"
 	"ensemblekit/internal/faults"
 	"ensemblekit/internal/kernels"
 	"ensemblekit/internal/network"
@@ -343,6 +345,67 @@ func TestKernelEqualsEngine(t *testing.T) {
 		checkKernelEqualsEngine(t, world, cases[i])
 	}
 	t.Logf("%d of %d cases run, bit-identical, none declined", (len(cases)+stride-1)/stride, len(cases))
+}
+
+// TestSummaryEqualsTrace is the summary sink's oracle over the
+// differential suite's cases: every member's steady state, the makespan
+// and the ledger's core-seconds it yields equal bit for bit what the
+// trace sink's trace of the same run yields to the functions a job result
+// is derived from (core.FromMemberTrace, Makespan, accounting.FromTrace).
+// Under the race detector it runs every fifth case.
+func TestSummaryEqualsTrace(t *testing.T) {
+	cases := append(append(tableCases(), enumeratedCases(t)...), randomCases(t)...)
+	stride := 1
+	if raceEnabled {
+		stride = 5
+	}
+	world := runtime.NewWorld()
+	for i := 0; i < len(cases); i += stride {
+		c := cases[i]
+		opts := c.opts
+		opts.World = world
+		tr := runTrace(t, c, opts, true)
+		sum, engine, info, err := runtime.RunSimulatedSummary(c.spec, c.p, c.es, opts)
+		if err != nil || sum == nil || engine != nil || !info.FastPath {
+			t.Fatalf("%s: summary %v, engine trace %v, err %v", c.name, sum != nil, engine != nil, err)
+		}
+		if d := summaryDiff(sum, tr); d != "" {
+			t.Fatalf("%s: summary differs from its trace at %s", c.name, d)
+		}
+	}
+}
+
+// summaryDiff names the first value where a summary and what the trace
+// yields differ, comparing floats by bit pattern, or returns "".
+func summaryDiff(sum *runtime.Summary, tr *trace.EnsembleTrace) string {
+	if len(sum.States) != len(tr.Members) {
+		return "members"
+	}
+	for i, m := range tr.Members {
+		want, err := core.FromMemberTrace(m, core.ExtractOptions{})
+		if err != nil {
+			return fmt.Sprintf("members[%d]: %v", i, err)
+		}
+		got := sum.States[i]
+		if !sameFloat(got.S, want.S) || !sameFloat(got.W, want.W) || len(got.Couplings) != len(want.Couplings) {
+			return fmt.Sprintf("states[%d]", i)
+		}
+		for j, c := range want.Couplings {
+			if !sameFloat(got.Couplings[j].R, c.R) || !sameFloat(got.Couplings[j].A, c.A) {
+				return fmt.Sprintf("states[%d].couplings[%d]", i, j)
+			}
+		}
+	}
+	if !sameFloat(sum.Makespan, tr.Makespan()) {
+		return "makespan"
+	}
+	got, want := accounting.FromStageCoreSeconds(sum.CoreSeconds).Splits(), accounting.FromTrace(tr).Splits()
+	for k := range want {
+		if !sameFloat(got[k].Busy, want[k].Busy) || !sameFloat(got[k].Idle, want[k].Idle) {
+			return "ledger." + accounting.Classes()[k]
+		}
+	}
+	return ""
 }
 
 // TestKernelDeclines: one case per static precondition. The engine serves

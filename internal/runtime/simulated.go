@@ -3,7 +3,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"ensemblekit/internal/cluster"
 	"ensemblekit/internal/dtl"
@@ -75,9 +74,6 @@ type SimOptions struct {
 	// not need the engine (see NeedsEngine) without being asked. The field
 	// remains only because the frozen benchmark probes set it.
 	FastPath bool
-
-	// storage is where the kernel writes a RunSimulatedScratch trace.
-	storage *traceStorage
 }
 
 // NeedsEngine reports whether a run with these options must execute on the
@@ -127,35 +123,56 @@ type RunInfo struct {
 	DESEvents int64
 }
 
-// RunSimulatedScratch is RunSimulatedInfo for a caller that reads the
-// trace and drops it: a kernel-served trace's stage and step records are
-// written into storage borrowed from opts.World, and release hands it
-// back for the next run. Nothing may read the trace after release; a
-// caller that never calls it leaves the storage to the GC.
-func RunSimulatedScratch(spec cluster.Spec, p placement.Placement, es EnsembleSpec, opts SimOptions) (*trace.EnsembleTrace, RunInfo, func(), error) {
-	release := func() {}
-	if w := opts.World; w != nil {
-		opts.storage = w.traces.Get().(*traceStorage)
-		release = sync.OnceFunc(func() { w.traces.Put(opts.storage) })
-	}
-	tr, info, err := RunSimulatedInfo(spec, p, es, opts)
-	return tr, info, release, err
-}
-
 // RunSimulatedInfo is RunSimulated plus execution metadata. The timeline
 // kernel serves every run that neither needs the engine nor asked for its
 // event stream; the engine serves the rest. Both produce the same
 // EnsembleTrace.
 func RunSimulatedInfo(spec cluster.Spec, p placement.Placement, es EnsembleSpec, opts SimOptions) (*trace.EnsembleTrace, RunInfo, error) {
+	pl, info, err := acquirePlan(spec, p, es, opts)
+	if err != nil {
+		return nil, info, err
+	}
+	if opts.Recorder == nil && !opts.needsEngine() {
+		if tr, ok := runKernel(pl, opts); ok {
+			info.FastPath = true
+			return tr, info, nil
+		}
+	}
+	tr, events, err := runJoint(pl, opts, faults.NewInjector(opts.Faults))
+	info.DESEvents = events
+	return tr, info, err
+}
+
+// RunSimulatedSummary is RunSimulatedInfo for a caller that reads only
+// what a job result reads. When the timeline kernel serves the run it
+// writes no trace and returns the run's Summary (the summary sink); when
+// the engine serves it, it returns the engine's trace and no Summary.
+func RunSimulatedSummary(spec cluster.Spec, p placement.Placement, es EnsembleSpec, opts SimOptions) (*Summary, *trace.EnsembleTrace, RunInfo, error) {
+	pl, info, err := acquirePlan(spec, p, es, opts)
+	if err != nil {
+		return nil, nil, info, err
+	}
+	if opts.Recorder == nil && !opts.needsEngine() {
+		if sum, ok := summarizeKernel(pl, opts); ok {
+			info.FastPath = true
+			return sum, nil, info, nil
+		}
+	}
+	tr, events, err := runJoint(pl, opts, faults.NewInjector(opts.Faults))
+	info.DESEvents = events
+	return nil, tr, info, err
+}
+
+// acquirePlan validates a run's inputs and returns its frozen plan:
+// borrowed from the World when one is attached (a model override is not
+// content-addressable, so it always builds fresh and never caches). A
+// cache hit skips re-validation — the same spec/placement/ensemble were
+// validated when the plan was built; a miss validates in the historical
+// order first.
+func acquirePlan(spec cluster.Spec, p placement.Placement, es EnsembleSpec, opts SimOptions) (*simPlan, RunInfo, error) {
 	var info RunInfo
 	slots := normSlots(opts.StagingSlots)
 	tierName := opts.tier()
-
-	// Plan acquisition: borrow the frozen plan from the World when one is
-	// attached (a model override is not content-addressable, so it always
-	// builds fresh and never caches). A cache hit skips re-validation —
-	// the same spec/placement/ensemble were validated when the plan was
-	// built; a miss validates in the historical order first.
 	var pl *simPlan
 	var key [32]byte
 	cacheable := opts.World != nil && opts.Model == nil
@@ -189,17 +206,7 @@ func RunSimulatedInfo(spec cluster.Spec, p placement.Placement, es EnsembleSpec,
 			opts.World.storePlan(key, pl)
 		}
 	}
-
-	if opts.Recorder == nil && !opts.needsEngine() {
-		if tr, ok := runKernel(pl, opts); ok {
-			info.FastPath = true
-			return tr, info, nil
-		}
-	}
-
-	tr, events, err := runJoint(pl, opts, faults.NewInjector(opts.Faults))
-	info.DESEvents = events
-	return tr, info, err
+	return pl, info, nil
 }
 
 // traceSkeleton builds the EnsembleTrace shell (component identities,
@@ -505,7 +512,7 @@ func (r *simRun) launchMember(i int, simA compAlloc, anaA []compAlloc, mt *trace
 
 	// Simulation process.
 	simTrace := mt.Simulation
-	simJitter := r.opts.jitter(int64(i)*131, nil)
+	simJitter := r.opts.jitter(int64(i)*131, jitter{})
 	simCores := coreLabel(simA.node)
 	simProc := r.env.Go(simTrace.Name, func(p *sim.Proc) error {
 		cc := &compCtx{r: r, p: p, ct: simTrace, node: simA.node, member: i}
@@ -609,7 +616,7 @@ func (r *simRun) launchMember(i int, simA compAlloc, anaA []compAlloc, mt *trace
 		anaTrace := mt.Analyses[j]
 		alloc := anaA[j]
 		assess := alloc.assess
-		anaJitter := r.opts.jitter(int64(i)*131+int64(j)+1, nil)
+		anaJitter := r.opts.jitter(int64(i)*131+int64(j)+1, jitter{})
 		anaCores := coreLabel(alloc.node)
 		proc := r.env.Go(anaTrace.Name, func(p *sim.Proc) error {
 			cc := &compCtx{r: r, p: p, ct: anaTrace, node: alloc.node, member: i}

@@ -11,7 +11,6 @@ import (
 	"ensemblekit/internal/core"
 	"ensemblekit/internal/placement"
 	"ensemblekit/internal/sim"
-	"ensemblekit/internal/trace"
 )
 
 // simPlan is the frozen, execution-independent half of a simulated run:
@@ -246,12 +245,45 @@ func SteadyStates(spec cluster.Spec, p placement.Placement, es EnsembleSpec) ([]
 	return pl.states, pl.exact, nil
 }
 
+// PriceSteadyStates returns each member's steady state as a jitter- and
+// fault-free run of the placement on flat DIMES with one staging slot
+// measures it (its post-warm-up stage means), from one plan: the closed
+// form SteadyStates returns where that is exact, equal to the run's means
+// to rounding; the timeline kernel's summary of the run elsewhere.
+func PriceSteadyStates(spec cluster.Spec, p placement.Placement, es EnsembleSpec) ([]core.SteadyState, error) {
+	if err := validateInputs(spec, p, es); err != nil {
+		return nil, err
+	}
+	pl, err := buildPlan(spec, p, es, TierDimes, 1, nil)
+	if err != nil {
+		return nil, err
+	}
+	if pl.exact {
+		return pl.states, nil
+	}
+	if sum, ok := summarizeKernel(pl, SimOptions{}); ok {
+		return sum.States, nil
+	}
+	tr, _, err := runJoint(pl, SimOptions{}, nil)
+	if err != nil {
+		return nil, err
+	}
+	states := make([]core.SteadyState, len(tr.Members))
+	for i, m := range tr.Members {
+		if states[i], err = core.FromMemberTrace(m, core.ExtractOptions{}); err != nil {
+			return nil, err
+		}
+	}
+	return states, nil
+}
+
 // World is the shared immutable state of a campaign: a content-addressed
-// cache of frozen simPlans plus arenas of recycled simulation
-// environments and kernel scratch. One World serves arbitrarily many
-// concurrent jobs — the plan cache is read-mostly under a mutex and the
-// arenas are sync.Pools — so a campaign service creates exactly one and
-// threads it through every execution via SimOptions.World.
+// cache of frozen simPlans, arenas of recycled simulation environments and
+// kernel scratch, and a bounded memo of seeded jitter sources. One World
+// serves arbitrarily many concurrent jobs — the plan cache and the seed
+// memo are read-mostly under mutexes and the arenas are sync.Pools — so a
+// campaign service creates exactly one and threads it through every
+// execution via SimOptions.World.
 //
 // Correctness: a plan is keyed by everything that shapes it (cluster
 // spec, placement, ensemble spec, tier, staging depth) and carries no
@@ -259,16 +291,17 @@ func SteadyStates(spec cluster.Spec, p placement.Placement, es EnsembleSpec) ([]
 // recycled only after sim.Env.Reset succeeds, which restores the
 // NewEnv-identical starting state while keeping allocations, so a pooled
 // environment replays events bit-identically to a fresh one (pinned by
-// the golden determinism tests).
+// the golden determinism tests). A memoized seed hands a stream the exact
+// state seeding would (TestSeedMemoStreamEquality).
 type World struct {
 	mu    sync.Mutex
 	plans map[[32]byte]*simPlan
 	envs  sync.Pool
 	// kernels recycles timeline-kernel scratch (component states, flow
-	// set, jitter generators); a kernel keeps nothing of a finished run.
+	// set, jitter generators, summary durations); a kernel keeps nothing
+	// of a finished run.
 	kernels sync.Pool
-	// traces recycles released kernel trace storage (RunSimulatedScratch).
-	traces sync.Pool
+	seeds   seedMemo
 
 	// hits/misses instrument the plan cache (read via Stats).
 	hits, misses int64
@@ -278,24 +311,32 @@ type World struct {
 func NewWorld() *World {
 	w := &World{plans: make(map[[32]byte]*simPlan)}
 	w.envs.New = func() any { return sim.NewEnv() }
-	w.traces.New = func() any { return new(traceStorage) }
+	w.seeds.index = make(map[int64]int, seedSlots)
 	return w
 }
 
-// WorldStats counts plan-cache traffic.
+// WorldStats counts plan-cache and seed-memo traffic.
 type WorldStats struct {
 	PlanHits   int64
 	PlanMisses int64
+	// SeedHits counts jitter streams copied from a memoized seed,
+	// SeedMisses the streams that were seeded.
+	SeedHits   int64
+	SeedMisses int64
 }
 
-// Stats returns the plan-cache counters.
+// Stats returns the plan-cache and seed-memo counters.
 func (w *World) Stats() WorldStats {
 	if w == nil {
 		return WorldStats{}
 	}
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	return WorldStats{PlanHits: w.hits, PlanMisses: w.misses}
+	st := WorldStats{PlanHits: w.hits, PlanMisses: w.misses}
+	w.mu.Unlock()
+	w.seeds.mu.Lock()
+	st.SeedHits, st.SeedMisses = w.seeds.hits, w.seeds.misses
+	w.seeds.mu.Unlock()
+	return st
 }
 
 // cachedPlan returns the frozen plan for the key, or nil on a miss.
@@ -356,10 +397,4 @@ func (w *World) releaseKernel(k *kernel) {
 	if w != nil {
 		w.kernels.Put(k)
 	}
-}
-
-// traceStorage holds a kernel trace's stage and step records for reuse.
-type traceStorage struct {
-	stages []trace.StageRecord
-	steps  []trace.StepRecord
 }

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"fmt"
 	"testing"
 
 	"ensemblekit/internal/cluster"
@@ -80,5 +81,39 @@ func TestEnumerationCacheReplay(t *testing.T) {
 	replay := collectCandidates(spec, shape, 2)
 	if replay[0] != first[0] {
 		t.Fatalf("rename leaked into the cache: %q != %q", replay[0], first[0])
+	}
+}
+
+// TestEnumerationIsPlacementEnumerate: the scheduler's enumeration visits
+// placement.Enumerate's candidates (TestEnumerateEqualsBruteForce pins
+// those to the brute force) in the same order, under its own names.
+func TestEnumerationIsPlacementEnumerate(t *testing.T) {
+	for _, c := range []struct{ members, analyses, nodes int }{
+		{2, 1, 3}, {3, 1, 4}, {2, 2, 4}, {2, 3, 4},
+	} {
+		spec := cluster.Cori(c.nodes)
+		es := runtime.PaperEnsemble("enum", c.members, c.analyses, 4)
+		shape, err := shapeOf(es)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pshape := placement.Shape{SimCores: placement.SimCores, Members: c.members}
+		for range c.analyses {
+			pshape.AnalysisCores = append(pshape.AnalysisCores, placement.AnalysisCores)
+		}
+		want, err := placement.Enumerate(spec, pshape, c.nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		enumerateRaw(spec, shape, c.nodes, func(p placement.Placement) {
+			if i >= len(want) || p.Key() != want[i].Key() || p.Name != fmt.Sprintf("candidate-%d", i+1) {
+				t.Fatalf("%+v: candidate %d is %s %s", c, i, p.Name, p.Key())
+			}
+			i++
+		})
+		if i != len(want) {
+			t.Errorf("%+v: %d candidates, placement.Enumerate %d", c, i, len(want))
+		}
 	}
 }

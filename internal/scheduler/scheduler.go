@@ -30,34 +30,20 @@ type Objective func(p placement.Placement) (float64, error)
 
 // NewObjective scores placements by F at the given indicator stage over
 // the members' Equation 3 efficiencies, jitter- and fault-free on flat
-// DIMES. It prices a placement in closed form (runtime.SteadyStates)
-// where that equals the simulation, and runs the simulation
-// (runtime.RunSimulated, which the timeline kernel serves) where some
-// NIC fair-shares concurrent remote reads: the placement decides, and
-// either way the score is the simulation's, to rounding.
+// DIMES. It prices a placement once (runtime.PriceSteadyStates): in
+// closed form where that equals the simulation, and by the timeline
+// kernel, from the same plan, where some NIC fair-shares concurrent
+// remote reads. The placement decides, and either way the score is the
+// simulation's, to rounding.
 func NewObjective(spec cluster.Spec, es runtime.EnsembleSpec, stage indicators.StageSet) Objective {
 	return func(p placement.Placement) (float64, error) {
-		spec := specFor(spec, p)
-		states, exact, err := runtime.SteadyStates(spec, p, es)
+		states, err := runtime.PriceSteadyStates(specFor(spec, p), p, es)
 		if err != nil {
 			return 0, err
 		}
-		var effs []float64
-		if exact {
-			effs = make([]float64, len(states))
-			for i, ss := range states {
-				if effs[i], err = ss.Efficiency(); err != nil {
-					return 0, err
-				}
-			}
-		} else {
-			tr, err := runtime.RunSimulated(spec, p, es, runtime.SimOptions{})
-			if err != nil {
-				return 0, err
-			}
-			if effs, err = Efficiencies(tr); err != nil {
-				return 0, err
-			}
+		effs, err := core.StateEfficiencies(states)
+		if err != nil {
+			return 0, err
 		}
 		return indicators.Objective(p, effs, stage)
 	}

@@ -120,39 +120,23 @@ func enumeratePlacements(spec cluster.Spec, shape [][]int, maxNodes int, visit f
 	}
 }
 
-// enumerateRaw is the uncached enumeration behind enumeratePlacements.
+// enumerateRaw is the uncached enumeration behind enumeratePlacements:
+// the canonical assignments (placement.Assignments) that fit the machine.
 func enumerateRaw(spec cluster.Spec, shape [][]int, maxNodes int, visit func(placement.Placement)) {
 	total := 0
 	for _, cores := range shape {
 		total += len(cores)
 	}
-	assignment := make([]int, total)
-	seen := make(map[string]bool)
 	count := 0
-
-	var rec func(pos int)
-	rec = func(pos int) {
-		if pos == total {
-			p := materialize(shape, assignment)
-			if p.Validate(spec) != nil {
-				return
-			}
-			key := p.Key()
-			if seen[key] {
-				return
-			}
-			seen[key] = true
-			count++
-			p.Name = fmt.Sprintf("candidate-%d", count)
-			visit(p)
+	placement.Assignments(total, maxNodes, func(assignment []int) {
+		p := materialize(shape, assignment)
+		if p.Validate(spec) != nil {
 			return
 		}
-		for n := 0; n < maxNodes; n++ {
-			assignment[pos] = n
-			rec(pos + 1)
-		}
-	}
-	rec(0)
+		count++
+		p.Name = fmt.Sprintf("candidate-%d", count)
+		visit(p)
+	})
 }
 
 // Exhaustive evaluates every valid placement of the ensemble on up to

@@ -62,9 +62,10 @@ func (sc SpanContext) Traceparent() string {
 	return "00-" + sc.TraceID.String() + "-" + sc.SpanID.String() + "-01"
 }
 
-// ParseTraceparent parses a W3C traceparent header value. It accepts
-// any version byte except "ff", requires the version-00 field layout,
-// and rejects all-zero IDs, per the trace-context spec.
+// ParseTraceparent parses a W3C traceparent header value. Every field
+// is lower-case hex; the version is any but "ff", laid out as version 00,
+// and only a later version may carry trailing "-"-separated data. All-zero
+// IDs are rejected, per the trace-context spec.
 func ParseTraceparent(h string) (SpanContext, error) {
 	var sc SpanContext
 	if len(h) < 55 {
@@ -73,25 +74,38 @@ func ParseTraceparent(h string) (SpanContext, error) {
 	if h[2] != '-' || h[35] != '-' || h[52] != '-' {
 		return sc, fmt.Errorf("traceparent malformed: %q", h)
 	}
-	if h[:2] == "ff" {
-		return sc, fmt.Errorf("traceparent version ff is invalid")
+	for _, f := range [...]struct{ name, hex string }{
+		{"version", h[:2]}, {"trace-id", h[3:35]}, {"parent-id", h[36:52]}, {"flags", h[53:55]},
+	} {
+		if !lowerHex(f.hex) {
+			return sc, fmt.Errorf("traceparent %s is not lower-case hex: %q", f.name, f.hex)
+		}
 	}
-	if len(h) > 55 && h[55] != '-' {
+	switch {
+	case h[:2] == "ff":
+		return sc, fmt.Errorf("traceparent version ff is invalid")
+	case len(h) > 55 && h[:2] == "00":
+		return sc, fmt.Errorf("traceparent version 00 has trailing data: %q", h)
+	case len(h) > 55 && h[55] != '-':
 		return sc, fmt.Errorf("traceparent malformed after flags: %q", h)
 	}
-	if _, err := hex.Decode(sc.TraceID[:], []byte(h[3:35])); err != nil {
-		return sc, fmt.Errorf("traceparent trace-id: %w", err)
-	}
-	if _, err := hex.Decode(sc.SpanID[:], []byte(h[36:52])); err != nil {
-		return sc, fmt.Errorf("traceparent parent-id: %w", err)
-	}
-	if _, err := hex.Decode(make([]byte, 1), []byte(h[53:55])); err != nil {
-		return sc, fmt.Errorf("traceparent flags: %w", err)
-	}
+	// Both decode: the fields were checked above.
+	hex.Decode(sc.TraceID[:], []byte(h[3:35]))
+	hex.Decode(sc.SpanID[:], []byte(h[36:52]))
 	if !sc.IsValid() {
 		return sc, fmt.Errorf("traceparent has all-zero IDs")
 	}
 	return sc, nil
+}
+
+// lowerHex reports whether s is made of the digits 0-9 and a-f only.
+func lowerHex(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // Attr is one span attribute. Values are JSON-encoded on export;

@@ -34,14 +34,22 @@ func TestParseTraceparentRejects(t *testing.T) {
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7x01", // bad separator
 		"00-ZZf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // non-hex
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01extra",
+		"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",      // non-hex version
+		"0A-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",      // upper-case version
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",      // upper-case trace-id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00F067AA0BA902B7-01",      // upper-case parent-id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0A",      // upper-case flags
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0g",      // non-hex flags
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-more", // version 00 with trailing data
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-more", // version ff, trailing data
 	}
 	for _, h := range bad {
 		if _, err := ParseTraceparent(h); err == nil {
 			t.Errorf("ParseTraceparent(%q) accepted malformed input", h)
 		}
 	}
-	// A longer header with a valid continuation separator parses.
-	ok := "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-anything"
+	// A later version may carry more fields after a separator.
+	ok := "01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-anything"
 	if _, err := ParseTraceparent(ok); err != nil {
 		t.Errorf("ParseTraceparent(%q): %v", ok, err)
 	}

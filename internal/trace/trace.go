@@ -35,21 +35,23 @@ const (
 	StageA
 	// StageIA is the analysis idle stage (waiting for the next chunk).
 	StageIA
-	numStages
+	// NumStages counts the stages: an array indexed by Stage has this
+	// length.
+	NumStages
 )
 
-var stageNames = [numStages]string{"S", "I^S", "W", "R", "A", "I^A"}
+var stageNames = [NumStages]string{"S", "I^S", "W", "R", "A", "I^A"}
 
 // String returns the paper's notation for the stage.
 func (s Stage) String() string {
-	if s < 0 || s >= numStages {
+	if s < 0 || s >= NumStages {
 		return fmt.Sprintf("Stage(%d)", int(s))
 	}
 	return stageNames[s]
 }
 
 // Valid reports whether s is one of the defined stages.
-func (s Stage) Valid() bool { return s >= 0 && s < numStages }
+func (s Stage) Valid() bool { return s >= 0 && s < NumStages }
 
 // SimulationStages lists the stages a simulation component records per in
 // situ step, in execution order (Section 3.1: S before I^S before W).

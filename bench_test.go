@@ -704,11 +704,11 @@ func BenchmarkEventsSubscribe(b *testing.B) {
 	}
 	for _, leg := range []struct {
 		name      string
-		subscribe func() ([]campaign.JobEvent, <-chan campaign.JobEvent, func())
+		subscribe func() ([]campaign.JobEvent, <-chan *campaign.JobEvent, func())
 		want      int
 	}{
 		{"full-ring", bc.Subscribe, hist},
-		{"scoped", func() ([]campaign.JobEvent, <-chan campaign.JobEvent, func()) {
+		{"scoped", func() ([]campaign.JobEvent, <-chan *campaign.JobEvent, func()) {
 			return bc.SubscribeCampaign("c-7", 0)
 		}, mine},
 	} {

@@ -15,10 +15,13 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
+	"math"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 
 	"ensemblekit/internal/cluster"
 	"ensemblekit/internal/indicators"
@@ -63,23 +66,12 @@ func run(members, analyses, nodes int, mode string, top, iterations int, seed in
 		if err != nil {
 			return err
 		}
-		type scored struct {
-			p placement.Placement
-			f float64
-		}
-		var all []scored
-		for _, c := range candidates {
-			f, err := obj(c)
-			if err != nil {
-				continue
-			}
-			all = append(all, scored{p: c, f: f})
-		}
+		all := score(candidates, obj)
 		if len(all) == 0 {
 			return fmt.Errorf("no feasible placement for %d members x (1+%d) components on %d nodes",
 				members, analyses, nodes)
 		}
-		sort.Slice(all, func(i, j int) bool { return all[i].f > all[j].f })
+		rank(all)
 		t := report.NewTable(
 			fmt.Sprintf("Top placements by F(P^{U,A,P}) — %d members, %d analyses/sim, %d nodes, %d candidates",
 				members, analyses, nodes, len(all)),
@@ -107,6 +99,46 @@ func run(members, analyses, nodes int, mode string, top, iterations int, seed in
 		return fmt.Errorf("unknown mode %q", mode)
 	}
 	return nil
+}
+
+// scored is one feasible candidate with its objective and placement key.
+type scored struct {
+	p   placement.Placement
+	key string
+	f   float64
+}
+
+// score prices every candidate the objective accepts.
+func score(candidates []placement.Placement, obj scheduler.Objective) []scored {
+	var all []scored
+	for _, c := range candidates {
+		f, err := obj(c)
+		if err != nil {
+			continue
+		}
+		all = append(all, scored{p: c, key: c.Key(), f: f})
+	}
+	return all
+}
+
+// tieTolerance is the relative difference in F below which two
+// placements tie: two pricings of equal placements may differ by float
+// noise, and the ranking must not depend on it.
+const tieTolerance = 1e-12
+
+// rank orders all by descending F. Runs of candidates each within
+// tieTolerance·|F| of the next are ties, ordered by placement key, so
+// the ranking does not depend on the order the candidates arrive in.
+func rank(all []scored) {
+	slices.SortStableFunc(all, func(a, b scored) int { return cmp.Compare(b.f, a.f) })
+	for i := 0; i < len(all); {
+		j := i + 1
+		for j < len(all) && math.Abs(all[j-1].f-all[j].f) <= tieTolerance*math.Abs(all[j-1].f) {
+			j++
+		}
+		slices.SortStableFunc(all[i:j], func(a, b scored) int { return strings.Compare(a.key, b.key) })
+		i = j
+	}
 }
 
 // progressMonitor prints search progress to stderr at the default cadence.

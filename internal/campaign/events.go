@@ -74,12 +74,14 @@ func (e JobEvent) Terminal() bool {
 // memory and zero blocking on the publish path: each subscriber owns a
 // fixed-size buffered channel, and a subscriber whose buffer is full when
 // an event of its scope arrives is dropped (its channel closed) rather
-// than stalling the worker that published the event. A bounded history
-// ring lets late subscribers replay recent transitions — the SSE handler
-// uses it to close the race between POSTing a campaign and connecting its
-// stream. A subscription's scope is applied here, under the lock, to the
-// replay and to live delivery alike: a campaign's stream copies and
-// receives that campaign's events only.
+// than stalling the worker that published the event. A published event
+// is allocated once and shared by pointer among the subscribers it
+// reaches, so it is immutable: receivers read it and never write it. A
+// bounded history ring lets late subscribers replay recent transitions —
+// the SSE handler uses it to close the race between POSTing a campaign
+// and connecting its stream. A subscription's scope is applied here,
+// under the lock, to the replay and to live delivery alike: a campaign's
+// stream copies and receives that campaign's events only.
 type Broadcaster struct {
 	// OnDrop, if set, observes each subscriber dropped for falling behind.
 	OnDrop func()
@@ -94,7 +96,7 @@ type Broadcaster struct {
 	ring    []JobEvent // capacity-bounded history, oldest first
 	start   int        // ring read index
 	count   int        // live entries in ring
-	subs    map[chan JobEvent]scope
+	subs    map[chan *JobEvent]scope
 	dropped int64 // subscribers dropped for falling behind
 	evicted int64 // events evicted from history
 	closed  bool
@@ -107,7 +109,7 @@ func NewBroadcaster(histCap, subBuf int) *Broadcaster {
 	if subBuf < 1 {
 		subBuf = 1
 	}
-	b := &Broadcaster{subs: make(map[chan JobEvent]scope), subBuf: subBuf}
+	b := &Broadcaster{subs: make(map[chan *JobEvent]scope), subBuf: subBuf}
 	if histCap > 0 {
 		b.ring = make([]JobEvent, histCap)
 	}
@@ -128,7 +130,8 @@ func (sc scope) admits(ev *JobEvent) bool {
 
 // Publish stamps ev with the next sequence number, appends it to the
 // history ring, and offers it to every subscriber whose scope admits it,
-// without blocking.
+// without blocking. The event is copied to the heap once, on the first
+// subscriber that admits it, and that one copy is handed to them all.
 func (b *Broadcaster) Publish(ev JobEvent) {
 	b.mu.Lock()
 	if b.closed {
@@ -147,12 +150,17 @@ func (b *Broadcaster) Publish(ev JobEvent) {
 		b.count++
 	}
 	var dropped int
+	var shared *JobEvent
 	for ch, sc := range b.subs {
 		if !sc.admits(&ev) {
 			continue
 		}
+		if shared == nil {
+			shared = new(JobEvent)
+			*shared = ev
+		}
 		select {
-		case ch <- ev:
+		case ch <- shared:
 		default:
 			// Slow consumer: dropping it is the bounded-memory contract.
 			delete(b.subs, ch)
@@ -178,8 +186,9 @@ func (b *Broadcaster) Publish(ev JobEvent) {
 // every event published after the snapshot — the two never overlap and
 // never gap. The channel is closed when the subscriber is dropped for
 // falling behind or the broadcaster closes; cancel unsubscribes
-// (idempotent, safe after drop).
-func (b *Broadcaster) Subscribe() (replay []JobEvent, ch <-chan JobEvent, cancel func()) {
+// (idempotent, safe after drop). Events received on ch are shared with
+// other subscribers and must not be modified.
+func (b *Broadcaster) Subscribe() (replay []JobEvent, ch <-chan *JobEvent, cancel func()) {
 	return b.subscribe(scope{all: true})
 }
 
@@ -188,12 +197,12 @@ func (b *Broadcaster) Subscribe() (replay []JobEvent, ch <-chan JobEvent, cancel
 // Seq as it was before the campaign's first event (0 for all of them).
 // Other campaigns' events are neither copied into replay nor offered to
 // ch, so they cannot make this subscriber fall behind.
-func (b *Broadcaster) SubscribeCampaign(campaign string, after int64) (replay []JobEvent, ch <-chan JobEvent, cancel func()) {
+func (b *Broadcaster) SubscribeCampaign(campaign string, after int64) (replay []JobEvent, ch <-chan *JobEvent, cancel func()) {
 	return b.subscribe(scope{campaign: campaign, after: max(after, 0)})
 }
 
-func (b *Broadcaster) subscribe(sc scope) (replay []JobEvent, ch <-chan JobEvent, cancel func()) {
-	c := make(chan JobEvent, b.subBuf)
+func (b *Broadcaster) subscribe(sc scope) (replay []JobEvent, ch <-chan *JobEvent, cancel func()) {
+	c := make(chan *JobEvent, b.subBuf)
 	b.mu.Lock()
 	// History is in sequence order and ends at b.seq, so a scoped replay
 	// starts at the first entry above sc.after instead of scanning the ring.

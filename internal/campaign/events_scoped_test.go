@@ -10,7 +10,7 @@ import (
 )
 
 // drain returns what is buffered on ch without waiting for more.
-func drain(ch <-chan JobEvent) []JobEvent {
+func drain(ch <-chan *JobEvent) []JobEvent {
 	var out []JobEvent
 	for {
 		select {
@@ -18,7 +18,7 @@ func drain(ch <-chan JobEvent) []JobEvent {
 			if !ok {
 				return out
 			}
-			out = append(out, ev)
+			out = append(out, *ev)
 		default:
 			return out
 		}
@@ -46,7 +46,7 @@ func TestScopedSubscribeSeesExactlyItsCampaign(t *testing.T) {
 			after    int64
 			want     []JobEvent // from the model
 			replay   []JobEvent
-			ch       <-chan JobEvent
+			ch       <-chan *JobEvent
 		}
 		var all []JobEvent // every event published, Seq = index+1
 		var subs []*sub

@@ -87,7 +87,7 @@ func TestBroadcasterDropsStalledSubscriber(t *testing.T) {
 
 // collect drains the event channel until n terminal events arrived or the
 // timeout hits.
-func collect(t *testing.T, ch <-chan JobEvent, terminal int) []JobEvent {
+func collect(t *testing.T, ch <-chan *JobEvent, terminal int) []JobEvent {
 	t.Helper()
 	var evs []JobEvent
 	seen := 0
@@ -98,7 +98,7 @@ func collect(t *testing.T, ch <-chan JobEvent, terminal int) []JobEvent {
 			if !ok {
 				t.Fatalf("event channel closed after %d/%d terminal events", seen, terminal)
 			}
-			evs = append(evs, ev)
+			evs = append(evs, *ev)
 			if ev.Terminal() {
 				seen++
 			}

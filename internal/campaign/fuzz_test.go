@@ -2,8 +2,17 @@ package campaign
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"math"
 	"testing"
+
+	"ensemblekit/internal/cluster"
+	"ensemblekit/internal/faults"
+	"ensemblekit/internal/network"
+	"ensemblekit/internal/placement"
+	"ensemblekit/internal/runtime"
 )
 
 // summarySeeds returns encoded results of the current generation: a
@@ -165,5 +174,126 @@ func FuzzDecodeSpec(f *testing.F) {
 		if h, _ := again.Hash(); h != hash {
 			t.Fatalf("canonical spec decodes to hash %s, not %s\n%s", h, hash, canon)
 		}
+	})
+}
+
+// candidateCase is one candidate's seed jobs for the per-candidate hash
+// differential: a paper placement (cfg indexes Tables 2 and 4), three
+// seeds, and the SimConfig and fault dimensions the encoding varies with.
+type candidateCase struct {
+	cfg        uint8
+	seeds      [3]int64
+	jitter     float64
+	tierBW     float64
+	tier       uint8 // "", dimes, burstbuffer, pfs
+	slots      int
+	topology   bool
+	faultPlans uint8 // none, an empty plan (erased), a straggler plan
+}
+
+func (c candidateCase) specs(t testing.TB) []JobSpec {
+	t.Helper()
+	configs := append(placement.ConfigsTable2(), placement.ConfigsTable4()...)
+	p := configs[int(c.cfg)%len(configs)]
+	sim := SimConfig{
+		Tier:          []string{"", runtime.TierDimes, runtime.TierBurstBuffer, runtime.TierPFS}[c.tier%4],
+		TierBandwidth: c.tierBW,
+		Jitter:        c.jitter,
+		StagingSlots:  c.slots,
+	}
+	if c.topology {
+		sim.Topology = &network.Dragonfly{GroupSize: 2, GlobalBandwidth: 5e9, GlobalLatency: 1e-6}
+	}
+	var plan *faults.Plan
+	switch c.faultPlans % 3 {
+	case 1:
+		plan = &faults.Plan{Name: "empty", Seed: 3, Staging: []faults.StagingFault{}}
+	case 2:
+		plan = chaosSweep().FaultPlans[1]
+	}
+	var out []JobSpec
+	for _, seed := range c.seeds {
+		sim.Seed = seed
+		opts := sim.Options()
+		opts.Faults = plan
+		js, err := NewJob(cluster.Cori(1), p, runtime.SpecForPlacement(p, 8), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, js)
+	}
+	return out
+}
+
+// checkCandidateHashes: specHashes over a candidate's seeds equals each
+// spec's Hash and the SHA-256 of its CanonicalJSON (json.Marshal of the
+// whole spec), or all three fail.
+func checkCandidateHashes(t *testing.T, specs []JobSpec) {
+	t.Helper()
+	got, err := specHashes(specs)
+	for i, spec := range specs {
+		canon, cerr := spec.CanonicalJSON()
+		hash, herr := spec.Hash()
+		if cerr != nil {
+			if err == nil || herr == nil {
+				t.Fatalf("seed %d: CanonicalJSON fails (%v), specHashes err %v, Hash err %v", i, cerr, err, herr)
+			}
+			return
+		}
+		if err != nil || herr != nil {
+			t.Fatalf("seed %d: specHashes err %v, Hash err %v, CanonicalJSON encodes", i, err, herr)
+		}
+		sum := sha256.Sum256(canon)
+		if want := hex.EncodeToString(sum[:]); got[i] != want || hash != want {
+			t.Fatalf("seed %d: specHashes %s, Hash %s, SHA-256 of CanonicalJSON %s\n%s", i, got[i], hash, want, canon)
+		}
+	}
+}
+
+var candidateCases = []struct {
+	name string
+	candidateCase
+}{
+	{"table 2 paper seeds", candidateCase{cfg: 0, seeds: [3]int64{1, 2, 3}}},
+	{"seed 0 is omitted", candidateCase{cfg: 3, seeds: [3]int64{0, 1, 0}}},
+	{"negative seeds", candidateCase{cfg: 5, seeds: [3]int64{-1, -7919, -1 << 40}}},
+	{"int64 extremes", candidateCase{cfg: 6, seeds: [3]int64{math.MinInt64, math.MaxInt64, math.MinInt64 + 1}}},
+	{"jitter 0.02", candidateCase{cfg: 1, seeds: [3]int64{21, 22, 23}, jitter: 0.02}},
+	{"tiny jitter", candidateCase{cfg: 2, seeds: [3]int64{1, 2, 3}, jitter: 1e-9}},
+	{"burst buffer tier", candidateCase{cfg: 4, seeds: [3]int64{1, 2, 3}, tier: 2, tierBW: 1.5e21}},
+	{"pfs tier", candidateCase{cfg: 8, seeds: [3]int64{1, 2, 3}, tier: 3, tierBW: 3e9}},
+	{"explicit dimes tier", candidateCase{cfg: 9, seeds: [3]int64{4, 5, 6}, tier: 1}},
+	{"staging slots", candidateCase{cfg: 10, seeds: [3]int64{1, 2, 3}, slots: 4}},
+	{"topology", candidateCase{cfg: 11, seeds: [3]int64{1, 2, 3}, topology: true}},
+	{"empty fault plan", candidateCase{cfg: 0, seeds: [3]int64{1, 2, 3}, faultPlans: 1}},
+	{"fault plan", candidateCase{cfg: 7, seeds: [3]int64{1, 2, 3}, faultPlans: 2}},
+	{"everything at once", candidateCase{cfg: 12, seeds: [3]int64{-3, 0, math.MaxInt64}, jitter: 0.5, tier: 2, tierBW: 2e9, slots: 2, topology: true, faultPlans: 2}},
+	{"unencodable (NaN)", candidateCase{cfg: 0, seeds: [3]int64{1, 2, 3}, jitter: math.NaN()}},
+	{"unencodable (+Inf)", candidateCase{cfg: 0, seeds: [3]int64{1, 2, 3}, tierBW: math.Inf(1)}},
+	{"huge exponent jitter", candidateCase{cfg: 0, seeds: [3]int64{1, 2, 3}, jitter: 1e300}},
+}
+
+// TestCandidateHashTable is FuzzCandidateHash's property over named
+// cases, one per dimension the canonical encoding varies with.
+func TestCandidateHashTable(t *testing.T) {
+	for _, c := range candidateCases {
+		t.Run(c.name, func(t *testing.T) { checkCandidateHashes(t, c.specs(t)) })
+	}
+}
+
+// FuzzCandidateHash is the differential for the campaign planner's
+// per-candidate hashing (specHashes, which encodes the parts a
+// candidate's seeds share once): over fuzzed seeds and SimConfig and
+// fault dimensions it equals JobSpec.Hash and the SHA-256 of
+// CanonicalJSON for every seed.
+func FuzzCandidateHash(f *testing.F) {
+	for _, c := range candidateCases {
+		f.Add(c.cfg, c.seeds[0], c.seeds[1], c.seeds[2], c.jitter, c.tierBW, c.tier, c.slots, c.topology, c.faultPlans)
+	}
+	f.Fuzz(func(t *testing.T, cfg uint8, s0, s1, s2 int64, jitter, tierBW float64, tier uint8, slots int, topology bool, faultPlans uint8) {
+		checkCandidateHashes(t, candidateCase{
+			cfg: cfg, seeds: [3]int64{s0, s1, s2}, jitter: jitter, tierBW: tierBW,
+			tier: tier, slots: slots, topology: topology, faultPlans: faultPlans,
+		}.specs(t))
 	})
 }

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -292,13 +293,12 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// writeJSON writes v as a JSON response.
+// writeJSON writes v as a compact JSON response (DESIGN.md §10:
+// indentation is not part of the wire).
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // httpError writes a JSON error body.
@@ -432,9 +432,11 @@ func (s *Server) launch(run *campaignRun, sw Sweep, cands []Candidate, parent co
 		start := time.Now()
 		res, err := runCandidates(runCtx, s.svc, sw, cands)
 		if res != nil {
-			// The per-seed results fed the aggregation and never reach the
-			// wire; a campaign's permanent record must not pin their traces.
+			// The per-seed specs and results fed submission and the
+			// aggregation and never reach the wire; a campaign's permanent
+			// record must not pin them.
 			for i := range res.Candidates {
+				res.Candidates[i].Specs = nil
 				res.Candidates[i].Results = nil
 			}
 		}
@@ -613,69 +615,82 @@ func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
 	w.WriteHeader(http.StatusOK)
-	fl.Flush()
 
-	send := func(event string, v any) bool {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return false
+	// Each event is built in buf and written to w, which buffers; the
+	// stream flushes once per batch — the replay, then every live event
+	// already waiting — so a batch costs one write to the client.
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	// write appends one event; false means the client went away.
+	write := func(id int64, event string, v any) bool {
+		buf.Reset()
+		if id > 0 {
+			buf.WriteString("id: ")
+			buf.Write(strconv.AppendInt(buf.AvailableBuffer(), id, 10))
+			buf.WriteByte('\n')
 		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b); err != nil {
-			return false
+		buf.WriteString("event: ")
+		buf.WriteString(event)
+		buf.WriteString("\ndata: ")
+		if err := enc.Encode(v); err != nil {
+			return true // unencodable: skip the event, keep the stream
 		}
-		fl.Flush()
-		return true
+		buf.WriteByte('\n') // Encode ended the data line; a blank line ends the event
+		_, err := w.Write(buf.Bytes())
+		return err == nil
 	}
-	// sendJob forwards one job event; false means the client went away.
-	sendJob := func(ev JobEvent) bool {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return true
+	// pending writes every event already buffered on ch; closed reports
+	// that ch was closed, ok that the client is still there.
+	pending := func() (closed, ok bool) {
+		for {
+			select {
+			case ev, open := <-ch:
+				if !open {
+					return true, true
+				}
+				if !write(ev.Seq, "job", ev) {
+					return false, false
+				}
+			default:
+				return false, true
+			}
 		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: job\ndata: %s\n\n", ev.Seq, b); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
 	}
 
-	for _, ev := range replay {
-		if !sendJob(ev) {
+	for i := range replay {
+		if !write(replay[i].Seq, "job", &replay[i]) {
 			return
 		}
 	}
 	for {
+		fl.Flush()
 		select {
 		case ev, open := <-ch:
-			if !open {
+			closed := !open
+			if open {
+				if !write(ev.Seq, "job", ev) {
+					return
+				}
+				var ok bool
+				if closed, ok = pending(); !ok {
+					return
+				}
+			}
+			if closed {
 				// Dropped for falling behind, or the service closed; the
 				// client reconnects and replays from history.
-				send("error", map[string]string{
+				write(0, "error", map[string]string{
 					"error": "event stream dropped (subscriber too slow or service closing)",
 				})
-				return
-			}
-			if !sendJob(ev) {
+				fl.Flush()
 				return
 			}
 		case <-run.done:
 			// Every job event was published before the campaign resolved;
-			// drain whatever is still buffered, then summarize.
-		drain:
-			for {
-				select {
-				case ev, open := <-ch:
-					if !open {
-						break drain
-					}
-					if !sendJob(ev) {
-						return
-					}
-				default:
-					break drain
-				}
+			// write whatever is still buffered, then summarize.
+			if _, ok := pending(); ok && write(0, "summary", run.summary()) {
+				fl.Flush()
 			}
-			send("summary", run.summary())
 			return
 		case <-r.Context().Done():
 			return

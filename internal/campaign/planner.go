@@ -96,7 +96,8 @@ type Candidate struct {
 	Nodes int `json:"nodes,omitempty"`
 	// Fault names the fault plan ("" = none).
 	Fault string `json:"fault,omitempty"`
-	// Specs holds one job per seed.
+	// Specs holds one job per seed; a campaign the HTTP server ran drops
+	// them once it finishes.
 	Specs []JobSpec `json:"-"`
 }
 
@@ -331,12 +332,18 @@ func runCandidates(ctx context.Context, svc *Service, sw Sweep, cands []Candidat
 	out := &CampaignResult{Name: sw.Name, Stage: stage.String(), Jobs: total}
 
 	// Fan out everything first — the queue applies backpressure — so the
-	// worker pool sees the whole campaign at once.
+	// worker pool sees the whole campaign at once. Sweep.Jobs validated
+	// every spec, and a candidate's seeds share all but Sim, so its hashes
+	// encode the rest once.
 	jobs := make([][]*Job, len(cands))
 	for i, c := range cands {
+		hashes, err := specHashes(c.Specs)
+		if err != nil {
+			return nil, err
+		}
 		jobs[i] = make([]*Job, len(c.Specs))
 		for k, spec := range c.Specs {
-			j, err := svc.SubmitWait(ctx, spec, SubmitOptions{Priority: sw.Priority, Label: c.Label, Campaign: sw.Campaign})
+			j, err := svc.submitHashed(ctx, spec, hashes[k], SubmitOptions{Priority: sw.Priority, Label: c.Label, Campaign: sw.Campaign}, true)
 			if err != nil {
 				if ctx.Err() != nil {
 					return nil, ctx.Err()

@@ -122,7 +122,7 @@ func TestTransientFailureSucceedsOnRetry(t *testing.T) {
 	var retrying []JobEvent
 	for ev := range events {
 		if ev.Status == EventRetrying {
-			retrying = append(retrying, ev)
+			retrying = append(retrying, *ev)
 		}
 		if ev.Terminal() {
 			if ev.Attempt != 2 {

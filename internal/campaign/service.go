@@ -400,6 +400,13 @@ func (s *Service) submit(ctx context.Context, spec JobSpec, opts SubmitOptions, 
 	if err != nil {
 		return nil, err
 	}
+	return s.submitHashed(ctx, spec, hash, opts, wait)
+}
+
+// submitHashed is submit for a spec already validated and hashed: the
+// campaign planner validates its specs when it expands the sweep and
+// hashes each candidate's seeds together (specHashes).
+func (s *Service) submitHashed(ctx context.Context, spec JobSpec, hash string, opts SubmitOptions, wait bool) (*Job, error) {
 	if opts.Label == "" {
 		opts.Label = spec.Placement.Name
 	}

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"ensemblekit/internal/cluster"
 	"ensemblekit/internal/faults"
@@ -250,10 +251,107 @@ func (s JobSpec) CanonicalJSON() ([]byte, error) {
 // (node-list order, empty-vs-nil fault slices, JSON round-trips) does
 // not.
 func (s JobSpec) Hash() (string, error) {
-	b, err := s.CanonicalJSON()
+	h, err := specHashes([]JobSpec{s})
 	if err != nil {
-		return "", fmt.Errorf("campaign: hashing job spec: %w", err)
+		return "", err
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	return h[0], nil
+}
+
+// specHashes returns the Hash of each of specs, which must differ in
+// Sim alone, as one candidate's seeds do. The canonical encoding is the
+// three parts head ({"cluster":…,"placement":…,"ensemble":…,"sim":), the
+// SimConfig object, and tail (faults, then }): the head and tail are
+// encoded once, and each spec's hash covers the head, its own Sim and
+// the tail.
+func specHashes(specs []JobSpec) ([]string, error) {
+	if len(specs) == 0 {
+		return nil, nil
+	}
+	e := specEncoders.Get().(*specEncoder)
+	defer e.release()
+	c := specs[0].canonical()
+	e.buf.Reset()
+	if err := e.tail(&c); err != nil {
+		return nil, err
+	}
+	tail := bytes.Clone(e.buf.Bytes())
+	e.buf.Reset()
+	if err := e.head(&c); err != nil {
+		return nil, err
+	}
+	headEnd := e.buf.Len()
+	out := make([]string, len(specs))
+	for i := range specs {
+		e.buf.Truncate(headEnd)
+		if err := e.value(&specs[i].Sim); err != nil {
+			return nil, err
+		}
+		e.buf.Write(tail)
+		sum := sha256.Sum256(e.buf.Bytes())
+		out[i] = hex.EncodeToString(sum[:])
+	}
+	return out, nil
+}
+
+// specEncoder writes a spec's canonical encoding part by part into a
+// reused buffer, byte-identical to CanonicalJSON: each field's value is
+// what json.Marshal writes for it inside the spec.
+type specEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var specEncoders = sync.Pool{New: func() any {
+	e := &specEncoder{}
+	e.enc = json.NewEncoder(&e.buf)
+	return e
+}}
+
+// release returns the encoder to the pool unless an outsized spec grew
+// its buffer: the pool keeps paper-sized buffers (≈ 1.4 KB) only.
+func (e *specEncoder) release() {
+	if e.buf.Cap() <= 64<<10 {
+		specEncoders.Put(e)
+	}
+}
+
+// head appends {"cluster":…,"placement":…,"ensemble":…,"sim": for a
+// canonical spec.
+func (e *specEncoder) head(c *JobSpec) error {
+	e.buf.WriteString(`{"cluster":`)
+	if err := e.value(&c.Cluster); err != nil {
+		return err
+	}
+	e.buf.WriteString(`,"placement":`)
+	if err := e.value(&c.Placement); err != nil {
+		return err
+	}
+	e.buf.WriteString(`,"ensemble":`)
+	if err := e.value(&c.Ensemble); err != nil {
+		return err
+	}
+	e.buf.WriteString(`,"sim":`)
+	return nil
+}
+
+// tail appends the fault plan, when there is one, and the closing brace.
+func (e *specEncoder) tail(c *JobSpec) error {
+	if c.Faults != nil {
+		e.buf.WriteString(`,"faults":`)
+		if err := e.value(c.Faults); err != nil {
+			return err
+		}
+	}
+	e.buf.WriteByte('}')
+	return nil
+}
+
+// value appends v's compact JSON (without the newline Encode ends with).
+func (e *specEncoder) value(v any) error {
+	if err := e.enc.Encode(v); err != nil {
+		return fmt.Errorf("campaign: hashing job spec: %w", err)
+	}
+	e.buf.Truncate(e.buf.Len() - 1)
+	return nil
 }

@@ -45,21 +45,36 @@ func (s SpanID) IsValid() bool { return s != SpanID{} }
 // String renders the ID as 16 lowercase hex digits.
 func (s SpanID) String() string { return hex.EncodeToString(s[:]) }
 
+// TraceFlags is the W3C trace-context trace-flags byte.
+type TraceFlags byte
+
+// FlagSampled is the sampled bit: the caller may be recording the trace.
+const FlagSampled TraceFlags = 0x01
+
 // SpanContext is the propagated identity of a span: which trace it
-// belongs to and which span is the direct parent of anything started
-// under it.
+// belongs to, which span is the direct parent of anything started under
+// it, and the trace's flags. A root span is sampled; a child carries its
+// parent's flags, so an unsampled caller stays unsampled downstream.
 type SpanContext struct {
 	TraceID TraceID
 	SpanID  SpanID
+	Flags   TraceFlags
 }
 
 // IsValid reports whether both IDs are non-zero.
 func (sc SpanContext) IsValid() bool { return sc.TraceID.IsValid() && sc.SpanID.IsValid() }
 
 // Traceparent renders the context as a W3C traceparent header value
-// (version 00, sampled flag set).
+// (version 00, the context's flags).
 func (sc SpanContext) Traceparent() string {
-	return "00-" + sc.TraceID.String() + "-" + sc.SpanID.String() + "-01"
+	var b [55]byte
+	copy(b[:], "00-")
+	hex.Encode(b[3:35], sc.TraceID[:])
+	b[35] = '-'
+	hex.Encode(b[36:52], sc.SpanID[:])
+	b[52] = '-'
+	hex.Encode(b[53:], []byte{byte(sc.Flags)})
+	return string(b[:])
 }
 
 // ParseTraceparent parses a W3C traceparent header value. Every field
@@ -89,9 +104,12 @@ func ParseTraceparent(h string) (SpanContext, error) {
 	case len(h) > 55 && h[55] != '-':
 		return sc, fmt.Errorf("traceparent malformed after flags: %q", h)
 	}
-	// Both decode: the fields were checked above.
+	// All three decode: the fields were checked above.
 	hex.Decode(sc.TraceID[:], []byte(h[3:35]))
 	hex.Decode(sc.SpanID[:], []byte(h[36:52]))
+	var flags [1]byte
+	hex.Decode(flags[:], []byte(h[53:55]))
+	sc.Flags = TraceFlags(flags[0])
 	if !sc.IsValid() {
 		return sc, fmt.Errorf("traceparent has all-zero IDs")
 	}
@@ -338,13 +356,13 @@ func (t *Tracer) StartSpan(ctx context.Context, name, kind string, attrs ...Attr
 	var sc SpanContext
 	var parent SpanID
 	if p := SpanFromContext(ctx); p != nil {
-		sc.TraceID = p.sc.TraceID
+		sc.TraceID, sc.Flags = p.sc.TraceID, p.sc.Flags
 		parent = p.sc.SpanID
 	} else if r := remoteFromContext(ctx); r.IsValid() {
-		sc.TraceID = r.TraceID
+		sc.TraceID, sc.Flags = r.TraceID, r.Flags
 		parent = r.SpanID
 	} else {
-		sc.TraceID = t.newTraceID()
+		sc.TraceID, sc.Flags = t.newTraceID(), FlagSampled
 	}
 	sc.SpanID = t.newSpanID()
 	s := &Span{
@@ -371,9 +389,9 @@ func (t *Tracer) SpanAt(parent SpanContext, name, kind string, start, end time.T
 	if end.Before(start) {
 		end = start
 	}
-	sc := SpanContext{TraceID: parent.TraceID, SpanID: t.newSpanID()}
+	sc := SpanContext{TraceID: parent.TraceID, SpanID: t.newSpanID(), Flags: parent.Flags}
 	if !sc.TraceID.IsValid() {
-		sc.TraceID = t.newTraceID()
+		sc.TraceID, sc.Flags = t.newTraceID(), FlagSampled
 	}
 	t.store.add(SpanData{
 		TraceID: sc.TraceID,

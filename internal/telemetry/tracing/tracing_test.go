@@ -140,6 +140,31 @@ func TestRemoteParent(t *testing.T) {
 	}
 }
 
+// TestTraceFlagsPropagate: a root span is sampled, and a span under a
+// remote or in-process parent renders its parent's flags, so an unsampled
+// caller's traceparent is neither echoed nor forwarded as sampled.
+func TestTraceFlagsPropagate(t *testing.T) {
+	tr := newTestTracer()
+	_, root := tr.StartSpan(context.Background(), "root", "server")
+	if got := root.Context().Traceparent(); !strings.HasSuffix(got, "-01") {
+		t.Errorf("root span renders %q, want sampled (-01)", got)
+	}
+	for _, flags := range []string{"00", "01"} {
+		remote, err := ParseTraceparent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-" + flags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, server := tr.StartSpan(ContextWithRemote(context.Background(), remote), "server", "server")
+		_, child := tr.StartSpan(ctx, "forward", "client")
+		bridged := tr.SpanAt(child.Context(), "stage", "stage", time.Now(), time.Now())
+		for name, sc := range map[string]SpanContext{"server": server.Context(), "child": child.Context(), "bridged": bridged} {
+			if got := sc.Traceparent(); got[53:] != flags {
+				t.Errorf("flags %s: %s span renders %q", flags, name, got)
+			}
+		}
+	}
+}
+
 func TestEndIdempotentAndOrdering(t *testing.T) {
 	tr := newTestTracer()
 	_, s := tr.StartSpan(context.Background(), "x", "job")

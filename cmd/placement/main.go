@@ -8,10 +8,13 @@
 //	          [-mode exhaustive|greedy|anneal]
 //	          [-top N] [-iterations N] [-seed N] [-progress]
 //
-// Each candidate is scored in-process by scheduler.NewObjective: in closed
-// form where that equals the simulation, by one simulation where a NIC
-// fair-shares remote reads. Candidates are scored in enumeration order, so
-// the ranking is a deterministic function of the flags.
+// The exhaustive mode ranks every candidate placement.Enumerate streams:
+// each placement that fits the nodes' cores, once up to node relabeling,
+// named P1, P2, … in enumeration order. Each candidate is scored
+// in-process by scheduler.NewObjective: in closed form where that equals
+// the simulation, by one simulation where a NIC fair-shares remote reads.
+// Ties in F are ordered by placement key, so the ranking is a
+// deterministic function of the flags.
 package main
 
 import (
@@ -57,13 +60,14 @@ func run(members, analyses, nodes int, mode string, top, iterations int, seed in
 	switch mode {
 	case "exhaustive":
 		// Rank all candidates so -top can show more than the winner.
-		shape := placement.Shape{
-			SimCores:      placement.SimCores,
-			AnalysisCores: repeat(placement.AnalysisCores, analyses),
-			Members:       members,
-		}
-		candidates, err := placement.Enumerate(spec, shape, nodes)
+		shape, err := scheduler.ShapeOf(es)
 		if err != nil {
+			return err
+		}
+		var candidates []placement.Placement
+		if err := placement.Enumerate(spec, shape, nodes, func(c placement.Placement) {
+			candidates = append(candidates, c)
+		}); err != nil {
 			return err
 		}
 		all := score(candidates, obj)
@@ -151,12 +155,4 @@ var progressMonitor = scheduler.Monitor{
 		fmt.Fprintf(os.Stderr, "[%s] %d evaluations, best F = %.4f, %s elapsed%s\n",
 			p.Strategy, p.Evaluated, p.BestScore, p.Elapsed.Round(1e6), marker)
 	},
-}
-
-func repeat(v, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
 }

@@ -49,13 +49,16 @@ func TestRunErrors(t *testing.T) {
 func TestRankTiesAreStable(t *testing.T) {
 	const members, analyses, nodes, top = 2, 3, 4, 8
 	spec := cluster.Cori(nodes)
-	obj := scheduler.NewObjective(spec, runtime.PaperEnsemble("search", members, analyses, 8), indicators.StageUAP)
-	candidates, err := placement.Enumerate(spec, placement.Shape{
-		SimCores:      placement.SimCores,
-		AnalysisCores: repeat(placement.AnalysisCores, analyses),
-		Members:       members,
-	}, nodes)
+	es := runtime.PaperEnsemble("search", members, analyses, 8)
+	obj := scheduler.NewObjective(spec, es, indicators.StageUAP)
+	shape, err := scheduler.ShapeOf(es)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var candidates []placement.Placement
+	if err := placement.Enumerate(spec, shape, nodes, func(p placement.Placement) {
+		candidates = append(candidates, p)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	topKeys := func(order []placement.Placement) []string {

@@ -1,111 +1,103 @@
 package placement
 
 import (
+	"errors"
 	"fmt"
 
 	"ensemblekit/internal/cluster"
 )
 
-// Shape describes the structure of an ensemble whose placements are to be
-// enumerated: per member, how many cores the simulation and each analysis
-// use.
-type Shape struct {
-	// SimCores per member.
-	SimCores int
-	// AnalysisCores per analysis; the slice length is K.
-	AnalysisCores []int
-	// Members is the number of ensemble members (all with the same shape,
-	// as in the paper's experiments).
-	Members int
-}
-
-// Validate checks the shape.
-func (s Shape) Validate() error {
-	if s.Members <= 0 {
-		return fmt.Errorf("placement: shape needs positive members, got %d", s.Members)
-	}
-	if s.SimCores <= 0 {
-		return fmt.Errorf("placement: shape needs positive sim cores, got %d", s.SimCores)
-	}
-	if len(s.AnalysisCores) == 0 {
-		return fmt.Errorf("placement: shape needs at least one analysis")
-	}
-	for j, c := range s.AnalysisCores {
-		if c <= 0 {
-			return fmt.Errorf("placement: analysis %d has non-positive cores %d", j, c)
-		}
-	}
-	return nil
-}
-
-// Enumerate generates every valid single-node-per-component placement of
-// the shape onto at most maxNodes nodes of the spec, deduplicated up to
-// node relabeling. The result is deterministic: placements come in
-// lexicographic order of their node assignments, named P1, P2, ….
+// Enumerate visits every valid single-node-per-component placement of an
+// ensemble onto at most maxNodes nodes of the spec (the whole machine when
+// maxNodes is 0 or beyond it), deduplicated up to node relabeling. shape
+// gives, per member, the simulation's cores followed by each analysis's
+// cores, so members may differ in their analysis counts. Placements come in
+// lexicographic order of their node assignments, named P1, P2, …; each is
+// freshly built, so visit may keep it.
 //
-// Only canonical assignments are generated (see Assignments), so the cost
-// is the number of set partitions of the components into at most maxNodes
-// blocks rather than maxNodes^components: 2 795 assignments for 8
-// components on 4 nodes, against 65 536.
-func Enumerate(spec cluster.Spec, shape Shape, maxNodes int) ([]Placement, error) {
-	if err := shape.Validate(); err != nil {
-		return nil, err
+// Only canonical assignments are walked (each component takes a node an
+// earlier one uses or the lowest node none does: a restricted-growth
+// string), one per class of assignments equal up to node relabeling — the
+// one a brute-force pass over all maxNodes^components assignments
+// deduplicated by Key keeps first. The walk tracks every node's used cores
+// and never extends a prefix that overloads a node, so it visits feasible
+// prefixes only. Each placement still passes Placement.Validate before it
+// is visited.
+func Enumerate(spec cluster.Spec, shape [][]int, maxNodes int, visit func(Placement)) error {
+	if len(shape) == 0 {
+		return errors.New("placement: shape needs at least one member")
+	}
+	var cores []int
+	for i, member := range shape {
+		if len(member) < 2 {
+			return fmt.Errorf("placement: member %d needs a simulation and at least one analysis", i)
+		}
+		for j, c := range member {
+			if c <= 0 {
+				return fmt.Errorf("placement: member %d component %d has non-positive cores %d", i, j, c)
+			}
+		}
+		cores = append(cores, member...)
 	}
 	if maxNodes <= 0 || maxNodes > spec.Nodes {
 		maxNodes = spec.Nodes
 	}
-	var out []Placement
-	Assignments(shape.Members*(1+len(shape.AnalysisCores)), maxNodes, func(assignment []int) {
-		p := shapeToPlacement(shape, assignment)
+	n := 0
+	assignments(cores, maxNodes, spec.CoresPerNode, func(assignment []int) {
+		p := FromAssignment(shape, assignment)
 		if p.Validate(spec) != nil {
 			return
 		}
-		p.Name = fmt.Sprintf("P%d", len(out)+1)
-		out = append(out, p)
+		n++
+		p.Name = fmt.Sprintf("P%d", n)
+		visit(p)
 	})
-	return out, nil
+	return nil
 }
 
-// Assignments visits, in lexicographic order, every assignment of n
-// components to at most maxNodes nodes that is its own canonical form
-// (Placement.Canonical): each component takes a node an earlier one uses
-// or the lowest node none does (a restricted-growth string). That is one
-// assignment per class of assignments equal up to node relabeling — the
-// lexicographically smallest of the class, which is the one a brute-force
-// pass over all maxNodes^n assignments deduplicated by Key keeps first.
-// Validity on a machine of at least maxNodes nodes is the same for every
-// assignment of a class, so filtering the visited ones loses nothing.
-// visit receives one reused slice.
-func Assignments(n, maxNodes int, visit func(assignment []int)) {
-	assignment := make([]int, n)
+// assignments visits, in lexicographic order, every canonical assignment of
+// components with the given cores to at most maxNodes nodes of capacity
+// cores each. A component takes a node an earlier one uses or the lowest
+// node none does, and only if that node has the cores left. visit receives
+// one reused slice.
+func assignments(cores []int, maxNodes, capacity int, visit func(assignment []int)) {
+	assignment := make([]int, len(cores))
+	load := make([]int, maxNodes)
 	var rec func(pos, used int)
 	rec = func(pos, used int) {
-		if pos == n {
+		if pos == len(cores) {
 			visit(assignment)
 			return
 		}
+		c := cores[pos]
 		for node := 0; node <= used && node < maxNodes; node++ {
+			if load[node]+c > capacity {
+				continue
+			}
 			assignment[pos] = node
+			load[node] += c
 			rec(pos+1, max(used, node+1))
+			load[node] -= c
 		}
 	}
 	rec(0, 0)
 }
 
-// shapeToPlacement materializes an assignment vector into a placement.
-func shapeToPlacement(shape Shape, assignment []int) Placement {
-	componentsPerMember := 1 + len(shape.AnalysisCores)
-	p := Placement{Members: make([]Member, shape.Members)}
-	for i := 0; i < shape.Members; i++ {
-		base := i * componentsPerMember
+// FromAssignment builds the placement that puts component k of the
+// flattened shape (each member's simulation, then its analyses) on node
+// assignment[k].
+func FromAssignment(shape [][]int, assignment []int) Placement {
+	p := Placement{Members: make([]Member, len(shape))}
+	pos := 0
+	for i, cores := range shape {
 		m := Member{
-			Simulation: Component{Nodes: []int{assignment[base]}, Cores: shape.SimCores},
+			Simulation: Component{Nodes: []int{assignment[pos]}, Cores: cores[0]},
+			Analyses:   make([]Component, len(cores)-1),
 		}
-		for j, c := range shape.AnalysisCores {
-			m.Analyses = append(m.Analyses, Component{
-				Nodes: []int{assignment[base+1+j]},
-				Cores: c,
-			})
+		pos++
+		for j, c := range cores[1:] {
+			m.Analyses[j] = Component{Nodes: []int{assignment[pos]}, Cores: c}
+			pos++
 		}
 		p.Members[i] = m
 	}

@@ -232,11 +232,7 @@ func TestJSONRoundTrip(t *testing.T) {
 
 func TestEnumerateSmall(t *testing.T) {
 	spec := cluster.Cori(2)
-	shape := Shape{SimCores: 16, AnalysisCores: []int{8}, Members: 1}
-	got, err := Enumerate(spec, shape, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collect(t, spec, [][]int{{16, 8}}, 2)
 	// One member, sim+ana on up to 2 nodes: co-located or split — exactly
 	// 2 canonical placements.
 	if len(got) != 2 {
@@ -251,11 +247,7 @@ func TestEnumerateSmall(t *testing.T) {
 
 func TestEnumerateTwoMembers(t *testing.T) {
 	spec := cluster.Cori(3)
-	shape := Shape{SimCores: 16, AnalysisCores: []int{8}, Members: 2}
-	got, err := Enumerate(spec, shape, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := collect(t, spec, [][]int{{16, 8}, {16, 8}}, 3)
 	if len(got) == 0 {
 		t.Fatal("no placements enumerated")
 	}
@@ -284,14 +276,16 @@ func TestEnumerateTwoMembers(t *testing.T) {
 
 func TestEnumerateValidatesShape(t *testing.T) {
 	spec := cluster.Cori(2)
-	bad := []Shape{
-		{SimCores: 16, AnalysisCores: []int{8}, Members: 0},
-		{SimCores: 0, AnalysisCores: []int{8}, Members: 1},
-		{SimCores: 16, Members: 1},
-		{SimCores: 16, AnalysisCores: []int{0}, Members: 1},
+	bad := [][][]int{
+		nil,
+		{{16}},
+		{{16, 8}, {}},
+		{{0, 8}},
+		{{16, 0}},
+		{{16, 8}, {16, -8}},
 	}
 	for i, s := range bad {
-		if _, err := Enumerate(spec, s, 2); err == nil {
+		if err := Enumerate(spec, s, 2, func(Placement) {}); err == nil {
 			t.Errorf("case %d: invalid shape accepted", i)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"ensemblekit/internal/cluster"
+	"ensemblekit/internal/placement"
 	"ensemblekit/internal/runtime"
 )
 
@@ -45,16 +46,9 @@ func (o AnnealOptions) normalized() AnnealOptions {
 // evaluations.
 func Anneal(spec cluster.Spec, es runtime.EnsembleSpec, maxNodes int, obj Objective, opts AnnealOptions) (Result, error) {
 	opts = opts.normalized()
-	shape, err := shapeOf(es)
+	s, err := newSpace(spec, es, maxNodes, obj)
 	if err != nil {
 		return Result{}, err
-	}
-	if maxNodes <= 0 || maxNodes > spec.Nodes {
-		maxNodes = spec.Nodes
-	}
-	total := 0
-	for _, cores := range shape {
-		total += len(cores)
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
@@ -62,23 +56,12 @@ func Anneal(spec cluster.Spec, es runtime.EnsembleSpec, maxNodes int, obj Object
 	// objective F, random starts strand the walk in basins that
 	// single-component moves cannot escape (improving one member at a
 	// time raises the stddev before it lowers it).
-	assignment, err := greedyConstruct(shape, maxNodes, spec.CoresPerNode)
+	assignment, err := s.greedyConstruct()
 	if err != nil {
 		return Result{}, err
 	}
 	res := Result{Score: math.Inf(-1)}
-	evaluate := func(a []int) (float64, bool) {
-		p := materialize(shape, a)
-		if p.Validate(spec) != nil {
-			return 0, false
-		}
-		p.Name = "anneal-candidate"
-		s, err := obj(p)
-		if err != nil {
-			return 0, false
-		}
-		return s, true
-	}
+	evaluate := s.evaluator("anneal-candidate")
 	cur, ok := evaluate(assignment)
 	res.Evaluated++
 	// If the round-robin start is infeasible, walk forward to a feasible
@@ -88,7 +71,7 @@ func Anneal(spec cluster.Spec, es runtime.EnsembleSpec, maxNodes int, obj Object
 			return Result{}, errors.New("scheduler: annealing found no feasible start")
 		}
 		for i := range assignment {
-			assignment[i] = rng.Intn(maxNodes)
+			assignment[i] = rng.Intn(s.maxNodes)
 		}
 		cur, ok = evaluate(assignment)
 		res.Evaluated++
@@ -106,9 +89,9 @@ func Anneal(spec cluster.Spec, es runtime.EnsembleSpec, maxNodes int, obj Object
 		progressEvery = 100
 	}
 	for it := 0; it < opts.Iterations; it++ {
-		i := rng.Intn(total)
+		i := rng.Intn(s.total)
 		old := assignment[i]
-		move := rng.Intn(maxNodes)
+		move := rng.Intn(s.maxNodes)
 		if move != old {
 			assignment[i] = move
 			score, ok := evaluate(assignment)
@@ -139,9 +122,9 @@ func Anneal(spec cluster.Spec, es runtime.EnsembleSpec, maxNodes int, obj Object
 	// Polish the annealed optimum with deterministic hill climbing — the
 	// standard hybrid: annealing finds the basin, local search finds its
 	// bottom.
-	bestScore = hillClimb(best, maxNodes, bestScore, evaluate, &res.Evaluated)
+	bestScore = hillClimb(best, s.maxNodes, bestScore, evaluate, &res.Evaluated)
 	res.Score = bestScore
-	res.Placement = materialize(shape, best)
+	res.Placement = placement.FromAssignment(s.shape, best)
 	res.Placement.Name = "anneal-best"
 	return res, nil
 }

@@ -37,7 +37,7 @@ type Objective func(p placement.Placement) (float64, error)
 // simulation's, to rounding.
 func NewObjective(spec cluster.Spec, es runtime.EnsembleSpec, stage indicators.StageSet) Objective {
 	return func(p placement.Placement) (float64, error) {
-		states, err := runtime.PriceSteadyStates(specFor(spec, p), p, es)
+		states, err := runtime.PriceSteadyStates(spec, p, es)
 		if err != nil {
 			return 0, err
 		}
@@ -47,20 +47,6 @@ func NewObjective(spec cluster.Spec, es runtime.EnsembleSpec, stage indicators.S
 		}
 		return indicators.Objective(p, effs, stage)
 	}
-}
-
-// specFor grows the machine if the placement names nodes beyond it.
-func specFor(spec cluster.Spec, p placement.Placement) cluster.Spec {
-	max := 0
-	for _, n := range p.UsedNodes() {
-		if n+1 > max {
-			max = n + 1
-		}
-	}
-	if max > spec.Nodes {
-		spec.Nodes = max
-	}
-	return spec
 }
 
 // Efficiencies extracts the per-member computational efficiencies

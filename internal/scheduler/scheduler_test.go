@@ -54,14 +54,7 @@ func TestObjectiveIsTheSimulation(t *testing.T) {
 		name := fmt.Sprintf("%dm×%da×%dn", sh.members, sh.analyses, sh.nodes)
 		spec := cluster.Cori(sh.nodes)
 		es := runtime.PaperEnsemble(name, sh.members, sh.analyses, 8)
-		shape := placement.Shape{SimCores: placement.SimCores, Members: sh.members}
-		for range sh.analyses {
-			shape.AnalysisCores = append(shape.AnalysisCores, placement.AnalysisCores)
-		}
-		cands, err := placement.Enumerate(spec, shape, sh.nodes)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cands := enumerate(t, spec, es, sh.nodes)
 		if len(cands) != sh.candidates {
 			t.Fatalf("%s: %d candidates, want %d", name, len(cands), sh.candidates)
 		}

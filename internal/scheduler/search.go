@@ -1,12 +1,9 @@
 package scheduler
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"ensemblekit/internal/cluster"
 	"ensemblekit/internal/placement"
@@ -23,9 +20,11 @@ type Result struct {
 	Evaluated int
 }
 
-// shapeOf derives the component core structure of an ensemble spec, using
-// the paper's core counts (16-core simulations, 8-core analyses).
-func shapeOf(es runtime.EnsembleSpec) ([][]int, error) {
+// ShapeOf derives the component core structure of an ensemble spec, the
+// shape placement.Enumerate takes: per member, the simulation's cores and
+// then each analysis's, at the paper's core counts (16-core simulations,
+// 8-core analyses).
+func ShapeOf(es runtime.EnsembleSpec) ([][]int, error) {
 	if len(es.Members) == 0 {
 		return nil, errors.New("scheduler: ensemble has no members")
 	}
@@ -43,116 +42,60 @@ func shapeOf(es runtime.EnsembleSpec) ([][]int, error) {
 	return shape, nil
 }
 
-// materialize turns a flat node-assignment vector into a placement.
-func materialize(shape [][]int, assignment []int) placement.Placement {
-	p := placement.Placement{}
-	pos := 0
-	for _, cores := range shape {
-		m := placement.Member{
-			Simulation: placement.Component{Nodes: []int{assignment[pos]}, Cores: cores[0]},
-		}
-		pos++
-		for _, c := range cores[1:] {
-			m.Analyses = append(m.Analyses, placement.Component{
-				Nodes: []int{assignment[pos]}, Cores: c,
-			})
-			pos++
-		}
-		p.Members = append(p.Members, m)
-	}
-	return p
+// space is the setup every search shares: the ensemble's shape, the node
+// budget (the whole machine when maxNodes is 0 or beyond it), the number
+// of components and the objective.
+type space struct {
+	spec     cluster.Spec
+	shape    [][]int
+	maxNodes int
+	total    int
+	obj      Objective
 }
 
-// enumCache memoizes the deduplicated candidate list per
-// (spec, shape, maxNodes). The enumeration is exponential in ensemble
-// size, and every exhaustive search over the same machine and workload
-// used to redo it from scratch; a sweep
-// of N searches now enumerates once and replays N-1 times. Cached
-// slices are immutable: visitors receive value copies (a winner's
-// later rename never reaches the cache), and nothing mutates the
-// shared Members backing. enumBuilds/enumHits are test observability.
-var (
-	enumCache  sync.Map // enumKey JSON -> []placement.Placement
-	enumBuilds atomic.Int64
-	enumHits   atomic.Int64
-)
-
-// enumKey derives the cache key; ok=false (unkeyable input) disables
-// caching for the call rather than failing the enumeration.
-func enumKey(spec cluster.Spec, shape [][]int, maxNodes int) (string, bool) {
-	b, err := json.Marshal(struct {
-		Spec     cluster.Spec
-		Shape    [][]int
-		MaxNodes int
-	}{spec, shape, maxNodes})
+func newSpace(spec cluster.Spec, es runtime.EnsembleSpec, maxNodes int, obj Objective) (space, error) {
+	shape, err := ShapeOf(es)
 	if err != nil {
-		return "", false
-	}
-	return string(b), true
-}
-
-// enumeratePlacements visits every valid placement of the shape on up to
-// maxNodes nodes, deduplicated up to node relabeling, in a deterministic
-// canonical order. Candidates arrive named "candidate-N" with N counting
-// from 1 in visit order, so repeated searches name (and therefore
-// simulate and trace) a candidate identically. Enumerations are memoized
-// per (spec, shape, maxNodes); a cache replay visits the identical
-// placements in the identical order.
-func enumeratePlacements(spec cluster.Spec, shape [][]int, maxNodes int, visit func(placement.Placement)) {
-	key, keyed := enumKey(spec, shape, maxNodes)
-	if keyed {
-		if v, ok := enumCache.Load(key); ok {
-			enumHits.Add(1)
-			for _, p := range v.([]placement.Placement) {
-				visit(p)
-			}
-			return
-		}
-	}
-	var cands []placement.Placement
-	enumerateRaw(spec, shape, maxNodes, func(p placement.Placement) {
-		cands = append(cands, p)
-		visit(p)
-	})
-	enumBuilds.Add(1)
-	if keyed {
-		enumCache.Store(key, cands)
-	}
-}
-
-// enumerateRaw is the uncached enumeration behind enumeratePlacements:
-// the canonical assignments (placement.Assignments) that fit the machine.
-func enumerateRaw(spec cluster.Spec, shape [][]int, maxNodes int, visit func(placement.Placement)) {
-	total := 0
-	for _, cores := range shape {
-		total += len(cores)
-	}
-	count := 0
-	placement.Assignments(total, maxNodes, func(assignment []int) {
-		p := materialize(shape, assignment)
-		if p.Validate(spec) != nil {
-			return
-		}
-		count++
-		p.Name = fmt.Sprintf("candidate-%d", count)
-		visit(p)
-	})
-}
-
-// Exhaustive evaluates every valid placement of the ensemble on up to
-// maxNodes nodes (deduplicated up to node relabeling) and returns the
-// best. Suitable for paper-scale instances (2 members, <= 3 nodes).
-func Exhaustive(spec cluster.Spec, es runtime.EnsembleSpec, maxNodes int, obj Objective) (Result, error) {
-	shape, err := shapeOf(es)
-	if err != nil {
-		return Result{}, err
+		return space{}, err
 	}
 	if maxNodes <= 0 || maxNodes > spec.Nodes {
 		maxNodes = spec.Nodes
 	}
+	total := 0
+	for _, cores := range shape {
+		total += len(cores)
+	}
+	return space{spec: spec, shape: shape, maxNodes: maxNodes, total: total, obj: obj}, nil
+}
+
+// evaluator scores flat node assignments as placements named name; ok is
+// false for an assignment the machine cannot hold or the objective
+// rejects.
+func (s space) evaluator(name string) func(assignment []int) (score float64, ok bool) {
+	return func(a []int) (float64, bool) {
+		p := placement.FromAssignment(s.shape, a)
+		if p.Validate(s.spec) != nil {
+			return 0, false
+		}
+		p.Name = name
+		score, err := s.obj(p)
+		return score, err == nil
+	}
+}
+
+// Exhaustive evaluates every valid placement of the ensemble on up to
+// maxNodes nodes (deduplicated up to node relabeling, placement.Enumerate)
+// and returns the best; on equal scores the first enumerated wins. Its
+// cost grows with the number of feasible placements: 23 625 for 3 members
+// × 3 analyses on 4 nodes, 347 025 on 5.
+func Exhaustive(spec cluster.Spec, es runtime.EnsembleSpec, maxNodes int, obj Objective) (Result, error) {
+	s, err := newSpace(spec, es, maxNodes, obj)
+	if err != nil {
+		return Result{}, err
+	}
 	best := Result{Score: math.Inf(-1)}
 	var firstErr error
-	enumeratePlacements(spec, shape, maxNodes, func(p placement.Placement) {
+	err = placement.Enumerate(spec, s.shape, s.maxNodes, func(p placement.Placement) {
 		score, err := obj(p)
 		best.Evaluated++
 		if err != nil {
@@ -166,6 +109,9 @@ func Exhaustive(spec cluster.Spec, es runtime.EnsembleSpec, maxNodes int, obj Ob
 			best.Placement = p
 		}
 	})
+	if err != nil {
+		return Result{}, err
+	}
 	if math.IsInf(best.Score, -1) {
 		if firstErr != nil {
 			return Result{}, fmt.Errorf("scheduler: no placement evaluated: %w", firstErr)
@@ -182,39 +128,15 @@ func Exhaustive(spec cluster.Spec, es runtime.EnsembleSpec, maxNodes int, obj Ob
 // nodes while the objective improves. Complexity is polynomial where
 // Exhaustive is exponential.
 func GreedyLocalSearch(spec cluster.Spec, es runtime.EnsembleSpec, maxNodes int, obj Objective) (Result, error) {
-	shape, err := shapeOf(es)
+	s, err := newSpace(spec, es, maxNodes, obj)
 	if err != nil {
 		return Result{}, err
 	}
-	if maxNodes <= 0 || maxNodes > spec.Nodes {
-		maxNodes = spec.Nodes
-	}
-	total := 0
-	for _, cores := range shape {
-		total += len(cores)
-	}
-	flatCores := make([]int, 0, total)
-	for _, cs := range shape {
-		flatCores = append(flatCores, cs...)
-	}
-
-	assignment, err := greedyConstruct(shape, maxNodes, spec.CoresPerNode)
+	assignment, err := s.greedyConstruct()
 	if err != nil {
 		return Result{}, err
 	}
-
-	evaluate := func(a []int) (float64, bool) {
-		p := materialize(shape, a)
-		if p.Validate(spec) != nil {
-			return 0, false
-		}
-		p.Name = "greedy-candidate"
-		s, err := obj(p)
-		if err != nil {
-			return 0, false
-		}
-		return s, true
-	}
+	evaluate := s.evaluator("greedy-candidate")
 
 	res := Result{Score: math.Inf(-1)}
 	score, ok := evaluate(assignment)
@@ -223,8 +145,8 @@ func GreedyLocalSearch(spec cluster.Spec, es runtime.EnsembleSpec, maxNodes int,
 		return Result{}, errors.New("scheduler: greedy initial placement not evaluable")
 	}
 	res.Score = score
-	res.Score = hillClimb(assignment, maxNodes, res.Score, evaluate, &res.Evaluated)
-	res.Placement = materialize(shape, assignment)
+	res.Score = hillClimb(assignment, s.maxNodes, res.Score, evaluate, &res.Evaluated)
+	res.Placement = placement.FromAssignment(s.shape, assignment)
 	res.Placement.Name = "greedy-best"
 	return res, nil
 }
@@ -232,15 +154,12 @@ func GreedyLocalSearch(spec cluster.Spec, es runtime.EnsembleSpec, maxNodes int,
 // greedyConstruct packs components in member order: analyses prefer their
 // simulation's node (co-location), anything else goes to the least-loaded
 // node with room.
-func greedyConstruct(shape [][]int, maxNodes, coresPerNode int) ([]int, error) {
-	total := 0
-	for _, cores := range shape {
-		total += len(cores)
-	}
+func (s space) greedyConstruct() ([]int, error) {
+	maxNodes, coresPerNode := s.maxNodes, s.spec.CoresPerNode
 	load := make([]int, maxNodes)
-	assignment := make([]int, total)
+	assignment := make([]int, s.total)
 	pos := 0
-	for _, cores := range shape {
+	for _, cores := range s.shape {
 		simNode := -1
 		for ci, c := range cores {
 			cand := -1

@@ -4,16 +4,14 @@
 //
 // Usage:
 //
-//	experiments [-exp all|table1|table2|table4|fig3|fig4|fig5|fig6|fig7|fig8|fig9|headline
-//	                  |tiers|validation|buffers|aggregators|scaling|heterogeneous|topology
-//	                  |sockets|intransit|faults]
-//	            [-trials N] [-steps N] [-jitter F] [-seed N] [-quick]
+//	experiments [-exp all|NAME] [-trials N] [-steps N] [-jitter F] [-seed N] [-quick]
 //	            [-csv DIR] [-obs FILE] [-cpuprofile FILE] [-memprofile FILE]
 //
-// The first group regenerates the paper's evaluation; the second group
-// runs the extension studies documented in EXPERIMENTS.md. Every
-// simulation runs in-process, one after another, so the printed tables
-// are a deterministic function of the flags. -obs runs an instrumented
+// NAME is one entry of experiments.Studies (`experiments -h` lists them):
+// the paper's tables and figures, its headline, then the extension
+// studies documented in EXPERIMENTS.md. Every simulation runs
+// in-process, one after another, so the printed tables are a
+// deterministic function of the flags. -obs runs an instrumented
 // reference execution (C1.5 on the paper's machine) and writes its
 // Chrome/Perfetto trace alongside the tables.
 package main
@@ -21,9 +19,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"ensemblekit/internal/cluster"
@@ -36,7 +36,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment to run (all, table1, table2, table4, fig3..fig9, headline)")
+		exp        = flag.String("exp", "all", "study to run: all | "+strings.Join(names(), " | "))
 		trials     = flag.Int("trials", 5, "trials to average (the paper uses 5)")
 		steps      = flag.Int("steps", 0, "in situ steps (0 = the paper's 37)")
 		jitter     = flag.Float64("jitter", 0.02, "stage-time noise amplitude (negative disables)")
@@ -90,7 +90,7 @@ func realMain(cfg experiments.Config, exp, csvDir, obsOut, cpuProfile, memProfil
 			}
 		}()
 	}
-	if err := run(cfg, exp, csvDir); err != nil {
+	if err := run(os.Stdout, cfg, exp, csvDir); err != nil {
 		return err
 	}
 	if obsOut != "" {
@@ -125,228 +125,54 @@ func writeReferenceObs(cfg experiments.Config, path string) error {
 	return nil
 }
 
-func run(cfg experiments.Config, exp, csvDir string) error {
-	selected := func(name string) bool { return exp == "all" || exp == name }
-	emit := func(name string, t *report.Table) error {
-		fmt.Println(t.String())
-		if csvDir == "" {
-			return nil
+// run prints the selected studies' blocks to w and, with csvDir set,
+// writes each study whose first block is a table to csvDir/NAME.csv.
+func run(w io.Writer, cfg experiments.Config, exp, csvDir string) error {
+	studies := experiments.Studies
+	if exp != "all" {
+		i := slices.IndexFunc(studies, func(s experiments.Study) bool { return s.Name == exp })
+		if i < 0 {
+			return fmt.Errorf("unknown experiment %q (want all, %s)", exp, strings.Join(names(), ", "))
 		}
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			return err
-		}
-		f, err := os.Create(filepath.Join(csvDir, name+".csv"))
+		studies = studies[i : i+1]
+	}
+	for _, s := range studies {
+		_, blocks, err := s.Run(cfg)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", s.Name, err)
 		}
-		defer f.Close()
-		return t.WriteCSV(f)
-	}
-
-	any := false
-	if selected("table1") {
-		any = true
-		out, err := experiments.Table1(cfg)
-		if err != nil {
-			return err
+		for _, b := range blocks {
+			fmt.Fprintln(w, b)
 		}
-		fmt.Println(out)
-	}
-	if selected("table2") {
-		any = true
-		if err := emit("table2", experiments.Table2()); err != nil {
-			return err
+		if t, ok := blocks[0].(*report.Table); ok && csvDir != "" {
+			if err := writeCSV(filepath.Join(csvDir, s.Name+".csv"), t); err != nil {
+				return err
+			}
 		}
-	}
-	if selected("table4") {
-		any = true
-		if err := emit("table4", experiments.Table4()); err != nil {
-			return err
-		}
-	}
-	if selected("fig3") {
-		any = true
-		rows, err := experiments.Fig3(cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit("fig3", experiments.Fig3Table(rows)); err != nil {
-			return err
-		}
-	}
-	if selected("fig4") {
-		any = true
-		rows, err := experiments.Fig4(cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit("fig4", experiments.Fig4Table(rows)); err != nil {
-			return err
-		}
-	}
-	if selected("fig5") {
-		any = true
-		rows, err := experiments.Fig5(cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit("fig5", experiments.Fig5Table(rows)); err != nil {
-			return err
-		}
-	}
-	if selected("fig6") {
-		any = true
-		out, err := experiments.Fig6(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(out)
-	}
-	if selected("fig7") {
-		any = true
-		points, err := experiments.Fig7(cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit("fig7", experiments.Fig7Table(points)); err != nil {
-			return err
-		}
-	}
-	if selected("fig8") {
-		any = true
-		rows, _, err := experiments.Fig8(cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit("fig8", experiments.IndicatorTable(
-			"Figure 8 — F(P_i) per indicator stage, one analysis per simulation", rows)); err != nil {
-			return err
-		}
-		fmt.Println(experiments.IndicatorChart("Figure 8 (right panel) — F(P^{U,A,P})", rows).String())
-	}
-	if selected("fig9") {
-		any = true
-		rows, _, err := experiments.Fig9(cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit("fig9", experiments.IndicatorTable(
-			"Figure 9 — F(P_i) per indicator stage, two analyses per simulation", rows)); err != nil {
-			return err
-		}
-		fmt.Println(experiments.IndicatorChart("Figure 9 (right panel) — F(P^{U,A,P})", rows).String())
-	}
-	if selected("headline") {
-		any = true
-		res, err := experiments.Headline(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.String())
-		fmt.Println()
-	}
-	if selected("tiers") {
-		any = true
-		rows, err := experiments.TierStudy(cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit("tiers", experiments.TierTable(rows)); err != nil {
-			return err
-		}
-	}
-	if selected("validation") {
-		any = true
-		rows, err := experiments.ModelValidation(cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit("validation", experiments.ValidationTable(rows)); err != nil {
-			return err
-		}
-	}
-	if selected("buffers") {
-		any = true
-		rows, err := experiments.BufferStudy(cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit("buffers", experiments.BufferTable(rows)); err != nil {
-			return err
-		}
-	}
-	if selected("aggregators") {
-		any = true
-		rows, err := experiments.AggregatorStudy(cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit("aggregators", experiments.AggregatorTable(rows)); err != nil {
-			return err
-		}
-	}
-	if selected("scaling") {
-		any = true
-		rows, err := experiments.ScalingStudy(cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit("scaling", experiments.ScalingTable(rows)); err != nil {
-			return err
-		}
-	}
-	if selected("heterogeneous") {
-		any = true
-		rows, err := experiments.HeterogeneousStudy(cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit("heterogeneous", experiments.HeterogeneousTable(rows)); err != nil {
-			return err
-		}
-	}
-	if selected("topology") {
-		any = true
-		rows, err := experiments.TopologyStudy(cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit("topology", experiments.TopologyTable(rows)); err != nil {
-			return err
-		}
-	}
-	if selected("sockets") {
-		any = true
-		rows, err := experiments.SocketStudy(cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit("sockets", experiments.SocketTable(rows)); err != nil {
-			return err
-		}
-	}
-	if selected("faults") {
-		any = true
-		rows, err := experiments.FaultStudy(cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit("faults", experiments.FaultTable(rows)); err != nil {
-			return err
-		}
-	}
-	if selected("intransit") {
-		any = true
-		rows, err := experiments.InTransitStudy(cfg)
-		if err != nil {
-			return err
-		}
-		if err := emit("intransit", experiments.InTransitTable(rows)); err != nil {
-			return err
-		}
-	}
-	if !any {
-		return fmt.Errorf("unknown experiment %q", exp)
 	}
 	return nil
+}
+
+func writeCSV(path string, t *report.Table) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// names lists the studies in print order.
+func names() []string {
+	out := make([]string, len(experiments.Studies))
+	for i, s := range experiments.Studies {
+		out[i] = s.Name
+	}
+	return out
 }

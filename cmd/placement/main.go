@@ -152,7 +152,7 @@ var progressMonitor = scheduler.Monitor{
 		if p.Final {
 			marker = " (final)"
 		}
-		fmt.Fprintf(os.Stderr, "[%s] %d evaluations, best F = %.4f, %s elapsed%s\n",
+		fmt.Fprintf(os.Stderr, "[%s] %d objective calls, best F = %.4f, %s elapsed%s\n",
 			p.Strategy, p.Evaluated, p.BestScore, p.Elapsed.Round(1e6), marker)
 	},
 }

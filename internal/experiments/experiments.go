@@ -4,6 +4,8 @@
 // Figure 6 (stage timeline), Figure 7 (analysis core sweep), Figures 8-9
 // (the multi-stage indicator objective over Tables 2 and 4), plus the
 // configuration tables themselves and the abstract's co-location headline.
+// Studies lists them, and the extension studies after them, in print
+// order: cmd/experiments prints that list and TestGolden pins it.
 //
 // Absolute values are calibrated to the paper's scales (a ~10 s simulation
 // step); the reproduction target is the shape of each result — orderings,
@@ -66,12 +68,6 @@ func Quick() Config {
 }
 
 func (c Config) spec() cluster.Spec { return cluster.Cori(c.Nodes) }
-
-// clusterSpecWithNodes returns a copy of the spec resized to n nodes.
-func clusterSpecWithNodes(spec cluster.Spec, n int) cluster.Spec {
-	spec.Nodes = n
-	return spec
-}
 
 func (c Config) jitter() float64 {
 	if c.Jitter < 0 {

@@ -66,7 +66,7 @@ func TestFig3Shapes(t *testing.T) {
 				better, m["C1.5/analysis"].LLCMissRatio, m[better+"/analysis"].LLCMissRatio)
 		}
 	}
-	if Fig3Table(rows).NumRows() != 14 {
+	if fig3Table(rows).NumRows() != 14 {
 		t.Error("table rendering lost rows")
 	}
 }
@@ -113,7 +113,7 @@ func TestFig4And5Shapes(t *testing.T) {
 			t.Errorf("%s: ensemble makespan %v != max member makespan %v", name, ms, memberMax[name])
 		}
 	}
-	if Fig4Table(rows4).NumRows() == 0 || Fig5Table(rows5).NumRows() != 7 {
+	if fig4Table(rows4).NumRows() == 0 || fig5Table(rows5).NumRows() != 7 {
 		t.Error("table rendering lost rows")
 	}
 }
@@ -158,7 +158,7 @@ func TestFig7Shapes(t *testing.T) {
 	if bestCores != 8 {
 		t.Errorf("E maximized at %d cores, want 8", bestCores)
 	}
-	if Fig7Table(points).NumRows() != 7 {
+	if fig7Table(points).NumRows() != 7 {
 		t.Error("table rendering lost rows")
 	}
 }
@@ -199,7 +199,7 @@ func TestFig8Shapes(t *testing.T) {
 			t.Errorf("final: C1.4 (%v) should beat %s (%v)", final("C1.4"), name, final(name))
 		}
 	}
-	if IndicatorTable("fig8", rows).NumRows() != 5 {
+	if indicatorTable("fig8", rows).NumRows() != 5 {
 		t.Error("table rendering lost rows")
 	}
 }
@@ -304,7 +304,7 @@ func TestTierStudy(t *testing.T) {
 				by[cfgName+"/dimes"], by[cfgName+"/burstbuffer"], by[cfgName+"/pfs"])
 		}
 	}
-	if TierTable(rows).NumRows() != 9 {
+	if tierTable(rows).NumRows() != 9 {
 		t.Error("table rendering lost rows")
 	}
 }
@@ -324,7 +324,7 @@ func TestModelValidation(t *testing.T) {
 				r.Config, r.Member, 100*r.RelativeError, r.Predicted, r.Measured)
 		}
 	}
-	if ValidationTable(rows).NumRows() != len(rows) {
+	if validationTable(rows).NumRows() != len(rows) {
 		t.Error("table rendering lost rows")
 	}
 }
@@ -345,7 +345,7 @@ func TestBufferStudy(t *testing.T) {
 				by[cfgName+"/1"], by[cfgName+"/2"], by[cfgName+"/4"])
 		}
 	}
-	if BufferTable(rows).NumRows() != 6 {
+	if bufferTable(rows).NumRows() != 6 {
 		t.Error("table rendering lost rows")
 	}
 }
@@ -368,7 +368,7 @@ func TestAggregatorStudy(t *testing.T) {
 			t.Errorf("aggregator %s does not rank C2.8 first: %v", r.Aggregator, r.Ranking)
 		}
 	}
-	if AggregatorTable(rows).NumRows() != 4 {
+	if aggregatorTable(rows).NumRows() != 4 {
 		t.Error("table rendering lost rows")
 	}
 }
@@ -399,7 +399,7 @@ func TestScalingStudy(t *testing.T) {
 			t.Errorf("N=%d: node counts %d/%d, want %d/%d", n, co.Nodes, sp.Nodes, n, 2*n)
 		}
 	}
-	if ScalingTable(rows).NumRows() != 8 {
+	if scalingTable(rows).NumRows() != 8 {
 		t.Error("table rendering lost rows")
 	}
 }
@@ -424,7 +424,7 @@ func TestHeterogeneousStudy(t *testing.T) {
 	if co.F <= sp.F {
 		t.Errorf("heterogeneous: co-located F (%v) should beat spread (%v)", co.F, sp.F)
 	}
-	if HeterogeneousTable(rows).NumRows() != 2 {
+	if heterogeneousTable(rows).NumRows() != 2 {
 		t.Error("table rendering lost rows")
 	}
 }
@@ -453,7 +453,7 @@ func TestTopologyStudy(t *testing.T) {
 	if by["cross group, starved link"].ReadTime <= by["cross group"].ReadTime {
 		t.Error("a starved global link should slow the read further")
 	}
-	if TopologyTable(rows).NumRows() != 4 {
+	if topologyTable(rows).NumRows() != 4 {
 		t.Error("table rendering lost rows")
 	}
 }
@@ -485,7 +485,7 @@ func TestSocketStudy(t *testing.T) {
 	if by["C_f"].Delta > 1e-9 {
 		t.Errorf("C_f has nothing to separate: %+v", by["C_f"])
 	}
-	if SocketTable(rows).NumRows() != 7 {
+	if socketTable(rows).NumRows() != 7 {
 		t.Error("table rendering lost rows")
 	}
 }
@@ -523,7 +523,7 @@ func TestInTransitStudy(t *testing.T) {
 		t.Errorf("buffering should not materially change steady-state in transit: %v vs %v",
 			by["in transit, buffered"].Makespan, transit.Makespan)
 	}
-	if InTransitTable(rows).NumRows() != 3 {
+	if inTransitTable(rows).NumRows() != 3 {
 		t.Error("table rendering lost rows")
 	}
 }

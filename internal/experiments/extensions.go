@@ -7,7 +7,9 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strings"
 
 	"ensemblekit/internal/core"
 	"ensemblekit/internal/indicators"
@@ -47,8 +49,8 @@ func TierStudy(cfg Config) ([]TierRow, error) {
 	return rows, nil
 }
 
-// TierTable renders the tier study.
-func TierTable(rows []TierRow) *report.Table {
+// tierTable renders the tier study.
+func tierTable(rows []TierRow) *report.Table {
 	t := report.NewTable("Extension — DTL tier comparison (in-memory vs burst buffer vs PFS)",
 		"config", "tier", "makespan (s)")
 	for _, r := range rows {
@@ -95,11 +97,7 @@ func ModelValidation(cfg Config) ([]ValidationRow, error) {
 				Measured:  stats.Mean(meas),
 			}
 			if row.Measured > 0 {
-				d := row.Predicted - row.Measured
-				if d < 0 {
-					d = -d
-				}
-				row.RelativeError = d / row.Measured
+				row.RelativeError = math.Abs(row.Predicted-row.Measured) / row.Measured
 			}
 			rows = append(rows, row)
 		}
@@ -107,8 +105,8 @@ func ModelValidation(cfg Config) ([]ValidationRow, error) {
 	return rows, nil
 }
 
-// ValidationTable renders the model-validation study.
-func ValidationTable(rows []ValidationRow) *report.Table {
+// validationTable renders the model-validation study.
+func validationTable(rows []ValidationRow) *report.Table {
 	t := report.NewTable("Extension — Equation 2 makespan prediction vs measurement",
 		"config", "member", "predicted (s)", "measured (s)", "rel. error")
 	for _, r := range rows {
@@ -139,12 +137,9 @@ func BufferStudy(cfg Config) ([]BufferRow, error) {
 			es := runtime.SpecForPlacement(p, cfg.Steps)
 			var ms []float64
 			for t := 0; t < cfg.Trials; t++ {
-				tr, err := runtime.RunSimulated(spec, p, es, runtime.SimOptions{
-					Tier:         cfg.Tier,
-					Jitter:       cfg.jitter(),
-					Seed:         cfg.BaseSeed + int64(t),
-					StagingSlots: slots,
-				})
+				opts := cfg.trialOptions(t)
+				opts.StagingSlots = slots
+				tr, err := runtime.RunSimulated(spec, p, es, opts)
 				if err != nil {
 					return nil, err
 				}
@@ -156,8 +151,8 @@ func BufferStudy(cfg Config) ([]BufferRow, error) {
 	return rows, nil
 }
 
-// BufferTable renders the buffer study.
-func BufferTable(rows []BufferRow) *report.Table {
+// bufferTable renders the buffer study.
+func bufferTable(rows []BufferRow) *report.Table {
 	t := report.NewTable("Extension — staging buffer depth (paper assumes 1 slot)",
 		"config", "slots", "makespan (s)")
 	for _, r := range rows {
@@ -216,19 +211,12 @@ func AggregatorStudy(cfg Config) ([]AggregatorRow, error) {
 	return rows, nil
 }
 
-// AggregatorTable renders the aggregator study.
-func AggregatorTable(rows []AggregatorRow) *report.Table {
+// aggregatorTable renders the aggregator study.
+func aggregatorTable(rows []AggregatorRow) *report.Table {
 	t := report.NewTable("Extension — ranking sensitivity to the Equation 9 aggregator",
 		"aggregator", "ranking (best first)")
 	for _, r := range rows {
-		rank := ""
-		for i, n := range r.Ranking {
-			if i > 0 {
-				rank += " > "
-			}
-			rank += n
-		}
-		t.AddRow(r.Aggregator, rank)
+		t.AddRow(r.Aggregator, strings.Join(r.Ranking, " > "))
 	}
 	return t
 }

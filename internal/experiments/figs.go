@@ -62,8 +62,8 @@ func Fig3(cfg Config) ([]Fig3Row, error) {
 	return rows, nil
 }
 
-// Fig3Table renders Figure 3 data.
-func Fig3Table(rows []Fig3Row) *report.Table {
+// fig3Table renders Figure 3 data.
+func fig3Table(rows []Fig3Row) *report.Table {
 	t := report.NewTable("Figure 3 — component-level metrics (Table 1) per configuration",
 		"config", "component", "exec time (s)", "LLC miss ratio", "memory intensity", "IPC")
 	for _, r := range rows {
@@ -100,8 +100,8 @@ func Fig4(cfg Config) ([]Fig4Row, error) {
 	return rows, nil
 }
 
-// Fig4Table renders Figure 4 data.
-func Fig4Table(rows []Fig4Row) *report.Table {
+// fig4Table renders Figure 4 data.
+func fig4Table(rows []Fig4Row) *report.Table {
 	t := report.NewTable("Figure 4 — ensemble member makespan", "config", "member", "makespan (s)")
 	for _, r := range rows {
 		t.AddRow(r.Config, r.Member, r.Makespan)
@@ -134,8 +134,8 @@ func Fig5(cfg Config) ([]Fig5Row, error) {
 	return rows, nil
 }
 
-// Fig5Table renders Figure 5 data.
-func Fig5Table(rows []Fig5Row) *report.Table {
+// fig5Table renders Figure 5 data.
+func fig5Table(rows []Fig5Row) *report.Table {
 	t := report.NewTable("Figure 5 — workflow ensemble makespan", "config", "makespan (s)")
 	for _, r := range rows {
 		t.AddRow(r.Config, r.Makespan)
@@ -149,10 +149,14 @@ func Fig5Table(rows []Fig5Row) *report.Table {
 // Analyzer (ample cores). It returns the rendered timeline of the first
 // few steady steps.
 func Fig6(cfg Config) (string, error) {
+	_, out, err := fig6(cfg)
+	return out, err
+}
+
+// fig6 returns Figure 6's member trace and its rendering.
+func fig6(cfg Config) (*trace.MemberTrace, string, error) {
 	cfg = cfg.Defaults()
-	if cfg.Nodes < 3 {
-		cfg.Nodes = 3
-	}
+	cfg.Nodes = max(cfg.Nodes, 3)
 	p := placement.Placement{
 		Name: "fig6",
 		Members: []placement.Member{{
@@ -177,7 +181,7 @@ func Fig6(cfg Config) (string, error) {
 	}
 	tr, err := runtime.RunSimulated(spec, p, es, runtime.SimOptions{Tier: cfg.Tier})
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
 	m := tr.Members[0]
 	g := report.NewGantt("Figure 6 — fine-grained stages of one in situ member (S/W sim, R/A analyses, idle blank)", 100)
@@ -199,13 +203,13 @@ func Fig6(cfg Config) (string, error) {
 	addComponent("analysis 1 (Idle Simulation)", m.Analyses[0])
 	addComponent("analysis 2 (Idle Analyzer)", m.Analyses[1])
 	// Annotate the observed coupling scenarios.
-	ss, err := coreSteady(m)
+	ss, err := core.FromMemberTrace(m, core.ExtractOptions{})
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
 	sc0, _ := ss.CouplingScenario(0)
 	sc1, _ := ss.CouplingScenario(1)
-	return g.String() + fmt.Sprintf("coupling 1: %v, coupling 2: %v, sigma=%s\n",
+	return m, g.String() + fmt.Sprintf("coupling 1: %v, coupling 2: %v, sigma=%s\n",
 		sc0, sc1, report.FormatFloat(ss.Sigma())), nil
 }
 
@@ -213,36 +217,22 @@ func Fig6(cfg Config) (string, error) {
 func Fig7(cfg Config) ([]heuristic.SweepPoint, error) {
 	cfg = cfg.Defaults()
 	spec := cfg.spec()
-	if spec.Nodes < 2 {
-		spec.Nodes = 2
-	}
+	spec.Nodes = max(spec.Nodes, 2)
 	return heuristic.CoreSweep(spec,
 		kernels.MDProfile(kernels.ReferenceStride), kernels.AnalysisProfile(),
 		heuristic.PaperCoreCounts(),
 		heuristic.SweepOptions{
-			Steps: minInt(cfg.Steps, 12),
+			Steps: min(cfg.Steps, 12),
 			Sim:   runtime.SimOptions{Tier: cfg.Tier, Jitter: cfg.jitter(), Seed: cfg.BaseSeed},
 		})
 }
 
-// Fig7Table renders Figure 7 data.
-func Fig7Table(points []heuristic.SweepPoint) *report.Table {
+// fig7Table renders Figure 7 data.
+func fig7Table(points []heuristic.SweepPoint) *report.Table {
 	t := report.NewTable("Figure 7 — in situ step vs analysis cores (fixed 16-core simulation)",
 		"analysis cores", "S*+W* (s)", "R*+A* (s)", "sigma (s)", "E", "Eq.4")
 	for _, p := range points {
 		t.AddRow(p.Cores, p.SimBusy, p.AnaBusy, p.Sigma, p.Efficiency, p.SatisfiesEq4)
 	}
 	return t
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// coreSteady extracts a member's steady state with default options.
-func coreSteady(m *trace.MemberTrace) (core.SteadyState, error) {
-	return core.FromMemberTrace(m, core.ExtractOptions{})
 }

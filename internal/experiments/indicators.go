@@ -56,8 +56,8 @@ func Fig9(cfg Config) ([]IndicatorRow, []indicators.Report, error) {
 	return indicatorStudy(cfg, placement.ConfigsTable4())
 }
 
-// IndicatorTable renders Figure 8/9 data with one column per stage.
-func IndicatorTable(title string, rows []IndicatorRow) *report.Table {
+// indicatorTable renders Figure 8/9 data with one column per stage.
+func indicatorTable(title string, rows []IndicatorRow) *report.Table {
 	stages := []string{"U", "U,P", "U,A", "U,A,P"}
 	t := report.NewTable(title, append([]string{"config"},
 		[]string{"F(P^U)", "F(P^{U,P})", "F(P^{U,A})", "F(P^{U,A,P})"}...)...)
@@ -80,9 +80,9 @@ func IndicatorTable(title string, rows []IndicatorRow) *report.Table {
 	return t
 }
 
-// IndicatorChart renders the final-stage objective of Figure 8/9 data as
+// indicatorChart renders the final-stage objective of Figure 8/9 data as
 // an ASCII bar chart (the figures' visual form).
-func IndicatorChart(title string, rows []IndicatorRow) *report.BarChart {
+func indicatorChart(title string, rows []IndicatorRow) *report.BarChart {
 	chart := report.NewBarChart(title, 50)
 	for _, r := range rows {
 		if r.Stage == indicators.StageUAP.String() {
@@ -140,9 +140,7 @@ func Headline(cfg Config) (HeadlineResult, error) {
 	res := HeadlineResult{BestF: math.Inf(-1), WorstF: math.Inf(1)}
 	for _, p := range configs {
 		c := cfg
-		if n := p.M(); n > c.Nodes {
-			c.Nodes = n
-		}
+		c.Nodes = max(c.Nodes, p.M())
 		traces, err := runConfig(c, p)
 		if err != nil {
 			return HeadlineResult{}, err

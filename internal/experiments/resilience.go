@@ -53,15 +53,11 @@ func FaultStudy(cfg Config) ([]FaultRow, error) {
 			var ms, objs, retries, drops []float64
 			es := runtime.SpecForPlacement(p, cfg.Steps)
 			for t := 0; t < cfg.Trials; t++ {
-				opts := runtime.SimOptions{
-					Tier:   cfg.Tier,
-					Jitter: cfg.jitter(),
-					Seed:   cfg.BaseSeed + int64(t),
-					Resilience: runtime.Resilience{
-						StagingRetries: 3,
-						RetryBackoff:   0.05,
-						Mode:           runtime.DropMember,
-					},
+				opts := cfg.trialOptions(t)
+				opts.Resilience = runtime.Resilience{
+					StagingRetries: 3,
+					RetryBackoff:   0.05,
+					Mode:           runtime.DropMember,
 				}
 				if rate > 0 {
 					opts.Faults = &faults.Plan{
@@ -127,8 +123,8 @@ func totalRetries(tr *trace.EnsembleTrace) int {
 	return n
 }
 
-// FaultTable renders the fault study.
-func FaultTable(rows []FaultRow) *report.Table {
+// faultTable renders the fault study.
+func faultTable(rows []FaultRow) *report.Table {
 	t := report.NewTable("Extension — staging-fault degradation (retries + drop-member policy)",
 		"config", "fault rate", "makespan (s)", "slowdown", "F(P) survivors", "retries", "dropped")
 	for _, r := range rows {

@@ -47,7 +47,7 @@ func TestFaultStudy(t *testing.T) {
 				cfgName, worst[cfgName], b)
 		}
 	}
-	if FaultTable(rows).NumRows() != want {
+	if faultTable(rows).NumRows() != want {
 		t.Error("table rendering lost rows")
 	}
 }

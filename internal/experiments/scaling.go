@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"ensemblekit/internal/core"
 	"ensemblekit/internal/indicators"
 	"ensemblekit/internal/network"
 	"ensemblekit/internal/placement"
@@ -103,8 +104,8 @@ func ScalingStudy(cfg Config) ([]ScalingRow, error) {
 	return rows, nil
 }
 
-// ScalingTable renders the scaling study.
-func ScalingTable(rows []ScalingRow) *report.Table {
+// scalingTable renders the scaling study.
+func scalingTable(rows []ScalingRow) *report.Table {
 	t := report.NewTable("Extension — ensemble-size scaling (co-location vs spreading)",
 		"members", "placement", "nodes", "makespan (s)", "F(P^{U,A,P})")
 	for _, r := range rows {
@@ -137,15 +138,11 @@ func HeterogeneousStudy(cfg Config) ([]HeterogeneousRow, error) {
 	var rows []HeterogeneousRow
 	for _, p := range configs {
 		spec := cfg.spec()
-		if p.M() > spec.Nodes {
-			spec = clusterSpecWithNodes(spec, p.M())
-		}
+		spec.Nodes = max(spec.Nodes, p.M())
 		var ms []float64
 		var traces []*trace.EnsembleTrace
 		for t := 0; t < cfg.Trials; t++ {
-			tr, err := runtime.RunSimulated(spec, p, es, runtime.SimOptions{
-				Tier: cfg.Tier, Jitter: cfg.jitter(), Seed: cfg.BaseSeed + int64(t),
-			})
+			tr, err := runtime.RunSimulated(spec, p, es, cfg.trialOptions(t))
 			if err != nil {
 				return nil, err
 			}
@@ -165,8 +162,8 @@ func HeterogeneousStudy(cfg Config) ([]HeterogeneousRow, error) {
 	return rows, nil
 }
 
-// HeterogeneousTable renders the heterogeneous-ensemble study.
-func HeterogeneousTable(rows []HeterogeneousRow) *report.Table {
+// heterogeneousTable renders the heterogeneous-ensemble study.
+func heterogeneousTable(rows []HeterogeneousRow) *report.Table {
 	t := report.NewTable("Extension — heterogeneous ensembles (generalized-ensemble workload)",
 		"placement", "makespan (s)", "F(P^{U,A,P})")
 	for _, r := range rows {
@@ -206,15 +203,14 @@ func TopologyStudy(cfg Config) ([]TopologyRow, error) {
 	for _, sc := range scenarios {
 		var ms, reads []float64
 		for t := 0; t < cfg.Trials; t++ {
-			tr, err := runtime.RunSimulated(spec, p, es, runtime.SimOptions{
-				Tier: cfg.Tier, Jitter: cfg.jitter(), Seed: cfg.BaseSeed + int64(t),
-				Topology: sc.topo,
-			})
+			opts := cfg.trialOptions(t)
+			opts.Topology = sc.topo
+			tr, err := runtime.RunSimulated(spec, p, es, opts)
 			if err != nil {
 				return nil, err
 			}
 			ms = append(ms, tr.Makespan())
-			ss, err := coreSteady(tr.Members[0])
+			ss, err := core.FromMemberTrace(tr.Members[0], core.ExtractOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -229,8 +225,8 @@ func TopologyStudy(cfg Config) ([]TopologyRow, error) {
 	return rows, nil
 }
 
-// TopologyTable renders the topology study.
-func TopologyTable(rows []TopologyRow) *report.Table {
+// topologyTable renders the topology study.
+func topologyTable(rows []TopologyRow) *report.Table {
 	t := report.NewTable("Extension — dragonfly topology (C_f with varying producer-consumer paths)",
 		"scenario", "makespan (s)", "steady R (s)")
 	for _, r := range rows {
@@ -263,9 +259,7 @@ func SocketStudy(cfg Config) ([]SocketRow, error) {
 			spec.SocketsPerNode = sockets
 			var ms []float64
 			for t := 0; t < cfg.Trials; t++ {
-				tr, err := runtime.RunSimulated(spec, p, es, runtime.SimOptions{
-					Tier: cfg.Tier, Jitter: cfg.jitter(), Seed: cfg.BaseSeed + int64(t),
-				})
+				tr, err := runtime.RunSimulated(spec, p, es, cfg.trialOptions(t))
 				if err != nil {
 					return 0, err
 				}
@@ -291,8 +285,8 @@ func SocketStudy(cfg Config) ([]SocketRow, error) {
 	return rows, nil
 }
 
-// SocketTable renders the socket-fidelity study.
-func SocketTable(rows []SocketRow) *report.Table {
+// socketTable renders the socket-fidelity study.
+func socketTable(rows []SocketRow) *report.Table {
 	t := report.NewTable("Extension — node-level vs dual-socket interference model",
 		"config", "node-level makespan (s)", "socket-aware (s)", "reduction")
 	for _, r := range rows {
@@ -335,14 +329,13 @@ func InTransitStudy(cfg Config) ([]InTransitRow, error) {
 		var ms, sStage, aStage []float64
 		var traces []*trace.EnsembleTrace
 		for t := 0; t < cfg.Trials; t++ {
-			tr, err := runtime.RunSimulated(spec, mode.p, es, runtime.SimOptions{
-				Tier: cfg.Tier, Jitter: cfg.jitter(), Seed: cfg.BaseSeed + int64(t),
-				StagingSlots: mode.slots,
-			})
+			opts := cfg.trialOptions(t)
+			opts.StagingSlots = mode.slots
+			tr, err := runtime.RunSimulated(spec, mode.p, es, opts)
 			if err != nil {
 				return nil, err
 			}
-			ss, err := coreSteady(tr.Members[0])
+			ss, err := core.FromMemberTrace(tr.Members[0], core.ExtractOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -370,8 +363,8 @@ func InTransitStudy(cfg Config) ([]InTransitRow, error) {
 	return rows, nil
 }
 
-// InTransitTable renders the in situ vs in transit study.
-func InTransitTable(rows []InTransitRow) *report.Table {
+// inTransitTable renders the in situ vs in transit study.
+func inTransitTable(rows []InTransitRow) *report.Table {
 	t := report.NewTable("Extension — in situ vs in transit analytics (after the paper's ref. [26])",
 		"mode", "makespan (s)", "S* (s)", "A* (s)", "F(P^{U,A,P})")
 	for _, r := range rows {

@@ -13,14 +13,20 @@ import (
 // with sample values measured on one co-located run, demonstrating every
 // metric end to end.
 func Table1(cfg Config) (string, error) {
+	_, out, err := table1(cfg)
+	return out, err
+}
+
+// table1 returns Table 1's sample metrics and their rendering.
+func table1(cfg Config) (metrics.Ensemble, string, error) {
 	cfg = cfg.Defaults()
 	traces, err := runConfig(cfg, placement.Cc())
 	if err != nil {
-		return "", err
+		return metrics.Ensemble{}, "", err
 	}
 	ens, err := metrics.FromTrace(traces[0])
 	if err != nil {
-		return "", err
+		return metrics.Ensemble{}, "", err
 	}
 	var b strings.Builder
 	b.WriteString("## Table 1 — metrics at three levels of granularity (sampled on C_c)\n")
@@ -41,7 +47,7 @@ func Table1(cfg Config) (string, error) {
 	wf := report.NewTable("Workflow ensemble", "metric", "value")
 	wf.AddRow("ensemble makespan (s)", ens.Makespan)
 	b.WriteString(wf.String())
-	return b.String(), nil
+	return ens, b.String(), nil
 }
 
 // configTable renders a set of configurations in the paper's Table 2/4

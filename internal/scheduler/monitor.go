@@ -53,43 +53,46 @@ type Monitor struct {
 // active reports whether the monitor will emit anything.
 func (m *Monitor) active() bool { return m != nil && m.OnProgress != nil }
 
-// wrap decorates obj so evaluations are counted and periodically reported.
-func (m *Monitor) wrap(strategy Strategy, start time.Time, obj Objective) Objective {
+// wrap decorates obj so evaluations are counted and periodically reported;
+// *evaluated is the running count.
+func (m *Monitor) wrap(strategy Strategy, start time.Time, obj Objective) (wrapped Objective, evaluated *int) {
+	evaluated = new(int)
 	if !m.active() {
-		return obj
+		return obj, evaluated
 	}
 	every := m.Every
 	if every <= 0 {
 		every = 50
 	}
-	evaluated := 0
 	best := math.Inf(-1)
 	return func(p placement.Placement) (float64, error) {
 		s, err := obj(p)
-		evaluated++
+		*evaluated++
 		if err == nil && s > best {
 			best = s
 		}
-		if evaluated%every == 0 {
+		if *evaluated%every == 0 {
 			m.OnProgress(Progress{
 				Strategy:  strategy,
-				Evaluated: evaluated,
+				Evaluated: *evaluated,
 				BestScore: best,
 				Elapsed:   time.Since(start),
 			})
 		}
 		return s, err
-	}
+	}, evaluated
 }
 
 // Search runs the named strategy over the placement space with optional
-// progress monitoring. opts only applies to StrategyAnneal; the zero value
+// progress monitoring. Every snapshot, the final one included, counts
+// objective calls; Result.Evaluated also counts the assignments rejected
+// unpriced. opts only applies to StrategyAnneal; the zero value
 // uses the annealer's defaults.
 func Search(strategy Strategy, spec cluster.Spec, es runtime.EnsembleSpec, maxNodes int,
 	obj Objective, mon *Monitor, opts AnnealOptions) (Result, error) {
 
 	start := time.Now()
-	wrapped := mon.wrap(strategy, start, obj)
+	wrapped, evaluated := mon.wrap(strategy, start, obj)
 	var res Result
 	var err error
 	switch strategy {
@@ -105,7 +108,7 @@ func Search(strategy Strategy, spec cluster.Spec, es runtime.EnsembleSpec, maxNo
 	if err == nil && mon.active() {
 		mon.OnProgress(Progress{
 			Strategy:  strategy,
-			Evaluated: res.Evaluated,
+			Evaluated: *evaluated,
 			BestScore: res.Score,
 			Elapsed:   time.Since(start),
 			Final:     true,

@@ -4,7 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"ensemblekit/internal/cluster"
 	"ensemblekit/internal/indicators"
+	"ensemblekit/internal/placement"
+	"ensemblekit/internal/runtime"
 )
 
 func TestSearchUnifiesStrategies(t *testing.T) {
@@ -121,5 +124,35 @@ func TestAnnealProgressCallback(t *testing.T) {
 	}
 	if plain.Score != res.Score || plain.Evaluated != res.Evaluated {
 		t.Errorf("progress callback perturbed the anneal: %+v vs %+v", plain, res)
+	}
+}
+
+// TestFinalSnapshotCountsObjectiveCalls: on 4m×2a×4n the greedy start
+// fills every node, so no hill-climb move fits and the objective runs
+// once while Result.Evaluated counts every proposal (37). The final
+// snapshot, like the periodic ones, reports objective calls; the annealer
+// likewise.
+func TestFinalSnapshotCountsObjectiveCalls(t *testing.T) {
+	spec := cluster.Cori(4)
+	es := runtime.PaperEnsemble("search", 4, 2, 8)
+	obj := NewObjective(spec, es, indicators.StageUAP)
+	for _, strategy := range []Strategy{StrategyGreedy, StrategyAnneal} {
+		calls := 0
+		counted := func(p placement.Placement) (float64, error) {
+			calls++
+			return obj(p)
+		}
+		var last Progress
+		mon := &Monitor{OnProgress: func(p Progress) { last = p }}
+		res, err := Search(strategy, spec, es, 4, counted, mon, AnnealOptions{Iterations: 300, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !last.Final || last.Evaluated != calls {
+			t.Errorf("%s: final snapshot %+v, want Final with %d objective calls", strategy, last, calls)
+		}
+		if res.Evaluated <= calls {
+			t.Errorf("%s: Result.Evaluated %d, want the proposals beyond the %d calls", strategy, res.Evaluated, calls)
+		}
 	}
 }

@@ -16,7 +16,9 @@ type Result struct {
 	Placement placement.Placement
 	// Score is its objective value.
 	Score float64
-	// Evaluated counts objective evaluations performed.
+	// Evaluated counts the assignments proposed, including those rejected
+	// unpriced (a node over capacity); Exhaustive proposes only feasible
+	// ones, so there it equals the objective calls.
 	Evaluated int
 }
 

@@ -78,7 +78,7 @@ var goldenObsHashes = map[string]string{
 
 // goldenFaultHashes pins variants that drive the engine's recovery paths:
 // seeded jitter, staging retries with backoff, stage timeouts
-// (AtCancelable guards), network degradation windows (fabric re-balance
+// (sim.Timer guards), network degradation windows (fabric re-balance
 // boundaries), node crashes with restarts, stragglers, and the
 // drop-member policy (interrupt storms).
 var goldenFaultHashes = map[string]string{

@@ -181,7 +181,7 @@ func TestCampaignResumeMatchesUninterruptedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts1 := httptest.NewServer(NewServer(svc1).Handler())
+	ts1 := serveTest(t, NewServer(svc1).Handler())
 	st := postCampaign(t, ts1, chaosRequest)
 	if st.ID != "c-1" {
 		t.Fatalf("campaign id %q, want c-1", st.ID)
@@ -215,8 +215,7 @@ func TestCampaignResumeMatchesUninterruptedRun(t *testing.T) {
 	if n := srv2.Resume(); n != 1 {
 		t.Fatalf("Resume relaunched %d campaigns, want 1", n)
 	}
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
+	ts2 := serveTest(t, srv2.Handler())
 	final := pollCampaign(t, ts2, "c-1")
 	if final.Status != "done" || final.Result == nil {
 		t.Fatalf("resumed campaign: %+v", final)

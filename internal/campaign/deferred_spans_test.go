@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -213,8 +212,7 @@ func TestTruncatedTraceSaysSo(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(svc.Close)
-	ts := httptest.NewServer(NewServer(svc).Handler())
-	t.Cleanup(ts.Close)
+	ts := serveTest(t, NewServer(svc).Handler())
 
 	final := pollCampaign(t, ts, postCampaign(t, ts, `{"configs":["C1.5"],"steps":4}`).ID)
 	if final.Status != "done" {

@@ -53,7 +53,7 @@ func (n *fabricNode) shutdown() {
 	n.closeOnce.Do(func() {
 		n.pool.Close()
 		n.svc.Close()
-		n.ts.Close()
+		closeTestServer(n.ts)
 	})
 }
 

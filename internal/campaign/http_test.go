@@ -25,9 +25,27 @@ func newTestServer(t *testing.T) (*httptest.Server, *Service) {
 		t.Fatal(err)
 	}
 	t.Cleanup(svc.Close)
-	ts := httptest.NewServer(NewServer(svc).Handler())
-	t.Cleanup(ts.Close)
-	return ts, svc
+	return serveTest(t, NewServer(svc).Handler()), svc
+}
+
+// serveTest serves h on an httptest server that the test's cleanup
+// closes with closeTestServer.
+func serveTest(t *testing.T, h http.Handler) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(h)
+	t.Cleanup(func() { closeTestServer(ts) })
+	return ts
+}
+
+// closeTestServer closes ts and drops its handler. Close alone does not
+// let the handler go: it arms a five-second hang report and stops it,
+// and the runtime sweeps a stopped timer out of its heap only later, so
+// the closed server, and through its handler a whole Service, stays
+// reachable for a while. The retention tests would count that earlier
+// test's jobs in their heap baseline.
+func closeTestServer(ts *httptest.Server) {
+	ts.Close()
+	ts.Config.Handler = nil
 }
 
 func postCampaign(t *testing.T, ts *httptest.Server, body string) CampaignStatus {
@@ -263,8 +281,7 @@ func TestHTTPHealthAndReadiness(t *testing.T) {
 	}
 	t.Cleanup(svc.Close)
 	srv := NewServer(svc)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
+	ts := serveTest(t, srv.Handler())
 	probe := func(path string, wantCode int, wantStatus string, wantReasons ...string) {
 		t.Helper()
 		resp, err := http.Get(ts.URL + path)
@@ -416,8 +433,7 @@ func TestHTTPQueueFullRejectsCampaign(t *testing.T) {
 	}
 	defer svc.Close()
 	defer close(release)
-	ts := httptest.NewServer(NewServer(svc).Handler())
-	defer ts.Close()
+	ts := serveTest(t, NewServer(svc).Handler())
 
 	// Saturate: one job running, one filling the single queue slot.
 	if _, err := svc.Submit(context.Background(), jobFor(t, 101), SubmitOptions{}); err != nil {
@@ -464,8 +480,7 @@ func TestHTTPMetricsAfterTraffic(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", NewServer(svc).Handler())
 	mux.Handle("GET /metrics", reg.Handler())
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
+	ts := serveTest(t, mux)
 
 	final := pollCampaign(t, ts, postCampaign(t, ts, `{"configs":["C1.5"],"steps":4}`).ID)
 	if final.Status != "done" {
@@ -516,8 +531,7 @@ func TestHTTPMetricsConcurrentScrape(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", NewServer(svc).Handler())
 	mux.Handle("GET /metrics", reg.Handler())
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
+	ts := serveTest(t, mux)
 
 	// Scrapers run in goroutines; the campaigns (and t.Fatal-bearing
 	// helpers) stay on the test goroutine.

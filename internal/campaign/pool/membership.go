@@ -97,9 +97,6 @@ func NewMembership(id, addr string, suspectAfter, deadAfter time.Duration, now f
 // SelfID returns the node's own advertised ID.
 func (m *Membership) SelfID() string { return m.selfID }
 
-// SelfAddr returns the node's own advertised base URL.
-func (m *Membership) SelfAddr() string { return m.selfAddr }
-
 // SetOnChange registers the routable-set observer (the ring rebuild).
 func (m *Membership) SetOnChange(fn func()) { m.onChange = fn }
 

@@ -32,8 +32,7 @@ func TestEvictedJobIs404(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(svc.Close)
-	ts := httptest.NewServer(NewServer(svc).Handler())
-	t.Cleanup(ts.Close)
+	ts := serveTest(t, NewServer(svc).Handler())
 	status := func(id string) int {
 		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 		if err != nil {
@@ -201,8 +200,7 @@ func TestSummaryKeepsEvictedFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(svc.Close)
-	ts := httptest.NewServer(NewServer(svc).Handler())
-	t.Cleanup(ts.Close)
+	ts := serveTest(t, NewServer(svc).Handler())
 
 	st := pollCampaign(t, ts, postCampaign(t, ts, `{"configs":["C1.5"],"steps":4,"seeds":[1,2]}`).ID)
 	if st.Status != "done" || st.Result.Failed != 1 {

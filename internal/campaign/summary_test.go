@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	gort "runtime"
 	"testing"
 
@@ -113,8 +112,7 @@ func TestPoolPayloadsAreSummaries(t *testing.T) {
 	}
 	t.Cleanup(svc.Close)
 	mux := http.NewServeMux()
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
+	ts := serveTest(t, mux)
 	p, err := pool.New(pool.Config{SelfID: "n1", Advertise: ts.URL, Local: svc, Permanent: IsPermanent})
 	if err != nil {
 		t.Fatal(err)

@@ -28,8 +28,7 @@ func newTracedServer(t *testing.T, cfg Config) (*httptest.Server, *Service) {
 		t.Fatal(err)
 	}
 	t.Cleanup(svc.Close)
-	ts := httptest.NewServer(NewServer(svc).Handler())
-	t.Cleanup(ts.Close)
+	ts := serveTest(t, NewServer(svc).Handler())
 	return ts, svc
 }
 

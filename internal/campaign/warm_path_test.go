@@ -136,8 +136,11 @@ func TestSSEClosedStreamEndsWithError(t *testing.T) {
 		defer close(done)
 		h.ServeHTTP(w, httptest.NewRequest("GET", "/v1/campaigns/"+st.ID+"/events", nil))
 	}()
+	// Close once the stream is subscribed and the campaign's first job
+	// event exists: it is then in the replay or buffered on the stream's
+	// channel, so the stream has something to flush before the error.
 	for {
-		if n, _, _ := svc.Events().Stats(); n == 1 {
+		if n, _, _ := svc.Events().Stats(); n == 1 && svc.Events().Seq() > 0 {
 			break
 		}
 		time.Sleep(time.Millisecond)

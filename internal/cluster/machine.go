@@ -29,9 +29,6 @@ type Tenant struct {
 	// Sockets lists the socket indexes the tenant's cores occupy (empty
 	// when socket fidelity is off).
 	Sockets []int
-	// socketTakes records how many cores the tenant holds on each entry
-	// of Sockets, for exact release bookkeeping.
-	socketTakes []int
 }
 
 // sharesSocket reports whether two tenants overlap on any socket. With
@@ -67,10 +64,10 @@ type Node struct {
 
 // assignSockets places `cores` onto sockets (preferring the single socket
 // with the tightest fit to reduce fragmentation, spanning in index order
-// otherwise) and returns the socket set and the per-socket core counts.
-func (n *Node) assignSockets(cores int) (sockets, takes []int) {
+// otherwise) and returns the socket set.
+func (n *Node) assignSockets(cores int) (sockets []int) {
 	if len(n.socketFree) == 0 {
-		return nil, nil
+		return nil
 	}
 	// Prefer a single socket with the least leftover space that fits.
 	best, bestFree := -1, int(^uint(0)>>1)
@@ -81,7 +78,7 @@ func (n *Node) assignSockets(cores int) (sockets, takes []int) {
 	}
 	if best >= 0 {
 		n.socketFree[best] -= cores
-		return []int{best}, []int{cores}
+		return []int{best}
 	}
 	// Span sockets: drain in index order.
 	left := cores
@@ -92,26 +89,12 @@ func (n *Node) assignSockets(cores int) (sockets, takes []int) {
 		if n.socketFree[s] == 0 {
 			continue
 		}
-		take := n.socketFree[s]
-		if take > left {
-			take = left
-		}
+		take := min(n.socketFree[s], left)
 		n.socketFree[s] -= take
 		left -= take
 		sockets = append(sockets, s)
-		takes = append(takes, take)
 	}
-	return sockets, takes
-}
-
-// releaseSockets returns exactly the cores the tenant took per socket.
-func (n *Node) releaseSockets(t *Tenant) {
-	if len(n.socketFree) == 0 {
-		return
-	}
-	for i, s := range t.Sockets {
-		n.socketFree[s] += t.socketTakes[i]
-	}
+	return sockets
 }
 
 // FreeCores returns the number of unallocated cores.
@@ -195,30 +178,11 @@ func (m *Machine) Allocate(id string, node, cores int, prof Profile) (*Tenant, e
 		return nil, fmt.Errorf("cluster: tenant %q working set overflows node %d memory", id, node)
 	}
 	t := &Tenant{ID: id, Cores: cores, Node: node, Profile: prof}
-	t.Sockets, t.socketTakes = n.assignSockets(cores)
+	t.Sockets = n.assignSockets(cores)
 	n.tenants = append(n.tenants, t)
 	n.used += cores
 	m.byID[id] = t
 	return t, nil
-}
-
-// Free releases a tenant's allocation.
-func (m *Machine) Free(id string) error {
-	t, ok := m.byID[id]
-	if !ok {
-		return fmt.Errorf("cluster: tenant %q not allocated", id)
-	}
-	n := m.nodes[t.Node]
-	for i, q := range n.tenants {
-		if q == t {
-			n.tenants = append(n.tenants[:i], n.tenants[i+1:]...)
-			break
-		}
-	}
-	n.releaseSockets(t)
-	n.used -= t.Cores
-	delete(m.byID, id)
-	return nil
 }
 
 // Tenant looks up a tenant by ID.

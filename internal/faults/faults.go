@@ -65,9 +65,6 @@ type NetworkWindow struct {
 	Factor float64 `json:"factor"` // in (0,1]: 0.25 = quarter bandwidth
 }
 
-// Active reports whether the window covers virtual time t.
-func (w NetworkWindow) Active(t float64) bool { return t >= w.Start && t < w.End }
-
 // NodeCrash kills every component placed on Node at virtual time At.
 // What happens next is the resilience policy's decision: fail fast,
 // restart the components from the last completed in situ step, or drop

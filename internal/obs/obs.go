@@ -36,12 +36,12 @@ const (
 	// moved for I/O stages.
 	StageEnd
 	// ResourceAcquire marks units taken from a counted resource (cores on
-	// a node, semaphore slots); Value is the units acquired.
+	// a node); Value is the units acquired.
 	ResourceAcquire
 	// ResourceRelease marks units returned; Value is the units released.
 	ResourceRelease
-	// QueueDepth samples the depth of a queue (semaphore waiters, store
-	// backlog); Value is the new depth.
+	// QueueDepth samples the depth of a queue (a labeled store's token
+	// count); Value is the new depth.
 	QueueDepth
 	// PutBegin marks the start of a DTL write (staging data out).
 	PutBegin

@@ -102,35 +102,6 @@ func (t *Table) WriteText(w io.Writer) error {
 	return err
 }
 
-// WriteMarkdown renders the table as a GitHub-flavoured markdown table,
-// the format used by EXPERIMENTS.md.
-func (t *Table) WriteMarkdown(w io.Writer) error {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "### %s\n\n", t.Title)
-	}
-	writeRow := func(cells []string) {
-		b.WriteString("|")
-		for _, c := range cells {
-			b.WriteString(" ")
-			b.WriteString(strings.ReplaceAll(c, "|", "\\|"))
-			b.WriteString(" |")
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Columns)
-	sep := make([]string, len(t.Columns))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	writeRow(sep)
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
 // WriteCSV renders the table as CSV with the headers in the first row.
 func (t *Table) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)

@@ -91,21 +91,6 @@ func TestGanttEmpty(t *testing.T) {
 	}
 }
 
-func TestTableMarkdown(t *testing.T) {
-	tb := NewTable("MD", "a", "b|c")
-	tb.AddRow("x", 0.5)
-	var buf bytes.Buffer
-	if err := tb.WriteMarkdown(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"### MD", "| a |", "| --- | --- |", "| x | 0.5000 |", "b\\|c"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("markdown missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestBarChart(t *testing.T) {
 	b := NewBarChart("F per config", 20)
 	b.AddBar("C1.5", 0.02)

@@ -490,18 +490,18 @@ func (r *simRun) launchMember(i int, simA compAlloc, anaA []compAlloc, mt *trace
 	if slots <= 0 {
 		slots = 1
 	}
-	writeTokens := sim.NewStore[struct{}](r.env, -1)
+	writeTokens := sim.NewStore(r.env)
 	rec := r.env.Recorder()
 	if rec.Enabled() {
 		writeTokens.SetLabel(fmt.Sprintf("m%d.writeTokens", i))
 	}
 	for t := 0; t < k*slots; t++ {
-		writeTokens.Offer(struct{}{})
+		writeTokens.Offer()
 	}
 	// announce[j] tells analysis j that a chunk is staged.
-	announce := make([]*sim.Store[int], k)
+	announce := make([]*sim.Store, k)
 	for j := range announce {
-		announce[j] = sim.NewStore[int](r.env, -1)
+		announce[j] = sim.NewStore(r.env)
 		if rec.Enabled() {
 			announce[j].SetLabel(fmt.Sprintf("m%d.announce%d", i, j))
 		}
@@ -522,10 +522,7 @@ func (r *simRun) launchMember(i int, simA compAlloc, anaA []compAlloc, mt *trace
 		// allocates nothing per step.
 		var sDur float64
 		waitS := func() error { return p.Wait(sDur) }
-		getToken := func() error {
-			_, e := writeTokens.Get(p)
-			return e
-		}
+		getToken := func() error { return writeTokens.Get(p) }
 		writeOp := func() error { return r.tier.Write(p, simA.node, bytes) }
 		// Stage records for all steps share one flat backing (3 per step:
 		// S, I^S, W — error paths record fewer, never more, so the backing
@@ -601,7 +598,7 @@ func (r *simRun) launchMember(i int, simA compAlloc, anaA []compAlloc, mt *trace
 			rec.Stages = stageBuf[base:len(stageBuf):len(stageBuf)]
 			simTrace.Steps = append(simTrace.Steps, rec)
 			for j := range announce {
-				announce[j].Offer(step)
+				announce[j].Offer()
 			}
 		}
 		return nil
@@ -623,10 +620,7 @@ func (r *simRun) launchMember(i int, simA compAlloc, anaA []compAlloc, mt *trace
 			// Hoisted stage operations (see the simulation process above).
 			var aDur float64
 			waitA := func() error { return p.Wait(aDur) }
-			getChunk := func() error {
-				_, e := announce[j].Get(p)
-				return e
-			}
+			getChunk := func() error { return announce[j].Get(p) }
 			readOp := func() error { return r.tier.Read(p, simA.node, alloc.node, bytes) }
 			// Flat stage-record backing: 3 per step (R, A, I^A).
 			stageBuf := make([]trace.StageRecord, 0, 3*n)
@@ -664,7 +658,7 @@ func (r *simRun) launchMember(i int, simA compAlloc, anaA []compAlloc, mt *trace
 					Counters: r.model.IOCounters(alloc.tenant, bytes, rDur), Retries: rRetries,
 				})
 				// The data is consumed: permit the next write.
-				writeTokens.Offer(struct{}{})
+				writeTokens.Offer()
 				// A: compute (stragglers dilate the modeled duration).
 				aStart := p.Now()
 				aDur = assess.ComputeTime * anaJitter.next() * r.inj.Slowdown(anaTrace.Name, aStart)

@@ -15,20 +15,19 @@
 // There is no dedicated scheduler goroutine. The dispatch loop runs on
 // whichever goroutine is relinquishing control — the Run caller starting
 // the simulation, a process entering a blocking primitive, or a process
-// whose function just returned. Timer callbacks (At/After) execute inline
+// whose function just returned. Timer callbacks (At/AtTimer) execute inline
 // on that goroutine with zero crossings, and resuming a process is a
 // single buffered-channel send straight from the yielding goroutine to
 // the resumed one: one goroutine crossing per event instead of the two a
 // central scheduler pays (scheduler->process, process->scheduler). Event
 // structs are pooled in a per-environment free list (generation counters
-// keep stale cancel handles harmless), cancelled events are deleted
+// keep stale cancel handles harmless), and cancelled events are deleted
 // lazily (skipped at pop, compacted in bulk when they dominate the
-// queue), and the blocked-process registry supports O(1) removal via an
-// index stored on each Proc. None of this changes event ordering: the
-// queue is still a single binary heap keyed by (time, sequence), so
-// simulated timestamps and the obs event stream are bit-identical to the
-// central-scheduler implementation (pinned by the golden determinism
-// tests at the repository root).
+// queue). None of this changes event ordering: the queue is still a
+// single binary heap keyed by (time, sequence), so simulated timestamps
+// and the obs event stream are bit-identical to the central-scheduler
+// implementation (pinned by the golden determinism tests at the
+// repository root).
 package sim
 
 import (
@@ -48,10 +47,6 @@ var ErrInterrupted = errors.New("sim: interrupted")
 // processes are still blocked on resources.
 var ErrDeadlock = errors.New("sim: deadlock")
 
-// ErrStopped is returned from blocking primitives when the environment has
-// been stopped while the process was blocked.
-var ErrStopped = errors.New("sim: environment stopped")
-
 // event is one scheduled occurrence: either a process resume (proc set)
 // or a callback (fn set). Events are pooled: gen increments every time an
 // event returns to the free list, so a cancel handle captured before the
@@ -68,8 +63,8 @@ type event struct {
 }
 
 // Env is a discrete-event simulation environment. Create one with NewEnv,
-// register processes with Go, then call Run (or RunUntil). Env is not safe
-// for concurrent use from multiple user goroutines: all interaction must
+// register processes with Go, then call Run. Env is not safe for
+// concurrent use from multiple user goroutines: all interaction must
 // happen either before Run or from within simulated processes/callbacks.
 type Env struct {
 	now float64
@@ -98,22 +93,16 @@ type Env struct {
 	// O(n) pass instead of popping through them one heap operation each.
 	cancelledCount int
 	live           int // processes started and not yet finished
-	// blocked registers processes parked in blocking primitives, in block
-	// order (Stop wakes them FIFO). Removal tombstones the slot via the
-	// index stored on the Proc (O(1)) and compacts when tombstones
-	// dominate, preserving order.
-	blocked     []*Proc
-	blockedDead int
-	fatal       error
-	cbPanic     any // panic raised by a callback, re-thrown by run
-	running     bool
-	stopping    bool
-	// controlCh returns the control token to the Run/Stop caller when the
-	// dispatch loop quiesces (queue empty, horizon reached, fatal). It is
-	// buffered so the sender never blocks on it.
+	// procs lists every process started since NewEnv or Reset; Run reads
+	// it only to name the blocked ones in a deadlock error.
+	procs   []*Proc
+	fatal   error
+	cbPanic any // panic raised by a callback, re-thrown by Run
+	running bool
+	// controlCh returns the control token to the Run caller when the
+	// dispatch loop quiesces (queue empty or fatal). It is buffered so the
+	// sender never blocks on it.
 	controlCh chan struct{}
-	// until is the dispatch horizon of the active run (< 0: unbounded).
-	until float64
 	// dispatched counts events delivered (for engine statistics).
 	dispatched int64
 	// rec is the optional instrumentation bus. A nil recorder is a valid
@@ -123,8 +112,8 @@ type Env struct {
 }
 
 // SetRecorder attaches an instrumentation recorder to the environment.
-// The engine and the primitives built on it (Semaphore, Store, the
-// network fabric) emit lifecycle, queue-depth, and transfer events to it.
+// The engine and the primitives built on it (Store, the network fabric)
+// emit lifecycle, queue-depth, and transfer events to it.
 // A nil recorder (the default) disables instrumentation at the cost of a
 // single branch per emission site; attaching or detaching a recorder
 // never changes event ordering, so simulation results are bit-identical
@@ -153,16 +142,7 @@ func (e *Env) Stats() Stats {
 
 // NewEnv returns an environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{controlCh: make(chan struct{}, 1), until: -1}
-}
-
-// NewInstrumentedEnv returns an environment with a fresh recorder bound to
-// its clock, ready for exporting (obs.WriteChromeTrace) after the run.
-func NewInstrumentedEnv() (*Env, *obs.Recorder) {
-	e := NewEnv()
-	r := obs.NewRecorder(e.Now)
-	e.rec = r
-	return e, r
+	return &Env{controlCh: make(chan struct{}, 1)}
 }
 
 // Now returns the current simulated time in seconds.
@@ -331,30 +311,9 @@ func (e *Env) At(t float64, fn func()) {
 	e.schedule(t, nil, nil, fn)
 }
 
-// After schedules fn to run d seconds from now.
-func (e *Env) After(d float64, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	e.At(e.now+d, fn)
-}
-
-// AtCancelable schedules fn at absolute time t and returns a cancel
-// function. Cancelling after the callback has fired is a no-op (the
-// generation check recognizes a recycled event).
-func (e *Env) AtCancelable(t float64, fn func()) (cancel func()) {
-	ev := e.schedule(t, nil, nil, fn)
-	g := ev.gen
-	return func() {
-		if ev.gen == g {
-			e.cancelEvent(ev)
-		}
-	}
-}
-
-// Timer is a cancellable handle to a scheduled callback — the
-// allocation-free alternative to AtCancelable (a value, not a closure).
-// The zero Timer is valid and cancels nothing.
+// Timer is a cancellable handle to a scheduled callback. It is a value,
+// not a closure, so taking one allocates nothing. The zero Timer is valid
+// and cancels nothing.
 type Timer struct {
 	env *Env
 	ev  *event
@@ -381,8 +340,9 @@ func (tm Timer) Cancel() {
 // current simulated time, after already-scheduled events at this time.
 // The returned Proc may be used to interrupt the process.
 func (e *Env) Go(name string, fn func(p *Proc) error) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan procResume, 1), blockedIdx: -1}
+	p := &Proc{env: e, name: name, resume: make(chan procResume, 1)}
 	e.live++
+	e.procs = append(e.procs, p)
 	e.rec.ProcStart(name, obs.NoNode)
 	go func() {
 		r := <-p.resume // wait for the dispatch loop to start us
@@ -417,16 +377,10 @@ func (e *Env) wake(p *Proc, err error) {
 // dispatch runs the scheduler loop on the calling goroutine until either
 // control is handed to a process (a single channel send — the resumed
 // process continues the loop when it next yields) or the run quiesces, in
-// which case the control token is returned to the Run/Stop caller parked
-// on controlCh. Callback events execute inline with no crossing at all.
+// which case the control token is returned to the Run caller parked on
+// controlCh. Callback events execute inline with no crossing at all.
 func (e *Env) dispatch() {
-	if e.until >= 0 && e.now > e.until {
-		// Horizon already passed: even events at the current instant must
-		// stay queued for a later run.
-		e.controlCh <- struct{}{}
-		return
-	}
-	for e.fatal == nil && e.cbPanic == nil && !e.stopping {
+	for e.fatal == nil && e.cbPanic == nil {
 		// Lazy deletion: cancelled events are dropped when they surface.
 		for len(e.queue) > 0 && e.queue[0].cancelled {
 			e.cancelledCount--
@@ -453,7 +407,7 @@ func (e *Env) dispatch() {
 			if ev == nil {
 				e.nowQ = e.nowQ[:0]
 				e.nowHead = 0
-				if len(e.queue) == 0 || (e.until >= 0 && e.queue[0].t > e.until) {
+				if len(e.queue) == 0 {
 					break
 				}
 				ev = e.heapPop()
@@ -476,13 +430,11 @@ func (e *Env) dispatch() {
 		if p.done {
 			continue
 		}
-		p.blocking = nil
 		p.blockingQ = nil
-		e.unblock(p)
 		p.resume <- procResume{err: errv}
 		return
 	}
-	// No dispatchable work: hand the control token back to Run/Stop.
+	// No dispatchable work: hand the control token back to Run.
 	e.controlCh <- struct{}{}
 }
 
@@ -498,66 +450,16 @@ func (e *Env) runCallback(fn func()) {
 	fn()
 }
 
-// block registers p as parked in a blocking primitive.
-func (e *Env) block(p *Proc) {
-	p.blockedIdx = len(e.blocked)
-	e.blocked = append(e.blocked, p)
-}
-
-// unblock removes p from the blocked registry in O(1) by tombstoning the
-// slot recorded on the Proc; tombstones are compacted (order-preserving)
-// when they dominate the registry.
-func (e *Env) unblock(p *Proc) {
-	i := p.blockedIdx
-	if i < 0 || i >= len(e.blocked) || e.blocked[i] != p {
-		return
-	}
-	e.blocked[i] = nil
-	p.blockedIdx = -1
-	e.blockedDead++
-	if e.blockedDead > 32 && e.blockedDead*2 > len(e.blocked) {
-		e.compactBlocked()
-	}
-}
-
-func (e *Env) compactBlocked() {
-	old := e.blocked
-	live := old[:0]
-	for _, q := range old {
-		if q != nil {
-			q.blockedIdx = len(live)
-			live = append(live, q)
-		}
-	}
-	for i := len(live); i < len(old); i++ {
-		old[i] = nil
-	}
-	e.blocked = live
-	e.blockedDead = 0
-}
-
 // Run executes events until the queue drains. It returns nil on a clean
 // completion, ErrDeadlock (wrapped, with the names of blocked processes) if
 // live processes remain blocked with no pending events, or the panic error
 // if a process panicked.
 func (e *Env) Run() error {
-	return e.run(-1)
-}
-
-// RunUntil executes events with timestamps <= t, then stops. The clock is
-// left at the time of the last dispatched event (or t if nothing ran after
-// it). Deadlock is only reported if the queue drains before t.
-func (e *Env) RunUntil(t float64) error {
-	return e.run(t)
-}
-
-func (e *Env) run(until float64) error {
 	if e.running {
 		return errors.New("sim: Run called reentrantly")
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	e.until = until
 	e.dispatch()
 	<-e.controlCh
 	if e.cbPanic != nil {
@@ -569,62 +471,13 @@ func (e *Env) run(until float64) error {
 		e.drain()
 		return e.fatal
 	}
-	// Deadlock is only meaningful for an unbounded Run: a RunUntil caller
-	// may legitimately leave processes blocked and deliver input (or Stop)
-	// afterwards. blockedNames (which allocates and sorts) is reached only
-	// on this error path, never on a healthy run.
-	if until < 0 && e.live > 0 {
-		return fmt.Errorf("%w: %d process(es) blocked: %s", ErrDeadlock, e.live, e.blockedNames())
-	}
-	if until >= 0 && e.now < until {
-		e.now = until
+	// With the queue dry every live process is parked in a blocking
+	// primitive. liveNames (which allocates and sorts) is reached only on
+	// this error path, never on a healthy run.
+	if e.live > 0 {
+		return fmt.Errorf("%w: %d process(es) blocked: %s", ErrDeadlock, e.live, e.liveNames())
 	}
 	return nil
-}
-
-// Stop aborts all blocked processes with ErrStopped and drains the event
-// queue. It is intended for tearing down a simulation after RunUntil.
-// Stop must be called from outside Run (i.e., not from a process).
-func (e *Env) Stop() {
-	e.stopping = true
-	defer func() { e.stopping = false }()
-	// Cancel every pending event so no process resumes normally.
-	for _, ev := range e.queue {
-		if !ev.cancelled {
-			ev.cancelled = true
-			e.cancelledCount++
-		}
-	}
-	for i := e.nowHead; i < len(e.nowQ); i++ {
-		e.nowQ[i].cancelled = true
-	}
-	// Wake blocked processes with ErrStopped, one at a time, in block
-	// order (processes that block again while stopping are re-woken).
-	for i := 0; i < len(e.blocked); i++ {
-		p := e.blocked[i]
-		if p == nil || p.done {
-			continue
-		}
-		e.blocked[i] = nil
-		e.blockedDead++
-		p.blockedIdx = -1
-		if p.blocking != nil {
-			p.blocking()
-			p.blocking = nil
-		}
-		if p.blockingQ != nil {
-			p.blockingQ.CancelWait(p)
-			p.blockingQ = nil
-		}
-		p.pending = nil // its timer event was cancelled above
-		p.resume <- procResume{err: ErrStopped}
-		// The woken process runs until it finishes or blocks again; the
-		// stopping flag makes its dispatch return the token immediately.
-		<-e.controlCh
-	}
-	e.blocked = e.blocked[:0]
-	e.blockedDead = 0
-	e.drain()
 }
 
 func (e *Env) drain() {
@@ -642,8 +495,8 @@ func (e *Env) drain() {
 }
 
 // Reset returns a quiesced environment to its NewEnv state while keeping
-// the event free list and every backing allocation (queue, nowQ, blocked
-// registry). It is the arena primitive behind runtime.World's environment
+// the event free list and every backing allocation (queue, nowQ, process
+// list). It is the arena primitive behind runtime.World's environment
 // pool: a campaign reuses one Env per job instead of allocating a fresh
 // heap, free list, and channel each time. Reset refuses to run while the
 // dispatch loop is active or processes are still live — recycling an
@@ -659,20 +512,19 @@ func (e *Env) Reset() error {
 	e.now = 0
 	e.seq = 0
 	e.dispatched = 0
-	e.blocked = e.blocked[:0]
-	e.blockedDead = 0
+	clear(e.procs)
+	e.procs = e.procs[:0]
 	e.fatal = nil
 	e.cbPanic = nil
-	e.stopping = false
-	e.until = -1
 	e.rec = nil
 	return nil
 }
 
-func (e *Env) blockedNames() string {
-	names := make([]string, 0, len(e.blocked))
-	for _, p := range e.blocked {
-		if p != nil {
+// liveNames lists the processes that have not finished, sorted.
+func (e *Env) liveNames() string {
+	names := make([]string, 0, e.live)
+	for _, p := range e.procs {
+		if !p.done {
 			names = append(names, p.name)
 		}
 	}

@@ -6,14 +6,13 @@ type procResume struct {
 	err error
 }
 
-// Waiter is implemented by waiter containers (Store, Semaphore, Gate,
-// network flows) that park processes. CancelWait must remove p from the
+// Waiter is implemented by waiter containers (Store, network flows) that
+// park processes with ParkOn. CancelWait must remove p from the
 // container's waiter queue and make any pending wake for p a no-op; the
-// engine invokes it on interrupt and Stop. Blocking through a Waiter
-// instead of a cancel closure keeps the block path allocation-free (a
-// closure capturing the waiter record escapes to the heap on every
-// call). CancelWait is for blocking-primitive implementations only;
-// application code never calls it.
+// engine invokes it when the parked process is interrupted. Blocking
+// through an interface value rather than a cancel closure keeps the park
+// path allocation-free. CancelWait is for blocking-primitive
+// implementations only; application code never calls it.
 type Waiter interface {
 	CancelWait(p *Proc)
 }
@@ -31,15 +30,9 @@ type Proc struct {
 	// pending is the event scheduled to resume this process from a timed
 	// wait; it is cancelled on interrupt.
 	pending *event
-	// blocking, when non-nil, removes the process from whatever waiter
-	// queue it sits in (used by interrupts and Stop).
-	blocking func()
-	// blockingQ is the closure-free form of blocking: the Waiter the
-	// process is parked in, if any.
+	// blockingQ is the Waiter the process is parked in, if any; an
+	// interrupt asks it to forget the process.
 	blockingQ Waiter
-	// blockedIdx is this process's slot in Env.blocked (-1 when not
-	// blocked), giving O(1) removal on resume.
-	blockedIdx int
 }
 
 // Name returns the process name given to Env.Go.
@@ -75,15 +68,7 @@ func (p *Proc) Wait(d float64) error {
 	if d < 0 {
 		d = 0
 	}
-	return p.WaitUntil(p.env.now + d)
-}
-
-// WaitUntil suspends the process until absolute simulated time t
-// (clamped to now).
-func (p *Proc) WaitUntil(t float64) error {
-	ev := p.env.schedule(t, p, nil, nil)
-	p.pending = ev
-	p.env.block(p)
+	p.pending = p.env.schedule(p.env.now+d, p, nil, nil)
 	err := p.yield()
 	p.pending = nil
 	return err
@@ -103,11 +88,6 @@ func (p *Proc) Interrupt(reason string) {
 		p.pending = nil
 		interrupted = true
 	}
-	if p.blocking != nil {
-		p.blocking()
-		p.blocking = nil
-		interrupted = true
-	}
 	if p.blockingQ != nil {
 		p.blockingQ.CancelWait(p)
 		p.blockingQ = nil
@@ -119,39 +99,18 @@ func (p *Proc) Interrupt(reason string) {
 	p.env.wake(p, fmt.Errorf("%w: %s", ErrInterrupted, reason))
 }
 
-// Park blocks the process until another party calls Unpark (from a
-// callback or another process). onCancel is invoked if the process is
-// interrupted or the environment is stopped while parked; it must make any
-// pending Unpark a no-op (e.g., by flagging the waiting record as dead) so
-// the process is not woken twice.
-func (p *Proc) Park(onCancel func()) error { return p.blockOn(onCancel) }
-
-// ParkOn is the closure-free variant of Park: q.CancelWait(p) plays the
-// role of onCancel.
-func (p *Proc) ParkOn(q Waiter) error { return p.blockOnQueue(q) }
-
-// Unpark wakes a process parked with Park. Calling Unpark for a process
-// that is not parked corrupts the scheduler; callers must guard with their
-// own bookkeeping (see Park's onCancel contract).
-func (p *Proc) Unpark() { p.env.wake(p, nil) }
-
-// blockOn registers the process as blocked on an external waiter queue.
-// cancel must remove the process from that queue; it is invoked if the
-// process is interrupted or the environment is stopped.
-func (p *Proc) blockOn(cancel func()) error {
-	p.blocking = cancel
-	p.env.block(p)
-	err := p.yield()
-	p.blocking = nil
-	return err
-}
-
-// blockOnQueue is blockOn without the closure allocation: cancellation
-// goes through the Waiter interface.
-func (p *Proc) blockOnQueue(q Waiter) error {
+// ParkOn blocks the process in the waiter queue q until another party
+// calls Unpark (from a callback or another process). If the process is
+// interrupted while parked, q.CancelWait(p) runs first; it must make any
+// pending Unpark a no-op so the process is not woken twice.
+func (p *Proc) ParkOn(q Waiter) error {
 	p.blockingQ = q
-	p.env.block(p)
 	err := p.yield()
 	p.blockingQ = nil
 	return err
 }
+
+// Unpark wakes a process parked with ParkOn. Calling Unpark for a process
+// that is not parked corrupts the scheduler; callers must guard with their
+// own bookkeeping (see the Waiter contract).
+func (p *Proc) Unpark() { p.env.wake(p, nil) }

@@ -3,7 +3,10 @@ package sim
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"ensemblekit/internal/obs"
 )
 
 func TestWaitAdvancesClock(t *testing.T) {
@@ -89,7 +92,7 @@ func TestCallbacks(t *testing.T) {
 	env := NewEnv()
 	var times []float64
 	env.At(2, func() { times = append(times, env.Now()) })
-	env.After(1, func() { times = append(times, env.Now()) })
+	env.At(1, func() { times = append(times, env.Now()) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,42 +101,41 @@ func TestCallbacks(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	env := NewEnv()
-	ticks := 0
-	env.Go("ticker", func(p *Proc) error {
-		for {
-			if err := p.Wait(1); err != nil {
-				return nil
-			}
-			ticks++
-		}
-	})
-	if err := env.RunUntil(5.5); err != nil {
-		t.Fatal(err)
-	}
-	if ticks != 5 {
-		t.Errorf("ticks = %d, want 5", ticks)
-	}
-	if env.Now() != 5.5 {
-		t.Errorf("clock = %v, want 5.5", env.Now())
-	}
-	env.Stop()
-}
-
 func TestDeadlockDetected(t *testing.T) {
 	env := NewEnv()
-	sem := NewSemaphore(env, 1)
+	st := NewStore(env)
+	st.Offer()
 	env.Go("holder", func(p *Proc) error {
-		if err := sem.Acquire(p, 1); err != nil {
+		if err := st.Get(p); err != nil {
 			return err
 		}
-		// Never released: the second acquire below deadlocks.
-		return sem.Acquire(p, 1)
+		// Nobody offers again: the second get below deadlocks.
+		return st.Get(p)
 	})
 	err := env.Run()
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
+	}
+}
+
+// TestDeadlockNamesBlockedProcesses pins the deadlock message: it counts
+// and names exactly the processes still parked, sorted, and none of the
+// finished ones.
+func TestDeadlockNamesBlockedProcesses(t *testing.T) {
+	env := NewEnv()
+	st := NewStore(env)
+	for _, name := range []string{"zeta", "alpha", "mid"} {
+		env.Go(name, func(p *Proc) error { return st.Get(p) })
+	}
+	env.Go("quick", func(p *Proc) error { return nil })
+	env.Go("sleeper", func(p *Proc) error { return p.Wait(3) })
+	err := env.Run()
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("err = %v, want ErrDeadlock", err)
+	}
+	const want = "sim: deadlock: 3 process(es) blocked: alpha, mid, zeta"
+	if err.Error() != want {
+		t.Errorf("err = %q, want %q", err, want)
 	}
 }
 
@@ -143,31 +145,98 @@ func TestProcessPanicIsReported(t *testing.T) {
 		panic("boom")
 	})
 	err := env.Run()
-	if err == nil || !contains(err.Error(), "boom") || !contains(err.Error(), "bad") {
+	if err == nil || !strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), "bad") {
 		t.Fatalf("err = %v, want panic report naming the process", err)
 	}
 }
 
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && (s == sub || len(sub) == 0 || indexOf(s, sub) >= 0)
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
+// TestStoreOffer covers both orders: tokens offered before any Get are
+// counted and taken without waiting; an Offer to a parked getter hands the
+// token over directly and never shows in the count.
+func TestStoreOffer(t *testing.T) {
+	env := NewEnv()
+	st := NewStore(env)
+	st.Offer()
+	st.Offer()
+	if st.Len() != 2 {
+		t.Fatalf("len = %d, want 2", st.Len())
 	}
-	return -1
+	var gotAt []float64
+	env.Go("getter", func(p *Proc) error {
+		for i := 0; i < 3; i++ {
+			if err := st.Get(p); err != nil {
+				return err
+			}
+			gotAt = append(gotAt, p.Now())
+		}
+		return nil
+	})
+	env.Go("offerer", func(p *Proc) error {
+		if err := p.Wait(1); err != nil {
+			return err
+		}
+		if st.Len() != 0 {
+			t.Errorf("len with a parked getter = %d, want 0", st.Len())
+		}
+		st.Offer()
+		return nil
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(gotAt) != 3 || gotAt[0] != 0 || gotAt[1] != 0 || gotAt[2] != 1 {
+		t.Errorf("gets at %v, want [0 0 1]", gotAt)
+	}
+	if st.Len() != 0 {
+		t.Errorf("final len = %d, want 0", st.Len())
+	}
 }
 
+// TestStoreFIFO checks that parked getters are served in the order they
+// parked, one per offer.
+func TestStoreFIFO(t *testing.T) {
+	env := NewEnv()
+	st := NewStore(env)
+	var order []string
+	for _, name := range []string{"g1", "g2", "g3"} {
+		name := name
+		env.Go(name, func(p *Proc) error {
+			if err := st.Get(p); err != nil {
+				return err
+			}
+			order = append(order, name)
+			return nil
+		})
+	}
+	env.Go("offerer", func(p *Proc) error {
+		for i := 0; i < 3; i++ {
+			if err := p.Wait(1); err != nil {
+				return err
+			}
+			st.Offer()
+		}
+		return nil
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(order, " ") != "g1 g2 g3" {
+		t.Errorf("order = %v, want [g1 g2 g3]", order)
+	}
+}
+
+// TestSemaphoreFIFO uses a store holding two tokens as a two-unit
+// semaphore (Get acquires, Offer releases) and checks that blocked
+// acquirers are granted in arrival order as units come back.
 func TestSemaphoreFIFO(t *testing.T) {
 	env := NewEnv()
-	sem := NewSemaphore(env, 2)
+	sem := NewStore(env)
+	sem.Offer()
+	sem.Offer()
 	var order []string
 	worker := func(name string, hold float64) {
 		env.Go(name, func(p *Proc) error {
-			if err := sem.Acquire(p, 1); err != nil {
+			if err := sem.Get(p); err != nil {
 				return err
 			}
 			order = append(order, name+"+")
@@ -175,7 +244,7 @@ func TestSemaphoreFIFO(t *testing.T) {
 				return err
 			}
 			order = append(order, name+"-")
-			sem.Release(1)
+			sem.Offer()
 			return nil
 		})
 	}
@@ -189,264 +258,109 @@ func TestSemaphoreFIFO(t *testing.T) {
 	// At t=2 a's wait-end event (scheduled at t=0) precedes c's (scheduled
 	// at t=1), and d's grant wake is scheduled at t=2, hence a-, c-, d+.
 	want := []string{"a+", "b+", "b-", "c+", "a-", "c-", "d+", "d-"}
-	if len(order) != len(want) {
+	if strings.Join(order, " ") != strings.Join(want, " ") {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
+	if sem.Len() != 2 {
+		t.Errorf("units free at end = %d, want 2", sem.Len())
+	}
+}
+
+// TestStoreDepthSamples pins what a labeled store records: its count at
+// labeling time and after every change, and nothing for a token handed
+// straight to a parked getter.
+func TestStoreDepthSamples(t *testing.T) {
+	env := NewEnv()
+	rec := obs.NewRecorder(nil)
+	env.SetRecorder(rec)
+	st := NewStore(env)
+	st.SetLabel("q")
+	env.Go("p", func(p *Proc) error {
+		st.Offer()
+		st.Offer()
+		if err := p.Wait(1); err != nil {
+			return err
+		}
+		for i := 0; i < 3; i++ {
+			if err := st.Get(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	env.Go("o", func(p *Proc) error {
+		if err := p.Wait(2); err != nil {
+			return err
+		}
+		st.Offer()
+		return nil
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var got [][2]float64
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.QueueDepth && ev.Subject == "q" {
+			got = append(got, [2]float64{ev.T, ev.Value})
+		}
+	}
+	want := [][2]float64{{0, 0}, {0, 1}, {0, 2}, {1, 1}, {1, 0}}
+	if len(got) != len(want) {
+		t.Fatalf("depth samples (t, depth) = %v, want %v", got, want)
+	}
 	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
+		if got[i] != want[i] {
+			t.Fatalf("depth samples (t, depth) = %v, want %v", got, want)
 		}
-	}
-	if sem.InUse() != 0 {
-		t.Errorf("inUse = %d, want 0", sem.InUse())
 	}
 }
 
-func TestSemaphoreBulkRequestDoesNotStarve(t *testing.T) {
-	// FIFO is strict: a queued request for 2 units must be granted before a
-	// later request for 1 unit, even if the single unit would fit first.
+// TestInterruptBlockedOnResource checks that an interrupted getter leaves
+// the store's queue: the next offer goes to the getter behind it, and the
+// one after that is counted, so no ghost is woken and no token is lost.
+func TestInterruptBlockedOnResource(t *testing.T) {
 	env := NewEnv()
-	sem := NewSemaphore(env, 2)
-	var order []string
-	env.Go("hog", func(p *Proc) error {
-		if err := sem.Acquire(p, 2); err != nil {
-			return err
-		}
-		if err := p.Wait(1); err != nil {
-			return err
-		}
-		sem.Release(1) // one unit free: not enough for the queued pair
-		if err := p.Wait(1); err != nil {
-			return err
-		}
-		sem.Release(1)
+	st := NewStore(env)
+	var blockedErr error
+	blocked := env.Go("blocked", func(p *Proc) error {
+		blockedErr = st.Get(p)
 		return nil
 	})
-	env.Go("pair", func(p *Proc) error {
-		if err := p.Wait(0.1); err != nil {
+	gotAt := -1.0
+	env.Go("next", func(p *Proc) error {
+		if err := st.Get(p); err != nil {
 			return err
 		}
-		if err := sem.Acquire(p, 2); err != nil {
-			return err
-		}
-		order = append(order, "pair")
-		sem.Release(2)
+		gotAt = p.Now()
 		return nil
 	})
-	env.Go("single", func(p *Proc) error {
-		if err := p.Wait(0.2); err != nil {
+	env.Go("killer", func(p *Proc) error {
+		if err := p.Wait(2); err != nil {
 			return err
 		}
-		if err := sem.Acquire(p, 1); err != nil {
-			return err
-		}
-		order = append(order, "single")
-		sem.Release(1)
+		blocked.Interrupt("giving up")
 		return nil
 	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != "pair" || order[1] != "single" {
-		t.Errorf("order = %v, want [pair single]", order)
-	}
-}
-
-func TestSemaphoreOversizedRequestFails(t *testing.T) {
-	env := NewEnv()
-	sem := NewSemaphore(env, 2)
-	var acqErr error
-	env.Go("a", func(p *Proc) error {
-		acqErr = sem.Acquire(p, 3)
-		return nil
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if acqErr == nil {
-		t.Fatal("acquire beyond capacity should fail")
-	}
-}
-
-func TestGateBroadcast(t *testing.T) {
-	env := NewEnv()
-	gate := NewGate(env)
-	released := make(map[string]float64)
-	for _, name := range []string{"w1", "w2", "w3"} {
-		name := name
-		env.Go(name, func(p *Proc) error {
-			if err := gate.Wait(p); err != nil {
+	env.Go("offerer", func(p *Proc) error {
+		for _, d := range []float64{3, 1} {
+			if err := p.Wait(d); err != nil {
 				return err
 			}
-			released[name] = p.Now()
-			return nil
-		})
-	}
-	env.Go("opener", func(p *Proc) error {
-		if err := p.Wait(3); err != nil {
-			return err
-		}
-		gate.Open()
-		return nil
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for name, at := range released {
-		if at != 3 {
-			t.Errorf("%s released at %v, want 3", name, at)
-		}
-	}
-	if len(released) != 3 {
-		t.Errorf("released %d waiters, want 3", len(released))
-	}
-	// Open gate passes through without blocking.
-	env2 := NewEnv()
-	g2 := NewGate(env2)
-	g2.Open()
-	passed := false
-	env2.Go("p", func(p *Proc) error {
-		if err := g2.Wait(p); err != nil {
-			return err
-		}
-		passed = true
-		return nil
-	})
-	if err := env2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !passed {
-		t.Error("waiter on open gate should pass immediately")
-	}
-}
-
-func TestStoreFIFO(t *testing.T) {
-	env := NewEnv()
-	st := NewStore[int](env, -1)
-	var got []int
-	env.Go("producer", func(p *Proc) error {
-		for i := 1; i <= 5; i++ {
-			if err := st.Put(p, i); err != nil {
-				return err
-			}
-			if err := p.Wait(1); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	env.Go("consumer", func(p *Proc) error {
-		for i := 0; i < 5; i++ {
-			v, err := st.Get(p)
-			if err != nil {
-				return err
-			}
-			got = append(got, v)
+			st.Offer()
 		}
 		return nil
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range got {
-		if v != i+1 {
-			t.Fatalf("got = %v, want 1..5 in order", got)
-		}
+	if !errors.Is(blockedErr, ErrInterrupted) {
+		t.Fatalf("blockedErr = %v, want ErrInterrupted", blockedErr)
 	}
-}
-
-func TestStoreRendezvous(t *testing.T) {
-	// Capacity 0: the producer cannot run ahead of the consumer — exactly
-	// the paper's no-buffering constraint (W_{i+1} waits for R_i).
-	env := NewEnv()
-	st := NewStore[int](env, 0)
-	var putDone, getDone []float64
-	env.Go("producer", func(p *Proc) error {
-		for i := 0; i < 3; i++ {
-			if err := st.Put(p, i); err != nil {
-				return err
-			}
-			putDone = append(putDone, p.Now())
-		}
-		return nil
-	})
-	env.Go("consumer", func(p *Proc) error {
-		for i := 0; i < 3; i++ {
-			if err := p.Wait(2); err != nil {
-				return err
-			}
-			v, err := st.Get(p)
-			if err != nil {
-				return err
-			}
-			if v != i {
-				t.Errorf("got %d, want %d", v, i)
-			}
-			getDone = append(getDone, p.Now())
-		}
-		return nil
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
+	if gotAt != 3 {
+		t.Errorf("second getter served at %v, want 3 (the first offer after the interrupt)", gotAt)
 	}
-	// Every put completes exactly when its get happens: t = 2, 4, 6.
-	want := []float64{2, 4, 6}
-	for i, w := range want {
-		if putDone[i] != w || getDone[i] != w {
-			t.Fatalf("putDone=%v getDone=%v, want both %v", putDone, getDone, want)
-		}
-	}
-}
-
-func TestStoreBoundedCapacityBlocksProducer(t *testing.T) {
-	env := NewEnv()
-	st := NewStore[int](env, 2)
-	var putTimes []float64
-	env.Go("producer", func(p *Proc) error {
-		for i := 0; i < 4; i++ {
-			if err := st.Put(p, i); err != nil {
-				return err
-			}
-			putTimes = append(putTimes, p.Now())
-		}
-		return nil
-	})
-	env.Go("consumer", func(p *Proc) error {
-		for i := 0; i < 4; i++ {
-			if err := p.Wait(5); err != nil {
-				return err
-			}
-			if _, err := st.Get(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// First two puts immediate; 3rd waits for first get at t=5; 4th for t=10.
-	want := []float64{0, 0, 5, 10}
-	for i, w := range want {
-		if putTimes[i] != w {
-			t.Fatalf("putTimes = %v, want %v", putTimes, want)
-		}
-	}
-}
-
-func TestTryGet(t *testing.T) {
-	env := NewEnv()
-	st := NewStore[string](env, -1)
-	if _, ok := st.TryGet(); ok {
-		t.Error("TryGet on empty store should report false")
-	}
-	env.Go("p", func(p *Proc) error { return st.Put(p, "x") })
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	v, ok := st.TryGet()
-	if !ok || v != "x" {
-		t.Errorf("TryGet = %q, %v; want \"x\", true", v, ok)
+	if st.Len() != 1 {
+		t.Errorf("len = %d, want 1 (the last offer had no getter)", st.Len())
 	}
 }
 
@@ -475,38 +389,6 @@ func TestInterruptTimedWait(t *testing.T) {
 	}
 }
 
-func TestInterruptBlockedOnResource(t *testing.T) {
-	env := NewEnv()
-	sem := NewSemaphore(env, 1)
-	var acqErr error
-	env.Go("holder", func(p *Proc) error {
-		if err := sem.Acquire(p, 1); err != nil {
-			return err
-		}
-		return p.Wait(50)
-	})
-	blocked := env.Go("blocked", func(p *Proc) error {
-		acqErr = sem.Acquire(p, 1)
-		return nil
-	})
-	env.Go("killer", func(p *Proc) error {
-		if err := p.Wait(2); err != nil {
-			return err
-		}
-		blocked.Interrupt("giving up")
-		return nil
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(acqErr, ErrInterrupted) {
-		t.Fatalf("acqErr = %v, want ErrInterrupted", acqErr)
-	}
-	// The interrupted waiter must have been removed from the queue:
-	// releasing later should not wake a ghost (checked implicitly by clean
-	// Run exit with no panic).
-}
-
 func TestInterruptDoneProcessIsNoop(t *testing.T) {
 	env := NewEnv()
 	target := env.Go("quick", func(p *Proc) error { return nil })
@@ -522,20 +404,33 @@ func TestInterruptDoneProcessIsNoop(t *testing.T) {
 	}
 }
 
-func TestStopReleasesBlockedProcesses(t *testing.T) {
+// TestTimerCancel checks that a cancelled timer never fires, and that a
+// handle kept past its firing cancels nothing, not even the event that
+// reuses its pooled slot.
+func TestTimerCancel(t *testing.T) {
 	env := NewEnv()
-	st := NewStore[int](env, -1)
-	var getErr error
-	env.Go("stuck", func(p *Proc) error {
-		_, getErr = st.Get(p)
-		return nil
-	})
-	if err := env.RunUntil(10); err != nil {
+	fired := false
+	env.AtTimer(5, func() { fired = true }).Cancel()
+	Timer{}.Cancel()
+	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	env.Stop()
-	if !errors.Is(getErr, ErrStopped) {
-		t.Fatalf("getErr = %v, want ErrStopped", getErr)
+	if fired {
+		t.Error("cancelled callback fired")
+	}
+	env2 := NewEnv()
+	count := 0
+	stale := env2.AtTimer(1, func() { count++ })
+	if err := env2.Run(); err != nil {
+		t.Fatal(err)
+	}
+	env2.At(2, func() { count++ })
+	stale.Cancel()
+	if err := env2.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if count != 2 {
+		t.Errorf("callbacks ran %d times, want 2", count)
 	}
 }
 
@@ -575,115 +470,15 @@ func TestClockMonotonicityRandomized(t *testing.T) {
 	}
 }
 
-func TestStoreOffer(t *testing.T) {
-	env := NewEnv()
-	st := NewStore[int](env, 2)
-	if !st.Offer(1) || !st.Offer(2) {
-		t.Fatal("offers within capacity should succeed")
-	}
-	if st.Offer(3) {
-		t.Error("offer beyond capacity should fail")
-	}
-	if st.Len() != 2 {
-		t.Errorf("len = %d, want 2", st.Len())
-	}
-	// Offer hands off directly to a waiting getter.
-	env2 := NewEnv()
-	st2 := NewStore[int](env2, 0) // rendezvous: buffer capacity is zero
-	var got int
-	env2.Go("getter", func(p *Proc) error {
-		v, err := st2.Get(p)
-		got = v
-		return err
-	})
-	env2.Go("offerer", func(p *Proc) error {
-		if err := p.Wait(1); err != nil {
-			return err
-		}
-		if !st2.Offer(42) {
-			t.Error("offer to a waiting getter should succeed even at capacity 0")
-		}
-		return nil
-	})
-	if err := env2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 42 {
-		t.Errorf("got = %d, want 42", got)
-	}
-	// Offer with no getter on a rendezvous store fails.
-	env3 := NewEnv()
-	st3 := NewStore[int](env3, 0)
-	if st3.Offer(1) {
-		t.Error("rendezvous offer without a getter should fail")
-	}
-}
-
-func TestAtCancelable(t *testing.T) {
-	env := NewEnv()
-	fired := false
-	cancel := env.AtCancelable(5, func() { fired = true })
-	cancel()
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Error("cancelled callback fired")
-	}
-	// Cancel after firing is a no-op.
-	env2 := NewEnv()
-	count := 0
-	var cancel2 func()
-	cancel2 = env2.AtCancelable(1, func() { count++ })
-	if err := env2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	cancel2()
-	if count != 1 {
-		t.Errorf("callback ran %d times, want 1", count)
-	}
-}
-
 func TestRunReentrancyRejected(t *testing.T) {
 	env := NewEnv()
 	var inner error
-	env.At(1, func() { inner = env.RunUntil(5) })
+	env.At(1, func() { inner = env.Run() })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if inner == nil {
 		t.Error("reentrant Run should be rejected")
-	}
-}
-
-func TestGateCloseReopens(t *testing.T) {
-	env := NewEnv()
-	gate := NewGate(env)
-	var passedAt []float64
-	env.Go("w", func(p *Proc) error {
-		for i := 0; i < 2; i++ {
-			if err := gate.Wait(p); err != nil {
-				return err
-			}
-			passedAt = append(passedAt, p.Now())
-			gate.Close()
-		}
-		return nil
-	})
-	env.Go("opener", func(p *Proc) error {
-		for _, at := range []float64{1, 3} {
-			if err := p.WaitUntil(at); err != nil {
-				return err
-			}
-			gate.Open()
-		}
-		return nil
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(passedAt) != 2 || passedAt[0] != 1 || passedAt[1] != 3 {
-		t.Errorf("passes at %v, want [1 3]", passedAt)
 	}
 }
 

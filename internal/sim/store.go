@@ -1,270 +1,85 @@
 package sim
 
-import "fmt"
-
-// waiter is a pooled record for a process blocked on a Store: a getter
-// waiting to receive a value or a putter carrying one. Records live in a
-// per-store free list; the blocking process owns its record and returns
-// it to the pool after it resumes (the waker only ever reads or writes
-// the record before scheduling the wake, never after).
-type waiter[T any] struct {
-	proc  *Proc
-	value T
-}
-
-// waiterQ is a FIFO of waiters. Pops advance a head index instead of
-// re-slicing (no backing-array churn), and removal by process — the
-// interrupt/Stop path — preserves FIFO order.
-type waiterQ[T any] struct {
-	buf  []*waiter[T]
-	head int
-}
-
-func (q *waiterQ[T]) len() int { return len(q.buf) - q.head }
-
-func (q *waiterQ[T]) push(w *waiter[T]) {
-	if q.head == len(q.buf) && q.head > 0 {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	q.buf = append(q.buf, w)
-}
-
-func (q *waiterQ[T]) pop() *waiter[T] {
-	w := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	return w
-}
-
-// removeProc drops the waiter belonging to p, preserving FIFO order, and
-// returns it (nil if p is not queued).
-func (q *waiterQ[T]) removeProc(p *Proc) *waiter[T] {
-	for i := q.head; i < len(q.buf); i++ {
-		if q.buf[i].proc == p {
-			w := q.buf[i]
-			copy(q.buf[i:], q.buf[i+1:])
-			q.buf[len(q.buf)-1] = nil
-			q.buf = q.buf[:len(q.buf)-1]
-			if q.head == len(q.buf) {
-				q.buf = q.buf[:0]
-				q.head = 0
-			}
-			return w
-		}
-	}
-	return nil
-}
-
-// itemQ is the buffered-item FIFO, with the same head-index pop scheme.
-type itemQ[T any] struct {
-	buf  []T
-	head int
-}
-
-func (q *itemQ[T]) len() int { return len(q.buf) - q.head }
-
-func (q *itemQ[T]) push(v T) {
-	if q.head == len(q.buf) && q.head > 0 {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	q.buf = append(q.buf, v)
-}
-
-func (q *itemQ[T]) pop() T {
-	v := q.buf[q.head]
-	var zero T
-	q.buf[q.head] = zero
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	return v
-}
-
-// Store is a FIFO buffer of items with an optional capacity, analogous to a
-// Go channel inside the simulation. A capacity of zero yields rendezvous
-// semantics: Put blocks until a Get is waiting and vice versa. This is the
-// primitive behind the paper's synchronous, no-buffering staging protocol
-// (W_i happens-before R_i happens-before W_{i+1}).
-type Store[T any] struct {
-	env      *Env
-	capacity int // < 0 means unbounded
-	items    itemQ[T]
-	getters  waiterQ[T]
-	putters  waiterQ[T]
-	free     []*waiter[T]
+// Store is an unbounded counting store: a token count and a FIFO of
+// processes parked in Get. It is the primitive behind the paper's
+// synchronous, no-buffering staging protocol (W_i happens-before R_i
+// happens-before W_{i+1}): write permits and staged-chunk announcements
+// are tokens, and a process that needs one it does not have waits for it.
+type Store struct {
+	env   *Env
+	count int
+	// waiters is a FIFO of parked getters. Pops advance head instead of
+	// re-slicing, so a steady wait/wake cycle allocates nothing.
+	waiters []*Proc
+	head    int
 	// label, when set via SetLabel, emits a queue-depth event to the
-	// environment's recorder whenever the buffered count changes.
+	// environment's recorder whenever the count changes.
 	label string
 }
 
+// NewStore returns an empty store.
+func NewStore(env *Env) *Store { return &Store{env: env} }
+
 // SetLabel names the store for instrumentation: labeled stores sample
-// their backlog depth into the recorder on every change, starting with the
-// current depth (so stores whose depth never changes — e.g. pure
-// rendezvous handoffs — still appear in the timeline).
-func (s *Store[T]) SetLabel(label string) {
+// their token count into the recorder on every change, starting with the
+// current count (so a store whose count never changes still appears in
+// the timeline).
+func (s *Store) SetLabel(label string) {
 	s.label = label
 	s.record()
 }
 
-// record samples the current backlog for labeled stores.
-func (s *Store[T]) record() {
+// record samples the current count for labeled stores.
+func (s *Store) record() {
 	if s.label == "" {
 		return
 	}
-	s.env.rec.QueueDepth(s.label, s.items.len())
+	s.env.rec.QueueDepth(s.label, s.count)
 }
 
-// NewStore returns a store with the given capacity. capacity == 0 gives a
-// rendezvous store; capacity < 0 gives an unbounded store.
-func NewStore[T any](env *Env, capacity int) *Store[T] {
-	return &Store[T]{env: env, capacity: capacity}
-}
+// Len returns the number of tokens held.
+func (s *Store) Len() int { return s.count }
 
-// Len returns the number of buffered items.
-func (s *Store[T]) Len() int { return s.items.len() }
-
-// newWaiter takes a record from the free list (or allocates one).
-func (s *Store[T]) newWaiter(p *Proc, v T) *waiter[T] {
-	if n := len(s.free); n > 0 {
-		w := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		w.proc = p
-		w.value = v
-		return w
-	}
-	return &waiter[T]{proc: p, value: v}
-}
-
-func (s *Store[T]) releaseWaiter(w *waiter[T]) {
-	var zero T
-	w.proc = nil
-	w.value = zero
-	s.free = append(s.free, w)
-}
-
-// Put delivers v into the store, blocking p while the store is full
-// (or, for a rendezvous store, until a getter arrives).
-func (s *Store[T]) Put(p *Proc, v T) error {
-	// Direct handoff to a waiting getter keeps FIFO ordering: a getter only
-	// waits when the buffer is empty, so handing to the oldest getter
-	// preserves arrival order.
-	if s.getters.len() > 0 {
-		g := s.getters.pop()
-		g.value = v
-		s.env.wake(g.proc, nil)
-		return nil
-	}
-	if s.capacity < 0 || s.items.len() < s.capacity {
-		s.items.push(v)
-		s.record()
-		return nil
-	}
-	w := s.newWaiter(p, v)
-	s.putters.push(w)
-	err := p.blockOnQueue(s)
-	s.releaseWaiter(w)
-	return err
-}
-
-// Get removes and returns the oldest item, blocking p while the store is
-// empty and no putter is waiting.
-func (s *Store[T]) Get(p *Proc) (T, error) {
-	if s.items.len() > 0 {
-		v := s.items.pop()
-		s.record()
-		s.admitPutter()
-		return v, nil
-	}
-	if s.putters.len() > 0 {
-		// Rendezvous (capacity 0): take directly from the oldest putter.
-		w := s.putters.pop()
-		v := w.value
-		s.env.wake(w.proc, nil)
-		return v, nil
-	}
-	var zero T
-	g := s.newWaiter(p, zero)
-	s.getters.push(g)
-	if err := p.blockOnQueue(s); err != nil {
-		s.releaseWaiter(g)
-		return zero, err
-	}
-	v := g.value
-	s.releaseWaiter(g)
-	return v, nil
-}
-
-// Offer delivers v without blocking: directly to a waiting getter if any,
-// otherwise into free buffer space. It reports whether the item was
-// accepted (false when a bounded store is full and nobody is waiting).
-// Unlike Put it needs no process, so schedulers and callbacks can use it.
-func (s *Store[T]) Offer(v T) bool {
-	if s.getters.len() > 0 {
-		g := s.getters.pop()
-		g.value = v
-		s.env.wake(g.proc, nil)
-		return true
-	}
-	if s.capacity < 0 || s.items.len() < s.capacity {
-		s.items.push(v)
-		s.record()
-		return true
-	}
-	return false
-}
-
-// TryGet removes and returns the oldest item without blocking. The boolean
-// reports whether an item was available.
-func (s *Store[T]) TryGet() (T, bool) {
-	if s.items.len() > 0 {
-		v := s.items.pop()
-		s.record()
-		s.admitPutter()
-		return v, true
-	}
-	var zero T
-	return zero, false
-}
-
-// admitPutter moves a blocked putter's item into freed buffer space.
-func (s *Store[T]) admitPutter() {
-	if s.putters.len() == 0 {
+// Offer deposits one token without blocking: straight to the oldest
+// parked getter if any, otherwise into the count. It needs no process,
+// so callbacks can use it.
+func (s *Store) Offer() {
+	if s.head < len(s.waiters) {
+		p := s.waiters[s.head]
+		s.waiters[s.head] = nil
+		s.head++
+		s.env.wake(p, nil)
 		return
 	}
-	if s.capacity == 0 {
-		return // rendezvous: putters are only released by a direct Get
-	}
-	if s.capacity > 0 && s.items.len() >= s.capacity {
-		return
-	}
-	w := s.putters.pop()
-	s.items.push(w.value)
+	s.count++
 	s.record()
-	s.env.wake(w.proc, nil)
 }
 
-// CancelWait removes p from whichever waiter queue it sits in (interrupt
-// and Stop path; see the Waiter interface). The waiter record itself is
-// returned to the pool by the blocked caller when it resumes with the
-// error.
-func (s *Store[T]) CancelWait(p *Proc) {
-	if s.getters.removeProc(p) != nil {
-		return
+// Get takes one token, parking p until one is offered if the store is
+// empty. It returns a non-nil error if p was interrupted while parked.
+func (s *Store) Get(p *Proc) error {
+	if s.count > 0 {
+		s.count--
+		s.record()
+		return nil
 	}
-	s.putters.removeProc(p)
+	if s.head == len(s.waiters) {
+		s.waiters = s.waiters[:0]
+		s.head = 0
+	}
+	s.waiters = append(s.waiters, p)
+	return p.ParkOn(s)
 }
 
-// String describes the store state for debugging.
-func (s *Store[T]) String() string {
-	return fmt.Sprintf("Store{items=%d getters=%d putters=%d cap=%d}",
-		s.items.len(), s.getters.len(), s.putters.len(), s.capacity)
+// CancelWait removes p from the waiter queue, preserving FIFO order
+// (interrupt path; see the Waiter interface).
+func (s *Store) CancelWait(p *Proc) {
+	for i := s.head; i < len(s.waiters); i++ {
+		if s.waiters[i] == p {
+			copy(s.waiters[i:], s.waiters[i+1:])
+			s.waiters[len(s.waiters)-1] = nil
+			s.waiters = s.waiters[:len(s.waiters)-1]
+			return
+		}
+	}
 }

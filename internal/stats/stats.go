@@ -1,7 +1,7 @@
 // Package stats provides the descriptive statistics used by the efficiency
 // model and the performance indicators: means, population standard
-// deviations (the paper's Equation 9 uses the population form), percentiles,
-// and streaming accumulation via Welford's algorithm.
+// deviations (the paper's Equation 9 uses the population form) and
+// percentiles.
 package stats
 
 import (
@@ -111,43 +111,6 @@ func Percentile(xs []float64, p float64) float64 {
 
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
-// Welford accumulates a stream of observations and reports count, mean and
-// population standard deviation without storing the samples.
-// The zero value is ready to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations added so far.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean, or NaN if no observations were added.
-func (w *Welford) Mean() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.mean
-}
-
-// StdDev returns the running population standard deviation,
-// or NaN if no observations were added.
-func (w *Welford) StdDev() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return math.Sqrt(w.m2 / float64(w.n))
-}
 
 // Summary holds the descriptive statistics of a sample.
 type Summary struct {

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -88,32 +87,6 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 	Percentile(xs, 50)
 	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
 		t.Errorf("Percentile mutated its input: %v", xs)
-	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]float64, 1000)
-	var w Welford
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*3 + 10
-		w.Add(xs[i])
-	}
-	if w.N() != len(xs) {
-		t.Fatalf("N = %d, want %d", w.N(), len(xs))
-	}
-	if !almostEqual(w.Mean(), Mean(xs), 1e-9) {
-		t.Errorf("Welford mean %v != batch mean %v", w.Mean(), Mean(xs))
-	}
-	if !almostEqual(w.StdDev(), StdDev(xs), 1e-9) {
-		t.Errorf("Welford std %v != batch std %v", w.StdDev(), StdDev(xs))
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	var w Welford
-	if !math.IsNaN(w.Mean()) || !math.IsNaN(w.StdDev()) {
-		t.Errorf("empty Welford should report NaN, got mean=%v std=%v", w.Mean(), w.StdDev())
 	}
 }
 

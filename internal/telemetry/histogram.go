@@ -97,46 +97,3 @@ func (h *Histogram) snapshot() []uint64 {
 	}
 	return out
 }
-
-// Quantile estimates the q-quantile (0 <= q <= 1) of the observed
-// distribution by locating the bucket holding the target rank and
-// interpolating linearly inside it — the same estimate a Prometheus
-// histogram_quantile() yields from the exposition. Observations beyond
-// the last finite bucket clamp to that bound. Returns NaN before any
-// observation.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return math.NaN()
-	}
-	counts := h.snapshot()
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum float64
-	lo := 0.0
-	for i, bound := range h.bounds {
-		c := float64(counts[i])
-		if cum+c >= rank && c > 0 {
-			return lo + (bound-lo)*(rank-cum)/c
-		}
-		cum += c
-		lo = bound
-	}
-	// Rank falls in the +Inf bucket: the best finite answer is the last
-	// bound (or the mean when there are no finite buckets at all).
-	if len(h.bounds) == 0 {
-		return h.Sum() / float64(total)
-	}
-	return h.bounds[len(h.bounds)-1]
-}

@@ -131,33 +131,6 @@ func TestHistogramBucketsMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("q_seconds", "q", []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Error("quantile of an empty histogram should be NaN")
-	}
-	// Uniform 0..10: 1000 observations, one per millistep.
-	for i := 0; i < 1000; i++ {
-		h.Observe(float64(i) / 100.0)
-	}
-	for _, tc := range []struct{ q, want, tol float64 }{
-		{0.5, 5.0, 0.15},
-		{0.9, 9.0, 0.15},
-		{0.99, 9.9, 0.15},
-	} {
-		if got := h.Quantile(tc.q); math.Abs(got-tc.want) > tc.tol {
-			t.Errorf("q%.2f = %v, want %v ± %v", tc.q, got, tc.want, tc.tol)
-		}
-	}
-	// Observations beyond the last bound clamp to it rather than +Inf.
-	h2 := r.Histogram("q2_seconds", "q2", []float64{1})
-	h2.Observe(50)
-	if got := h2.Quantile(0.99); got != 1 {
-		t.Errorf("overflow quantile = %v, want clamp to 1", got)
-	}
-}
-
 // sampleRE matches one Prometheus sample line: name{labels} value.
 var sampleRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [^ ]+$`)
 

@@ -76,6 +76,8 @@ type otlpValue struct {
 
 func toOTLPValue(v any) otlpValue {
 	switch x := v.(type) {
+	case nil:
+		return otlpValue{} // an empty AnyValue, which reads back as nil
 	case string:
 		return otlpValue{StringValue: &x}
 	case bool:
@@ -112,18 +114,24 @@ func fromOTLPValue(v otlpValue) any {
 	return nil
 }
 
+// sortSpans orders spans by start time, span ID as tiebreak; spans
+// equal in both keep their order.
+func sortSpans(spans []SpanData) {
+	sort.SliceStable(spans, func(i, k int) bool {
+		if !spans[i].Start.Equal(spans[k].Start) {
+			return spans[i].Start.Before(spans[k].Start)
+		}
+		return spans[i].SpanID.String() < spans[k].SpanID.String()
+	})
+}
+
 // WriteOTLP writes the spans as one OTLP/JSON document under a single
-// resource named service. Spans are emitted in start-time order (span
-// ID as tiebreak) so the document is deterministic for a fixed input.
-// A non-zero dropped (Store.TraceDropped) marks the document truncated.
+// resource named service. Spans are emitted in sortSpans order so the
+// document is deterministic for a fixed input. A non-zero dropped
+// (Store.TraceDropped) marks the document truncated.
 func WriteOTLP(w io.Writer, service string, spans []SpanData, dropped int) error {
 	sorted := append([]SpanData(nil), spans...)
-	sort.Slice(sorted, func(i, k int) bool {
-		if !sorted[i].Start.Equal(sorted[k].Start) {
-			return sorted[i].Start.Before(sorted[k].Start)
-		}
-		return sorted[i].SpanID.String() < sorted[k].SpanID.String()
-	})
+	sortSpans(sorted)
 	out := make([]otlpSpan, 0, len(sorted))
 	for _, d := range sorted {
 		os := otlpSpan{

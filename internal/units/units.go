@@ -18,30 +18,6 @@ const (
 // Seconds is a simulated duration or instant expressed in seconds.
 type Seconds = float64
 
-// FormatSeconds renders a duration with a unit chosen for readability
-// (ns, µs, ms, s). Negative durations are rendered with a leading minus.
-func FormatSeconds(s float64) string {
-	neg := ""
-	if s < 0 {
-		neg = "-"
-		s = -s
-	}
-	switch {
-	case s == 0:
-		return "0s"
-	case s < 1e-6:
-		return fmt.Sprintf("%s%.1fns", neg, s*1e9)
-	case s < 1e-3:
-		return fmt.Sprintf("%s%.1fµs", neg, s*1e6)
-	case s < 1:
-		return fmt.Sprintf("%s%.2fms", neg, s*1e3)
-	case s < 120:
-		return fmt.Sprintf("%s%.2fs", neg, s)
-	default:
-		return fmt.Sprintf("%s%.1fmin", neg, s/60)
-	}
-}
-
 // FormatBytes renders a byte count using binary prefixes.
 func FormatBytes(n int64) string {
 	neg := ""
@@ -58,20 +34,5 @@ func FormatBytes(n int64) string {
 		return fmt.Sprintf("%s%.2fKiB", neg, float64(n)/float64(KiB))
 	default:
 		return fmt.Sprintf("%s%dB", neg, n)
-	}
-}
-
-// FormatRate renders a bandwidth in bytes/second using decimal prefixes,
-// matching how interconnect and memory bandwidths are usually quoted.
-func FormatRate(bytesPerSecond float64) string {
-	switch {
-	case bytesPerSecond >= 1e9:
-		return fmt.Sprintf("%.2fGB/s", bytesPerSecond/1e9)
-	case bytesPerSecond >= 1e6:
-		return fmt.Sprintf("%.2fMB/s", bytesPerSecond/1e6)
-	case bytesPerSecond >= 1e3:
-		return fmt.Sprintf("%.2fKB/s", bytesPerSecond/1e3)
-	default:
-		return fmt.Sprintf("%.0fB/s", bytesPerSecond)
 	}
 }

@@ -2,26 +2,6 @@ package units
 
 import "testing"
 
-func TestFormatSeconds(t *testing.T) {
-	cases := []struct {
-		in   float64
-		want string
-	}{
-		{0, "0s"},
-		{2.5e-9, "2.5ns"},
-		{3.2e-6, "3.2µs"},
-		{4.5e-3, "4.50ms"},
-		{1.25, "1.25s"},
-		{600, "10.0min"},
-		{-1.25, "-1.25s"},
-	}
-	for _, c := range cases {
-		if got := FormatSeconds(c.in); got != c.want {
-			t.Errorf("FormatSeconds(%v) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
 func TestFormatBytes(t *testing.T) {
 	cases := []struct {
 		in   int64
@@ -37,23 +17,6 @@ func TestFormatBytes(t *testing.T) {
 	for _, c := range cases {
 		if got := FormatBytes(c.in); got != c.want {
 			t.Errorf("FormatBytes(%v) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
-func TestFormatRate(t *testing.T) {
-	cases := []struct {
-		in   float64
-		want string
-	}{
-		{500, "500B/s"},
-		{2e3, "2.00KB/s"},
-		{3e6, "3.00MB/s"},
-		{120e9, "120.00GB/s"},
-	}
-	for _, c := range cases {
-		if got := FormatRate(c.in); got != c.want {
-			t.Errorf("FormatRate(%v) = %q, want %q", c.in, got, c.want)
 		}
 	}
 }

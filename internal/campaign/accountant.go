@@ -40,6 +40,9 @@ func newAccountant() *accountant {
 
 // campaign returns the ledger for a campaign ID, creating it on first
 // use; nil for untagged submissions (tracked on the node ledger only).
+// Only job creation calls it: a job holds its campaign's ledger, so a
+// transition that arrives after the server evicted the campaign charges
+// that detached ledger and never re-creates the entry.
 func (a *accountant) campaign(id string) *accounting.Ledger {
 	if id == "" {
 		return nil
@@ -54,14 +57,31 @@ func (a *accountant) campaign(id string) *accounting.Ledger {
 	return l
 }
 
-// acctSpent charges one executed submission: always to the campaign
-// ledger; and — when the cores burned on this node (onNode) — to the
-// node ledger and the campaign_core_seconds_total metric family. A
-// forwarded execution passes onNode=false: the owner accounts the cores
-// through its own ExecuteForwardedJSON.
-func (s *Service) acctSpent(campaignID, hash string, jl accounting.JobLedger, onNode bool) {
-	if l := s.acct.campaign(campaignID); l != nil {
-		l.RecordSpent(hash, jl)
+// lookup returns a campaign's ledger without creating it.
+func (a *accountant) lookup(id string) (*accounting.Ledger, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	l, ok := a.campaigns[id]
+	return l, ok
+}
+
+// forgetCampaign drops a campaign's ledger: the HTTP server calls it
+// when it evicts the finished campaign (DESIGN.md §10), after which
+// CampaignAccounting no longer knows the ID.
+func (s *Service) forgetCampaign(id string) {
+	s.acct.mu.Lock()
+	delete(s.acct.campaigns, id)
+	s.acct.mu.Unlock()
+}
+
+// acctSpent charges one executed submission: to its campaign ledger cl
+// (nil for none); and — when the cores burned on this node (onNode) —
+// to the node ledger and the campaign_core_seconds_total metric family.
+// A forwarded execution passes onNode=false: the owner accounts the
+// cores through its own ExecuteForwardedJSON.
+func (s *Service) acctSpent(cl *accounting.Ledger, hash string, jl accounting.JobLedger, onNode bool) {
+	if cl != nil {
+		cl.RecordSpent(hash, jl)
 	}
 	if !onNode {
 		return
@@ -74,13 +94,14 @@ func (s *Service) acctSpent(campaignID, hash string, jl accounting.JobLedger, on
 	}
 }
 
-// acctSaved credits one avoided submission to tier, on the campaign and
-// node ledgers and the campaign_core_seconds_saved_total family. The
-// node scope is the node the submission resolved on — the one whose
-// cache (or closed form) did the avoiding.
-func (s *Service) acctSaved(campaignID, hash string, jl accounting.JobLedger, tier string) {
-	if l := s.acct.campaign(campaignID); l != nil {
-		l.RecordSaved(hash, jl, tier)
+// acctSaved credits one avoided submission to tier, on the campaign
+// ledger cl (nil for none), the node ledger and the
+// campaign_core_seconds_saved_total family. The node scope is the node
+// the submission resolved on — the one whose cache (or closed form) did
+// the avoiding.
+func (s *Service) acctSaved(cl *accounting.Ledger, hash string, jl accounting.JobLedger, tier string) {
+	if cl != nil {
+		cl.RecordSaved(hash, jl, tier)
 	}
 	s.acct.node.RecordSaved(hash, jl, tier)
 	s.metrics.coreSaved.With(tier).Add(jl.Total())
@@ -88,12 +109,12 @@ func (s *Service) acctSaved(campaignID, hash string, jl accounting.JobLedger, ti
 
 // acctRunCredits records the overlapping credits of a local execution:
 // the closed form that replaced the DES, the plan the World reused.
-func (s *Service) acctRunCredits(campaignID, hash string, jl accounting.JobLedger, info runtime.RunInfo) {
+func (s *Service) acctRunCredits(cl *accounting.Ledger, hash string, jl accounting.JobLedger, info runtime.RunInfo) {
 	if info.FastPath {
-		s.acctSaved(campaignID, hash, jl, accounting.TierFastPath)
+		s.acctSaved(cl, hash, jl, accounting.TierFastPath)
 	}
 	if info.PlanReused {
-		s.acctSaved(campaignID, hash, jl, accounting.TierPlanCache)
+		s.acctSaved(cl, hash, jl, accounting.TierPlanCache)
 	}
 }
 
@@ -105,7 +126,7 @@ func (s *Service) acctRunCredits(campaignID, hash string, jl accounting.JobLedge
 // transitions need no extra serialization.
 func (s *Service) charge(j *Job, from jobState, e edge, served string, execSec, waitSec float64) {
 	if from == stateRunning {
-		for _, l := range [...]*accounting.Ledger{s.acct.campaign(j.campaign), s.acct.node} {
+		for _, l := range [...]*accounting.Ledger{j.ledger, s.acct.node} {
 			switch {
 			case l == nil: // an untagged submission has no campaign ledger
 			case e.to == stateBackoff:
@@ -121,14 +142,14 @@ func (s *Service) charge(j *Job, from jobState, e edge, served string, execSec, 
 	jl := e.res.Ledger
 	switch {
 	case from == stateNew:
-		s.acctSaved(j.campaign, j.Hash, jl, e.tier)
+		s.acctSaved(j.ledger, j.Hash, jl, e.tier)
 	case served == servedFleet:
-		s.acctSaved(j.campaign, j.Hash, jl, accounting.TierFleet)
+		s.acctSaved(j.ledger, j.Hash, jl, accounting.TierFleet)
 	case served == servedForward:
-		s.acctSpent(j.campaign, j.Hash, jl, false)
+		s.acctSpent(j.ledger, j.Hash, jl, false)
 	default:
-		s.acctSpent(j.campaign, j.Hash, jl, true)
-		s.acctRunCredits(j.campaign, j.Hash, jl, e.info)
+		s.acctSpent(j.ledger, j.Hash, jl, true)
+		s.acctRunCredits(j.ledger, j.Hash, jl, e.info)
 	}
 }
 
@@ -136,11 +157,10 @@ func (s *Service) charge(j *Job, from jobState, e edge, served string, execSec, 
 // campaign: every submission carrying that campaign tag, attributed as
 // spent (executed, locally or via a peer) or saved (served by a cache
 // tier), plus overlapping plan-cache and fast-path credits and the
-// wall-clock cost. ok is false for a campaign the ledger has never seen.
+// wall-clock cost. ok is false for a campaign the ledger has never seen
+// or has forgotten.
 func (s *Service) CampaignAccounting(id string) (accounting.Snapshot, bool) {
-	s.acct.mu.Lock()
-	l, ok := s.acct.campaigns[id] // a lookup must not create the ledger
-	s.acct.mu.Unlock()
+	l, ok := s.acct.lookup(id)
 	if !ok {
 		return accounting.Snapshot{}, false
 	}

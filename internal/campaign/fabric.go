@@ -245,9 +245,9 @@ func (s *Service) ExecuteForwardedJSON(ctx context.Context, specJSON []byte, _ s
 		// charges its campaign; see charge). The fast-path and plan-cache
 		// credits land on this node too — the requester has no RunInfo
 		// for a forwarded run.
-		s.acctSpent("", hash, res.Ledger, true)
+		s.acctSpent(nil, hash, res.Ledger, true)
 		s.acct.node.RecordWall(time.Since(runStart).Seconds(), 0)
-		s.acctRunCredits("", hash, res.Ledger, info)
+		s.acctRunCredits(nil, hash, res.Ledger, info)
 		fl.res, err = json.Marshal(res)
 	}
 	fl.err = err

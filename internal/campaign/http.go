@@ -129,6 +129,10 @@ type Server struct {
 	mu        sync.Mutex
 	seq       int64
 	campaigns map[string]*campaignRun
+	// finished holds the finished campaigns still in campaigns, oldest
+	// first, and finishedJobs the sum of their job counts (see retire).
+	finished     []finishedRun
+	finishedJobs int
 
 	// readyChecks are extra readiness gates (e.g. the pool's join state)
 	// consulted by /readyz; each returns the reasons it is blocking.
@@ -442,6 +446,7 @@ func (s *Server) launch(run *campaignRun, sw Sweep, cands []Candidate, parent co
 		}
 		run.mu.Lock()
 		run.result, run.err = res, err
+		jobs := run.nTotal
 		run.mu.Unlock()
 		close(run.done)
 		campSpan.SetError(err)
@@ -466,7 +471,35 @@ func (s *Server) launch(run *campaignRun, sw Sweep, cands []Candidate, parent co
 				"cacheHits", res.CacheHits, "failedJobs", res.Failed,
 				"elapsedSec", time.Since(start).Seconds())
 		}
+		s.retire(run.id, jobs)
 	}()
+}
+
+// finishedRun is one entry of the server's finished-campaign queue.
+type finishedRun struct {
+	id   string
+	jobs int
+}
+
+// retire queues a finished campaign and evicts the oldest finished ones
+// while more than one is held and their jobs together exceed
+// terminalJobsKept: a finished campaign stays resolvable as long as the
+// job table could still hold its jobs. Eviction drops the run and its
+// ledger in one step, so an evicted ID is unknown to every endpoint
+// (404), as after a restart. Running campaigns are never queued here, so
+// never evicted.
+func (s *Server) retire(id string, jobs int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finished = append(s.finished, finishedRun{id, jobs})
+	s.finishedJobs += jobs
+	for len(s.finished) > 1 && s.finishedJobs > terminalJobsKept {
+		old := s.finished[0]
+		s.finished = s.finished[1:]
+		s.finishedJobs -= old.jobs
+		delete(s.campaigns, old.id)
+		s.svc.forgetCampaign(old.id)
+	}
 }
 
 // Resume relaunches every campaign that was open in the service's
@@ -747,15 +780,21 @@ type campaignAccounting struct {
 // is still running — the ledger grows as jobs resolve.
 func (s *Server) getCampaignAccounting(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	// Both lookups under s.mu: retire drops the run and the ledger under
+	// it, so an evicting campaign is never read as known with no ledger.
 	s.mu.Lock()
 	_, known := s.campaigns[id]
+	l, has := s.svc.acct.lookup(id)
 	s.mu.Unlock()
-	snap, has := s.svc.CampaignAccounting(id)
 	if !known && !has {
 		httpError(w, http.StatusNotFound, fmt.Errorf("campaign: no campaign %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, campaignAccounting{Campaign: id, Snapshot: snap})
+	out := campaignAccounting{Campaign: id}
+	if has {
+		out.Snapshot = l.Snapshot()
+	}
+	writeJSON(w, http.StatusOK, out)
 }
 
 // jobStatus is the wire form of a job.

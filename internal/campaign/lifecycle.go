@@ -92,11 +92,14 @@ type Job struct {
 
 	spec     JobSpec
 	campaign string // campaign tag for the event stream
-	seq      int64
-	ctx      context.Context
-	cancel   context.CancelFunc
-	done     chan struct{}
-	svc      *Service
+	// ledger is the campaign's ledger, resolved when the job is created
+	// (nil when untagged); charge writes to it, never to the map.
+	ledger *accounting.Ledger
+	seq    int64
+	ctx    context.Context
+	cancel context.CancelFunc
+	done   chan struct{}
+	svc    *Service
 	// span is the root of the job's trace subtree (nil when the service has
 	// no tracer); set at construction, so TraceID needs no lock.
 	span *tracing.Span
@@ -396,6 +399,11 @@ func (s *Service) transition(j *Job, e edge) bool {
 	}
 
 	if e.to.terminal() {
+		// Release the run context: a finished job must not stay among
+		// the service context's children for the life of the process.
+		// Nothing reads j.ctx after this edge (a deferred-span or trace
+		// re-run calls runSpec without it).
+		j.cancel()
 		close(j.done)
 	}
 	return true

@@ -135,6 +135,37 @@ func TestTransitionTable(t *testing.T) {
 	}
 }
 
+// TestFinishedJobReleasesContext: the terminal edge cancels an executed
+// job's run context, so a finished job leaves the service context's
+// children instead of staying there for the life of the process, and the
+// cancellation does not turn the finished job into a cancelled one.
+func TestFinishedJobReleasesContext(t *testing.T) {
+	svc, err := NewService(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	j, err := svc.Submit(context.Background(), jobFor(t, 1), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if j.CacheHit {
+		t.Fatal("the job was a cache hit; it never had a run context")
+	}
+	if err := j.ctx.Err(); !errors.Is(err, context.Canceled) {
+		t.Errorf("finished job's context: %v, want %v", err, context.Canceled)
+	}
+	if err := svc.baseCtx.Err(); err != nil {
+		t.Errorf("service context: %v, want live", err)
+	}
+	if res, err := j.Result(); j.Status() != StatusDone || res == nil || err != nil {
+		t.Errorf("job %s: result %v, err %v; want done with its result", j.Status(), res != nil, err)
+	}
+}
+
 // scrape renders the registry behind h and returns its samples keyed by
 // the exposition's "name{labels}" spelling.
 func scrape(t *testing.T, h http.Handler) map[string]float64 {

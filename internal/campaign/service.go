@@ -508,6 +508,7 @@ func (s *Service) newJobLocked(ctx context.Context, spec JobSpec, hash string, o
 		CacheHit: hit,
 		spec:     spec,
 		campaign: opts.Campaign,
+		ledger:   s.acct.campaign(opts.Campaign),
 		seq:      s.seq,
 		cancel:   func() {}, // a cache hit has nothing to abandon
 		done:     make(chan struct{}),

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	gort "runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -193,6 +194,42 @@ func TestFinishedCampaignHoldsNoSpec(t *testing.T) {
 	walk("result", reflect.ValueOf(run.result))
 }
 
+// warmCampaigner returns a client of ts that POSTs the Table 2 sweep (8
+// steps, 3 seeds: 21 jobs), reads its SSE stream to the summary, then
+// GETs the campaign and returns its status.
+func warmCampaigner(tb testing.TB, client *http.Client, ts *httptest.Server) func() CampaignStatus {
+	const body = `{"name":"warm","configs":["table2"],"steps":8,"seeds":[1,2,3]}`
+	return func() CampaignStatus {
+		resp, err := client.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var st CampaignStatus
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			tb.Fatalf("POST: HTTP %d, %v", resp.StatusCode, err)
+		}
+		if resp, err = client.Get(ts.URL + "/v1/campaigns/" + st.ID + "/events"); err != nil {
+			tb.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body) // the stream ends at the summary
+		resp.Body.Close()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if resp, err = client.Get(ts.URL + "/v1/campaigns/" + st.ID); err != nil {
+			tb.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return st
+	}
+}
+
 // BenchmarkWarmCampaign is the service's warm path over HTTP, as a
 // client sees it: POST a Table 2 sweep (8 steps, 3 seeds) whose 21 jobs
 // are all memory-tier hits, read its SSE stream to the summary, then GET
@@ -205,36 +242,7 @@ func BenchmarkWarmCampaign(b *testing.B) {
 	defer svc.Close()
 	ts := httptest.NewServer(NewServer(svc).Handler())
 	defer ts.Close()
-	const body = `{"name":"warm","configs":["table2"],"steps":8,"seeds":[1,2,3]}`
-	campaign := func() CampaignStatus {
-		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var st CampaignStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusAccepted {
-			b.Fatalf("POST: HTTP %d, %v", resp.StatusCode, err)
-		}
-		if resp, err = http.Get(ts.URL + "/v1/campaigns/" + st.ID + "/events"); err != nil {
-			b.Fatal(err)
-		}
-		_, err = io.Copy(io.Discard, resp.Body) // the stream ends at the summary
-		resp.Body.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if resp, err = http.Get(ts.URL + "/v1/campaigns/" + st.ID); err != nil {
-			b.Fatal(err)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		return st
-	}
+	campaign := warmCampaigner(b, http.DefaultClient, ts)
 	campaign() // primes the cache
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -242,5 +250,55 @@ func BenchmarkWarmCampaign(b *testing.B) {
 		if st := campaign(); st.Status != "done" || st.Result.CacheHits != 21 {
 			b.Fatalf("warm campaign: %s, %d of 21 cache hits", st.Status, st.Result.CacheHits)
 		}
+	}
+}
+
+// BenchmarkServerSoak serves b.N warm campaigns (BenchmarkWarmCampaign's)
+// over HTTP after a warm-up that fills the job table and the server's
+// finished campaigns, and reports the heap they leave behind as
+// retained-B/campaign. It fails if the goroutine count grew, and, from
+// 10 000 campaigns on (fewer weigh noise, not retention), above 1 KiB per
+// campaign. CI runs it at 100 000:
+//
+//	go test -run '^$' -bench '^BenchmarkServerSoak$' -benchtime 100000x ./internal/campaign
+func BenchmarkServerSoak(b *testing.B) {
+	svc, err := NewService(Config{Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	ts := httptest.NewServer(NewServer(svc).Handler())
+	defer ts.Close()
+	client := &http.Client{Transport: &http.Transport{}}
+	campaign := warmCampaigner(b, client, ts)
+	// quiesce closes the client's idle connections and waits for the
+	// server's connection goroutines to go, then weighs the heap.
+	quiesce := func() (heap uint64, goroutines int) {
+		client.CloseIdleConnections()
+		for prev := -1; goroutines != prev; time.Sleep(20 * time.Millisecond) {
+			prev, goroutines = goroutines, gort.NumGoroutine()
+		}
+		heap, _ = settled()
+		return heap, goroutines
+	}
+	for k := 0; k < terminalJobsKept/21+5; k++ {
+		campaign()
+	}
+	heap0, g0 := quiesce()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if st := campaign(); st.Status != "done" || st.Result.CacheHits != 21 {
+			b.Fatalf("warm campaign: %s, %d of 21 cache hits", st.Status, st.Result.CacheHits)
+		}
+	}
+	b.StopTimer()
+	heap1, g1 := quiesce()
+	perCampaign := (float64(heap1) - float64(heap0)) / float64(b.N)
+	b.ReportMetric(perCampaign, "retained-B/campaign")
+	if g1 > g0 {
+		b.Fatalf("goroutines grew %d → %d over %d campaigns", g0, g1, b.N)
+	}
+	if b.N >= 10000 && perCampaign > 1<<10 {
+		b.Fatalf("retained heap grows %.0f B per campaign over %d campaigns, want ≤ 1 KiB", perCampaign, b.N)
 	}
 }

@@ -277,8 +277,8 @@ func PriceSteadyStates(spec cluster.Spec, p placement.Placement, es EnsembleSpec
 	return states, nil
 }
 
-// World is the shared immutable state of a campaign: a content-addressed
-// cache of frozen simPlans, arenas of recycled simulation environments and
+// World is the shared immutable state of a campaign: a bounded
+// content-addressed cache of frozen simPlans, arenas of recycled simulation environments and
 // kernel scratch, and a bounded memo of seeded jitter sources. One World
 // serves arbitrarily many concurrent jobs — the plan cache and the seed
 // memo are read-mostly under mutexes and the arenas are sync.Pools — so a
@@ -351,11 +351,27 @@ func (w *World) cachedPlan(key [32]byte) *simPlan {
 	return nil
 }
 
+// planSlots bounds the plan cache by count. A plan is ≈ 1.3 KB plus
+// ≈ 150 B per node and ≈ 360 B per component (DESIGN.md §16): a Table 2
+// plan on 3 nodes is 2.0–2.9 KB. Plans are keyed by placement, cluster,
+// ensemble, tier and staging depth, so a Table 2 sweep at one step
+// count uses 7 slots, and Tables 2 and 4 at four step counts fit at once.
+const planSlots = 64
+
 // storePlan publishes a freshly built plan. Concurrent builders of the
 // same key race benignly: both plans are correct and identical in
-// content, and the last write wins.
+// content, and the last write wins. A new key that finds the cache full
+// evicts an arbitrary plan (the first one map iteration yields): a plan
+// is a pure function of its key, so an evicted one is rebuilt, identical,
+// by the next run that needs it.
 func (w *World) storePlan(key [32]byte, pl *simPlan) {
 	w.mu.Lock()
+	if _, ok := w.plans[key]; !ok && len(w.plans) >= planSlots {
+		for k := range w.plans {
+			delete(w.plans, k)
+			break
+		}
+	}
 	w.plans[key] = pl
 	w.mu.Unlock()
 }

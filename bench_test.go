@@ -25,11 +25,9 @@ import (
 	"ensemblekit/internal/campaign"
 	"ensemblekit/internal/campaign/accounting"
 	"ensemblekit/internal/campaign/pool"
-	"ensemblekit/internal/chunk"
 	"ensemblekit/internal/cluster"
 	"ensemblekit/internal/experiments"
 	"ensemblekit/internal/indicators"
-	"ensemblekit/internal/kernels"
 	"ensemblekit/internal/network"
 	"ensemblekit/internal/obs"
 	"ensemblekit/internal/placement"
@@ -287,39 +285,6 @@ func BenchmarkAblationScheduler(b *testing.B) {
 	})
 }
 
-// BenchmarkRealBackend measures the real-execution path end to end.
-func BenchmarkRealBackend(b *testing.B) {
-	b.ReportAllocs()
-	cfg := ConfigCc()
-	opts := RealOptions{Steps: 2, Stride: 3}
-	for i := 0; i < b.N; i++ {
-		if _, err := RunReal(cfg, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkChunkCodec measures the DTL plugin's marshaling throughput.
-func BenchmarkChunkCodec(b *testing.B) {
-	b.ReportAllocs()
-	c := chunk.Synthetic(chunk.ID{Member: 0, Step: 0}, 8, 5000, 1)
-	data, err := c.Encode()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc, err := c.Encode()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := chunk.Decode(enc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDESEngine measures raw event throughput of the simulation
 // engine.
 func BenchmarkDESEngine(b *testing.B) {
@@ -406,39 +371,6 @@ func BenchmarkAblationAnnealing(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkLJKernel measures the real MD force evaluation.
-func BenchmarkLJKernel(b *testing.B) {
-	b.ReportAllocs()
-	sim, err := kernels.NewLJSimulator(kernels.DefaultLJConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Advance(ctx, 5, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEigenKernel measures the real analysis kernel.
-func BenchmarkEigenKernel(b *testing.B) {
-	b.ReportAllocs()
-	a, err := kernels.NewEigenAnalyzer(kernels.DefaultEigenConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := chunk.Synthetic(chunk.ID{}, 2, 400, 1)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.Analyze(ctx, c.Frames, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkObsOverhead quantifies what asking for the event stream costs

@@ -1,11 +1,11 @@
 // Command ensemblectl runs one workflow ensemble — a built-in Table 2/4
-// configuration or a placement from a JSON file — on either backend and
-// reports the Table 1 metrics, the efficiency model, and the performance
-// indicators.
+// configuration or a placement from a JSON file — on the simulated
+// backend and reports the Table 1 metrics, the efficiency model, and the
+// performance indicators.
 //
 // Usage:
 //
-//	ensemblectl -config C1.5 [-backend simulated|real] [-steps N]
+//	ensemblectl -config C1.5 [-steps N]
 //	            [-tier dimes|burstbuffer|pfs] [-jitter F] [-seed N]
 //	            [-nodes N] [-trace FILE] [-placement FILE.json]
 //	            [-obs FILE] [-trace-format chrome|summary]
@@ -38,7 +38,6 @@ import (
 	"ensemblekit/internal/report"
 	"ensemblekit/internal/runtime"
 	"ensemblekit/internal/stats"
-	"ensemblekit/internal/trace"
 )
 
 // obsOutput bundles the instrumentation export flags.
@@ -81,10 +80,9 @@ func main() {
 	var (
 		configName = flag.String("config", "C1.5", "built-in configuration name (Table 2/4)")
 		plFile     = flag.String("placement", "", "JSON placement file (overrides -config)")
-		backend    = flag.String("backend", "simulated", "simulated or real")
 		steps      = flag.Int("steps", runtime.PaperSteps, "in situ steps")
-		tier       = flag.String("tier", "dimes", "DTL tier (simulated backend)")
-		jitter     = flag.Float64("jitter", 0, "stage noise amplitude (simulated backend)")
+		tier       = flag.String("tier", "dimes", "DTL tier")
+		jitter     = flag.Float64("jitter", 0, "stage noise amplitude")
 		seed       = flag.Int64("seed", 1, "RNG seed")
 		nodes      = flag.Int("nodes", 0, "machine size (0 = fit the placement)")
 		traceOut   = flag.String("trace", "", "write the execution trace as JSON to this file")
@@ -116,7 +114,7 @@ func main() {
 		RestartDelay:   *restartDel,
 		Mode:           mode,
 	}
-	if err := realMain(*configName, *plFile, *backend, *steps, *tier, *jitter, *seed, *nodes,
+	if err := realMain(*configName, *plFile, *steps, *tier, *jitter, *seed, *nodes,
 		*traceOut, *compareArg, obsOutput{path: *obsOut, format: *obsFormat},
 		*faultsFile, res, *cpuProfile, *memProfile); err != nil {
 		fmt.Fprintf(os.Stderr, "ensemblectl: %v\n", err)
@@ -124,7 +122,7 @@ func main() {
 	}
 }
 
-func realMain(configName, plFile, backend string, steps int, tier string, jitter float64,
+func realMain(configName, plFile string, steps int, tier string, jitter float64,
 	seed int64, nodes int, traceOut, compareArg string, obsOut obsOutput,
 	faultsFile string, res runtime.Resilience, cpuProfile, memProfile string) error {
 
@@ -171,7 +169,7 @@ func realMain(configName, plFile, backend string, steps int, tier string, jitter
 	if compareArg != "" {
 		return compare(compareArg, steps, tier, jitter, seed)
 	}
-	return run(configName, plFile, backend, steps, tier, jitter, seed, nodes, traceOut, obsOut, plan, res)
+	return run(configName, plFile, steps, tier, jitter, seed, nodes, traceOut, obsOut, plan, res)
 }
 
 // compare runs several built-in configurations on the simulated backend
@@ -220,15 +218,6 @@ func compare(names string, steps int, tier string, jitter float64, seed int64) e
 	return nil
 }
 
-// tr2events picks the live event stream when a recorder ran, falling back
-// to the post-hoc conversion of the trace (real backend).
-func tr2events(rec *obs.Recorder, tr *trace.EnsembleTrace) []obs.Event {
-	if rec.Enabled() {
-		return rec.Events()
-	}
-	return obs.FromTrace(tr)
-}
-
 func maxNode(p placement.Placement) int {
 	max := 0
 	for _, n := range p.UsedNodes() {
@@ -239,7 +228,7 @@ func maxNode(p placement.Placement) int {
 	return max
 }
 
-func run(configName, plFile, backend string, steps int, tier string, jitter float64, seed int64, nodes int, traceOut string, obsOut obsOutput, plan *faults.Plan, res runtime.Resilience) error {
+func run(configName, plFile string, steps int, tier string, jitter float64, seed int64, nodes int, traceOut string, obsOut obsOutput, plan *faults.Plan, res runtime.Resilience) error {
 	var p placement.Placement
 	if plFile != "" {
 		f, err := os.Open(plFile)
@@ -260,46 +249,30 @@ func run(configName, plFile, backend string, steps int, tier string, jitter floa
 	}
 	fmt.Println(p.String())
 
-	var tr *trace.EnsembleTrace
-	var rec *obs.Recorder
-	switch backend {
-	case "simulated":
-		if nodes <= 0 {
-			for _, n := range p.UsedNodes() {
-				if n+1 > nodes {
-					nodes = n + 1
-				}
+	if nodes <= 0 {
+		for _, n := range p.UsedNodes() {
+			if n+1 > nodes {
+				nodes = n + 1
 			}
 		}
-		spec := cluster.Cori(nodes)
-		es := runtime.SpecForPlacement(p, steps)
-		if obsOut.enabled() {
-			// Live instrumentation: the engine, DTL, fabric, and stage
-			// loop feed the recorder as the run unfolds.
-			rec = obs.NewRecorder(nil)
-		}
-		var err error
-		tr, err = runtime.RunSimulated(spec, p, es, runtime.SimOptions{
-			Tier: tier, Jitter: jitter, Seed: seed, Recorder: rec,
-			Faults: plan, Resilience: res,
-		})
-		if err != nil {
-			return err
-		}
-	case "real":
-		var err error
-		tr, err = runtime.RunReal(p, runtime.RealOptions{
-			Steps: steps, Faults: plan, Resilience: res,
-		})
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown backend %q", backend)
+	}
+	spec := cluster.Cori(nodes)
+	es := runtime.SpecForPlacement(p, steps)
+	var rec *obs.Recorder
+	if obsOut.enabled() {
+		// Live instrumentation: the engine, DTL, fabric, and stage
+		// loop feed the recorder as the run unfolds.
+		rec = obs.NewRecorder(nil)
+	}
+	tr, err := runtime.RunSimulated(spec, p, es, runtime.SimOptions{
+		Tier: tier, Jitter: jitter, Seed: seed, Recorder: rec,
+		Faults: plan, Resilience: res,
+	})
+	if err != nil {
+		return err
 	}
 	if obsOut.enabled() {
-		events := tr2events(rec, tr)
-		if err := obsOut.write(events); err != nil {
+		if err := obsOut.write(rec.Events()); err != nil {
 			return err
 		}
 	}

@@ -14,7 +14,7 @@ import (
 
 func TestRunBuiltinConfig(t *testing.T) {
 	traceFile := filepath.Join(t.TempDir(), "trace.json")
-	if err := run("C_c", "", "simulated", 6, "dimes", 0, 1, 0, traceFile, obsOutput{}, nil, runtime.Resilience{}); err != nil {
+	if err := run("C_c", "", 6, "dimes", 0, 1, 0, traceFile, obsOutput{}, nil, runtime.Resilience{}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(traceFile)
@@ -41,26 +41,17 @@ func TestRunPlacementFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if err := run("ignored", plFile, "simulated", 4, "dimes", 0, 1, 0, "", obsOutput{}, nil, runtime.Resilience{}); err != nil {
+	if err := run("ignored", plFile, 4, "dimes", 0, 1, 0, "", obsOutput{}, nil, runtime.Resilience{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("C9.9", "", "simulated", 4, "dimes", 0, 1, 0, "", obsOutput{}, nil, runtime.Resilience{}); err == nil {
+	if err := run("C9.9", "", 4, "dimes", 0, 1, 0, "", obsOutput{}, nil, runtime.Resilience{}); err == nil {
 		t.Error("unknown config should fail")
 	}
-	if err := run("C_c", "", "quantum", 4, "dimes", 0, 1, 0, "", obsOutput{}, nil, runtime.Resilience{}); err == nil {
-		t.Error("unknown backend should fail")
-	}
-	if err := run("C_c", "/nonexistent/file.json", "simulated", 4, "dimes", 0, 1, 0, "", obsOutput{}, nil, runtime.Resilience{}); err == nil {
+	if err := run("C_c", "/nonexistent/file.json", 4, "dimes", 0, 1, 0, "", obsOutput{}, nil, runtime.Resilience{}); err == nil {
 		t.Error("missing placement file should fail")
-	}
-}
-
-func TestRunRealBackend(t *testing.T) {
-	if err := run("C_c", "", "real", 2, "", 0, 1, 0, "", obsOutput{}, nil, runtime.Resilience{}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -76,7 +67,7 @@ func TestCompareMode(t *testing.T) {
 func TestRunObsExport(t *testing.T) {
 	dir := t.TempDir()
 	chrome := filepath.Join(dir, "run.perfetto.json")
-	if err := run("C1.5", "", "simulated", 4, "dimes", 0, 1, 0, "",
+	if err := run("C1.5", "", 4, "dimes", 0, 1, 0, "",
 		obsOutput{path: chrome, format: "chrome"}, nil, runtime.Resilience{}); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +79,7 @@ func TestRunObsExport(t *testing.T) {
 		t.Fatalf("exported chrome trace invalid: %v", err)
 	}
 	summary := filepath.Join(dir, "run.summary.txt")
-	if err := run("C1.5", "", "simulated", 4, "dimes", 0, 1, 0, "",
+	if err := run("C1.5", "", 4, "dimes", 0, 1, 0, "",
 		obsOutput{path: summary, format: "summary"}, nil, runtime.Resilience{}); err != nil {
 		t.Fatal(err)
 	}
@@ -98,19 +89,6 @@ func TestRunObsExport(t *testing.T) {
 	}
 	if !strings.Contains(string(text), "per-node core occupancy") {
 		t.Errorf("summary missing node occupancy section:\n%s", text)
-	}
-	// Real backend falls back to the post-hoc trace conversion.
-	realOut := filepath.Join(dir, "real.perfetto.json")
-	if err := run("C_c", "", "real", 2, "", 0, 1, 0, "",
-		obsOutput{path: realOut, format: "chrome"}, nil, runtime.Resilience{}); err != nil {
-		t.Fatal(err)
-	}
-	data, err = os.ReadFile(realOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.ValidateChromeTrace(data); err != nil {
-		t.Fatalf("real-backend chrome trace invalid: %v", err)
 	}
 	// Unknown format is rejected up front.
 	if err := (obsOutput{path: "x", format: "bogus"}).validate(); err == nil {

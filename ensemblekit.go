@@ -8,10 +8,9 @@
 // coupling one simulation with K analyses through in-memory data staging.
 // ensemblekit provides:
 //
-//   - a runtime that executes ensembles either on a simulated HPC platform
-//     (cluster, interference and interconnect models in the style of Cori)
-//     or for real (Lennard-Jones MD + eigenvalue analyses as goroutines
-//     over an in-memory DTL);
+//   - a runtime that executes ensembles on a simulated HPC platform
+//     (cluster, interference and interconnect models in the style of
+//     Cori);
 //   - the paper's efficiency model — non-overlapped in situ steps σ̄*,
 //     makespan prediction, computational efficiency E (Equations 1-3);
 //   - the multi-stage performance indicators P^U, P^{U,A}, P^{U,A,P} and
@@ -57,8 +56,6 @@ type (
 	MemberSpec = runtime.MemberSpec
 	// SimOptions configures the simulated backend.
 	SimOptions = runtime.SimOptions
-	// RealOptions configures the real-execution backend.
-	RealOptions = runtime.RealOptions
 )
 
 // Placement types (the paper's Tables 2-4 notation).
@@ -89,7 +86,7 @@ type (
 	ScheduleResult = scheduler.Result
 )
 
-// Fault injection and resilience (both backends).
+// Fault injection and resilience.
 type (
 	// FaultPlan is a declarative, seeded fault-injection plan.
 	FaultPlan = faults.Plan
@@ -177,11 +174,6 @@ func NewWorld() *World { return runtime.NewWorld() }
 // RunSimulatedInfo is RunSimulated plus execution metadata.
 func RunSimulatedInfo(spec ClusterSpec, p Placement, es EnsembleSpec, opts SimOptions) (*EnsembleTrace, RunInfo, error) {
 	return runtime.RunSimulatedInfo(spec, p, es, opts)
-}
-
-// RunReal executes an ensemble for real on the local machine.
-func RunReal(p Placement, opts RealOptions) (*EnsembleTrace, error) {
-	return runtime.RunReal(p, opts)
 }
 
 // MemberSteadyState extracts a member's steady-state stages from a trace.

@@ -1,9 +1,6 @@
 package ensemblekit
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestQuickstartFlow(t *testing.T) {
 	cfg := ConfigC15()
@@ -92,17 +89,6 @@ func TestFacadeSweepAndSchedule(t *testing.T) {
 	}
 	if gr.Score < res.Score-1e-12 {
 		t.Errorf("greedy (%v) below exhaustive (%v)", gr.Score, res.Score)
-	}
-}
-
-func TestFacadeRealBackend(t *testing.T) {
-	opts := RealOptions{Steps: 2, Stride: 3, Timeout: 30 * time.Second}
-	tr, err := RunReal(ConfigCc(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Backend != "real" || len(tr.Members) != 1 {
-		t.Errorf("unexpected real trace: %s, %d members", tr.Backend, len(tr.Members))
 	}
 }
 

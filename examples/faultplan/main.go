@@ -17,7 +17,7 @@
 //   - "stragglers": compute slowdown windows; "component" matches trace
 //     names ("m0.sim", "m1.*", "*"), "factor" 1.5 = 50% slower.
 //
-// The same plan drives both backends via ensemblectl:
+// The same plan drives ensemblectl:
 //
 //	ensemblectl -config C1.5 -faults plan.json -degrade drop \
 //	            -retries 3 -retry-backoff 0.05 -restarts 1

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"ensemblekit/internal/cluster"
 	"ensemblekit/internal/telemetry"
 )
 
@@ -129,6 +130,13 @@ func TestHTTPRefusesOverBoundRequests(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = fmt.Sprint(i + 1)
 	}
+	// One node over the bound, not a huge count: should the bound ever
+	// go, the request builds a 4 097-node plan, not a 100 GB one.
+	bigCluster, err := json.Marshal(cluster.Cori(maxClusterNodes + 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodesBound := fmt.Sprintf("above the %d-node bound", maxClusterNodes)
 	for _, c := range []struct {
 		name, body string
 		code       int
@@ -136,6 +144,15 @@ func TestHTTPRefusesOverBoundRequests(t *testing.T) {
 	}{
 		{"steps", `{"configs":["C1.5"],"steps":100000000}`,
 			http.StatusUnprocessableEntity, fmt.Sprintf("above the %d bound", maxJobWork)},
+		{"nodeCounts", fmt.Sprintf(`{"configs":["C1.5"],"nodeCounts":[3,%d]}`, maxClusterNodes+1),
+			http.StatusUnprocessableEntity, nodesBound},
+		{"cluster", `{"configs":["C1.5"],"cluster":` + string(bigCluster) + `}`,
+			http.StatusUnprocessableEntity, nodesBound},
+		// C1.5's 2 members span 2 nodes: 4 097 members need 4 098 nodes,
+		// refused before the replica is built (a huge count would
+		// otherwise allocate ≈ 1 KB a member first).
+		{"memberCounts", fmt.Sprintf(`{"configs":["C1.5"],"memberCounts":[%d]}`, maxClusterNodes+1),
+			http.StatusUnprocessableEntity, fmt.Sprintf("× %d members needs more than", maxClusterNodes+1)},
 		{"jobs", `{"configs":["table2"],"seeds":[` + strings.Join(seeds, ",") + `]}`,
 			http.StatusUnprocessableEntity, fmt.Sprintf("more than %d jobs", maxCampaignJobs)},
 		{"body", `{"name":"` + strings.Repeat("x", maxCampaignBody) + `"}`,

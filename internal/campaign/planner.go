@@ -59,6 +59,16 @@ type Sweep struct {
 	Campaign string `json:"-"`
 }
 
+// replicaFits reports whether ReplicateMembers(base, n) stays inside the
+// work bounds that Validate holds its job to, without building it: the
+// replica has at least n components, and its last member block starts at
+// node ((n-1)/len(base.Members)) × span. A member count is a bare integer
+// from the request, so it must not size the replica before a bound does.
+func replicaFits(base placement.Placement, n int) bool {
+	span := len(base.UsedNodes())
+	return n <= maxJobWork && (span == 0 || (n-1)/len(base.Members) < (maxClusterNodes+span-1)/span)
+}
+
 // ReplicateMembers returns a placement with n members: the base members
 // cycled, each replica's components shifted onto a fresh block of nodes
 // (preserving the base's intra-member co-location structure). It is the
@@ -141,7 +151,11 @@ func (sw Sweep) Jobs() ([]Candidate, error) {
 	for _, base := range sw.Placements {
 		for _, mc := range memberCounts {
 			p := base
-			if mc > 0 {
+			if mc > 0 && len(base.Members) > 0 {
+				if !replicaFits(base, mc) {
+					return nil, fmt.Errorf("%w: %q × %d members needs more than %d nodes or %d components",
+						errOverBound, base.Name, mc, maxClusterNodes, maxJobWork)
+				}
 				p = ReplicateMembers(base, mc)
 			}
 			for _, plan := range plans {

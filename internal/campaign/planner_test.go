@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"ensemblekit/internal/cluster"
@@ -262,5 +263,14 @@ func TestSweepRejectsEmpty(t *testing.T) {
 		Cluster:    cluster.Spec{Nodes: 1, CoresPerNode: 1}, // too small for 16-core sims
 	}).Jobs(); err == nil {
 		t.Error("infeasible sweep should fail validation at expansion")
+	}
+	// A member count on a placement with no members has nothing to
+	// replicate: the placement fails validation (it used to divide by
+	// zero).
+	if _, err := (Sweep{
+		Placements:   []placement.Placement{{Name: "empty"}},
+		MemberCounts: []int{2},
+	}).Jobs(); err == nil || !strings.Contains(err.Error(), "no members") {
+		t.Errorf("member count on an empty placement: %v, want its validation error", err)
 	}
 }

@@ -127,13 +127,19 @@ func NewJob(spec cluster.Spec, p placement.Placement, es runtime.EnsembleSpec, o
 }
 
 // Work bounds (DESIGN.md §10). A run's memory grows with its steps ×
-// components (~265 B of stage records per component-step), and a
-// campaign's with its job count, so both are capped where a request is
-// admitted: an unchecked integer must not size a buffer.
+// components (~265 B of stage records per component-step) and its
+// cluster's node count, and a campaign's with its job count, so all three
+// are capped where a request is admitted: an unchecked integer must not
+// size a buffer.
 const (
 	// maxJobWork caps one job's steps × components: ~70 MB of trace at
 	// most, ~300× the paper's scale (37 steps × ≤ 24 components).
 	maxJobWork = 1 << 18
+	// maxClusterNodes caps a job's cluster: a plan holds ≈ 150 B a node
+	// (DESIGN.md §16), so one plan's node state stays under 1 MB. It is
+	// above Cori's 2 388 Haswell nodes, and every study, example, test
+	// and bench workload uses at most a few dozen.
+	maxClusterNodes = 4096
 	// maxCampaignJobs caps the jobs one sweep expands to: a node keeps
 	// the newest terminalJobsKept finished jobs resolvable, so a larger
 	// campaign would evict its own first jobs before it finished.
@@ -146,8 +152,13 @@ var errOverBound = errors.New("campaign: over a work bound")
 
 // Validate checks the spec the same way RunSimulated will, so malformed
 // jobs fail at submission instead of occupying a worker, and holds it to
-// maxJobWork, so no admitted job can exhaust the node's memory.
+// maxClusterNodes and maxJobWork, so no admitted job can exhaust the
+// node's memory.
 func (s JobSpec) Validate() error {
+	if s.Cluster.Nodes > maxClusterNodes {
+		return fmt.Errorf("%w: %q asks for %d nodes, above the %d-node bound",
+			errOverBound, s.Placement.Name, s.Cluster.Nodes, maxClusterNodes)
+	}
 	if err := s.Cluster.Validate(); err != nil {
 		return err
 	}

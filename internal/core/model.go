@@ -134,7 +134,7 @@ const (
 	// simulation step: the analysis waits for data.
 	IdleAnalyzer Scenario = iota
 	// IdleSimulation marks a coupling whose analysis step is slower: the
-	// simulation waits before writing the next chunk.
+	// simulation waits before it writes the next chunk of data.
 	IdleSimulation
 	// Balanced marks the boundary case (equal within tolerance).
 	Balanced

@@ -6,9 +6,9 @@
 // file system. All tiers implement the same interface, which is the point
 // of the DTL plugin architecture: ensemble components are tier-agnostic.
 //
-// The tiers in this file price staging operations for the simulated
-// backend (durations elapse on the simulation clock). The real-execution
-// in-memory store lives in mem.go.
+// The tiers price staging operations for the simulated backend (durations
+// elapse on the simulation clock): a staged chunk is its byte count, not
+// marshaled data.
 package dtl
 
 import (

@@ -42,7 +42,7 @@ var ErrInjected = errors.New("faults: injected staging failure")
 // failures, FailAtOp for a deterministic n-th-operation failure.
 type StagingFault struct {
 	// Tier names the DTL tier the rule applies to ("dimes", "burstbuffer",
-	// "pfs", "mem" for the real backend); "" or "*" matches every tier.
+	// "pfs"); "" or "*" matches every tier.
 	Tier string `json:"tier,omitempty"`
 	// Rate is the per-operation failure probability in [0,1], drawn
 	// deterministically from the plan seed.

@@ -3,7 +3,6 @@ package faults
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 )
 
 // stagingRule is the live state of one StagingFault: its own RNG stream
@@ -25,14 +24,11 @@ type stagingRule struct {
 // (plan seed, rule index). Because the discrete-event engine dispatches
 // operations in a deterministic order, the draw sequence — and therefore
 // the injected fault set — is identical on every run of the same plan.
-// An Injector is single-run state: build a fresh one per execution.
+// An Injector is single-run state of one single-threaded engine run:
+// build a fresh one per execution.
 type Injector struct {
 	plan    *Plan
 	staging []*stagingRule
-	// mu guards the mutable rule state. The simulated backend is
-	// single-threaded so the lock is uncontended; the real backend calls
-	// StagingOp from one goroutine per component.
-	mu sync.Mutex
 }
 
 // NewInjector builds the live injector for one run of the plan. A nil or
@@ -74,8 +70,6 @@ func (in *Injector) StagingOp(tier string, now float64) error {
 	if in == nil {
 		return nil
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	for i, r := range in.staging {
 		if !matchTier(r.Tier, tier) {
 			continue

@@ -1,12 +1,9 @@
 package kernels
 
 import (
-	"context"
 	"math"
-	"reflect"
 	"testing"
 
-	"ensemblekit/internal/chunk"
 	"ensemblekit/internal/cluster"
 )
 
@@ -57,356 +54,5 @@ func TestScaledAnalysisProfile(t *testing.T) {
 	ignored := ScaledAnalysisProfile(-1).AloneComputeTime(clock, 8)
 	if ignored != base {
 		t.Error("non-positive scale should be ignored")
-	}
-}
-
-func TestLJConfigValidate(t *testing.T) {
-	if err := DefaultLJConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
-	}
-	cases := []func(*LJConfig){
-		func(c *LJConfig) { c.Atoms = 1 },
-		func(c *LJConfig) { c.Box = 0 },
-		func(c *LJConfig) { c.Cutoff = 0 },
-		func(c *LJConfig) { c.Cutoff = c.Box },
-		func(c *LJConfig) { c.Dt = 0 },
-		func(c *LJConfig) { c.Temperature = -1 },
-	}
-	for i, mutate := range cases {
-		c := DefaultLJConfig()
-		mutate(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
-		}
-	}
-}
-
-func TestLJDeterministicAcrossWorkerCounts(t *testing.T) {
-	run := func(cores int) chunk.Frame {
-		s, err := NewLJSimulator(DefaultLJConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := s.Advance(context.Background(), 50, cores)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	f1 := run(1)
-	f4 := run(4)
-	if !reflect.DeepEqual(f1, f4) {
-		t.Error("LJ trajectory differs across worker counts: force evaluation is not deterministic")
-	}
-}
-
-func TestLJEnergyConservation(t *testing.T) {
-	cfg := DefaultLJConfig()
-	s, err := NewLJSimulator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k0, p0 := s.Energies()
-	e0 := k0 + p0
-	if math.IsNaN(e0) || math.IsInf(e0, 0) {
-		t.Fatalf("initial energy not finite: %v", e0)
-	}
-	if _, err := s.Advance(context.Background(), 200, 4); err != nil {
-		t.Fatal(err)
-	}
-	k1, p1 := s.Energies()
-	e1 := k1 + p1
-	// Velocity Verlet with a truncated potential drifts slowly; demand the
-	// total energy stays within a few percent of the kinetic scale.
-	if math.Abs(e1-e0) > 0.05*(math.Abs(e0)+k0) {
-		t.Errorf("energy drift too large: %v -> %v", e0, e1)
-	}
-	if s.Step() != 200 {
-		t.Errorf("step counter = %d, want 200", s.Step())
-	}
-}
-
-func TestLJFrameSnapshot(t *testing.T) {
-	s, err := NewLJSimulator(DefaultLJConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := s.Advance(context.Background(), 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Step != 10 {
-		t.Errorf("frame step = %d, want 10", f.Step)
-	}
-	if len(f.Positions) != DefaultLJConfig().Atoms {
-		t.Errorf("frame atoms = %d, want %d", len(f.Positions), DefaultLJConfig().Atoms)
-	}
-	box := float32(DefaultLJConfig().Box)
-	for i, p := range f.Positions {
-		for d := 0; d < 3; d++ {
-			if p[d] < 0 || p[d] > box {
-				t.Fatalf("atom %d outside the box: %v", i, p)
-			}
-		}
-	}
-	// Frames embed into chunks and survive the codec.
-	c := &chunk.Chunk{ID: chunk.ID{Member: 0, Step: 0}, Producer: "lj", Frames: []chunk.Frame{f}}
-	data, err := c.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := chunk.Decode(data); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLJCancellation(t *testing.T) {
-	s, err := NewLJSimulator(DefaultLJConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := s.Advance(ctx, 100, 2); err == nil {
-		t.Error("cancelled advance should fail")
-	}
-}
-
-func TestEigenConfigValidate(t *testing.T) {
-	if err := DefaultEigenConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
-	}
-	cases := []func(*EigenConfig){
-		func(c *EigenConfig) { c.MaxAtomsPerSide = 0 },
-		func(c *EigenConfig) { c.ContactScale = 0 },
-		func(c *EigenConfig) { c.Iterations = 0 },
-		func(c *EigenConfig) { c.Tolerance = -1 },
-	}
-	for i, mutate := range cases {
-		c := DefaultEigenConfig()
-		mutate(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
-		}
-	}
-	if _, err := NewEigenAnalyzer(EigenConfig{}); err == nil {
-		t.Error("NewEigenAnalyzer should validate")
-	}
-}
-
-func TestEigenKnownMatrix(t *testing.T) {
-	// For B = [[1,0],[0,2]], B^T B has eigenvalues {1,4}; power iteration
-	// on B^T B as implemented returns the dominant singular-value-squared
-	// quantity ||B^T B v|| -> 4.
-	b := []float64{1, 0, 0, 2}
-	got, err := powerIteration(b, 2, 2, 100, 1e-12, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-4) > 1e-6 {
-		t.Errorf("dominant eigenvalue = %v, want 4", got)
-	}
-}
-
-func TestEigenZeroMatrix(t *testing.T) {
-	b := make([]float64, 6)
-	got, err := powerIteration(b, 2, 3, 10, 1e-12, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0 {
-		t.Errorf("zero matrix eigenvalue = %v, want 0", got)
-	}
-}
-
-func TestEigenAnalyzeFrames(t *testing.T) {
-	a, err := NewEigenAnalyzer(DefaultEigenConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := chunk.Synthetic(chunk.ID{}, 3, 120, 5)
-	cv, err := a.Analyze(context.Background(), c.Frames, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cv <= 0 || math.IsNaN(cv) || math.IsInf(cv, 0) {
-		t.Errorf("collective variable = %v, want positive finite", cv)
-	}
-	// Deterministic across worker counts.
-	cv1, err := a.Analyze(context.Background(), c.Frames, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(cv-cv1) > 1e-9 {
-		t.Errorf("analysis differs across worker counts: %v vs %v", cv, cv1)
-	}
-}
-
-func TestEigenAnalyzeErrors(t *testing.T) {
-	a, err := NewEigenAnalyzer(DefaultEigenConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Analyze(context.Background(), nil, 1); err == nil {
-		t.Error("empty frame list should fail")
-	}
-	oneAtom := []chunk.Frame{{Positions: make([][3]float32, 1)}}
-	if _, err := a.Analyze(context.Background(), oneAtom, 1); err == nil {
-		t.Error("single-atom frame should fail")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	c := chunk.Synthetic(chunk.ID{}, 1, 50, 5)
-	if _, err := a.Analyze(ctx, c.Frames, 1); err == nil {
-		t.Error("cancelled analysis should fail")
-	}
-}
-
-func TestEigenSensitivityToStructure(t *testing.T) {
-	// Atoms packed together produce a larger dominant eigenvalue than
-	// atoms spread apart (proximity kernel is larger): the CV responds to
-	// molecular structure, which is its purpose.
-	a, err := NewEigenAnalyzer(DefaultEigenConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tight := chunk.Frame{Positions: make([][3]float32, 100)}
-	spread := chunk.Frame{Positions: make([][3]float32, 100)}
-	for i := range tight.Positions {
-		tight.Positions[i] = [3]float32{float32(i) * 0.01, 0, 0}
-		spread.Positions[i] = [3]float32{float32(i) * 10, 0, 0}
-	}
-	cvTight, err := a.Analyze(context.Background(), []chunk.Frame{tight}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cvSpread, err := a.Analyze(context.Background(), []chunk.Frame{spread}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cvTight <= cvSpread {
-		t.Errorf("tight structure CV (%v) should exceed spread CV (%v)", cvTight, cvSpread)
-	}
-}
-
-func TestParallelForCoversAllIndexes(t *testing.T) {
-	for _, cores := range []int{1, 2, 3, 7, 16} {
-		n := 23
-		hits := make([]int32, n)
-		parallelFor(n, cores, func(i int) { hits[i]++ })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("cores=%d: index %d hit %d times", cores, i, h)
-			}
-		}
-	}
-	// n = 0 must be a no-op.
-	parallelFor(0, 4, func(i int) { t.Fatal("should not run") })
-}
-
-// useCellsConfig returns an LJ config whose box admits a cell list
-// (box/cutoff >= 3).
-func useCellsConfig() LJConfig {
-	c := DefaultLJConfig()
-	c.Box = 9.0
-	c.Cutoff = 2.5
-	return c
-}
-
-func TestCellListActivation(t *testing.T) {
-	s, err := NewLJSimulator(useCellsConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.cells == nil {
-		t.Fatal("large box should activate the cell list")
-	}
-	small := DefaultLJConfig()
-	small.Box = 5
-	small.Cutoff = 2.4
-	s2, err := NewLJSimulator(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.cells != nil {
-		t.Fatal("box with fewer than 3 cells per side should fall back to all-pairs")
-	}
-}
-
-func TestCellListMatchesAllPairsBitExactly(t *testing.T) {
-	cfg := useCellsConfig()
-	withCells, err := NewLJSimulator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	allPairs, err := NewLJSimulator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	allPairs.cells = nil
-	allPairs.computeForces(1) // recompute initial forces without cells
-	ctx := context.Background()
-	fa, err := withCells.Advance(ctx, 40, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := allPairs.Advance(ctx, 40, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fa, fb) {
-		t.Fatal("cell-list trajectory diverges from the all-pairs trajectory")
-	}
-}
-
-func TestCellListCoversAllPartners(t *testing.T) {
-	// Every in-cutoff pair must appear in the neighbour stencil.
-	cfg := useCellsConfig()
-	s, err := NewLJSimulator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Advance(context.Background(), 20, 2); err != nil {
-		t.Fatal(err)
-	}
-	s.cells.rebuild(s.pos)
-	rc2 := cfg.Cutoff * cfg.Cutoff
-	var buf []int32
-	for i := range s.pos {
-		buf = buf[:0]
-		buf = s.cells.neighborsInto(s.pos[i], buf)
-		seen := make(map[int32]bool, len(buf))
-		for _, j := range buf {
-			seen[j] = true
-		}
-		for j := range s.pos {
-			if j == i {
-				continue
-			}
-			r2 := 0.0
-			for d := 0; d < 3; d++ {
-				dd := s.pos[i][d] - s.pos[j][d]
-				dd -= cfg.Box * math.Round(dd/cfg.Box)
-				r2 += dd * dd
-			}
-			if r2 < rc2 && !seen[int32(j)] {
-				t.Fatalf("atom %d: in-cutoff partner %d missing from stencil", i, j)
-			}
-		}
-	}
-}
-
-func TestCellListEnergyConservation(t *testing.T) {
-	s, err := NewLJSimulator(useCellsConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	k0, p0 := s.Energies()
-	if _, err := s.Advance(context.Background(), 200, 4); err != nil {
-		t.Fatal(err)
-	}
-	k1, p1 := s.Energies()
-	if math.Abs((k1+p1)-(k0+p0)) > 0.05*(math.Abs(k0+p0)+k0) {
-		t.Errorf("energy drift with cell lists: %v -> %v", k0+p0, k1+p1)
 	}
 }

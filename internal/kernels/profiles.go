@@ -1,3 +1,12 @@
+// Package kernels holds the calibrated cost profiles (cluster.Profile) of
+// the ensemble components that the simulated backend runs: an
+// MD-simulation proxy standing in for GROMACS and a memory-intensive
+// analysis proxy standing in for the bipartite eigenvalue analysis of
+// Johnston et al. (the paper's reference [16]).
+//
+// The profiles are calibrated to the scales of the paper's Section 2.2
+// (simulation step ~10 s on 16 cores with stride 800; analysis step under
+// the simulation step once it has 8 cores, Figure 7).
 package kernels
 
 import (

@@ -32,8 +32,7 @@ type Component struct {
 }
 
 // ForComponent computes the Table 1 component metrics from a trace.
-// Counter-derived metrics are NaN when the trace carries no counters
-// (the real backend).
+// Counter-derived metrics are NaN when the trace carries no counters.
 func ForComponent(c *trace.ComponentTrace) Component {
 	total := c.TotalCounters()
 	out := Component{

@@ -350,6 +350,55 @@ func TestInterruptedTransferReleasesBandwidth(t *testing.T) {
 	}
 }
 
+// TestInterruptAtCompletionIsHeld interrupts a transfer at the instant
+// it completes, after the completion has woken its process: the transfer
+// keeps its full delivery, the interrupt is held for the process's next
+// wait, and the flow record (already released to the pool) is left
+// alone, so the next transfer runs at full rate.
+func TestInterruptAtCompletionIsHeld(t *testing.T) {
+	env := sim.NewEnv()
+	fab, err := NewFabric(env, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var xferErr, waitErr error
+	var doneAt, nextAt float64
+	a := env.Go("a", func(p *sim.Proc) error {
+		xferErr = fab.Transfer(p, 0, 1, 8e9)
+		doneAt = p.Now()
+		waitErr = p.Wait(1)
+		return nil
+	})
+	env.Go("killer", func(p *sim.Proc) error {
+		// Scheduled after a's completion timer for the same instant, so
+		// the completion wakes a first.
+		if err := p.Wait(1); err != nil {
+			return err
+		}
+		a.Interrupt("at completion")
+		if err := fab.Transfer(p, 0, 2, 8e9); err != nil {
+			return err
+		}
+		nextAt = p.Now()
+		return nil
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if xferErr != nil || doneAt != 1 {
+		t.Fatalf("transfer = %v at t=%v, want nil at t=1", xferErr, doneAt)
+	}
+	if !errors.Is(waitErr, sim.ErrInterrupted) {
+		t.Errorf("next wait = %v, want the held interrupt", waitErr)
+	}
+	if math.Abs(nextAt-2) > 1e-9 {
+		t.Errorf("next transfer done at %v, want 2 (full rate, no stale flow)", nextAt)
+	}
+	if got := fab.TotalBytes(); got != 16e9 {
+		t.Errorf("TotalBytes = %v, want 16e9", got)
+	}
+}
+
 func TestInterruptedTransferTotalBytes(t *testing.T) {
 	// Byte-conservation regression for the interrupt path: an interrupted
 	// flow must contribute exactly the bytes it delivered before the

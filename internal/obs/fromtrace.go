@@ -11,7 +11,7 @@ import (
 // FromTrace reconstructs an instrumentation event stream from a post-hoc
 // execution trace. Live recording (SimOptions.Recorder) is richer — it
 // sees queue depths, DTL latencies, and fabric flows — but FromTrace lets
-// any stored trace.EnsembleTrace (from either backend) open in Perfetto
+// any stored trace.EnsembleTrace open in Perfetto
 // and feed the utilization tables: component lifecycles become proc spans,
 // stages become B/E pairs, and core allocations become per-node occupancy
 // timelines.

@@ -196,7 +196,7 @@ func (k *kernel) resumeSim(c *kcomp) {
 		return
 	case phS:
 		k.record(c, trace.StageS, c.dur)
-		// I^S: one token per analysis, each read of the previous chunk.
+		// I^S: one token per analysis, each a read of the previous chunk's data.
 		c.start, c.got = k.now, 0
 	case phIS:
 		c.got++

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	goruntime "runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ensemblekit/internal/campaign/accounting"
@@ -38,28 +41,92 @@ type diffCase struct {
 
 func runTrace(t testing.TB, c diffCase, opts runtime.SimOptions, wantKernel bool) *trace.EnsembleTrace {
 	t.Helper()
-	tr, info, err := runtime.RunSimulatedInfo(c.spec, c.p, c.es, opts)
+	tr, err := tryTrace(c, opts, wantKernel)
 	if err != nil {
-		t.Fatalf("%s: kernel=%v: %v", c.name, wantKernel, err)
-	}
-	if info.FastPath != wantKernel || (wantKernel && info.DESEvents != 0) {
-		t.Fatalf("%s: served by kernel=%v with %d engine events, want kernel=%v",
-			c.name, info.FastPath, info.DESEvents, wantKernel)
+		t.Fatal(err)
 	}
 	return tr
 }
 
-// checkKernelEqualsEngine runs c on both and compares the traces.
-func checkKernelEqualsEngine(t testing.TB, world *runtime.World, c diffCase) {
-	t.Helper()
+// tryTrace is runTrace for worker goroutines, which must not call
+// t.Fatal: it returns what went wrong instead.
+func tryTrace(c diffCase, opts runtime.SimOptions, wantKernel bool) (*trace.EnsembleTrace, error) {
+	tr, info, err := runtime.RunSimulatedInfo(c.spec, c.p, c.es, opts)
+	if err != nil {
+		return nil, fmt.Errorf("%s: kernel=%v: %v", c.name, wantKernel, err)
+	}
+	if info.FastPath != wantKernel || (wantKernel && info.DESEvents != 0) {
+		return nil, fmt.Errorf("%s: served by kernel=%v with %d engine events, want kernel=%v",
+			c.name, info.FastPath, info.DESEvents, wantKernel)
+	}
+	return tr, nil
+}
+
+// kernelEqualsEngine runs c on both and compares the traces.
+func kernelEqualsEngine(world *runtime.World, c diffCase) error {
 	engine := c.opts
 	engine.Recorder = obs.NewRecorder(nil)
-	want := runTrace(t, c, engine, false)
+	want, err := tryTrace(c, engine, false)
+	if err != nil {
+		return err
+	}
 	kernel := c.opts
 	kernel.World = world
-	if d := traceDiff(runTrace(t, c, kernel, true), want); d != "" {
-		t.Fatalf("%s: kernel trace differs from engine trace at %s", c.name, d)
+	got, err := tryTrace(c, kernel, true)
+	if err != nil {
+		return err
 	}
+	if d := traceDiff(got, want); d != "" {
+		return fmt.Errorf("%s: kernel trace differs from engine trace at %s", c.name, d)
+	}
+	return nil
+}
+
+// eachCase runs check over the cases on GOMAXPROCS workers, one World
+// each (a World is not shared across the service's workers either).
+// Under the race detector it takes every fifth case. It fails t with the
+// lowest-indexed case that failed; after a failure the workers stop at
+// their next case. It returns the number of cases checked.
+func eachCase(t *testing.T, cases []diffCase, check func(*runtime.World, diffCase) error) int {
+	t.Helper()
+	stride := 1
+	if raceEnabled {
+		stride = 5
+	}
+	var (
+		next     atomic.Int64
+		failed   atomic.Bool
+		mu       sync.Mutex
+		firstIdx = len(cases)
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	for w := 0; w < goruntime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			world := runtime.NewWorld()
+			for !failed.Load() {
+				i := int(next.Add(int64(stride))) - stride
+				if i >= len(cases) {
+					return
+				}
+				if err := check(world, cases[i]); err != nil {
+					failed.Store(true)
+					mu.Lock()
+					if i < firstIdx {
+						firstIdx, firstErr = i, err
+					}
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if firstErr != nil {
+		t.Fatal(firstErr)
+	}
+	return (len(cases) + stride - 1) / stride
 }
 
 // traceDiff names the first field where two traces differ, or returns ""
@@ -121,8 +188,6 @@ func componentDiff(a, b *trace.ComponentTrace) string {
 		return "nodes"
 	case !sameFloat(a.Start, b.Start) || !sameFloat(a.End, b.End):
 		return "span"
-	case !sameLen(a.Outputs, b.Outputs) || !slices.EqualFunc(a.Outputs, b.Outputs, sameFloat):
-		return "outputs"
 	case !sameLen(a.Steps, b.Steps):
 		return "steps"
 	}
@@ -161,7 +226,7 @@ func TestTraceDiffCoversEveryField(t *testing.T) {
 	for typ, n := range map[reflect.Type]int{
 		reflect.TypeOf(trace.EnsembleTrace{}):  3,
 		reflect.TypeOf(trace.MemberTrace{}):    3,
-		reflect.TypeOf(trace.ComponentTrace{}): 13,
+		reflect.TypeOf(trace.ComponentTrace{}): 12,
 		reflect.TypeOf(trace.StepRecord{}):     2,
 		reflect.TypeOf(trace.StageRecord{}):    5,
 		reflect.TypeOf(trace.Counters{}):       5,
@@ -336,15 +401,8 @@ func TestKernelEqualsEngine(t *testing.T) {
 	if len(cases) < 5000 {
 		t.Fatalf("only %d generated cases", len(cases))
 	}
-	stride := 1
-	if raceEnabled {
-		stride = 5
-	}
-	world := runtime.NewWorld()
-	for i := 0; i < len(cases); i += stride {
-		checkKernelEqualsEngine(t, world, cases[i])
-	}
-	t.Logf("%d of %d cases run, bit-identical, none declined", (len(cases)+stride-1)/stride, len(cases))
+	n := eachCase(t, cases, kernelEqualsEngine)
+	t.Logf("%d of %d cases run, bit-identical, none declined", n, len(cases))
 }
 
 // TestSummaryEqualsTrace is the summary sink's oracle over the
@@ -355,24 +413,22 @@ func TestKernelEqualsEngine(t *testing.T) {
 // Under the race detector it runs every fifth case.
 func TestSummaryEqualsTrace(t *testing.T) {
 	cases := append(append(tableCases(), enumeratedCases(t)...), randomCases(t)...)
-	stride := 1
-	if raceEnabled {
-		stride = 5
-	}
-	world := runtime.NewWorld()
-	for i := 0; i < len(cases); i += stride {
-		c := cases[i]
+	eachCase(t, cases, func(world *runtime.World, c diffCase) error {
 		opts := c.opts
 		opts.World = world
-		tr := runTrace(t, c, opts, true)
+		tr, err := tryTrace(c, opts, true)
+		if err != nil {
+			return err
+		}
 		sum, engine, info, err := runtime.RunSimulatedSummary(c.spec, c.p, c.es, opts)
 		if err != nil || sum == nil || engine != nil || !info.FastPath {
-			t.Fatalf("%s: summary %v, engine trace %v, err %v", c.name, sum != nil, engine != nil, err)
+			return fmt.Errorf("%s: summary %v, engine trace %v, err %v", c.name, sum != nil, engine != nil, err)
 		}
 		if d := summaryDiff(sum, tr); d != "" {
-			t.Fatalf("%s: summary differs from its trace at %s", c.name, d)
+			return fmt.Errorf("%s: summary differs from its trace at %s", c.name, d)
 		}
-	}
+		return nil
+	})
 }
 
 // summaryDiff names the first value where a summary and what the trace

@@ -45,15 +45,14 @@ func ParseDegradationMode(s string) (DegradationMode, error) {
 	}
 }
 
-// Resilience configures the recovery policy both backends apply around
-// the fault plan. The zero value recovers nothing: every fault is
+// Resilience configures the recovery policy the simulated backend applies
+// around the fault plan. The zero value recovers nothing: every fault is
 // immediately unrecoverable and the mode is FailFast, which reproduces
 // the historical behaviour exactly.
 //
 // Fault taxonomy: injected staging failures (faults.StagingFault) and
 // stage timeouts are transient — they consume the per-stage retry budget,
-// with exponential backoff elapsed on the virtual clock (the simulated
-// backend) or the wall clock (the real backend). Node crashes are
+// with exponential backoff elapsed on the virtual clock. Node crashes are
 // permanent for the interrupted attempt but survivable: each affected
 // component may restart up to RestartLimit times, resuming from the
 // interrupted stage of its current in situ step (completed steps are
@@ -65,8 +64,8 @@ type Resilience struct {
 	// StagingRetries is the per-stage retry budget for transient faults
 	// (injected staging failures, stage timeouts). 0 disables retries.
 	StagingRetries int
-	// RetryBackoff is the delay before the first retry in seconds
-	// (virtual seconds on the simulated backend). 0 retries immediately.
+	// RetryBackoff is the delay before the first retry in virtual
+	// seconds. 0 retries immediately.
 	RetryBackoff float64
 	// BackoffFactor multiplies the backoff after each retry (exponential
 	// backoff). Values <= 0 default to 2.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"ensemblekit/internal/cluster"
 	"ensemblekit/internal/faults"
@@ -247,65 +246,5 @@ func TestResilienceValidation(t *testing.T) {
 	}
 	if _, err := ParseDegradationMode("bogus"); err == nil {
 		t.Error("bogus mode should fail to parse")
-	}
-}
-
-// --- real backend ---
-
-func TestRealBackendFaultRetry(t *testing.T) {
-	// The real backend honours the same plan format: an injected staging
-	// failure on the "mem" tier is retried and annotated.
-	opts := smallRealOptions()
-	opts.Faults = &faults.Plan{Staging: []faults.StagingFault{{Tier: "mem", FailAtOp: 1}}}
-	opts.Resilience = Resilience{StagingRetries: 1}
-	tr, err := RunReal(placement.C15(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := traceRetries(tr); got != 1 {
-		t.Errorf("trace records %d retries, want 1", got)
-	}
-}
-
-func TestRealBackendDropMember(t *testing.T) {
-	// An unrecovered member-scoped failure under drop-member completes
-	// the run with the failed member annotated and the rest intact.
-	opts := smallRealOptions()
-	opts.Faults = &faults.Plan{Staging: []faults.StagingFault{{Tier: "mem", FailAtOp: 1}}}
-	opts.Resilience = Resilience{Mode: DropMember}
-	tr, err := RunReal(placement.C15(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(tr.DroppedMembers()); got != 1 {
-		t.Fatalf("dropped members = %d, want 1", got)
-	}
-	for _, m := range tr.SurvivingMembers() {
-		if got := len(m.Simulation.Steps); got != 3 {
-			t.Errorf("survivor %d completed %d steps, want 3", m.Index, got)
-		}
-	}
-}
-
-func TestRealBackendTimeoutPartialTrace(t *testing.T) {
-	// RunReal returns whatever was recorded up to the timeout alongside
-	// the error, so aborted runs remain inspectable.
-	opts := smallRealOptions()
-	opts.Timeout = 50 * time.Millisecond
-	opts.Steps = 1000
-	tr, err := RunReal(placement.Cf(), opts)
-	if err == nil {
-		t.Fatal("timeout should abort the real run")
-	}
-	if tr == nil {
-		t.Fatal("partial trace should be returned on timeout")
-	}
-	if len(tr.Members) != 1 || len(tr.Members[0].Analyses) != 1 {
-		t.Errorf("partial trace should keep the ensemble shape")
-	}
-	// A member-scoped drop must not swallow the global timeout either.
-	opts.Resilience = Resilience{Mode: DropMember}
-	if _, err := RunReal(placement.Cf(), opts); err == nil {
-		t.Error("global timeout must error even in drop-member mode")
 	}
 }

@@ -3,12 +3,10 @@ package runtime
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"ensemblekit/internal/cluster"
 	"ensemblekit/internal/core"
 	"ensemblekit/internal/faults"
-	"ensemblekit/internal/kernels"
 	"ensemblekit/internal/network"
 	"ensemblekit/internal/placement"
 	"ensemblekit/internal/trace"
@@ -298,92 +296,6 @@ func TestSpecHelpers(t *testing.T) {
 	}
 }
 
-// --- real backend ---
-
-func smallRealOptions() RealOptions {
-	lj := kernels.DefaultLJConfig()
-	lj.Atoms = 64
-	lj.Box = 5
-	lj.Cutoff = 2
-	eig := kernels.DefaultEigenConfig()
-	eig.MaxAtomsPerSide = 32
-	eig.Iterations = 10
-	return RealOptions{
-		Steps:   3,
-		Stride:  5,
-		LJ:      lj,
-		Eigen:   eig,
-		Timeout: 30 * time.Second,
-	}
-}
-
-func TestRealBackendEndToEnd(t *testing.T) {
-	cfg := placement.C15()
-	tr, err := RunReal(cfg, smallRealOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Backend != "real" {
-		t.Errorf("backend = %q", tr.Backend)
-	}
-	if len(tr.Members) != 2 {
-		t.Fatalf("members = %d", len(tr.Members))
-	}
-	for _, m := range tr.Members {
-		if len(m.Simulation.Steps) != 3 {
-			t.Errorf("member %d: sim steps = %d, want 3", m.Index, len(m.Simulation.Steps))
-		}
-		for _, a := range m.Analyses {
-			if len(a.Steps) != 3 {
-				t.Errorf("member %d: analysis steps = %d, want 3", m.Index, len(a.Steps))
-			}
-			if a.Err != "" {
-				t.Errorf("analysis error: %s", a.Err)
-			}
-		}
-		if m.Makespan() <= 0 {
-			t.Errorf("member %d: non-positive makespan", m.Index)
-		}
-		// The steady-state extractor must work on real traces too.
-		if _, err := core.FromMemberTrace(m, core.ExtractOptions{WarmupFraction: 0.34}); err != nil {
-			t.Errorf("member %d: steady-state extraction: %v", m.Index, err)
-		}
-	}
-}
-
-func TestRealBackendMultiAnalysis(t *testing.T) {
-	cfg := placement.ConfigsTable4()[7] // C2.8: 2 members x 2 analyses
-	tr, err := RunReal(cfg, smallRealOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range tr.Members {
-		if len(m.Analyses) != 2 {
-			t.Fatalf("member %d: %d analyses, want 2", m.Index, len(m.Analyses))
-		}
-	}
-}
-
-func TestRealBackendTimeout(t *testing.T) {
-	opts := smallRealOptions()
-	opts.Timeout = time.Nanosecond
-	opts.Steps = 50
-	if _, err := RunReal(placement.Cf(), opts); err == nil {
-		t.Error("timeout should abort the real run")
-	}
-}
-
-func TestRealBackendValidation(t *testing.T) {
-	if _, err := RunReal(placement.Placement{}, smallRealOptions()); err == nil {
-		t.Error("empty placement should fail")
-	}
-	opts := smallRealOptions()
-	opts.LJ.Atoms = 1
-	if _, err := RunReal(placement.Cf(), opts); err == nil {
-		t.Error("invalid LJ config should fail")
-	}
-}
-
 func TestBufferedStagingExtension(t *testing.T) {
 	// With jitter, buffering absorbs stage-time variance: depth 2 must
 	// not be slower than the paper's no-buffering protocol, and in an
@@ -432,86 +344,6 @@ func TestDragonflyTopologyInRuntime(t *testing.T) {
 	rDf := df.Members[0].Analyses[0].Steps[2].StageDuration(trace.StageR)
 	if rDf <= rFlat {
 		t.Errorf("cross-group read (%v) should exceed flat-fabric read (%v)", rDf, rFlat)
-	}
-}
-
-func TestRealBackendMultiFrameChunks(t *testing.T) {
-	opts := smallRealOptions()
-	opts.Stride = 10
-	opts.FramesPerChunk = 3
-	tr, err := RunReal(placement.Cc(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each write stage moved one chunk of 3 frames; the byte counters of
-	// W and R must match (same chunk through the DTL).
-	m := tr.Members[0]
-	for i := range m.Simulation.Steps {
-		var wBytes, rBytes int64
-		for _, st := range m.Simulation.Steps[i].Stages {
-			if st.Stage == trace.StageW {
-				wBytes = st.Counters.Bytes
-			}
-		}
-		for _, st := range m.Analyses[0].Steps[i].Stages {
-			if st.Stage == trace.StageR {
-				rBytes = st.Counters.Bytes
-			}
-		}
-		if wBytes == 0 || wBytes != rBytes {
-			t.Fatalf("step %d: W moved %d bytes, R moved %d", i, wBytes, rBytes)
-		}
-	}
-	// A 3-frame chunk is larger than a 1-frame chunk.
-	opts1 := smallRealOptions()
-	opts1.Stride = 10
-	tr1, err := RunReal(placement.Cc(), opts1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b3 := tr.Members[0].Simulation.Steps[0].Stages[2].Counters.Bytes
-	b1 := tr1.Members[0].Simulation.Steps[0].Stages[2].Counters.Bytes
-	if b3 <= b1 {
-		t.Errorf("3-frame chunk (%d bytes) should exceed 1-frame chunk (%d bytes)", b3, b1)
-	}
-}
-
-func TestRealBackendCollectiveVariableConsistency(t *testing.T) {
-	// Both analyses of a member read the same chunks, so their collective
-	// variables must agree exactly — this validates the whole staging
-	// path (encode -> put -> get -> decode -> analyze) end to end.
-	cfg := placement.ConfigsTable4()[7] // C2.8: 2 analyses per member
-	tr, err := RunReal(cfg, smallRealOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range tr.Members {
-		a0, a1 := m.Analyses[0], m.Analyses[1]
-		if len(a0.Outputs) != len(a0.Steps) {
-			t.Fatalf("member %d: %d outputs for %d steps", m.Index, len(a0.Outputs), len(a0.Steps))
-		}
-		for s := range a0.Outputs {
-			cv0, cv1 := a0.Outputs[s], a1.Outputs[s]
-			if cv0 != cv1 {
-				t.Errorf("member %d step %d: CVs diverge: %v vs %v (staging corrupted?)",
-					m.Index, s, cv0, cv1)
-			}
-			if cv0 <= 0 {
-				t.Errorf("member %d step %d: non-positive CV %v", m.Index, s, cv0)
-			}
-		}
-	}
-	// Different members integrate different trajectories (distinct
-	// seeds): their CVs should not be identical across the board.
-	m0, m1 := tr.Members[0].Analyses[0].Outputs, tr.Members[1].Analyses[0].Outputs
-	same := true
-	for s := range m0 {
-		if m0[s] != m1[s] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different members should produce different trajectories")
 	}
 }
 

@@ -558,7 +558,7 @@ func (r *simRun) launchMember(i int, simA compAlloc, anaA []compAlloc, mt *trace
 				Stage: trace.StageS, Start: sStart, Duration: stageSpan(p, sStart, sDur, sRecovered),
 				Counters: counters, Retries: sRetries,
 			})
-			// I^S: wait for all K reads of the previous chunk.
+			// I^S: wait until all K analyses have read the previous chunk's data.
 			isStart := p.Now()
 			isRetries := 0
 			r.rec.StageBegin(simTrace.Name, stageNameIS, simA.node)

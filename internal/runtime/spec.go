@@ -4,16 +4,14 @@
 // no-buffering protocol of Section 2.1 (the simulation does not write step
 // i+1 until every analysis has read step i).
 //
-// Two backends produce the same trace format:
-//
-//   - the simulated backend (simulated.go) runs components as
-//     discrete-event processes over the cluster model, the interference
-//     model, and a priced DTL tier — this is what regenerates the paper's
-//     figures;
-//   - the real backend (real.go) runs components as goroutines computing
-//     real molecular dynamics and real eigenvalue analyses over the real
-//     in-memory staging area — this validates the protocol and the public
-//     API end to end.
+// The simulated backend (simulated.go) runs components as discrete-event
+// processes over the cluster model, the interference model, and a priced
+// DTL tier; fault-free flat-DIMES one-slot runs are served by the timeline
+// kernel (kernel.go) with the same bits. This is what regenerates the
+// paper's figures. Nothing runs real molecular dynamics or a real staging
+// service: the computation is a calibrated cost profile
+// (internal/kernels) and a staged chunk is its BytesPerStep, priced by a
+// dtl.Tier (DESIGN.md §1).
 package runtime
 
 import (

@@ -8,11 +8,13 @@ type procResume struct {
 
 // Waiter is implemented by waiter containers (Store, network flows) that
 // park processes with ParkOn. CancelWait must remove p from the
-// container's waiter queue and make any pending wake for p a no-op; the
-// engine invokes it when the parked process is interrupted. Blocking
-// through an interface value rather than a cancel closure keeps the park
-// path allocation-free. CancelWait is for blocking-primitive
-// implementations only; application code never calls it.
+// container's waiter queue so that no later wake reaches it; the engine
+// invokes it when the parked process is interrupted, or when a process
+// holding an interrupt calls ParkOn — never for a woken process (Unpark
+// un-parks it at once). Blocking through an interface value rather than a
+// cancel closure keeps the park path allocation-free. CancelWait is for
+// blocking-primitive implementations only; application code never calls
+// it.
 type Waiter interface {
 	CancelWait(p *Proc)
 }
@@ -31,8 +33,13 @@ type Proc struct {
 	// wait; it is cancelled on interrupt.
 	pending *event
 	// blockingQ is the Waiter the process is parked in, if any; an
-	// interrupt asks it to forget the process.
+	// interrupt asks it to forget the process. Unpark clears it when it
+	// schedules the resume.
 	blockingQ Waiter
+	// held is an interrupt that arrived while the process's resume was
+	// already scheduled; its next Wait or ParkOn returns it (see
+	// Interrupt).
+	held error
 }
 
 // Name returns the process name given to Env.Go.
@@ -63,8 +70,13 @@ func (p *Proc) yield() error {
 
 // Wait suspends the process for d seconds of simulated time. Negative
 // durations are treated as zero. It returns a non-nil error if the process
-// was interrupted while waiting.
+// was interrupted while waiting, or at once if it holds an interrupt (see
+// Interrupt).
 func (p *Proc) Wait(d float64) error {
+	if err := p.held; err != nil {
+		p.held = nil
+		return err
+	}
 	if d < 0 {
 		d = 0
 	}
@@ -74,43 +86,58 @@ func (p *Proc) Wait(d float64) error {
 	return err
 }
 
-// Interrupt wakes the target process with an error wrapping ErrInterrupted
-// and the given reason. If the target is not currently blocked (or already
-// done) the interrupt is a no-op. Interrupt must be called from another
-// process or a callback, never from the target itself.
+// Interrupt delivers an error wrapping ErrInterrupted and the given reason
+// to the target process. A process blocked in Wait or ParkOn is woken with
+// it at once: its timer is cancelled, or its Waiter forgets it. A process
+// whose resume is already scheduled (a Store.Offer or Unpark handed it
+// what it waited for, or it has not started yet) keeps that resume — a
+// process has at most one — and the interrupt is held: its next Wait or
+// ParkOn returns it at once. A later interrupt before then is dropped,
+// and so is one for a process that has returned. Interrupt must be called
+// from another process or a callback, never from the target itself.
 func (p *Proc) Interrupt(reason string) {
 	if p.done {
 		return
 	}
-	interrupted := false
-	if p.pending != nil {
+	err := fmt.Errorf("%w: %s", ErrInterrupted, reason)
+	switch {
+	case p.pending != nil:
 		p.env.cancelEvent(p.pending)
 		p.pending = nil
-		interrupted = true
-	}
-	if p.blockingQ != nil {
+	case p.blockingQ != nil:
 		p.blockingQ.CancelWait(p)
 		p.blockingQ = nil
-		interrupted = true
-	}
-	if !interrupted {
+	default:
+		if p.held == nil {
+			p.held = err
+		}
 		return
 	}
-	p.env.wake(p, fmt.Errorf("%w: %s", ErrInterrupted, reason))
+	p.env.wake(p, err)
 }
 
 // ParkOn blocks the process in the waiter queue q until another party
 // calls Unpark (from a callback or another process). If the process is
-// interrupted while parked, q.CancelWait(p) runs first; it must make any
-// pending Unpark a no-op so the process is not woken twice.
+// interrupted while parked, or holds an interrupt when it calls ParkOn,
+// q.CancelWait(p) runs first and ParkOn returns the interrupt.
 func (p *Proc) ParkOn(q Waiter) error {
+	if err := p.held; err != nil {
+		p.held = nil
+		q.CancelWait(p)
+		return err
+	}
 	p.blockingQ = q
 	err := p.yield()
 	p.blockingQ = nil
 	return err
 }
 
-// Unpark wakes a process parked with ParkOn. Calling Unpark for a process
-// that is not parked corrupts the scheduler; callers must guard with their
-// own bookkeeping (see the Waiter contract).
-func (p *Proc) Unpark() { p.env.wake(p, nil) }
+// Unpark wakes a process parked with ParkOn. From here on the process is
+// no longer parked: an interrupt before it resumes is held, not delivered
+// (see Interrupt). Calling Unpark for a process that is not parked
+// corrupts the scheduler; callers must guard with their own bookkeeping
+// (see the Waiter contract).
+func (p *Proc) Unpark() {
+	p.blockingQ = nil
+	p.env.wake(p, nil)
+}

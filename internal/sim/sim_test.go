@@ -389,6 +389,92 @@ func TestInterruptTimedWait(t *testing.T) {
 	}
 }
 
+// TestInterruptAfterOfferIsHeld pins the interrupt of a process whose
+// resume is already scheduled: at t = 1 the offerer hands the parked
+// getter a token and interrupts it in the same step. The getter keeps its
+// token, its next Wait returns the held interrupt at once, and nothing
+// else reaches it: no phantom resume from a leaked timer at t = 6, and
+// it is not left in the store's queue, so the offer at t = 21 is served
+// to its second Get and the one at t = 30 is counted.
+func TestInterruptAfterOfferIsHeld(t *testing.T) {
+	env := NewEnv()
+	st := NewStore(env)
+	var getErr, waitErr, get2Err error
+	waitAt, get2At := -1.0, -1.0
+	getter := env.Go("getter", func(p *Proc) error {
+		getErr = st.Get(p)
+		waitErr = p.Wait(5)
+		waitAt = p.Now()
+		get2Err = st.Get(p)
+		get2At = p.Now()
+		return nil
+	})
+	env.Go("offerer", func(p *Proc) error {
+		if err := p.Wait(1); err != nil {
+			return err
+		}
+		st.Offer()
+		getter.Interrupt("same step")
+		getter.Interrupt("dropped: one is already held")
+		for _, d := range []float64{20, 9} {
+			if err := p.Wait(d); err != nil {
+				return err
+			}
+			st.Offer()
+		}
+		return nil
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if getErr != nil {
+		t.Errorf("Get = %v, want nil (the offer reached the getter first)", getErr)
+	}
+	if !errors.Is(waitErr, ErrInterrupted) || !strings.Contains(waitErr.Error(), "same step") || waitAt != 1 {
+		t.Errorf("Wait = %v at t=%v, want the held interrupt at t=1", waitErr, waitAt)
+	}
+	if get2Err != nil || get2At != 21 {
+		t.Errorf("second Get = %v at t=%v, want nil at t=21 (no phantom resume at t=6)", get2Err, get2At)
+	}
+	if st.Len() != 1 {
+		t.Errorf("len = %d, want 1 (3 offers, 2 gets: no token lost)", st.Len())
+	}
+}
+
+// TestInterruptBeforeParkIsHeld checks that a held interrupt reaches a
+// ParkOn as well: the getter's Get returns it without parking and leaves
+// no entry in the store's queue for a later offer to wake.
+func TestInterruptBeforeParkIsHeld(t *testing.T) {
+	env := NewEnv()
+	st := NewStore(env)
+	var getErr error
+	getter := env.Go("getter", func(p *Proc) error {
+		if err := st.Get(p); err != nil {
+			return err
+		}
+		getErr = st.Get(p)
+		return nil
+	})
+	env.Go("offerer", func(p *Proc) error {
+		st.Offer()
+		getter.Interrupt("before the second get")
+		if err := p.Wait(1); err != nil {
+			return err
+		}
+		st.Offer()
+		return nil
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(getErr, ErrInterrupted) {
+		t.Errorf("second Get = %v, want the held interrupt", getErr)
+	}
+	if st.Len() != 1 {
+		t.Errorf("len = %d, want 1 (the later offer found no stale getter)", st.Len())
+	}
+}
+
 func TestInterruptDoneProcessIsNoop(t *testing.T) {
 	env := NewEnv()
 	target := env.Go("quick", func(p *Proc) error { return nil })

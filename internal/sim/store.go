@@ -48,7 +48,7 @@ func (s *Store) Offer() {
 		p := s.waiters[s.head]
 		s.waiters[s.head] = nil
 		s.head++
-		s.env.wake(p, nil)
+		p.Unpark()
 		return
 	}
 	s.count++

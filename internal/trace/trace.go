@@ -61,10 +61,9 @@ func SimulationStages() []Stage { return []Stage{StageS, StageIS, StageW} }
 // step, in execution order (R before A before I^A).
 func AnalysisStages() []Stage { return []Stage{StageR, StageA, StageIA} }
 
-// Counters holds the hardware-counter readings associated with a stage.
-// In the simulated backend these are synthesized consistently with modeled
-// durations; in the real backend they are zero (real hardware counters are
-// not portable, which is documented behaviour).
+// Counters holds the hardware-counter readings associated with a stage,
+// synthesized by the simulated backend consistently with the modeled
+// durations (cluster.Profile's CPI and LLC model).
 type Counters struct {
 	Instructions float64 `json:"instructions"`
 	Cycles       float64 `json:"cycles"`
@@ -164,11 +163,7 @@ type ComponentTrace struct {
 	Start    float64      `json:"start"`
 	End      float64      `json:"end"`
 	Steps    []StepRecord `json:"steps"`
-	// Outputs holds the per-step analysis results (the collective
-	// variable) for analysis components of the real backend; empty
-	// otherwise.
-	Outputs []float64 `json:"outputs,omitempty"`
-	Err     string    `json:"err,omitempty"` // non-empty if the component failed
+	Err      string       `json:"err,omitempty"` // non-empty if the component failed
 	// Restarts counts crash-restarts the component performed (resilience
 	// policy: resume from the interrupted stage after a node crash).
 	Restarts int `json:"restarts,omitempty"`
@@ -257,7 +252,7 @@ func (m *MemberTrace) Components() []*ComponentTrace {
 
 // EnsembleTrace is the complete record of one workflow ensemble execution.
 type EnsembleTrace struct {
-	Backend string         `json:"backend"` // "simulated" or "real"
+	Backend string         `json:"backend"` // "simulated"
 	Config  string         `json:"config"`  // configuration name (e.g. "C1.5")
 	Members []*MemberTrace `json:"members"`
 }

@@ -205,14 +205,27 @@ func (b *Broadcaster) subscribe(sc scope) (replay []JobEvent, ch <-chan *JobEven
 	c := make(chan *JobEvent, b.subBuf)
 	b.mu.Lock()
 	// History is in sequence order and ends at b.seq, so a scoped replay
-	// starts at the first entry above sc.after instead of scanning the ring.
-	first := 0
+	// starts at the first entry above sc.after instead of scanning the
+	// ring, and its events are counted over that range before they are
+	// copied, so it is allocated once.
+	first, size := 0, b.count
 	if sc.all {
-		replay = make([]JobEvent, 0, b.count)
-	} else if newer := b.seq - sc.after; newer < int64(b.count) {
-		first = b.count - int(max(newer, 0))
+		replay = make([]JobEvent, 0, size)
+	} else {
+		if newer := b.seq - sc.after; newer < int64(b.count) {
+			first = b.count - int(max(newer, 0))
+		}
+		size = 0
+		for i := first; i < b.count; i++ {
+			if sc.admits(&b.ring[(b.start+i)%len(b.ring)]) {
+				size++
+			}
+		}
+		if size > 0 {
+			replay = make([]JobEvent, 0, size)
+		}
 	}
-	for i := first; i < b.count; i++ {
+	for i := first; i < b.count && len(replay) < size; i++ {
 		if ev := &b.ring[(b.start+i)%len(b.ring)]; sc.admits(ev) {
 			replay = append(replay, *ev)
 		}

@@ -242,3 +242,26 @@ func TestScopedSubscribeCopiesOnlyItsSlice(t *testing.T) {
 		t.Fatalf("scoped subscribe allocates %d B, unscoped %d B: want under a tenth", scoped, full)
 	}
 }
+
+// TestScopedReplayAllocatedOnce: a scoped replay is sized before it is
+// copied, so opening a campaign's stream costs as many allocations with
+// 3 events to replay as with 63.
+func TestScopedReplayAllocatedOnce(t *testing.T) {
+	allocs := func(mine int) float64 {
+		b := NewBroadcaster(4096, 256)
+		for i := 0; i < 4096; i++ {
+			campaign := "other"
+			if i%64 < mine {
+				campaign = "c-7"
+			}
+			b.Publish(JobEvent{Campaign: campaign, Job: "j-1", Status: "done"})
+		}
+		return testing.AllocsPerRun(50, func() {
+			_, _, cancel := b.SubscribeCampaign("c-7", b.Seq()-64)
+			cancel()
+		})
+	}
+	if few, many := allocs(3), allocs(63); few != many {
+		t.Errorf("scoped subscribe: %.0f allocations for 3 events, %.0f for 63; want equal", few, many)
+	}
+}

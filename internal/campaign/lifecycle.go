@@ -298,10 +298,14 @@ func (s *Service) transition(j *Job, e edge) bool {
 		}
 		j.execSpan.EndAt(now)
 		j.queueSpan.EndAt(now)
-		j.span.SetAttr(tracing.String("job.status", ev.Status))
 		if e.res != nil {
 			ev.Objective = e.res.Objective
-			j.span.SetAttr(tracing.Float("job.objective", e.res.Objective))
+		}
+		if j.span.Recording() { // an untraced job boxes no attributes
+			j.span.SetAttr(tracing.String("job.status", ev.Status))
+			if e.res != nil {
+				j.span.SetAttr(tracing.Float("job.objective", e.res.Objective))
+			}
 		}
 		j.span.EndAt(now)
 		if from == stateNew {

@@ -514,16 +514,20 @@ func (s *Service) newJobLocked(ctx context.Context, spec JobSpec, hash string, o
 		done:     make(chan struct{}),
 		svc:      s,
 	}
-	kind := tracing.Bool("job.cacheHit", true)
 	if !hit {
-		kind = tracing.Int("job.priority", opts.Priority)
 		j.ctx, j.cancel = context.WithCancel(s.baseCtx)
 	}
-	_, j.span = s.cfg.Tracer.StartSpan(ctx, "job "+j.ID, "job",
-		tracing.String("job.id", j.ID),
-		tracing.String("job.hash", hash),
-		tracing.String("job.label", opts.Label),
-		kind)
+	if s.cfg.Tracer != nil { // an untraced job builds no span name or attributes
+		kind := tracing.Bool("job.cacheHit", true)
+		if !hit {
+			kind = tracing.Int("job.priority", opts.Priority)
+		}
+		_, j.span = s.cfg.Tracer.StartSpan(ctx, "job "+j.ID, "job",
+			tracing.String("job.id", j.ID),
+			tracing.String("job.hash", hash),
+			tracing.String("job.label", opts.Label),
+			kind)
+	}
 	s.jobs[j.ID] = j
 	return j
 }

@@ -199,35 +199,39 @@ func TestFinishedCampaignHoldsNoSpec(t *testing.T) {
 // GETs the campaign and returns its status.
 func warmCampaigner(tb testing.TB, client *http.Client, ts *httptest.Server) func() CampaignStatus {
 	const body = `{"name":"warm","configs":["table2"],"steps":8,"seeds":[1,2,3]}`
-	return func() CampaignStatus {
-		resp, err := client.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		var st CampaignStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusAccepted {
-			tb.Fatalf("POST: HTTP %d, %v", resp.StatusCode, err)
-		}
-		if resp, err = client.Get(ts.URL + "/v1/campaigns/" + st.ID + "/events"); err != nil {
-			tb.Fatal(err)
-		}
-		_, err = io.Copy(io.Discard, resp.Body) // the stream ends at the summary
-		resp.Body.Close()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if resp, err = client.Get(ts.URL + "/v1/campaigns/" + st.ID); err != nil {
-			tb.Fatal(err)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return st
+	return func() CampaignStatus { return runCampaign(tb, client, ts, body) }
+}
+
+// runCampaign POSTs the campaign body to ts, reads its SSE stream to the
+// summary, then GETs the campaign and returns its status.
+func runCampaign(tb testing.TB, client *http.Client, ts *httptest.Server, body string) CampaignStatus {
+	resp, err := client.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+	if err != nil {
+		tb.Fatal(err)
 	}
+	var st CampaignStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		tb.Fatalf("POST: HTTP %d, %v", resp.StatusCode, err)
+	}
+	if resp, err = client.Get(ts.URL + "/v1/campaigns/" + st.ID + "/events"); err != nil {
+		tb.Fatal(err)
+	}
+	_, err = io.Copy(io.Discard, resp.Body) // the stream ends at the summary
+	resp.Body.Close()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if resp, err = client.Get(ts.URL + "/v1/campaigns/" + st.ID); err != nil {
+		tb.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
 }
 
 // BenchmarkWarmCampaign is the service's warm path over HTTP, as a
@@ -250,6 +254,65 @@ func BenchmarkWarmCampaign(b *testing.B) {
 		if st := campaign(); st.Status != "done" || st.Result.CacheHits != 21 {
 			b.Fatalf("warm campaign: %s, %d of 21 cache hits", st.Status, st.Result.CacheHits)
 		}
+	}
+}
+
+// BenchmarkColdCampaign is BenchmarkWarmCampaign's cold twin: every
+// iteration posts the Table 2 sweep on seeds no earlier one used, so all
+// 21 jobs miss the result cache and run (each configuration's frozen
+// plan is reused after the first iteration, as on a long-lived server).
+func BenchmarkColdCampaign(b *testing.B) {
+	svc, err := NewService(Config{Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	ts := httptest.NewServer(NewServer(svc).Handler())
+	defer ts.Close()
+	body := func(i int) string {
+		return fmt.Sprintf(`{"name":"cold","configs":["table2"],"steps":8,"seeds":[%d,%d,%d]}`, 3*i+1, 3*i+2, 3*i+3)
+	}
+	runCampaign(b, http.DefaultClient, ts, body(0)) // builds the plans
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		st := runCampaign(b, http.DefaultClient, ts, body(i))
+		if st.Status != "done" || st.Result.Jobs != 21 || st.Result.CacheHits != 0 {
+			b.Fatalf("cold campaign: %s, %d jobs, %d cache hits; want 21 misses", st.Status, st.Result.Jobs, st.Result.CacheHits)
+		}
+	}
+}
+
+// TestUntracedCacheHitSubmitAllocs: a service without a tracer builds no
+// span name or attributes for a job (the "job j-N" name, three boxed
+// string attributes and their slice, the terminal status and objective
+// attributes), so a cache-hit Submit costs 15 allocations where building
+// them cost 22.
+func TestUntracedCacheHitSubmitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	svc, err := NewService(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	spec := table2Specs(t, false)[0]
+	j, err := svc.Submit(ctx, spec, SubmitOptions{})
+	if err == nil {
+		_, err = j.Wait(ctx)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		if j, err = svc.Submit(ctx, spec, SubmitOptions{Label: "C1.5"}); err != nil || !j.CacheHit {
+			t.Fatalf("Submit: %v, cache hit %v", err, j != nil && j.CacheHit)
+		}
+	})
+	if n > 15 {
+		t.Errorf("a cache-hit Submit without a tracer allocates %.0f times, want ≤ 15", n)
 	}
 }
 

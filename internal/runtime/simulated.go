@@ -177,11 +177,7 @@ func acquirePlan(spec cluster.Spec, p placement.Placement, es EnsembleSpec, opts
 	var key [32]byte
 	cacheable := opts.World != nil && opts.Model == nil
 	if cacheable {
-		k, err := planKey(spec, p, es, tierName, slots)
-		if err != nil {
-			cacheable = false
-		} else {
-			key = k
+		if key, cacheable = planKey(spec, p, es, tierName, slots); cacheable {
 			pl = opts.World.cachedPlan(key)
 		}
 	}

@@ -2,8 +2,9 @@ package runtime
 
 import (
 	"crypto/sha256"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 
@@ -54,18 +55,107 @@ func normSlots(slots int) int {
 // planKey content-addresses a plan by its inputs. Jobs of one campaign
 // differ in seeds, jitter, faults, and resilience — none of which shape
 // the plan — so a Table 2/4 sweep collapses to one key per configuration.
-func planKey(spec cluster.Spec, p placement.Placement, es EnsembleSpec, tier string, slots int) ([32]byte, error) {
-	b, err := json.Marshal(struct {
-		Spec  cluster.Spec        `json:"spec"`
-		P     placement.Placement `json:"p"`
-		ES    EnsembleSpec        `json:"es"`
-		Tier  string              `json:"tier"`
-		Slots int                 `json:"slots"`
-	}{spec, p, es, tier, slots})
-	if err != nil {
-		return [32]byte{}, fmt.Errorf("runtime: plan key: %w", err)
+//
+// The key is the SHA-256 of every input appended field by field in a
+// fixed order (DESIGN.md §16): integers as varints, floats as their
+// IEEE 754 bits, strings and slices behind their length (a nil slice as
+// 0, a non-nil one as length+1), node lists in the order given. Each
+// field's code ends where its own bytes say, so two different inputs
+// never encode alike. ok is false when an input float is NaN or ±Inf:
+// such a run is not cached.
+func planKey(spec cluster.Spec, p placement.Placement, es EnsembleSpec, tier string, slots int) (key [32]byte, ok bool) {
+	var stack [1024]byte
+	b := stack[:0]
+	b = binary.AppendVarint(b, int64(spec.Nodes))
+	b = binary.AppendVarint(b, int64(spec.CoresPerNode))
+	b = binary.AppendVarint(b, int64(spec.SocketsPerNode))
+	b = appendKeyFloat(b, spec.ClockHz)
+	b = binary.AppendVarint(b, spec.LLCBytesPerNode)
+	b = binary.AppendVarint(b, spec.MemBytesPerNode)
+	b = appendKeyFloat(b, spec.MemBWPerNode)
+	b = appendKeyFloat(b, spec.MemCopyBW)
+	b = appendKeyFloat(b, spec.NICBandwidth)
+	b = appendKeyFloat(b, spec.NICLatency)
+	finite := finiteAll(spec.ClockHz, spec.MemBWPerNode, spec.MemCopyBW, spec.NICBandwidth, spec.NICLatency)
+
+	b = appendKeyString(b, p.Name)
+	b = appendKeyLen(b, len(p.Members), p.Members == nil)
+	for _, m := range p.Members {
+		b = appendKeyComponent(b, m.Simulation)
+		b = appendKeyLen(b, len(m.Analyses), m.Analyses == nil)
+		for _, a := range m.Analyses {
+			b = appendKeyComponent(b, a)
+		}
 	}
-	return sha256.Sum256(b), nil
+
+	b = appendKeyString(b, es.Name)
+	b = binary.AppendVarint(b, int64(es.Steps))
+	b = appendKeyLen(b, len(es.Members), es.Members == nil)
+	for _, m := range es.Members {
+		b = appendKeyProfile(b, m.Sim)
+		finite = finite && finiteProfile(m.Sim)
+		b = appendKeyLen(b, len(m.Analyses), m.Analyses == nil)
+		for _, a := range m.Analyses {
+			b = appendKeyProfile(b, a)
+			finite = finite && finiteProfile(a)
+		}
+	}
+
+	b = appendKeyString(b, tier)
+	b = binary.AppendVarint(b, int64(slots))
+	if !finite {
+		return key, false
+	}
+	return sha256.Sum256(b), true
+}
+
+func appendKeyFloat(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+// appendKeyLen writes a slice's length, keeping nil apart from empty.
+func appendKeyLen(b []byte, n int, isNil bool) []byte {
+	if isNil {
+		return append(b, 0)
+	}
+	return binary.AppendUvarint(b, uint64(n)+1)
+}
+
+func appendKeyString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func appendKeyComponent(b []byte, c placement.Component) []byte {
+	b = appendKeyLen(b, len(c.Nodes), c.Nodes == nil)
+	for _, n := range c.Nodes {
+		b = binary.AppendVarint(b, int64(n))
+	}
+	return binary.AppendVarint(b, int64(c.Cores))
+}
+
+func appendKeyProfile(b []byte, pr cluster.Profile) []byte {
+	b = appendKeyString(b, pr.Name)
+	b = appendKeyString(b, string(pr.Class))
+	b = appendKeyFloat(b, pr.InstrPerStep)
+	b = appendKeyFloat(b, pr.CPIBase)
+	b = appendKeyFloat(b, pr.ParallelFraction)
+	b = binary.AppendVarint(b, pr.WorkingSetBytes)
+	b = appendKeyFloat(b, pr.LLCRefsPerInstr)
+	b = appendKeyFloat(b, pr.BaseMissRatio)
+	return binary.AppendVarint(b, pr.BytesPerStep)
+}
+
+func finiteProfile(pr cluster.Profile) bool {
+	return finiteAll(pr.InstrPerStep, pr.CPIBase, pr.ParallelFraction, pr.LLCRefsPerInstr, pr.BaseMissRatio)
+}
+
+func finiteAll(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // validateInputs checks what a plan is built from, in the order its

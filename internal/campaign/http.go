@@ -651,13 +651,11 @@ func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request) {
 
 	// Each event is built in buf and written to w, which buffers; the
 	// stream flushes once per batch — the replay, then every live event
-	// already waiting — so a batch costs one write to the client. Job
-	// events are appended by hand (appendJobEvent: json.Marshal's bytes
-	// without its reflection); the once-per-stream error and summary
-	// events go through enc.
+	// already waiting — so a batch costs one write to the client.
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	head := func(id int64, event string) {
+	// write appends one event; false means the client went away.
+	write := func(id int64, event string, v any) bool {
 		buf.Reset()
 		if id > 0 {
 			buf.WriteString("id: ")
@@ -667,31 +665,12 @@ func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request) {
 		buf.WriteString("event: ")
 		buf.WriteString(event)
 		buf.WriteString("\ndata: ")
-	}
-	// send ends the event with a blank line after its data line and
-	// writes it; false means the client went away.
-	send := func() bool {
-		buf.WriteByte('\n')
+		if err := enc.Encode(v); err != nil {
+			return true // unencodable: skip the event, keep the stream
+		}
+		buf.WriteByte('\n') // Encode ended the data line; a blank line ends the event
 		_, err := w.Write(buf.Bytes())
 		return err == nil
-	}
-	// job writes one job event; an unencodable one is skipped.
-	job := func(ev *JobEvent) bool {
-		head(ev.Seq, "job")
-		data, ok := appendJobEvent(buf.AvailableBuffer(), ev)
-		if !ok {
-			return true
-		}
-		buf.Write(append(data, '\n'))
-		return send()
-	}
-	// control writes a once-per-stream error or summary event.
-	control := func(event string, v any) bool {
-		head(0, event)
-		if err := enc.Encode(v); err != nil {
-			return true
-		}
-		return send() // Encode ended the data line
 	}
 	// pending writes every event already buffered on ch; closed reports
 	// that ch was closed, ok that the client is still there.
@@ -702,7 +681,7 @@ func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request) {
 				if !open {
 					return true, true
 				}
-				if !job(ev) {
+				if !write(ev.Seq, "job", ev) {
 					return false, false
 				}
 			default:
@@ -712,7 +691,7 @@ func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request) {
 	}
 
 	for i := range replay {
-		if !job(&replay[i]) {
+		if !write(replay[i].Seq, "job", &replay[i]) {
 			return
 		}
 	}
@@ -722,7 +701,7 @@ func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request) {
 		case ev, open := <-ch:
 			closed := !open
 			if open {
-				if !job(ev) {
+				if !write(ev.Seq, "job", ev) {
 					return
 				}
 				var ok bool
@@ -733,7 +712,7 @@ func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request) {
 			if closed {
 				// Dropped for falling behind, or the service closed; the
 				// client reconnects and replays from history.
-				control("error", map[string]string{
+				write(0, "error", map[string]string{
 					"error": "event stream dropped (subscriber too slow or service closing)",
 				})
 				fl.Flush()
@@ -742,7 +721,7 @@ func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request) {
 		case <-run.done:
 			// Every job event was published before the campaign resolved;
 			// write whatever is still buffered, then summarize.
-			if _, ok := pending(); ok && control("summary", run.summary()) {
+			if _, ok := pending(); ok && write(0, "summary", run.summary()) {
 				fl.Flush()
 			}
 			return
